@@ -21,7 +21,6 @@ from .equilibrium import (
 from .errors import (
     BcgameError,
     DomainError,
-    InvalidInterval,
     NoBracket,
     NoConvergence,
     TooLarge,
@@ -41,7 +40,7 @@ from .models import (
     secretary_cutoff,
     secretary_stop_reward,
 )
-from .numerics import Tolerance, bisect_root, integrate
+from .numerics import Tolerance, bisect_root
 from .oracle import (
     OracleReport,
     fullinfo_mc_check,

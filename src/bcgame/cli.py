@@ -26,7 +26,7 @@ _TABLE1_PRIORITIES = (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
 
 _EPILOG = """\
 environment:
-  BCGAME_TOL    default absolute tolerance for root finding and quadrature
+  BCGAME_TOL    default absolute tolerance for threshold root finding
                 (default 1e-12)
   BCGAME_SEED   default Monte Carlo seed (default 42); the --seed flag wins
 """
@@ -54,14 +54,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
-    return value
-
-
 def _write_text(spec: OutputSpec, text: str) -> None:
     if spec.path is None or spec.path == "-":
         sys.stdout.write(text)
@@ -84,9 +76,7 @@ def _emit_rows(spec: OutputSpec, header: list[str], rows: list[list]) -> None:
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         _write_text(spec, "\n".join(lines) + "\n")
     else:
-        objs = [
-            {key: _jsonable(v) for key, v in zip(header, row)} for row in rows
-        ]
+        objs = [dict(zip(header, row)) for row in rows]
         _write_text(spec, json.dumps(objs, indent=2) + "\n")
 
 

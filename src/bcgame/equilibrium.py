@@ -18,7 +18,7 @@ Classification into SS/SF/FS/FF is established for p <= 0.5 only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import models
 from .errors import DomainError, UnsupportedPriority
 from .models import ProblemConfig, RecordState, ThresholdVector
-from .numerics import Tolerance, integrate
+from .numerics import Tolerance
 
 
 def w1(n: int, cfg: ProblemConfig) -> float:
@@ -124,33 +124,32 @@ def tv1_given_x(n: int, x: float, tables: GameTables) -> float:
 
 
 def _tv1_value(
-    n: int,
-    cfg: ProblemConfig,
-    thresholds: ThresholdVector,
-    w1_vec: np.ndarray,
-    tol: Tolerance | None = None,
+    n: int, cfg: ProblemConfig, thresholds: ThresholdVector, w1_vec: np.ndarray
 ) -> float:
+    """tv1 at index n in closed form.
+
+    Term k of tv1_given_x, with e = k - n - 1 and t = 2p - 1, is
+    w1_k x**e ((x_k - x) + (1 - x_k) t) below x_k and w1_k x**e (1 - x) t
+    above it.  The thresholds strictly decrease, so x_k < x_n, and both
+    pieces integrate exactly over [0, x_k] and [x_k, x_n].
+    """
     xn = thresholds.x(n)
     if xn <= 0.0:
         return 0.0
-    cuts = sorted(
-        {float(v) for v in thresholds.values[n:] if 0.0 < v < xn} | {0.0, xn}
-    )
-    def f(x):
-        return _tv1_given_x_array(n, np.atleast_1d(x), cfg, thresholds, w1_vec)
-
-    total = math.fsum(
-        integrate(f, a, b, tol) for a, b in zip(cuts[:-1], cuts[1:])
-    )
-    return total / xn
+    t = 2.0 * cfg.priority - 1.0
+    e1 = np.arange(1, cfg.horizon - n + 1, dtype=float)  # e + 1
+    xk = thresholds.values[n:]
+    below = xk ** (e1 + 1) / (e1 * (e1 + 1)) + t * (1.0 - xk) * xk**e1 / e1
+    above = t * ((xn**e1 - xk**e1) / e1 - (xn ** (e1 + 1) - xk ** (e1 + 1)) / (e1 + 1))
+    return math.fsum(w1_vec[n:] * (below + above)) / xn
 
 
-def tv1(n: int, tables: GameTables, tol: Tolerance | None = None) -> float:
+def tv1(n: int, tables: GameTables) -> float:
     """Average of tv1_given_x over the values compatible with the opponent
     continuing, i.e. x uniform on [0, x_n].  Zero at n = N."""
     if not 1 <= n <= tables.config.horizon:
         raise DomainError(f"index {n} outside 1..{tables.config.horizon}")
-    return _tv1_value(n, tables.config, tables.xthresholds, tables.w1, tol)
+    return _tv1_value(n, tables.config, tables.xthresholds, tables.w1)
 
 
 def shifted_cutoff(tables: GameTables) -> int:
@@ -167,26 +166,25 @@ def shifted_cutoff(tables: GameTables) -> int:
 
 
 def build_game_tables(cfg: ProblemConfig, tol: Tolerance | None = None) -> GameTables:
-    """Compute thresholds, margins, one-step shift values and both cutoffs."""
+    """Compute thresholds, margins, one-step shift values and both cutoffs.
+
+    ``tol`` applies to the threshold root finding; everything else is
+    closed form.
+    """
     thresholds = models.fullinfo_thresholds(cfg, tol)
     w1_vec = np.array([w1(n, cfg) for n in range(1, cfg.horizon + 1)])
     tv1_vec = np.array(
-        [_tv1_value(n, cfg, thresholds, w1_vec, tol) for n in range(1, cfg.horizon + 1)]
+        [_tv1_value(n, cfg, thresholds, w1_vec) for n in range(1, cfg.horizon + 1)]
     )
-    nstar = models.secretary_cutoff(cfg)
-    ntilde = cfg.horizon
-    for n in range(nstar, cfg.horizon + 1):
-        if tv1_vec[n - 1] <= w1_vec[n - 1]:
-            ntilde = n
-            break
-    return GameTables(
+    tables = GameTables(
         config=cfg,
         xthresholds=thresholds,
-        nstar=nstar,
-        ntilde=ntilde,
+        nstar=models.secretary_cutoff(cfg),
+        ntilde=cfg.horizon,  # replaced by shifted_cutoff below
         w1=w1_vec,
         tv1=tv1_vec,
     )
+    return replace(tables, ntilde=shifted_cutoff(tables))
 
 
 def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:
@@ -199,7 +197,9 @@ def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:
 
     with d = N - n.  Both sums are positive on (0, 1), so for p <= 0.5 the
     condition holds everywhere; the operation exists as a verification
-    hook for that claim.
+    hook for that claim.  Both sides are evaluated times x**d > 0, which
+    keeps the sign of the test and leaves only nonnegative powers of x, so
+    nothing overflows at large d or small x.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
@@ -207,10 +207,10 @@ def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:
     if d < 0:
         raise DomainError(f"index {n} beyond horizon {cfg.horizon}")
     p = cfg.priority
-    inv = x ** -np.arange(0, d + 1, dtype=float)  # inv[k] = x**-k
-    lhs = 2.0 * p * math.fsum((inv[k] - 1.0) / k for k in range(1, d + 1))
+    xp = x ** np.arange(0, d + 1, dtype=float)  # xp[i] = x**i
+    lhs = 2.0 * p * math.fsum((xp[d - k] - xp[d]) / k for k in range(1, d + 1))
     inner = math.fsum(
-        (j / k) * inv[k] - inv[j] / (k - j) + 1.0 / k
+        (j / k) * xp[d - k] - xp[d - j] / (k - j) + xp[d] / k
         for k in range(1, d + 1)
         for j in range(1, k)
     )

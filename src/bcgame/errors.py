@@ -13,10 +13,6 @@ class NoConvergence(BcgameError):
     """An iterative numeric routine exceeded its iteration budget."""
 
 
-class InvalidInterval(BcgameError, ValueError):
-    """Integration interval has a > b."""
-
-
 class DomainError(BcgameError, ValueError):
     """An argument lies outside the domain an operation is defined on."""
 

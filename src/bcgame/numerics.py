@@ -1,10 +1,10 @@
-"""Shared numeric kernels: bracketed root finding and 1-d quadrature.
+"""Shared numeric kernel: bracketed root finding by bisection, and the
+tolerance it works to.
 
-Both routines are pure and deterministic; identical inputs give
-bit-identical outputs.  The quadrature is a composite Gauss-Legendre rule
-of fixed order with panel doubling, which is exact (up to rounding) for
-the polynomial and piecewise-polynomial integrands used elsewhere in this
-package.
+The routine is pure and deterministic; identical inputs give bit-identical
+outputs.  The package needs no general quadrature: the integrals it uses
+have closed forms (equilibrium) or are exact sums over polynomial segments
+(valuation).
 """
 
 from __future__ import annotations
@@ -14,18 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .errors import InvalidInterval, NoBracket, NoConvergence
-
-#: Gauss-Legendre order of one quadrature panel.  Exact for polynomials up
-#: to degree 2*order - 1 = 47 on a single panel.
-_GL_ORDER = 24
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-
-#: Hard cap on panel doublings before giving up.
-_MAX_DOUBLINGS = 16
+from .errors import NoBracket, NoConvergence
 
 _TOL_ENV = "BCGAME_TOL"
 
@@ -96,62 +85,3 @@ def bisect_root(
     raise NoConvergence(
         f"bisection did not reach width {tol.abs_tol} in {tol.max_iter} iterations"
     )
-
-
-def _eval_panel_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of nodes, tolerating scalar-only callables."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.fromiter((float(f(v)) for v in x), dtype=float, count=len(x))
-
-
-def _composite_gl(f: Callable, a: float, b: float, panels: int) -> float:
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    # nodes laid out panel-by-panel so scalar fallback stays deterministic
-    nodes = (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
-    vals = _eval_panel_nodes(f, nodes).reshape(panels, _GL_ORDER)
-    return float(np.sum((vals @ _GL_WEIGHTS) * halves))
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerance | None = None,
-) -> float:
-    """Integral of f over [a, b] to an absolute error target.
-
-    Composite Gauss-Legendre with panel doubling until two successive
-    refinements agree within ``tol.abs_tol``.  Exact for polynomials up to
-    the rule's degree, hence one doubling normally suffices here.  Raises
-    InvalidInterval when a > b.
-    """
-    tol = tol or default_tolerance()
-    if a > b:
-        raise InvalidInterval(f"need a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0
-    prev = _composite_gl(f, a, b, 1)
-    panels = 2
-    for _ in range(_MAX_DOUBLINGS):
-        cur = _composite_gl(f, a, b, panels)
-        if abs(cur - prev) <= tol.abs_tol:
-            return cur
-        prev = cur
-        panels *= 2
-    raise NoConvergence(
-        f"quadrature did not meet abs_tol={tol.abs_tol} on [{a}, {b}]"
-    )
-
-
-def gauss_legendre_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss-Legendre rule on [a, b]."""
-    t, w = np.polynomial.legendre.leggauss(m)
-    half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * t, half * w

@@ -5,11 +5,17 @@ The induction walks indices downward.  At each record state it reads the
 classified action pair and scores the corresponding stage-bimatrix cell;
 at forgo-forgo states the pair is the continuation: the record-chain
 kernel applied to the next-stage values, with absorption (no further
-record) worth 0 to both.  Values V_i(n, .) are piecewise polynomials in x
-whose only breakpoints are the thresholds, so each segment is represented
-exactly by its values at Gauss-Legendre nodes; all integrals (segment
-tails, partial integrals, the final average over the first observation)
-are then exact up to rounding.
+record) worth 0 to both,
+
+    C(n, x) = sum_{k>n} x**(k-n-1) U(k, x),   U(k, x) = int_x^1 V(k, y) dy,
+
+computed by the one-step recurrence C(n, x) = U(n+1, x) + x C(n+1, x)
+with C(N, x) = 0.  Values V_i(n, .) are piecewise polynomials in x whose
+only breakpoints are the thresholds, so each segment is represented
+exactly by its values at Gauss-Legendre nodes; so is C(n, .), of degree at
+most N - n per segment.  All integrals (segment tails, partial integrals,
+the final average over the first observation) and all interpolations are
+then exact up to rounding.
 
 Payoff accounting (shared with the simulator): when player i stops and
 receives the record, player i scores his own stop margin (w1_n or
@@ -96,7 +102,8 @@ class ValueFunction:
 
     Segments between consecutive breakpoints carry values at ``m``
     Gauss-Legendre nodes; per segment the value is a polynomial of degree
-    at most N - n, so the node representation is exact.
+    at most N - n, so the node representation is exact.  ``cont[i, n]``
+    holds the continuation C_i(n, .) at the same nodes.
     """
 
     def __init__(self, tables: GameTables, nodes_per_segment: int | None = None):
@@ -118,7 +125,7 @@ class ValueFunction:
         self.nodes_x = self.mids[:, None] + self.halves[:, None] * self._ref_t[None, :]
         shape = (2, big_n + 1, self.n_segments, self.m)
         self.node_values = np.zeros(shape)
-        self.partial_tail = np.zeros((2, big_n + 1, self.n_segments, self.m))
+        self.cont = np.zeros(shape)  # C(N, .) = 0: no record after the last index
         self.tail = np.zeros((2, big_n + 1, self.n_segments + 1))
 
     def _partial_matrix(self) -> np.ndarray:
@@ -135,42 +142,30 @@ class ValueFunction:
         return out
 
     def finalize_stage(self, n: int) -> None:
-        """Fill integral tables of stage n from its node values."""
+        """Fill the integral table of stage n from its node values, and the
+        continuation table of stage n - 1 by C(n-1) = U(n) + x C(n)."""
         for idx in range(2):
             vals = self.node_values[idx, n]  # (S, m)
             seg_int = (vals @ self._ref_w) * self.halves
             tail = np.zeros(self.n_segments + 1)
             tail[:-1] = np.cumsum(seg_int[::-1])[::-1]
             self.tail[idx, n] = tail
-            partial = vals @ self._partial.T * self.halves[:, None]
-            self.partial_tail[idx, n] = tail[1:, None] + partial
+            upper = tail[1:, None] + vals @ self._partial.T * self.halves[:, None]
+            self.cont[idx, n - 1] = upper + self.nodes_x * self.cont[idx, n]
 
     def _segment_of(self, x: float) -> int:
         s = int(np.searchsorted(self.breaks, x, side="right")) - 1
         return min(max(s, 0), self.n_segments - 1)
 
-    def upper_integral(self, n: int, x: float, player: int) -> float:
-        """int_x^1 V_player(n, y) dy, exact for the stored polynomials."""
-        idx = player - 1
-        if x >= 1.0:
+    def continuation_at(self, n: int, x: float, player: int) -> float:
+        """C_player(n, x), interpolated from the node table of its segment;
+        exact because C(n, .) has degree at most N - n < m there."""
+        if x >= 1.0:  # no later value beats a record at 1
             return 0.0
         s = self._segment_of(x)
-        b_hi = self.breaks[s + 1]
-        if x == b_hi:
-            return float(self.tail[idx, n, s + 1])
-        half = 0.5 * (b_hi - x)
-        mid = 0.5 * (b_hi + x)
-        pts = (mid + half * self._ref_t - self.mids[s]) / self.halves[s]
-        basis = _interp_matrix(self._ref_t, self._bary, pts)
-        vals_at = basis @ self.node_values[idx, n, s]
-        return float(self.tail[idx, n, s + 1] + half * (self._ref_w @ vals_at))
-
-    def continuation_at(self, n: int, x: float, player: int) -> float:
-        big_n = self.tables.config.horizon
-        acc = 0.0
-        for k in range(n + 1, big_n + 1):
-            acc += x ** (k - n - 1) * self.upper_integral(k, x, player)
-        return acc
+        t = np.array([(x - self.mids[s]) / self.halves[s]])
+        basis = _interp_matrix(self._ref_t, self._bary, t)[0]
+        return float(basis @ self.cont[player - 1, n, s])
 
     def value_at(self, n: int, x: float, player: int) -> float:
         """V_player(n, x): the classified stage cell, or the continuation."""
@@ -197,6 +192,10 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     the record kernel applied to next-stage values, absorption worth 0."""
     if player not in _PLAYERS:
         raise DomainError(f"player must be 1 or 2, got {player}")
+    if not 0 <= n <= V.tables.config.horizon:
+        raise DomainError(f"index {n} outside 0..{V.tables.config.horizon}")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"value must be in [0, 1], got {x}")
     return V.continuation_at(n, x, player)
 
 
@@ -206,8 +205,8 @@ def backward_induce(
     """Equilibrium-profile values of every record state, plus the game value.
 
     Descends from the last index: stopped cells come from the stage
-    bimatrix, forgo-forgo cells from the continuation; the game value
-    averages the first-stage values over a uniform first observation
+    bimatrix, forgo-forgo cells from the continuation table; the game
+    value averages the first-stage values over a uniform first observation
     (index 1 is always a record).
     """
     cfg = tables.config
@@ -222,23 +221,17 @@ def backward_induce(
         xn = tables.xthresholds.x(n)
         w1n = float(tables.w1[n - 1])
         for s in range(vf.n_segments):
-            xs = vf.nodes_x[s]
-            w2s = _w2_values(n, xs, big_n)
-            if vf.breaks[s] >= xn:  # stop side: x >= x_n on the segment
-                if n >= tables.nstar:  # both stop, priority coin
-                    v1 = np.full(vf.m, (2.0 * p - 1.0) * w1n)
-                    v2 = (1.0 - 2.0 * p) * w2s
-                else:  # value player stops alone
-                    v1 = np.full(vf.m, -w1n)
-                    v2 = w2s
-            elif n >= tables.ntilde:  # rank player stops alone
-                v1 = np.full(vf.m, w1n)
-                v2 = -w2s
-            else:  # both continue
-                ks = np.arange(n + 1, big_n + 1)
-                kernel = xs[:, None] ** (ks - n - 1)[None, :]
-                v1 = (kernel * vf.partial_tail[0, n + 1 :, s, :].T).sum(axis=1)
-                v2 = (kernel * vf.partial_tail[1, n + 1 :, s, :].T).sum(axis=1)
+            stop_side = vf.breaks[s] >= xn  # x >= x_n on the segment
+            if not stop_side and n < tables.ntilde:  # both continue
+                vf.node_values[:, n, s] = vf.cont[:, n, s]
+                continue
+            w2s = _w2_values(n, vf.nodes_x[s], big_n)
+            if not stop_side:  # rank player stops alone
+                v1, v2 = w1n, -w2s
+            elif n >= tables.nstar:  # both stop, priority coin
+                v1, v2 = (2.0 * p - 1.0) * w1n, (1.0 - 2.0 * p) * w2s
+            else:  # value player stops alone
+                v1, v2 = -w1n, w2s
             vf.node_values[0, n, s] = v1
             vf.node_values[1, n, s] = v2
         vf.finalize_stage(n)

@@ -83,10 +83,7 @@ def _margin_dp_variant(tables, cells):
             elif n >= tables.ntilde:
                 v1, v2 = cells("SF", p, w1n, w2s, xs, n, big_n)
             else:
-                ks = np.arange(n + 1, big_n + 1)
-                kern = xs[:, None] ** (ks - n - 1)[None, :]
-                v1 = (kern * vf.partial_tail[0, n + 1 :, s, :].T).sum(axis=1)
-                v2 = (kern * vf.partial_tail[1, n + 1 :, s, :].T).sum(axis=1)
+                v1, v2 = vf.cont[0, n, s], vf.cont[1, n, s]
             vf.node_values[0, n, s] = v1
             vf.node_values[1, n, s] = v2
         vf.finalize_stage(n)

@@ -6,6 +6,7 @@ import pytest
 
 from bcgame.equilibrium import (
     Bimatrix,
+    _tv1_given_x_array,
     EquilibriumKind,
     bimatrix,
     build_game_tables,
@@ -118,6 +119,40 @@ def test_tv1_terminal(tables10):
     assert tables10.tv1[-1] == 0.0
 
 
+def _tv1_by_quadrature(n, tables):
+    """Average of tv1_given_x over [0, x_n] by Gauss-Legendre, split at the
+    thresholds; the integrand is a polynomial of degree <= N - n between
+    them, so ceil((N - n + 1) / 2) nodes per piece are exact."""
+    big_n = tables.config.horizon
+    xn = tables.xthresholds.x(n)
+    if xn <= 0.0:
+        return 0.0
+    cuts = np.unique(
+        np.concatenate(([0.0, xn], tables.xthresholds.values[n:]))
+    )
+    t, w = np.polynomial.legendre.leggauss((big_n - n) // 2 + 2)
+    half = 0.5 * np.diff(cuts)[:, None]
+    xs = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * t[None, :]
+    # the array form behind tv1_given_x
+    vals = _tv1_given_x_array(
+        n, xs.ravel(), tables.config, tables.xthresholds, tables.w1
+    ).reshape(xs.shape)
+    return math.fsum((half * vals * w[None, :]).ravel()) / xn
+
+
+@pytest.mark.parametrize("horizon", [5, 10, 30, 50, 150])
+def test_tv1_closed_form_matches_quadrature(horizon):
+    for p in (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5):
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=p))
+        ns = range(1, horizon + 1)
+        if horizon > 50:  # the ends and the shift; every index takes seconds
+            ns = (1, 2, horizon // 2, tables.ntilde - 1, tables.ntilde, horizon)
+        for n in ns:
+            assert tables.tv1[n - 1] == pytest.approx(
+                _tv1_by_quadrature(n, tables), abs=1e-12
+            )
+
+
 def test_tv1_crossing_matches_reference_shift():
     t25 = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
     first = next(n for n in range(t25.nstar, 11) if t25.tv1[n - 1] <= t25.w1[n - 1])
@@ -164,6 +199,12 @@ def test_fs_condition_sweep():
         for n in range(1, 4):
             for x in np.arange(0.05, 0.951, 0.05):
                 assert fs_condition(n, float(x), c)
+
+
+def test_fs_condition_long_horizon_small_value():
+    # x**-d overflowed here before both sides were scaled by x**d
+    c = ProblemConfig(horizon=400, priority=0.25)
+    assert fs_condition(1, 0.05, c)
 
 
 def test_fs_condition_domain():

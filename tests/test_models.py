@@ -20,7 +20,6 @@ from bcgame.models import (
     secretary_cutoff,
     secretary_stop_reward,
 )
-from bcgame.numerics import integrate
 
 
 def cfg(n, p=0.5):
@@ -151,12 +150,14 @@ def test_fullinfo_continue_reward_last_and_single_term():
 
 def test_fullinfo_continue_reward_matches_kernel_quadrature():
     # independent route: integrate the stop reward against the record kernel
+    # with an 8-point Gauss-Legendre rule on [0.4, 1], exact for y**(7-k)
     c = cfg(7)
     state = RecordState(3, 0.4)
     direct = fullinfo_continue_reward(state, c)
+    t, w = np.polynomial.legendre.leggauss(8)
+    ys, ws = 0.7 + 0.3 * t, 0.3 * w
     via_quad = sum(
-        record_transition_density(state, k)
-        * integrate(lambda y, k=k: y ** (7 - k), 0.4, 1.0)
+        record_transition_density(state, k) * float(ws @ ys ** (7 - k))
         for k in range(4, 8)
     )
     assert direct == pytest.approx(via_quad, abs=1e-12)

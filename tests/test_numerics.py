@@ -1,10 +1,9 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcgame.errors import InvalidInterval, NoBracket, NoConvergence
-from bcgame.numerics import Tolerance, bisect_root, integrate
+from bcgame.errors import NoBracket, NoConvergence
+from bcgame.numerics import Tolerance, bisect_root
 
 
 def test_tolerance_validation():
@@ -57,51 +56,6 @@ def test_bisect_root_stays_inside_bracket(shift):
     assert lo <= r <= hi
 
 
-def test_integrate_constant():
-    assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_integrate_square():
-    assert integrate(lambda x: x**2, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-13)
-
-
-def test_integrate_high_power():
-    got = integrate(lambda x: x**9, 0.0, 0.7)
-    assert got == pytest.approx(0.7**10 / 10.0, abs=1e-13)
-
-
-def test_integrate_empty_and_invalid():
-    assert integrate(lambda x: 1.0, 2.0, 2.0) == 0.0
-    with pytest.raises(InvalidInterval):
-        integrate(lambda x: 1.0, 1.0, 0.0)
-
-
-def test_integrate_accepts_scalar_only_callables():
-    def f(x):
-        if isinstance(x, np.ndarray):
-            raise TypeError("scalar only")
-        return x * x
-
-    assert integrate(f, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
-
-
-@given(
-    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=6),
-    st.floats(min_value=0.0, max_value=0.5),
-    st.floats(min_value=0.5, max_value=1.0),
-)
-@settings(max_examples=40, derandomize=True)
-def test_integrate_additivity_on_polynomials(coeffs, b, c):
-    poly = np.polynomial.Polynomial(coeffs)
-    f = lambda x: poly(x)
-    a = 0.0
-    whole = integrate(f, a, c)
-    split = integrate(f, a, b) + integrate(f, b, c)
-    assert abs(whole - split) <= 2e-12
-
-
 def test_purity_bit_identical():
-    f = lambda x: np.sin(3.0 * x) + x**4
-    assert integrate(f, 0.0, 1.0) == integrate(f, 0.0, 1.0)
     g = lambda x: x**3 - 0.2
     assert bisect_root(g, 0.0, 1.0) == bisect_root(g, 0.0, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bcgame.equilibrium import EquilibriumKind, build_game_tables, classify_state
-from bcgame.errors import UnsupportedPriority
+from bcgame.errors import DomainError, UnsupportedPriority
 from bcgame.models import ProblemConfig
 from bcgame.valuation import (
     SimConfig,
@@ -108,9 +108,47 @@ def test_stage_values_continuous_at_interior_nodes(game10):
     tables, vf, _ = game10
     for n in (2, 6):
         for b in vf.breaks[1:-1]:
-            left = vf.upper_integral(n, float(b) - 1e-12, 1)
-            right = vf.upper_integral(n, float(b), 1)
+            left = continuation(n, float(b) - 1e-12, vf, 1)
+            right = continuation(n, float(b), vf, 1)
             assert left == pytest.approx(right, abs=1e-9)
+
+
+def _upper_integral_by_quadrature(vf, k, x, player):
+    """int_x^1 V_player(k, y) dy from value_at, by Gauss-Legendre on each
+    piece between x and the breakpoints above it; exact for the piecewise
+    polynomials of degree <= N - k."""
+    cuts = np.unique(np.concatenate(([x], vf.breaks[vf.breaks > x])))
+    t, w = np.polynomial.legendre.leggauss(vf.tables.config.horizon // 2 + 2)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        total += half * sum(
+            wi * vf.value_at(k, float(mid + half * ti), player) for ti, wi in zip(t, w)
+        )
+    return total
+
+
+@pytest.mark.parametrize("horizon,priority", [(6, 0.1), (10, 0.25), (8, 0.5)])
+def test_continuation_matches_kernel_sum(horizon, priority):
+    # C(n, x) = sum_{k>n} x**(k-n-1) int_x^1 V(k, y) dy, on and off breakpoints
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+    vf, _ = backward_induce(tables)
+    xs = [float(b) for b in vf.breaks[:-1]] + [0.13, 0.58, 0.91]
+    for n in range(1, horizon, 3):
+        for x in xs:
+            for player in (1, 2):
+                want = sum(
+                    x ** (k - n - 1) * _upper_integral_by_quadrature(vf, k, x, player)
+                    for k in range(n + 1, horizon + 1)
+                )
+                assert continuation(n, x, vf, player) == pytest.approx(want, abs=1e-12)
+
+
+def test_continuation_rejects_state_outside_domain(game10):
+    _, vf, _ = game10
+    for n, x in ((-1, 0.5), (11, 0.5), (3, -0.5), (3, 1.5)):
+        with pytest.raises(DomainError):
+            continuation(n, x, vf, 1)
 
 
 def test_simulate_deterministic(game10):
