@@ -132,8 +132,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _values_payload(args: argparse.Namespace, method: str) -> dict:
     cfg = ProblemConfig(horizon=args.horizon, priority=args.priority)
-    if cfg.priority > 0.5:
-        raise BcgameError(f"priority must be <= 0.5, got {cfg.priority}")
     tables = equilibrium.build_game_tables(cfg)
     _, pair = valuation.backward_induce(tables)
     payload: dict = {
@@ -299,8 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (BcgameError, ValueError) as exc:
-        print(f"bcgame: error: {exc}", file=sys.stderr)
+    except (BcgameError, ValueError, MemoryError, OverflowError) as exc:
+        print(f"bcgame: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -1,18 +1,18 @@
 """Game layer: stop-versus-continue margins, the 2x2 stage bimatrix, the
-one-step value shift for the rank-only player, and per-state pure Nash
-classification.
+one-step value shift for the rank-only player, and the stage rule that
+classifies and scores record states.
 
 At a record state (n, x) each player chooses Stop (claim the current
 record) or Forgo (keep observing).  Payoffs are margins relative to each
-player's own one-step continuation, so the stage game at (n, x) is
+player's own one-step continuation.  Every stopped cell of the stage game
+at (n, x) pays
 
-    (S,S): ((2p-1) w1_n, (1-2p) w2_n(x))
-    (S,F): (w1_n, -w2_n(x))
-    (F,S): (-w1_n, w2_n(x))
-    (F,F): continuation pair, supplied externally
+    s (w1_n, -w2_n(x)),   s = 2p - 1 for (S,S), +1 for (S,F), -1 for (F,S),
 
-with p the priority probability of player 1 at a simultaneous claim.
-Classification into SS/SF/FS/FF is established for p <= 0.5 only.
+with p the priority probability of player 1 at a simultaneous claim (s is
+the mean of the +-1 priority coin at (S,S)); the (F,F) cell is the
+continuation pair, supplied externally.  ``stage_actions`` (who stops)
+and ``stage_cells`` (what a stopped cell pays) hold this rule for p <= 0.5.
 """
 
 from __future__ import annotations
@@ -40,21 +40,23 @@ def w1(n: int, cfg: ProblemConfig) -> float:
     return (n / cfg.horizon) * (1.0 - models._harmonic_suffix(n, cfg.horizon))
 
 
-def _w2_values(n: int, xs: np.ndarray, horizon: int) -> np.ndarray:
+def _w2_values(n, xs, horizon: int) -> np.ndarray:
     """Vectorized value-player margin at index n, stable down to x = 0.
 
-    x**d - sum_{j=1}^{d} (x**(d-j) - x**d)/j with d = N - n, which uses
-    only nonnegative exponents and therefore never overflows.
+    x**d (1 + H_d) - sum_{j=1}^{d} x**(d-j)/j with d = N - n and H_d the
+    d-th harmonic number.  The sum has coefficient 1/(d-k) at x**k and is
+    taken by Horner's rule in d multiply-adds, with no negative power.
+    ``n`` may be an array broadcast against ``xs``: coef[top + m] is 1/m,
+    and 0 for m <= 0, so entries of lower degree start later.
     """
-    d = horizon - n
     xs = np.asarray(xs, dtype=float)
-    if d == 0:
-        return np.ones_like(xs)
-    xd = xs**d
-    out = xd.copy()
-    for j in range(1, d + 1):
-        out -= (xs ** (d - j) - xd) / j
-    return out
+    d = horizon - np.asarray(n)
+    top = int(np.max(d, initial=0))
+    coef = np.concatenate((np.zeros(top + 1), 1.0 / np.arange(1, top + 1)))
+    acc = np.zeros(np.broadcast_shapes(xs.shape, d.shape))
+    for k in range(top - 1, -1, -1):
+        acc = acc * xs + coef[top + d - k]
+    return xs**d * (1.0 + np.cumsum(coef)[top + d]) - acc
 
 
 def w2(state: RecordState, cfg: ProblemConfig) -> float:
@@ -69,7 +71,7 @@ def w2(state: RecordState, cfg: ProblemConfig) -> float:
         raise DomainError(f"index {n} outside 1..{cfg.horizon}")
     if x == 0.0 and n < cfg.horizon:
         raise DomainError("w2 is not evaluated at x = 0 before the last stage")
-    return float(_w2_values(n, np.array([x]), cfg.horizon)[0])
+    return float(_w2_values(n, x, cfg.horizon))
 
 
 @dataclass(frozen=True)
@@ -236,26 +238,54 @@ class EquilibriumKind(Enum):
         return self.value[1]
 
 
+# kind by (rank player stops, value player stops)
+_KIND_OF = (
+    (EquilibriumKind.FF, EquilibriumKind.FS),
+    (EquilibriumKind.SF, EquilibriumKind.SS),
+)
+
+
+def stage_actions(n, xs, tables: GameTables):
+    """Stop flags (rank player, value player) at the record states (n, xs),
+    bools or bool arrays (indices 1..N broadcast against the values).
+
+    The value player stops at or above its threshold x_n.  The rank player
+    stops from ntilde on, and from nstar on when the value player stops
+    too: x >= x_n gives SS from nstar on, FS before it; x < x_n gives SF
+    from ntilde on, FF before it.
+    """
+    p = tables.config.priority
+    if p > 0.5:
+        raise UnsupportedPriority(
+            f"classification established for p <= 0.5 only, got {p}"
+        )
+    stop2 = xs >= tables.xthresholds.x(n)
+    stop1 = (n >= tables.ntilde) | ((n >= tables.nstar) & stop2)
+    return stop1, stop2
+
+
+def stage_cells(n, stop1, stop2, w2s, tables: GameTables) -> np.ndarray:
+    """Payoffs s (w1_n, -w2) of stopped cells at index n, stacked on a
+    leading player axis, given who stops there (at least one player) and
+    the value player's margins ``w2s``: s = 2p - 1 when both stop, +1 when
+    only the rank player stops, -1 when only the value player stops."""
+    joint = 2.0 * tables.config.priority - 1.0
+    s = np.where(stop1, np.where(stop2, joint, 1.0), -1.0)
+    return np.stack(np.broadcast_arrays(s * tables.w1[n - 1], -s * w2s))
+
+
 def classify_state(n: int, x: float, tables: GameTables) -> EquilibriumKind:
     """Pure-equilibrium action pair at record state (n, x) for p <= 0.5.
 
-    Above the threshold x_n: both stop from the rank cutoff on, only the
-    value player stops before it.  Below the threshold: only the rank
-    player stops from the shifted cutoff on, both forgo before it.
     Boundaries resolve to the stop side (x = x_n) and to SF (n = ntilde).
     """
     cfg = tables.config
-    if cfg.priority > 0.5:
-        raise UnsupportedPriority(
-            f"classification established for p <= 0.5 only, got {cfg.priority}"
-        )
     if not 1 <= n <= cfg.horizon:
         raise DomainError(f"index {n} outside 1..{cfg.horizon}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"value must be in [0, 1], got {x}")
-    if x >= tables.xthresholds.x(n):
-        return EquilibriumKind.SS if n >= tables.nstar else EquilibriumKind.FS
-    return EquilibriumKind.SF if n >= tables.ntilde else EquilibriumKind.FF
+    stop1, stop2 = stage_actions(n, x, tables)
+    return _KIND_OF[bool(stop1)][bool(stop2)]
 
 
 @dataclass(frozen=True)
@@ -281,18 +311,9 @@ def region_map(tables: GameTables, xstep: float) -> RegionGrid:
     count = int(math.floor(1.0 / xstep + 1e-9))
     xs = np.array([i * xstep for i in range(count + 1)])
     ns = np.arange(1, big_n + 1)
-    kinds = np.empty((big_n, len(xs)), dtype="<U2")
-    for row, n in enumerate(ns):
-        thr = tables.xthresholds.x(n)
-        above = xs >= thr
-        stop_kind = (
-            EquilibriumKind.SS if n >= tables.nstar else EquilibriumKind.FS
-        ).value
-        forgo_kind = (
-            EquilibriumKind.SF if n >= tables.ntilde else EquilibriumKind.FF
-        ).value
-        kinds[row] = np.where(above, stop_kind, forgo_kind)
-    return RegionGrid(ns=ns, xs=xs, kinds=kinds)
+    stop1, stop2 = stage_actions(ns[:, None], xs[None, :], tables)
+    names = np.array([[kind.value for kind in row] for row in _KIND_OF])
+    return RegionGrid(ns=ns, xs=xs, kinds=names[stop1.astype(int), stop2.astype(int)])
 
 
 @dataclass(frozen=True)
@@ -328,13 +349,8 @@ def bimatrix(n: int, x: float, tables: GameTables, ff: tuple[float, float]) -> B
     The (F,F) cell has no closed form at this layer and must be supplied
     by the caller (continuation values from the valuation layer).
     """
-    cfg = tables.config
-    p = cfg.priority
-    w1n = float(tables.w1[n - 1])
-    w2n = w2(RecordState(index=n, value=x), cfg)
-    return Bimatrix(
-        ss=((2.0 * p - 1.0) * w1n, (1.0 - 2.0 * p) * w2n),
-        sf=(w1n, -w2n),
-        fs=(-w1n, w2n),
-        ff=(float(ff[0]), float(ff[1])),
-    )
+    w2n = w2(RecordState(index=n, value=x), tables.config)
+    stop1 = np.array([True, True, False])  # cells (S,S), (S,F), (F,S)
+    stop2 = np.array([True, False, True])
+    ss, sf, fs = map(tuple, stage_cells(n, stop1, stop2, w2n, tables).T.tolist())
+    return Bimatrix(ss=ss, sf=sf, fs=fs, ff=(float(ff[0]), float(ff[1])))

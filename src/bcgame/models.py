@@ -16,7 +16,7 @@ stage is always taken).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -68,13 +68,20 @@ class ThresholdVector:
 
     horizon: int
     values: np.ndarray
+    # scalar lookups give Python floats, so per-state comparisons stay cheap
+    _floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
+        object.__setattr__(self, "_floats", tuple(self.values.tolist()))
 
-    def x(self, n: int) -> float:
-        """Threshold at index n (1-based)."""
-        return float(self.values[n - 1])
+    def x(self, n):
+        """Threshold at index n (1-based) as a float; an array of indices
+        gives an array."""
+        try:
+            return self._floats[n - 1]
+        except TypeError:  # an array of indices
+            return self.values[n - 1]
 
     def __len__(self) -> int:
         return self.horizon

@@ -172,6 +172,15 @@ def fullinfo_mc_check(
     )
 
 
+def _w2_power_sum(n: int, xs: np.ndarray, horizon: int) -> np.ndarray:
+    """Value player's stop margin by its power sum, x**d - sum_{j=1}^{d}
+    (x**(d-j) - x**d)/j with d = N - n: the joint-grid check shares no
+    margin code with the induction it certifies."""
+    d = horizon - n
+    xs = np.asarray(xs, dtype=float)
+    return xs**d - sum((xs ** (d - j) - xs**d) / j for j in range(1, d + 1))
+
+
 def _stop_payoffs(
     n: int, xs: np.ndarray, tables: equilibrium.GameTables
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,7 +190,7 @@ def _stop_payoffs(
     p = cfg.priority
     thr = tables.xthresholds.x(n)
     w1n = float(tables.w1[n - 1])
-    w2v = equilibrium._w2_values(n, xs, cfg.horizon)
+    w2v = _w2_power_sum(n, xs, cfg.horizon)
     above = xs >= thr
     stops = above | (n >= tables.ntilde)
     pay1 = np.zeros_like(xs)

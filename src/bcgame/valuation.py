@@ -17,11 +17,13 @@ most N - n per segment.  All integrals (segment tails, partial integrals,
 the final average over the first observation) and all interpolations are
 then exact up to rounding.
 
-Payoff accounting (shared with the simulator): when player i stops and
-receives the record, player i scores his own stop margin (w1_n or
-w2_n(x)) and the opponent scores minus the opponent's own margin; a
-simultaneous claim resolves by the priority coin; absorption with no stop
-scores (0, 0).
+Payoff accounting: both the induction and the simulator classify and
+score record states by the one stage rule of ``equilibrium``
+(``stage_actions`` and ``stage_cells``).  When player i stops and receives
+the record, player i scores his own stop margin (w1_n or w2_n(x)) and the
+opponent scores minus the opponent's own margin; the induction scores a
+simultaneous claim at the coin's mean, the simulator draws the coin;
+absorption with no stop scores (0, 0).
 """
 
 from __future__ import annotations
@@ -32,8 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import batch_generator
-from .equilibrium import EquilibriumKind, GameTables, _w2_values, classify_state
-from .errors import DomainError, UnsupportedPriority
+from .equilibrium import (
+    EquilibriumKind,
+    GameTables,
+    _w2_values,
+    classify_state,
+    stage_actions,
+    stage_cells,
+)
+from .errors import DomainError
 from .models import ProblemConfig
 
 _PLAYERS = (1, 2)
@@ -86,7 +95,6 @@ def _interp_matrix(nodes: np.ndarray, bw: np.ndarray, points: np.ndarray) -> np.
     """Rows evaluate the Lagrange basis over ``nodes`` at ``points``."""
     diff = points[:, None] - nodes[None, :]
     hit = diff == 0.0
-    out = np.empty_like(diff)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = bw[None, :] / diff
         denom = terms.sum(axis=1, keepdims=True)
@@ -170,17 +178,11 @@ class ValueFunction:
     def value_at(self, n: int, x: float, player: int) -> float:
         """V_player(n, x): the classified stage cell, or the continuation."""
         kind = classify_state(n, x, self.tables)
-        cfg = self.tables.config
-        p = cfg.priority
-        w1n = float(self.tables.w1[n - 1])
         if kind is EquilibriumKind.FF:
             return self.continuation_at(n, x, player)
-        if kind is not EquilibriumKind.SS and player == 1:
-            return w1n if kind is EquilibriumKind.SF else -w1n
-        w2n = float(_w2_values(n, np.array([x]), cfg.horizon)[0])
-        if kind is EquilibriumKind.SS:
-            return (2.0 * p - 1.0) * w1n if player == 1 else (1.0 - 2.0 * p) * w2n
-        return -w2n if kind is EquilibriumKind.SF else w2n
+        w2n = _w2_values(n, x, self.tables.config.horizon)
+        stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
+        return float(stage_cells(n, stop1, stop2, w2n, self.tables)[player - 1])
 
     def stage_average(self, n: int, player: int) -> float:
         """int_0^1 V_player(n, x) dx."""
@@ -204,47 +206,24 @@ def backward_induce(
 ) -> tuple[ValueFunction, ValuePair]:
     """Equilibrium-profile values of every record state, plus the game value.
 
-    Descends from the last index: stopped cells come from the stage
-    bimatrix, forgo-forgo cells from the continuation table; the game
+    Descends from the last index: stopped cells are scored by the stage
+    rule, forgo-forgo cells come from the continuation table; the game
     value averages the first-stage values over a uniform first observation
     (index 1 is always a record).
     """
-    cfg = tables.config
-    if cfg.priority > 0.5:
-        raise UnsupportedPriority(
-            f"backward induction established for p <= 0.5 only, got {cfg.priority}"
-        )
-    big_n = cfg.horizon
-    p = cfg.priority
+    big_n = tables.config.horizon
     vf = ValueFunction(tables, nodes_per_segment)
     for n in range(big_n, 0, -1):
-        xn = tables.xthresholds.x(n)
-        w1n = float(tables.w1[n - 1])
-        for s in range(vf.n_segments):
-            stop_side = vf.breaks[s] >= xn  # x >= x_n on the segment
-            if not stop_side and n < tables.ntilde:  # both continue
-                vf.node_values[:, n, s] = vf.cont[:, n, s]
-                continue
-            w2s = _w2_values(n, vf.nodes_x[s], big_n)
-            if not stop_side:  # rank player stops alone
-                v1, v2 = w1n, -w2s
-            elif n >= tables.nstar:  # both stop, priority coin
-                v1, v2 = (2.0 * p - 1.0) * w1n, (1.0 - 2.0 * p) * w2s
-            else:  # value player stops alone
-                v1, v2 = -w1n, w2s
-            vf.node_values[0, n, s] = v1
-            vf.node_values[1, n, s] = v2
+        # each segment takes the actions at its left break
+        stop1, stop2 = stage_actions(n, vf.breaks[:-1], tables)
+        stop = stop1 | stop2
+        vf.node_values[:, n, ~stop] = vf.cont[:, n, ~stop]
+        w2s = _w2_values(n, vf.nodes_x[stop], big_n)
+        cells = stage_cells(n, stop1[stop, None], stop2[stop, None], w2s, tables)
+        vf.node_values[:, n, stop] = cells
         vf.finalize_stage(n)
     pair = ValuePair(val1=vf.stage_average(1, 1), val2=vf.stage_average(1, 2))
     return vf, pair
-
-
-def _w2_many(indices: np.ndarray, xs: np.ndarray, horizon: int) -> np.ndarray:
-    out = np.empty(len(xs))
-    for n in np.unique(indices):
-        mask = indices == n
-        out[mask] = _w2_values(int(n), xs[mask], horizon)
-    return out
 
 
 def simulate(
@@ -259,15 +238,8 @@ def simulate(
     scores the stage cell at the first stop, and scores (0, 0) when no
     stop occurs before the horizon.
     """
-    if cfg.priority > 0.5:
-        raise UnsupportedPriority(
-            f"simulation plays the classified profile; needs p <= 0.5, got {cfg.priority}"
-        )
     big_n = cfg.horizon
     p = cfg.priority
-    thr = tables.xthresholds.values
-    w1_vec = tables.w1
-    stop_from = np.arange(1, big_n + 1) >= tables.ntilde
     sums = np.zeros(2)
     sq_sums = np.zeros(2)
     remaining = sim.samples
@@ -282,24 +254,19 @@ def simulate(
         is_record = np.empty((nb, big_n), dtype=bool)
         is_record[:, 0] = True
         is_record[:, 1:] = x[:, 1:] > running_max[:, :-1]
-        stops = is_record & ((x >= thr[None, :]) | stop_from[None, :])
-        stopped = stops.any(axis=1)
-        first = np.argmax(stops, axis=1)
+        del running_max  # not needed past here; freeing it lowers the peak
+        stop1, stop2 = stage_actions(np.arange(1, big_n + 1), x, tables)
+        stops = stop1 | stop2
+        stops &= is_record
+        rows = np.flatnonzero(stops.any(axis=1))
+        j = np.argmax(stops[rows], axis=1)  # first stop
+        s1, s2 = stop1[rows, j], stop2[rows, j]
+        both = s1 & s2  # the coin gives the record to the rank player w.p. p
+        wins = coin[rows][both] < p
+        s1[both], s2[both] = wins, ~wins
         pay = np.zeros((nb, 2))
-        rows = np.nonzero(stopped)[0]
-        if len(rows) > 0:
-            j = first[rows]
-            n0 = j + 1
-            x0 = x[rows, j]
-            w1v = w1_vec[j]
-            w2v = _w2_many(n0, x0, big_n)
-            above = x0 >= thr[j]
-            both = above & (n0 >= tables.nstar)
-            # sign convention: +1 when the rank player receives the record
-            sign = np.where(above, -1.0, 1.0)
-            sign[both] = np.where(coin[rows][both] < p, 1.0, -1.0)
-            pay[rows, 0] = sign * w1v
-            pay[rows, 1] = -sign * w2v
+        w2s = _w2_values(j + 1, x[rows, j], big_n)
+        pay[rows] = stage_cells(j + 1, s1, s2, w2s, tables).T
         sums += pay.sum(axis=0)
         sq_sums += (pay**2).sum(axis=0)
         remaining -= nb

@@ -82,6 +82,32 @@ def test_values_rejects_high_priority():
     assert main(["values", "--horizon", "10", "--priority", "0.6"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regions", "--horizon", "5", "--priority", "0.9", "--xstep", "0.1"],
+        ["simulate", "--horizon", "5", "--priority", "0.6", "--samples", "1000"],
+    ],
+)
+def test_high_priority_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bcgame: error: classification established for p <= 0.5")
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+def test_resource_errors_exit_2(error, monkeypatch, capsys):
+    from bcgame import cli as climod
+
+    def fail(args):
+        raise error("out of range")
+
+    monkeypatch.setattr(climod, "_cmd_thresholds", fail)
+    assert main(["thresholds", "--horizon", "5"]) == 2
+    assert capsys.readouterr().err == "bcgame: error: out of range\n"
+
+
 def test_values_priority_literals(tmp_path):
     for literal, value in (("1/3", 1 / 3), ("e^-1", math.exp(-1))):
         out = tmp_path / "lit.json"

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcgame.equilibrium import (
     Bimatrix,
     _tv1_given_x_array,
+    _w2_values,
     EquilibriumKind,
     bimatrix,
     build_game_tables,
@@ -79,6 +82,34 @@ def test_w2_rejects_zero_before_last_stage(tables10):
     with pytest.raises(DomainError):
         w2(RecordState(3, 0.0), tables10.config)
     assert w2(RecordState(10, 0.0), tables10.config) == 1.0
+
+
+def _w2_reference(n, x, horizon):
+    """x**d - sum_{j=1}^{d} (x**(d-j) - x**d)/j, summed exactly by fsum."""
+    d = horizon - n
+    xd = x**d
+    return math.fsum([xd] + [-(x ** (d - j) - xd) / j for j in range(1, d + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    horizon=st.integers(min_value=2, max_value=400),
+    data=st.data(),
+)
+def test_w2_horner_matches_fsum_reference(horizon, data):
+    ns = data.draw(
+        st.lists(st.integers(min_value=1, max_value=horizon), min_size=1, max_size=6)
+    )
+    xs = [0.0, 1e-300, 1.0] + data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5)
+    )
+    want = np.array([[_w2_reference(n, x, horizon) for x in xs] for n in ns])
+    for row, n in enumerate(ns):  # one index, many values (the induction)
+        got = _w2_values(n, np.array(xs), horizon)
+        assert np.max(np.abs(got - want[row])) <= 1e-12
+    # one index per entry (the simulator)
+    got = _w2_values(np.array(ns)[:, None], np.array(xs)[None, :], horizon)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_margin_sign_structure(tables10):
@@ -253,6 +284,12 @@ def test_region_map_step_validation(tables10):
         region_map(tables10, 0.2)
     with pytest.raises(DomainError):
         region_map(tables10, 0.0)
+
+
+def test_region_map_rejects_high_priority():
+    hot = build_game_tables(ProblemConfig(horizon=5, priority=0.9))
+    with pytest.raises(UnsupportedPriority):
+        region_map(hot, 0.1)
 
 
 def test_region_map_two_block_rows(tables10):
