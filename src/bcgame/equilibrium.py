@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,15 +41,25 @@ def w1(n: int, cfg: ProblemConfig) -> float:
     return (n / cfg.horizon) * (1.0 - models._harmonic_suffix(n, cfg.horizon))
 
 
-def _w2_values(n, xs, horizon: int) -> np.ndarray:
-    """Vectorized value-player margin at index n, stable down to x = 0.
+def _w2_values(n, xs, horizon: int):
+    """Value-player margin at index n, stable down to x = 0.
 
     x**d (1 + H_d) - sum_{j=1}^{d} x**(d-j)/j with d = N - n and H_d the
     d-th harmonic number.  The sum has coefficient 1/(d-k) at x**k and is
     taken by Horner's rule in d multiply-adds, with no negative power.
-    ``n`` may be an array broadcast against ``xs``: coef[top + m] is 1/m,
-    and 0 for m <= 0, so entries of lower degree start later.
+    A scalar n and x give a Python float, by the same operations in the
+    same order as the array path, so the two agree bit for bit; an array
+    in either place gives an array.
     """
+    if isinstance(n, (int, np.integer)) and isinstance(xs, (int, float)):
+        return _w2_scalar(int(n), float(xs), horizon)
+    return _w2_array(n, xs, horizon)
+
+
+def _w2_array(n, xs, horizon: int) -> np.ndarray:
+    """``_w2_values`` over arrays.  ``n`` may be an array broadcast against
+    ``xs``: coef[top + m] is 1/m, and 0 for m <= 0, so entries of lower
+    degree start later."""
     xs = np.asarray(xs, dtype=float)
     d = horizon - np.asarray(n)
     top = int(np.max(d, initial=0))
@@ -57,6 +68,26 @@ def _w2_values(n, xs, horizon: int) -> np.ndarray:
     for k in range(top - 1, -1, -1):
         acc = acc * xs + coef[top + d - k]
     return xs**d * (1.0 + np.cumsum(coef)[top + d]) - acc
+
+
+@lru_cache(maxsize=None)
+def _harmonic(d: int) -> float:
+    """H_d summed left to right, as ``np.cumsum`` sums it."""
+    total = 0.0
+    for m in range(1, d + 1):
+        total += 1.0 / m
+    return total
+
+
+def _w2_scalar(n: int, x: float, horizon: int) -> float:
+    """``_w2_values`` at one state in Python floats: a numpy step on a 0-d
+    array costs about 2.5 us.  The power is numpy's, because Python's
+    ``x ** d`` may differ from it in the last bit."""
+    d = horizon - n
+    acc = 0.0
+    for m in range(1, d + 1):
+        acc = acc * x + 1.0 / m
+    return float(np.power(x, d)) * (1.0 + _harmonic(d)) - acc
 
 
 def w2(state: RecordState, cfg: ProblemConfig) -> float:
@@ -71,7 +102,7 @@ def w2(state: RecordState, cfg: ProblemConfig) -> float:
         raise DomainError(f"index {n} outside 1..{cfg.horizon}")
     if x == 0.0 and n < cfg.horizon:
         raise DomainError("w2 is not evaluated at x = 0 before the last stage")
-    return float(_w2_values(n, x, cfg.horizon))
+    return _w2_values(n, x, cfg.horizon)
 
 
 @dataclass(frozen=True)

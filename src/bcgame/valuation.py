@@ -24,12 +24,23 @@ the record, player i scores his own stop margin (w1_n or w2_n(x)) and the
 opponent scores minus the opponent's own margin; the induction scores a
 simultaneous claim at the coin's mean, the simulator draws the coin;
 absorption with no stop scores (0, 0).
+
+The simulator runs its batches on one thread per CPU in the process's
+affinity mask (``taskset`` limits it) and draws each batch in row chunks
+under one memory budget.  Every batch has its own counter-based stream
+and the batch sums are added in batch-index order, so the estimates for
+the same (samples, seed, batch) are bit-identical at any core count and
+chunk size, and memory is the budget plus O(batch) per thread, whatever
+N.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -46,6 +57,10 @@ from .errors import DomainError
 from .models import ProblemConfig
 
 _PLAYERS = (1, 2)
+
+#: Uniforms (doubles) that one ``simulate`` call holds drawn at a time,
+#: shared evenly by its threads: 4 MB, whatever N and the core count.
+_DRAW_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -68,8 +83,10 @@ class SimConfig:
     """Sample count, master seed and batch size of one simulation run.
 
     Identical (samples, seed, batch) on the same game give bit-identical
-    estimates; batches use independent deterministic streams and combine
-    in fixed index order.
+    estimates, whatever the core count: batches use independent
+    deterministic streams, run concurrently and combine in fixed index
+    order.  A running batch holds O(batch) memory besides its share of
+    the draw budget.
     """
 
     samples: int
@@ -226,6 +243,69 @@ def backward_induce(
     return vf, pair
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _play_batch(
+    cfg: ProblemConfig,
+    tables: GameTables,
+    seed: int,
+    batch_index: int,
+    size: int,
+    chunk_rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Payoff sum and sum of squares over the ``size`` sequences of one
+    batch, each player on its own entry.
+
+    The uniforms come in chunks of at most ``chunk_rows`` rows; the chunks
+    continue one Philox stream, so together they are the one draw of the
+    whole batch.  A chunk finds each row's first stop and who stops after
+    the coin; the stops of the whole batch are scored at the end, in one
+    pass of the Horner loop.
+    """
+    big_n = cfg.horizon
+    ns = np.arange(1, big_n + 1)
+    rng = batch_generator(seed, batch_index)
+    stage = np.zeros(size, dtype=np.intp)  # index of the first stop, 0 for none
+    value = np.empty(size)
+    taker1 = np.empty(size, dtype=bool)
+    taker2 = np.empty(size, dtype=bool)
+    for lo in range(0, size, chunk_rows):
+        u = rng.random((min(chunk_rows, size - lo), big_n + 1))
+        x = u[:, :big_n]
+        coin = u[:, big_n]
+        running_max = np.maximum.accumulate(x, axis=1)
+        is_record = np.empty(x.shape, dtype=bool)
+        is_record[:, 0] = True
+        is_record[:, 1:] = x[:, 1:] > running_max[:, :-1]
+        del running_max  # not needed past here; freeing it lowers the peak
+        stop1, stop2 = stage_actions(ns, x, tables)
+        stops = stop1 | stop2
+        stops &= is_record
+        rows = np.flatnonzero(stops.any(axis=1))
+        j = np.argmax(stops[rows], axis=1)  # first stop
+        s1, s2 = stop1[rows, j], stop2[rows, j]
+        both = s1 & s2  # the coin gives the record to the rank player w.p. p
+        wins = coin[rows][both] < cfg.priority
+        s1[both], s2[both] = wins, ~wins
+        at = lo + rows
+        stage[at] = j + 1
+        value[at] = x[rows, j]
+        taker1[at], taker2[at] = s1, s2
+    rows = np.flatnonzero(stage)
+    stopped_at = stage[rows]
+    pay = np.zeros((size, 2))
+    w2s = _w2_values(stopped_at, value[rows], big_n)
+    pay[rows] = stage_cells(stopped_at, taker1[rows], taker2[rows], w2s, tables).T
+    return pay.sum(axis=0), (pay**2).sum(axis=0)
+
+
 def simulate(
     cfg: ProblemConfig, tables: GameTables, sim: SimConfig
 ) -> tuple[ValuePair, tuple[float, float]]:
@@ -237,40 +317,49 @@ def simulate(
     claims).  Play continues through records classified forgo-forgo,
     scores the stage cell at the first stop, and scores (0, 0) when no
     stop occurs before the horizon.
+
+    Batches run on a pool of one thread per CPU in the process's affinity
+    mask, at most one per batch (numpy releases the interpreter lock while
+    it draws and computes), and their sums are added in batch-index order.
+    Each batch draws its uniforms in row chunks; the threads share
+    ``_DRAW_BUDGET`` doubles evenly, so a chunk has at most
+    budget / (threads (N + 1)) rows.  Neither the thread count nor the
+    chunk size changes a bit of the result.  Memory is the budget plus
+    O(batch) per thread, whatever N.  The first error, an interrupt
+    included, cancels the batches not yet started and propagates.
     """
-    big_n = cfg.horizon
-    p = cfg.priority
+    # imported here: it costs every CLI start several milliseconds
+    from concurrent.futures import ThreadPoolExecutor
+
+    n_batches = -(-sim.samples // sim.batch)
+    workers = min(_cpu_count(), n_batches)
+    chunk_rows = max(1, _DRAW_BUDGET // workers // (cfg.horizon + 1))
     sums = np.zeros(2)
     sq_sums = np.zeros(2)
-    remaining = sim.samples
-    batch_index = 0
-    while remaining > 0:
-        nb = min(sim.batch, remaining)
-        rng = batch_generator(sim.seed, batch_index)
-        u = rng.random((nb, big_n + 1))
-        x = u[:, :big_n]
-        coin = u[:, big_n]
-        running_max = np.maximum.accumulate(x, axis=1)
-        is_record = np.empty((nb, big_n), dtype=bool)
-        is_record[:, 0] = True
-        is_record[:, 1:] = x[:, 1:] > running_max[:, :-1]
-        del running_max  # not needed past here; freeing it lowers the peak
-        stop1, stop2 = stage_actions(np.arange(1, big_n + 1), x, tables)
-        stops = stop1 | stop2
-        stops &= is_record
-        rows = np.flatnonzero(stops.any(axis=1))
-        j = np.argmax(stops[rows], axis=1)  # first stop
-        s1, s2 = stop1[rows, j], stop2[rows, j]
-        both = s1 & s2  # the coin gives the record to the rank player w.p. p
-        wins = coin[rows][both] < p
-        s1[both], s2[both] = wins, ~wins
-        pay = np.zeros((nb, 2))
-        w2s = _w2_values(j + 1, x[rows, j], big_n)
-        pay[rows] = stage_cells(j + 1, s1, s2, w2s, tables).T
-        sums += pay.sum(axis=0)
-        sq_sums += (pay**2).sum(axis=0)
-        remaining -= nb
-        batch_index += 1
+    with ThreadPoolExecutor(workers) as pool:
+        futures = (
+            pool.submit(
+                _play_batch,
+                cfg,
+                tables,
+                sim.seed,
+                i,
+                min(sim.batch, sim.samples - i * sim.batch),
+                chunk_rows,
+            )
+            for i in range(n_batches)
+        )
+        # two batches in flight per thread bound the queue and its memory
+        window = deque(islice(futures, 2 * workers))
+        try:
+            while window:
+                batch_sum, batch_sq = window.popleft().result()
+                sums += batch_sum
+                sq_sums += batch_sq
+                window.extend(islice(futures, 1))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     count = sim.samples
     means = sums / count
     if count > 1:

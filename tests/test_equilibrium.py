@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bcgame.equilibrium import (
     Bimatrix,
     _tv1_given_x_array,
+    _w2_array,
     _w2_values,
     EquilibriumKind,
     bimatrix,
@@ -110,6 +111,25 @@ def test_w2_horner_matches_fsum_reference(horizon, data):
     # one index per entry (the simulator)
     got = _w2_values(np.array(ns)[:, None], np.array(xs)[None, :], horizon)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    horizon=st.integers(min_value=1, max_value=400),
+    data=st.data(),
+)
+def test_w2_scalar_path_matches_array_path(horizon, data):
+    # a scalar state takes Python floats; it must equal the array path on
+    # the same state bit for bit (0-d arrays take the array path)
+    n = data.draw(st.integers(min_value=1, max_value=horizon))
+    xs = [0.0, 1e-300, 0.5, 1.0] + data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8)
+    )
+    for x in xs:
+        got = _w2_values(n, x, horizon)
+        assert type(got) is float
+        assert got == float(_w2_array(np.asarray(n), np.asarray(x), horizon))
+        assert _w2_values(np.int64(n), np.float64(x), horizon) == got
 
 
 def test_margin_sign_structure(tables10):

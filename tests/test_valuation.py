@@ -1,9 +1,21 @@
 import math
+import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bcgame.equilibrium import EquilibriumKind, build_game_tables, classify_state
+from bcgame import valuation
+from bcgame._rng import batch_generator
+from bcgame.equilibrium import (
+    EquilibriumKind,
+    _w2_values,
+    build_game_tables,
+    classify_state,
+    stage_actions,
+    stage_cells,
+)
 from bcgame.errors import DomainError, UnsupportedPriority
 from bcgame.models import ProblemConfig
 from bcgame.valuation import (
@@ -209,3 +221,122 @@ def test_simulate_rejects_high_priority():
     tables = build_game_tables(ProblemConfig(horizon=5, priority=0.8))
     with pytest.raises(UnsupportedPriority):
         simulate(tables.config, tables, SimConfig(samples=10, seed=1))
+
+
+def _serial_simulate(cfg, tables, sim):
+    """Reference: the one-thread loop that draws each batch in one piece."""
+    big_n = cfg.horizon
+    p = cfg.priority
+    sums = np.zeros(2)
+    sq_sums = np.zeros(2)
+    remaining = sim.samples
+    batch_index = 0
+    while remaining > 0:
+        nb = min(sim.batch, remaining)
+        rng = batch_generator(sim.seed, batch_index)
+        u = rng.random((nb, big_n + 1))
+        x = u[:, :big_n]
+        coin = u[:, big_n]
+        running_max = np.maximum.accumulate(x, axis=1)
+        is_record = np.empty((nb, big_n), dtype=bool)
+        is_record[:, 0] = True
+        is_record[:, 1:] = x[:, 1:] > running_max[:, :-1]
+        stop1, stop2 = stage_actions(np.arange(1, big_n + 1), x, tables)
+        stops = (stop1 | stop2) & is_record
+        rows = np.flatnonzero(stops.any(axis=1))
+        j = np.argmax(stops[rows], axis=1)
+        s1, s2 = stop1[rows, j], stop2[rows, j]
+        both = s1 & s2
+        wins = coin[rows][both] < p
+        s1[both], s2[both] = wins, ~wins
+        pay = np.zeros((nb, 2))
+        w2s = _w2_values(j + 1, x[rows, j], big_n)
+        pay[rows] = stage_cells(j + 1, s1, s2, w2s, tables).T
+        sums += pay.sum(axis=0)
+        sq_sums += (pay**2).sum(axis=0)
+        remaining -= nb
+        batch_index += 1
+    count = sim.samples
+    means = sums / count
+    if count > 1:
+        var = np.maximum(sq_sums - count * means**2, 0.0) / (count - 1)
+        ses = np.sqrt(var / count)
+    else:
+        ses = np.zeros(2)
+    return ValuePair(float(means[0]), float(means[1])), (float(ses[0]), float(ses[1]))
+
+
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
+# batch 1 runs 150000 samples at ~0.2 ms a batch, so it takes 300 here
+_BATCH_SAMPLES = [
+    (batch, samples)
+    for batch, counts in ((1, (1, 3, 300)), (977, (1, 3, 150_000)), (65536, (1, 3, 150_000)))
+    for samples in counts
+]
+
+
+@pytest.mark.parametrize("priority", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("horizon", [2, 10, 60])
+def test_simulate_matches_serial_reference(monkeypatch, horizon, priority):
+    # threads and row chunks change no bit: three threads with 700-row
+    # chunks (a partial last chunk in every batch of 977 or 65536 rows);
+    # on the short runs also one thread with the default budget, and one
+    # row per chunk
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+    cfg = tables.config
+    default, split = valuation._DRAW_BUDGET, 3 * (horizon + 1) * 700
+    for batch, samples in _BATCH_SAMPLES:
+        sim = SimConfig(samples=samples, seed=17, batch=batch)
+        want = _serial_simulate(cfg, tables, sim)
+        runs = [(3, split)]
+        if samples <= 3:
+            runs += [(1, default), (3, 1)]
+        for cpus, budget in runs:
+            _use_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(valuation, "_DRAW_BUDGET", budget)
+            got = simulate(cfg, tables, sim)
+            assert got[0] == want[0], (batch, samples, cpus, budget)
+            assert got[1] == want[1], (batch, samples, cpus, budget)
+
+
+def test_simulate_memory_independent_of_horizon(monkeypatch):
+    # four 65536-row batches at N = 400 on four threads; drawn whole, one
+    # batch alone holds 65536 x 401 uniforms (210 MB) plus their running
+    # maximum
+    _use_cpus(monkeypatch, 4)
+    tables = build_game_tables(ProblemConfig(horizon=400, priority=0.25))
+    tracemalloc.start()
+    try:
+        simulate(tables.config, tables, SimConfig(samples=4 * 65536, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+def test_simulate_error_cancels_remaining_batches(monkeypatch):
+    # batch 0 fails at once while the other threads hold slow batches, so
+    # at most one more batch per thread starts before the rest is cancelled
+    tables = build_game_tables(ProblemConfig(horizon=5, priority=0.25))
+    started = []
+    failure = RuntimeError("batch 0 failed")
+
+    def failing_generator(seed, batch_index):
+        started.append(batch_index)
+        if batch_index == 0:
+            raise failure
+        time.sleep(0.3)
+        return batch_generator(seed, batch_index)
+
+    monkeypatch.setattr(valuation, "batch_generator", failing_generator)
+    _use_cpus(monkeypatch, 3)
+    with pytest.raises(RuntimeError) as caught:
+        simulate(tables.config, tables, SimConfig(samples=2000, seed=1, batch=1))
+    assert caught.value is failure
+    assert 0 in started
+    assert len(started) <= 3 + 1
