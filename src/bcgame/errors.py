@@ -23,4 +23,5 @@ class UnsupportedPriority(BcgameError, ValueError):
 
 
 class TooLarge(BcgameError, ValueError):
-    """Brute-force oracle invoked beyond the horizon it is meant for."""
+    """A problem too large for an operation: a brute-force oracle beyond the
+    horizon it is meant for, or value tables beyond physical memory."""

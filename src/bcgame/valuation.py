@@ -15,7 +15,16 @@ only breakpoints are the thresholds, so each segment is represented
 exactly by its values at Gauss-Legendre nodes; so is C(n, .), of degree at
 most N - n per segment.  All integrals (segment tails, partial integrals,
 the final average over the first observation) and all interpolations are
-then exact up to rounding.
+then exact up to rounding.  The tables take 16 (N+1)(2 S m + S + 1)
+bytes for S segments of m nodes, about 2.1 GB at N = 400; a horizon
+whose tables would not fit in physical memory is refused before anything
+is allocated.
+
+Point queries (``continuation``, ``ValueFunction.value_at``) take a
+scalar read path: the segment by ``bisect`` on a list of the breakpoints,
+the reference coordinate and the stopped cells in Python floats, and one
+barycentric step over the segment's nodes in numpy.  It returns the same
+bits as evaluating the interpolation matrix at that point.
 
 Payoff accounting: both the induction and the simulator classify and
 score record states by the one stage rule of ``equilibrium``
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -53,7 +63,7 @@ from .equilibrium import (
     stage_actions,
     stage_cells,
 )
-from .errors import DomainError
+from .errors import DomainError, TooLarge
 from .models import ProblemConfig
 
 _PLAYERS = (1, 2)
@@ -108,6 +118,26 @@ def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def _table_bytes(horizon: int, n_segments: int, m: int) -> int:
+    """Bytes of a ``ValueFunction``'s tables: ``node_values`` and ``cont``,
+    each (2, N+1, S, m) float64, and ``tail``, (2, N+1, S+1)."""
+    return 8 * 2 * (horizon + 1) * (2 * n_segments * m + n_segments + 1)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return total if total > 0 else None
+
+
+def _check_player(player: int) -> None:
+    if player not in _PLAYERS:
+        raise DomainError(f"player must be 1 or 2, got {player}")
+
+
 def _interp_matrix(nodes: np.ndarray, bw: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Rows evaluate the Lagrange basis over ``nodes`` at ``points``."""
     diff = points[:, None] - nodes[None, :]
@@ -128,7 +158,9 @@ class ValueFunction:
     Segments between consecutive breakpoints carry values at ``m``
     Gauss-Legendre nodes; per segment the value is a polynomial of degree
     at most N - n, so the node representation is exact.  ``cont[i, n]``
-    holds the continuation C_i(n, .) at the same nodes.
+    holds the continuation C_i(n, .) at the same nodes.  Raises
+    ``TooLarge`` before any table is built when the tables would exceed
+    physical memory.
     """
 
     def __init__(self, tables: GameTables, nodes_per_segment: int | None = None):
@@ -139,6 +171,12 @@ class ValueFunction:
             np.concatenate(([0.0, 1.0], tables.xthresholds.values))
         )
         self.n_segments = len(self.breaks) - 1
+        need, have = _table_bytes(big_n, self.n_segments, self.m), _physical_memory()
+        if have is not None and need > have:
+            raise TooLarge(
+                f"value tables at horizon {big_n} need {need / 1e9:.1f} GB, "
+                f"more than the {have / 1e9:.1f} GB of physical memory"
+            )
         self._ref_t, self._ref_w = np.polynomial.legendre.leggauss(self.m)
         self._bary = _barycentric_weights(self._ref_t)
         self._partial = self._partial_matrix()
@@ -152,6 +190,11 @@ class ValueFunction:
         self.node_values = np.zeros(shape)
         self.cont = np.zeros(shape)  # C(N, .) = 0: no record after the last index
         self.tail = np.zeros((2, big_n + 1, self.n_segments + 1))
+        # the scalar read path works on Python floats
+        self._break_list = self.breaks.tolist()
+        self._mid_list = self.mids.tolist()
+        self._half_list = self.halves.tolist()
+        self._node_of = {t: j for j, t in enumerate(self._ref_t.tolist())}
 
     def _partial_matrix(self) -> np.ndarray:
         """P[j] maps node values to int_{t_j}^{1} of the interpolant on the
@@ -178,22 +221,34 @@ class ValueFunction:
             upper = tail[1:, None] + vals @ self._partial.T * self.halves[:, None]
             self.cont[idx, n - 1] = upper + self.nodes_x * self.cont[idx, n]
 
-    def _segment_of(self, x: float) -> int:
-        s = int(np.searchsorted(self.breaks, x, side="right")) - 1
-        return min(max(s, 0), self.n_segments - 1)
-
     def continuation_at(self, n: int, x: float, player: int) -> float:
         """C_player(n, x), interpolated from the node table of its segment;
-        exact because C(n, .) has degree at most N - n < m there."""
+        exact because C(n, .) has degree at most N - n < m there.
+
+        One point in Python floats: the segment by ``bisect`` (the side and
+        clamp of ``searchsorted(side="right")``), the reference coordinate
+        t, the node's own value when t is a node, else the barycentric
+        basis normalised before the dot product.  These are the operations
+        of ``_interp_matrix`` on a one-point row, so the bits are the same.
+        """
         if x >= 1.0:  # no later value beats a record at 1
             return 0.0
-        s = self._segment_of(x)
-        t = np.array([(x - self.mids[s]) / self.halves[s]])
-        basis = _interp_matrix(self._ref_t, self._bary, t)[0]
-        return float(basis @ self.cont[player - 1, n, s])
+        s = bisect_right(self._break_list, x) - 1
+        s = min(max(s, 0), self.n_segments - 1)
+        t = (x - self._mid_list[s]) / self._half_list[s]
+        vals = self.cont[player - 1, n, s]
+        j = self._node_of.get(t)
+        if j is not None:
+            return float(vals[j])
+        terms = self._bary / (t - self._ref_t)
+        # normalising first, not (terms @ vals) / terms.sum(), keeps the
+        # bits; ndarray.dot is the matmul of two vectors with less overhead
+        basis = terms / terms.sum()
+        return float(basis.dot(vals))
 
     def value_at(self, n: int, x: float, player: int) -> float:
         """V_player(n, x): the classified stage cell, or the continuation."""
+        _check_player(player)
         kind = classify_state(n, x, self.tables)
         if kind is EquilibriumKind.FF:
             return self.continuation_at(n, x, player)
@@ -202,15 +257,17 @@ class ValueFunction:
         return float(stage_cells(n, stop1, stop2, w2n, self.tables)[player - 1])
 
     def stage_average(self, n: int, player: int) -> float:
-        """int_0^1 V_player(n, x) dx."""
+        """int_0^1 V_player(n, x) dx, for n in 1..N."""
+        _check_player(player)
+        if not 1 <= n <= self.tables.config.horizon:
+            raise DomainError(f"index {n} outside 1..{self.tables.config.horizon}")
         return float(self.tail[player - 1, n, 0])
 
 
 def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     """Expected payoff to ``player`` when nobody stops at record (n, x):
     the record kernel applied to next-stage values, absorption worth 0."""
-    if player not in _PLAYERS:
-        raise DomainError(f"player must be 1 or 2, got {player}")
+    _check_player(player)
     if not 0 <= n <= V.tables.config.horizon:
         raise DomainError(f"index {n} outside 0..{V.tables.config.horizon}")
     if not 0.0 <= x <= 1.0:

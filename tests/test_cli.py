@@ -108,6 +108,18 @@ def test_resource_errors_exit_2(error, monkeypatch, capsys):
     assert capsys.readouterr().err == "bcgame: error: out of range\n"
 
 
+
+def test_values_beyond_physical_memory_exits_2(monkeypatch, capsys):
+    # the cost model refuses the value tables before they are allocated
+    from bcgame import valuation
+
+    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
+    assert main(["values", "--horizon", "40", "--priority", "0.25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bcgame: error: value tables at horizon 40 need")
+    assert "physical memory" in err
+
+
 def test_values_priority_literals(tmp_path):
     for literal, value in (("1/3", 1 / 3), ("e^-1", math.exp(-1))):
         out = tmp_path / "lit.json"

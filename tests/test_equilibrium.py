@@ -18,6 +18,7 @@ from bcgame.equilibrium import (
     fs_condition,
     region_map,
     shifted_cutoff,
+    stage_cells,
     tv1,
     tv1_given_x,
     w1,
@@ -366,3 +367,89 @@ def test_stop_stop_states_always_self_enforcing(tables10):
         for x in np.linspace(min(xn + 0.01, 0.99), 0.99, 4):
             bm = bimatrix(n, float(x), tables10, ff=(0.0, 0.0))
             assert bm.is_pure_nash(EquilibriumKind.SS)
+
+
+PARITY_PRIORITIES = (0.0, 0.1, 0.25, 1 / 3, math.exp(-1), 0.5)
+PARITY_HORIZONS = (2, 5, 10, 30, 60, 150)
+
+
+def _stage_cells_reference(n, stop1, stop2, w2s, tables):
+    """The array path of ``stage_cells``, which scored every cell before
+    single cells took Python floats."""
+    joint = 2.0 * tables.config.priority - 1.0
+    s = np.where(stop1, np.where(stop2, joint, 1.0), -1.0)
+    return np.stack(np.broadcast_arrays(s * tables.w1[n - 1], -s * w2s))
+
+
+def _bimatrix_cells_reference(n, x, tables):
+    """(S,S), (S,F) and (F,S) cells of the bimatrix by the array path."""
+    w2n = w2(RecordState(index=n, value=x), tables.config)
+    stop1 = np.array([True, True, False])
+    stop2 = np.array([True, False, True])
+    cells = _stage_cells_reference(n, stop1, stop2, w2n, tables).T.tolist()
+    return [tuple(c) for c in cells]
+
+
+def _is_pure_nash_reference(bm, kind):
+    """``Bimatrix.is_pure_nash`` through a table keyed by action pairs."""
+    cells = {("S", "S"): bm.ss, ("S", "F"): bm.sf, ("F", "S"): bm.fs, ("F", "F"): bm.ff}
+    a1, a2 = kind.action1, kind.action2
+    here = cells[(a1, a2)]
+    dev1 = cells[("F" if a1 == "S" else "S", a2)]
+    dev2 = cells[(a1, "F" if a2 == "S" else "S")]
+    return dev1[0] <= here[0] and dev2[1] <= here[1]
+
+
+@pytest.mark.parametrize("horizon", PARITY_HORIZONS)
+def test_stage_cells_scalar_path_matches_array_path(horizon):
+    # one cell gives two Python floats, bit for bit the array path's;
+    # numpy integer and bool scalars take the same path
+    rng = np.random.default_rng(horizon)
+    margins = [0.0, -0.0, 1e-300, -1e-300, 1.0] + rng.uniform(-1, 1, 5).tolist()
+    for priority in PARITY_PRIORITIES:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        for n in range(1, horizon + 1):
+            for stop1, stop2 in ((True, True), (True, False), (False, True)):
+                for w in margins:
+                    got = stage_cells(n, stop1, stop2, w, tables)
+                    assert type(got) is tuple
+                    assert all(type(v) is float for v in got)
+                    want = _stage_cells_reference(n, stop1, stop2, w, tables)
+                    assert got == tuple(want.tolist())
+                    flags = (np.bool_(stop1), np.bool_(stop2))
+                    assert stage_cells(np.int64(n), *flags, w, tables) == got
+
+
+@pytest.mark.parametrize("horizon", PARITY_HORIZONS)
+def test_bimatrix_matches_array_path(horizon):
+    # cells equal the array path bit for bit, the (F,F) cell is passed
+    # through as floats, and every Nash verdict is the one of a table keyed
+    # by action pairs, ties included
+    rng = np.random.default_rng(horizon)
+    for priority in PARITY_PRIORITIES:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        xs = tables.xthresholds.values.tolist() + [1.0, 1e-300]
+        xs += rng.random(50).tolist()
+        for n in sorted({1, horizon // 2, horizon - 1, horizon}):
+            for x in xs + ([0.0] if n == horizon else []):
+                if x == 0.0 and n < horizon:
+                    continue  # w2 rejects it on both paths
+                ss, sf, fs = _bimatrix_cells_reference(n, x, tables)
+                for ff in ((0.0, 0.0), tuple(rng.uniform(-0.2, 0.2, 2)), (sf[0], fs[1])):
+                    bm = bimatrix(n, x, tables, ff)
+                    assert (bm.ss, bm.sf, bm.fs) == (ss, sf, fs)
+                    assert bm.ff == ff
+                    for cell in (bm.ss, bm.sf, bm.fs, bm.ff):
+                        assert all(type(v) is float for v in cell)
+                    for kind in EquilibriumKind:
+                        assert bm.is_pure_nash(kind) == _is_pure_nash_reference(bm, kind)
+
+
+def test_bimatrix_cell_layout():
+    bm = Bimatrix(ss=(1.0, 2.0), sf=(3.0, 4.0), fs=(5.0, 6.0), ff=(7.0, 8.0))
+    assert bm.cell("S", "S") == bm.ss
+    assert bm.cell("S", "F") == bm.sf
+    assert bm.cell("F", "S") == bm.fs
+    assert bm.cell("F", "F") == bm.ff
+    with pytest.raises(KeyError):
+        bm.cell("S", "X")

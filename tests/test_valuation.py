@@ -16,7 +16,7 @@ from bcgame.equilibrium import (
     stage_actions,
     stage_cells,
 )
-from bcgame.errors import DomainError, UnsupportedPriority
+from bcgame.errors import DomainError, TooLarge, UnsupportedPriority
 from bcgame.models import ProblemConfig
 from bcgame.valuation import (
     SimConfig,
@@ -161,6 +161,151 @@ def test_continuation_rejects_state_outside_domain(game10):
     for n, x in ((-1, 0.5), (11, 0.5), (3, -0.5), (3, 1.5)):
         with pytest.raises(DomainError):
             continuation(n, x, vf, 1)
+
+
+def test_value_at_and_stage_average_validate_player_and_index(game10):
+    _, vf, _ = game10
+    for player in (0, 3, -1):
+        with pytest.raises(DomainError):
+            vf.value_at(3, 0.2, player)
+        with pytest.raises(DomainError):
+            vf.stage_average(1, player)
+        with pytest.raises(DomainError):
+            continuation(3, 0.2, vf, player)
+    for n in (-1, 0, 11):
+        with pytest.raises(DomainError):
+            vf.stage_average(n, 1)
+        with pytest.raises(DomainError):
+            vf.value_at(n, 0.2, 1)
+
+
+def test_table_cost_model_matches_allocation(game10):
+    tables, vf, _ = game10
+    # x_N = 0 is a break, so N thresholds and 1 give N segments
+    assert vf.n_segments == tables.config.horizon
+    allocated = vf.node_values.nbytes + vf.cont.nbytes + vf.tail.nbytes
+    assert valuation._table_bytes(10, vf.n_segments, vf.m) == allocated
+    assert valuation._table_bytes(400, 400, 408) == pytest.approx(2.1e9, rel=0.01)
+
+
+def test_value_function_refuses_tables_beyond_physical_memory(monkeypatch):
+    # 2.5 MB of tables at N = 40 against 1 MiB of memory; the refusal comes
+    # before the O(m^3) partial-integral matrix is built
+    tables = build_game_tables(ProblemConfig(horizon=40, priority=0.25))
+    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
+
+    def built_too_early(self):
+        raise AssertionError("tables sized after the partial matrix")
+
+    monkeypatch.setattr(ValueFunction, "_partial_matrix", built_too_early)
+    with pytest.raises(TooLarge, match="physical memory"):
+        backward_induce(tables)
+
+
+def test_value_function_unchecked_without_memory_figure(monkeypatch):
+    monkeypatch.delattr(os, "sysconf", raising=False)
+    assert valuation._physical_memory() is None
+    tables = build_game_tables(ProblemConfig(horizon=5, priority=0.25))
+    _, pair = backward_induce(tables)
+    assert math.isfinite(pair.val1)
+
+
+PARITY_PRIORITIES = (0.0, 0.1, 0.25, 1 / 3, math.exp(-1), 0.5)
+
+
+def _interp_matrix_reference(nodes, bw, points):
+    """``_interp_matrix`` as the array path that answered point queries."""
+    diff = points[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = bw[None, :] / diff
+        denom = terms.sum(axis=1, keepdims=True)
+        out = terms / denom
+    rows_hit = hit.any(axis=1)
+    if rows_hit.any():
+        out[rows_hit] = hit[rows_hit].astype(float)
+    return out
+
+
+def _continuation_reference(vf, n, x, player):
+    """The array-path ``continuation_at``: one-point interpolation matrix."""
+    if x >= 1.0:
+        return 0.0
+    s = int(np.searchsorted(vf.breaks, x, side="right")) - 1
+    s = min(max(s, 0), vf.n_segments - 1)
+    t = np.array([(x - vf.mids[s]) / vf.halves[s]])
+    basis = _interp_matrix_reference(vf._ref_t, vf._bary, t)[0]
+    return float(basis @ vf.cont[player - 1, n, s])
+
+
+def _stage_cells_reference(n, stop1, stop2, w2s, tables):
+    joint = 2.0 * tables.config.priority - 1.0
+    s = np.where(stop1, np.where(stop2, joint, 1.0), -1.0)
+    return np.stack(np.broadcast_arrays(s * tables.w1[n - 1], -s * w2s))
+
+
+def _value_at_reference(vf, n, x, player):
+    kind = classify_state(n, x, vf.tables)
+    if kind is EquilibriumKind.FF:
+        return _continuation_reference(vf, n, x, player)
+    w2n = _w2_values(n, x, vf.tables.config.horizon)
+    stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
+    return float(_stage_cells_reference(n, stop1, stop2, w2n, vf.tables)[player - 1])
+
+
+def _parity_values(vf, seed, node_step=0):
+    """Every breakpoint, 0, 1, 1e-300, 50 uniform values and, given a
+    step, every node_step-th node of every segment."""
+    rng = np.random.default_rng(seed)
+    xs = vf.breaks.tolist() + [0.0, 1.0, 1e-300] + rng.random(50).tolist()
+    if node_step:
+        xs += vf.nodes_x[:, ::node_step].ravel().tolist()
+    return xs
+
+
+# a query costs about 40 us on the two paths together, so the longer
+# horizons run at fewer priorities and nodes; segments and nodes do not
+# depend on p, and N = 150 has 158 nodes, past numpy's 128-term block of
+# pairwise summation
+@pytest.mark.parametrize(
+    "horizon,priorities,node_step",
+    [
+        (2, PARITY_PRIORITIES, 3),
+        (5, PARITY_PRIORITIES, 3),
+        (10, PARITY_PRIORITIES, 3),
+        (30, (0.0, 1 / 3, 0.5), 3),
+        (60, (0.1, 0.25), 3),
+        (150, (math.exp(-1),), 9),
+    ],
+)
+def test_scalar_read_path_matches_array_path(horizon, priorities, node_step):
+    # continuation and value_at give Python floats equal bit for bit to the
+    # interpolation-matrix and array stage-cell paths they replace
+    stages = sorted({1, horizon // 2, horizon - 1, horizon})
+    for priority in priorities:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        vf, _ = backward_induce(tables)
+        for x in _parity_values(vf, seed=horizon, node_step=node_step):
+            for n in [0] + stages:
+                for player in (1, 2):
+                    got = continuation(n, x, vf, player)
+                    assert type(got) is float
+                    assert got == _continuation_reference(vf, n, x, player), (
+                        priority, n, x, player
+                    )
+        kinds = set()
+        for x in _parity_values(vf, seed=horizon + 1):
+            for n in stages:
+                kinds.add(classify_state(n, x, tables))
+                for player in (1, 2):
+                    got = vf.value_at(n, x, player)
+                    assert type(got) is float
+                    assert got == _value_at_reference(vf, n, x, player), (
+                        priority, n, x, player
+                    )
+        # stopped cells ran, and forgo-forgo ones wherever the game has them
+        assert kinds - {EquilibriumKind.FF}
+        assert EquilibriumKind.FF in kinds or horizon < 5
 
 
 def test_simulate_deterministic(game10):
