@@ -24,4 +24,5 @@ class UnsupportedPriority(BcgameError, ValueError):
 
 class TooLarge(BcgameError, ValueError):
     """A problem too large for an operation: a brute-force oracle beyond the
-    horizon it is meant for, or value tables beyond physical memory."""
+    horizon it is meant for, or the value tables of backward induction,
+    16 (N+1)**3 bytes at horizon N, beyond physical memory."""

@@ -27,8 +27,8 @@ class Tolerance:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

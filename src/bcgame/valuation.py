@@ -11,20 +11,27 @@ record) worth 0 to both,
 
 computed by the one-step recurrence C(n, x) = U(n+1, x) + x C(n+1, x)
 with C(N, x) = 0.  Values V_i(n, .) are piecewise polynomials in x whose
-only breakpoints are the thresholds, so each segment is represented
-exactly by its values at Gauss-Legendre nodes; so is C(n, .), of degree at
-most N - n per segment.  All integrals (segment tails, partial integrals,
-the final average over the first observation) and all interpolations are
-then exact up to rounding.  The tables take 16 (N+1)(2 S m + S + 1)
-bytes for S segments of m nodes, about 2.1 GB at N = 400; a horizon
-whose tables would not fit in physical memory is refused before anything
-is allocated.
+only breakpoints are the thresholds, of degree at most N - n on each
+segment, and so is C(n, .).  Each segment maps to t in [-1, 1] by
+x = c + h t, and each function is held, exact up to rounding, by its
+Legendre coefficients in t.  The recurrence then takes two banded
+operators,
+
+    t P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1),
+    int_t^1 P_k = (P_{k-1} - P_{k+1}) / (2k+1),   1 - t for k = 0,
+
+a segment's integral is 2h times its P_0 coefficient, and the stopped
+cells come from two running series, x**d = x x**(d-1) and
+S_d = x S_{d-1} + 1/d.  A stage costs O(S (N - n)) for S segments, the
+induction O(N**3).  The tables take 16 (N+1)(S (N+1) + S + 1) bytes,
+16 (N+1)**3 with the S = N segments of the game, about 1.03 GB at
+N = 400; a horizon whose tables would not fit in physical memory is
+refused before anything is allocated.
 
 Point queries (``continuation``, ``ValueFunction.value_at``) take a
-scalar read path: the segment by ``bisect`` on a list of the breakpoints,
-the reference coordinate and the stopped cells in Python floats, and one
-barycentric step over the segment's nodes in numpy.  It returns the same
-bits as evaluating the interpolation matrix at that point.
+scalar read path in Python floats: the segment by ``bisect`` on a list of
+the breakpoints, the reference coordinate t, the stopped cells, and one
+Clenshaw loop over the stage's N - n + 1 coefficients.
 
 Payoff accounting: both the induction and the simulator classify and
 score record states by the one stage rule of ``equilibrium``
@@ -110,18 +117,10 @@ class SimConfig:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
-def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    m = len(nodes)
-    w = np.empty(m)
-    for j in range(m):
-        w[j] = 1.0 / np.prod(nodes[j] - np.delete(nodes, j))
-    return w
-
-
-def _table_bytes(horizon: int, n_segments: int, m: int) -> int:
-    """Bytes of a ``ValueFunction``'s tables: ``node_values`` and ``cont``,
-    each (2, N+1, S, m) float64, and ``tail``, (2, N+1, S+1)."""
-    return 8 * 2 * (horizon + 1) * (2 * n_segments * m + n_segments + 1)
+def _table_bytes(horizon: int, n_segments: int) -> int:
+    """Bytes of a ``ValueFunction``'s tables: ``cont``, (2, N+1, S, N+1)
+    float64, and ``tail``, (2, N+1, S+1); 16 (N+1)**3 when S = N."""
+    return 8 * 2 * (horizon + 1) * (n_segments * (horizon + 1) + n_segments + 1)
 
 
 def _physical_memory() -> int | None:
@@ -138,113 +137,102 @@ def _check_player(player: int) -> None:
         raise DomainError(f"player must be 1 or 2, got {player}")
 
 
-def _interp_matrix(nodes: np.ndarray, bw: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Rows evaluate the Lagrange basis over ``nodes`` at ``points``."""
-    diff = points[:, None] - nodes[None, :]
-    hit = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = bw[None, :] / diff
-        denom = terms.sum(axis=1, keepdims=True)
-        out = terms / denom
-    rows_hit = hit.any(axis=1)
-    if rows_hit.any():
-        out[rows_hit] = hit[rows_hit].astype(float)
+def _integral_to_one(a: np.ndarray) -> np.ndarray:
+    """Legendre coefficients (last axis) of int_t^1 f(u) du, one degree up:
+    int_t^1 P_k = (P_{k-1} - P_{k+1}) / (2k+1), and 1 - t for k = 0."""
+    q = a / (2 * np.arange(a.shape[-1]) + 1)
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    out[..., :-2] = q[..., 1:]
+    out[..., 0] += q[..., 0]
+    out[..., 1:] -= q
+    return out
+
+
+def _times_x(a: np.ndarray, breaks: np.ndarray) -> np.ndarray:
+    """Legendre coefficients (last axis) of x f on every segment between
+    consecutive ``breaks`` (second-last axis), one degree up: x f = c f
+    + h t f, with t P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1)."""
+    k = np.arange(a.shape[-1])
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    out = np.zeros(a.shape[:-1] + (len(k) + 1,))
+    out[..., 1:] = a * ((k + 1) / (2 * k + 1))
+    out[..., :-2] += a[..., 1:] * (k[1:] / (2 * k[1:] + 1))
+    out *= 0.5 * (hi - lo)
+    out[..., :-1] += 0.5 * (hi + lo) * a
     return out
 
 
 class ValueFunction:
     """Piecewise-polynomial per-index values of both players.
 
-    Segments between consecutive breakpoints carry values at ``m``
-    Gauss-Legendre nodes; per segment the value is a polynomial of degree
-    at most N - n, so the node representation is exact.  ``cont[i, n]``
-    holds the continuation C_i(n, .) at the same nodes.  Raises
-    ``TooLarge`` before any table is built when the tables would exceed
-    physical memory.
+    On each segment between consecutive breakpoints, x = c + h t with t in
+    [-1, 1], and ``cont[i, n, s, k]`` is the k-th Legendre coefficient in t
+    of the continuation C_i(n, .) on segment s: exact, since C(n, .) has
+    degree at most N - n there, and zero from k = N - n + 1 on.
+    ``tail[i, n, s]`` is int_{b_s}^1 V_i(n, x) dx, b_s the s-th break.
+    Raises ``TooLarge`` before any table is built when the tables would
+    exceed physical memory.
     """
 
-    def __init__(self, tables: GameTables, nodes_per_segment: int | None = None):
+    def __init__(self, tables: GameTables):
         self.tables = tables
         big_n = tables.config.horizon
-        self.m = nodes_per_segment or (big_n + 8)
         self.breaks = np.unique(
             np.concatenate(([0.0, 1.0], tables.xthresholds.values))
         )
         self.n_segments = len(self.breaks) - 1
-        need, have = _table_bytes(big_n, self.n_segments, self.m), _physical_memory()
+        need, have = _table_bytes(big_n, self.n_segments), _physical_memory()
         if have is not None and need > have:
             raise TooLarge(
                 f"value tables at horizon {big_n} need {need / 1e9:.1f} GB, "
                 f"more than the {have / 1e9:.1f} GB of physical memory"
             )
-        self._ref_t, self._ref_w = np.polynomial.legendre.leggauss(self.m)
-        self._bary = _barycentric_weights(self._ref_t)
-        self._partial = self._partial_matrix()
-        lo = self.breaks[:-1]
-        hi = self.breaks[1:]
-        self.halves = 0.5 * (hi - lo)
-        self.mids = 0.5 * (hi + lo)
-        # node x-positions, shape (segments, m)
-        self.nodes_x = self.mids[:, None] + self.halves[:, None] * self._ref_t[None, :]
-        shape = (2, big_n + 1, self.n_segments, self.m)
-        self.node_values = np.zeros(shape)
-        self.cont = np.zeros(shape)  # C(N, .) = 0: no record after the last index
+        self.cont = np.zeros((2, big_n + 1, self.n_segments, big_n + 1))  # C(N, .) = 0
         self.tail = np.zeros((2, big_n + 1, self.n_segments + 1))
         # the scalar read path works on Python floats
+        lo, hi = self.breaks[:-1], self.breaks[1:]
         self._break_list = self.breaks.tolist()
-        self._mid_list = self.mids.tolist()
-        self._half_list = self.halves.tolist()
-        self._node_of = {t: j for j, t in enumerate(self._ref_t.tolist())}
+        self._mid_list = (0.5 * (hi + lo)).tolist()
+        self._half_list = (0.5 * (hi - lo)).tolist()
+        # Clenshaw's recurrence for sum a_k P_k(t): b_k = a_k
+        # + (2k+1)/(k+1) t b_{k+1} - (k+1)/(k+2) b_{k+2}, the sum is b_0
+        self._rise = [(2 * k + 1) / (k + 1) for k in range(big_n + 1)]
+        self._fall = [(k + 1) / (k + 2) for k in range(big_n + 1)]
 
-    def _partial_matrix(self) -> np.ndarray:
-        """P[j] maps node values to int_{t_j}^{1} of the interpolant on the
-        reference interval [-1, 1]; exact for degree <= m - 1."""
-        m = self.m
-        out = np.empty((m, m))
-        for j in range(m):
-            a = self._ref_t[j]
-            sub = 0.5 * (a + 1.0) + 0.5 * (1.0 - a) * self._ref_t
-            ws = 0.5 * (1.0 - a) * self._ref_w
-            basis = _interp_matrix(self._ref_t, self._bary, sub)
-            out[j] = ws @ basis
-        return out
-
-    def finalize_stage(self, n: int) -> None:
-        """Fill the integral table of stage n from its node values, and the
-        continuation table of stage n - 1 by C(n-1) = U(n) + x C(n)."""
-        for idx in range(2):
-            vals = self.node_values[idx, n]  # (S, m)
-            seg_int = (vals @ self._ref_w) * self.halves
-            tail = np.zeros(self.n_segments + 1)
-            tail[:-1] = np.cumsum(seg_int[::-1])[::-1]
-            self.tail[idx, n] = tail
-            upper = tail[1:, None] + vals @ self._partial.T * self.halves[:, None]
-            self.cont[idx, n - 1] = upper + self.nodes_x * self.cont[idx, n]
+    def finalize_stage(self, n: int, coefficients: np.ndarray) -> None:
+        """Fill the integral table of stage n from the Legendre coefficients
+        of V(n, .), shape (2, S, N - n + 1), and the continuation table of
+        stage n - 1 by C(n-1) = U(n) + x C(n)."""
+        width = self.tables.config.horizon - n + 1
+        half = 0.5 * np.diff(self.breaks)
+        seg_int = 2.0 * half * coefficients[..., 0]
+        self.tail[:, n, :-1] = np.cumsum(seg_int[:, ::-1], axis=1)[:, ::-1]
+        upper = half[:, None] * _integral_to_one(coefficients)
+        upper[..., 0] += self.tail[:, n, 1:]
+        later = _times_x(self.cont[:, n, :, :width], self.breaks)
+        self.cont[:, n - 1, :, : width + 1] = upper + later
 
     def continuation_at(self, n: int, x: float, player: int) -> float:
-        """C_player(n, x), interpolated from the node table of its segment;
-        exact because C(n, .) has degree at most N - n < m there.
+        """C_player(n, x): the Legendre series of its segment, exact because
+        C(n, .) has degree at most N - n there.
 
         One point in Python floats: the segment by ``bisect`` (the side and
         clamp of ``searchsorted(side="right")``), the reference coordinate
-        t, the node's own value when t is a node, else the barycentric
-        basis normalised before the dot product.  These are the operations
-        of ``_interp_matrix`` on a one-point row, so the bits are the same.
+        t, and Clenshaw's recurrence over the stage's N - n + 1
+        coefficients.
         """
         if x >= 1.0:  # no later value beats a record at 1
             return 0.0
         s = bisect_right(self._break_list, x) - 1
         s = min(max(s, 0), self.n_segments - 1)
         t = (x - self._mid_list[s]) / self._half_list[s]
-        vals = self.cont[player - 1, n, s]
-        j = self._node_of.get(t)
-        if j is not None:
-            return float(vals[j])
-        terms = self._bary / (t - self._ref_t)
-        # normalising first, not (terms @ vals) / terms.sum(), keeps the
-        # bits; ndarray.dot is the matmul of two vectors with less overhead
-        basis = terms / terms.sum()
-        return float(basis.dot(vals))
+        top = self.tables.config.horizon - n
+        coef = self.cont[player - 1, n, s, : top + 1].tolist()
+        rise, fall = self._rise, self._fall
+        b1 = b2 = 0.0
+        for k in range(top, -1, -1):
+            b1, b2 = coef[k] + rise[k] * t * b1 - fall[k] * b2, b1
+        return b1
 
     def value_at(self, n: int, x: float, player: int) -> float:
         """V_player(n, x): the classified stage cell, or the continuation."""
@@ -275,9 +263,7 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     return V.continuation_at(n, x, player)
 
 
-def backward_induce(
-    tables: GameTables, nodes_per_segment: int | None = None
-) -> tuple[ValueFunction, ValuePair]:
+def backward_induce(tables: GameTables) -> tuple[ValueFunction, ValuePair]:
     """Equilibrium-profile values of every record state, plus the game value.
 
     Descends from the last index: stopped cells are scored by the stage
@@ -286,16 +272,26 @@ def backward_induce(
     (index 1 is always a record).
     """
     big_n = tables.config.horizon
-    vf = ValueFunction(tables, nodes_per_segment)
+    vf = ValueFunction(tables)
+    power = np.ones((vf.n_segments, 1))  # x**0 on every segment
+    series = np.zeros((vf.n_segments, 1))  # S_0 = 0
+    harmonic = 0.0  # w2 = x**d (1 + H_d) - S_d with d = N - n
     for n in range(big_n, 0, -1):
+        d = big_n - n
+        if d:
+            power = _times_x(power, vf.breaks)
+            series = _times_x(series, vf.breaks)
+            series[:, 0] += 1.0 / d
+            harmonic += 1.0 / d
         # each segment takes the actions at its left break
         stop1, stop2 = stage_actions(n, vf.breaks[:-1], tables)
         stop = stop1 | stop2
-        vf.node_values[:, n, ~stop] = vf.cont[:, n, ~stop]
-        w2s = _w2_values(n, vf.nodes_x[stop], big_n)
+        coefficients = vf.cont[:, n, :, : d + 1].copy()
+        w2s = power[stop] * (1.0 + harmonic) - series[stop]
         cells = stage_cells(n, stop1[stop, None], stop2[stop, None], w2s, tables)
-        vf.node_values[:, n, stop] = cells
-        vf.finalize_stage(n)
+        cells[0, :, 1:] = 0.0  # the rank player's cell is constant in x
+        coefficients[:, stop] = cells
+        vf.finalize_stage(n, coefficients)
     pair = ValuePair(val1=vf.stage_average(1, 1), val2=vf.stage_average(1, 2))
     return vf, pair
 

@@ -67,15 +67,28 @@ def test_criterion_1_shift_table_exact(tmp_path):
 
 
 def _margin_dp_variant(tables, cells):
-    """Backward induction with pluggable stop cells (diagnostic only)."""
+    """Backward induction with pluggable stop cells (diagnostic only).
+
+    The cells are evaluated at N + 8 Gauss-Legendre nodes of each segment
+    and projected onto the Legendre coefficients of degree <= N - n that
+    the value function holds; the alternate continue series has degree
+    2 (N - n) - 1, and its terms above N - n move its pairs by < 1e-6."""
     vf = ValueFunction(tables)
     big_n = tables.config.horizon
     p = tables.config.priority
+    t, w = np.polynomial.legendre.leggauss(big_n + 8)
+    lo, hi = vf.breaks[:-1], vf.breaks[1:]
+    grid_x = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
     for n in range(big_n, 0, -1):
         xn = tables.xthresholds.x(n)
         w1n = float(tables.w1[n - 1])
+        width = big_n - n + 1
+        # a_k = (2k + 1)/2 int_{-1}^{1} f P_k dt, by the Gauss rule
+        project = np.polynomial.legendre.legvander(t, width - 1) * w[:, None]
+        project *= (2 * np.arange(width) + 1) / 2
+        coefficients = vf.cont[:, n, :, :width].copy()
         for s in range(vf.n_segments):
-            xs = vf.nodes_x[s]
+            xs = grid_x[s]
             w2s = eq._w2_values(n, xs, big_n)
             if vf.breaks[s] >= xn:
                 kind = "SS" if n >= tables.nstar else "FS"
@@ -83,10 +96,10 @@ def _margin_dp_variant(tables, cells):
             elif n >= tables.ntilde:
                 v1, v2 = cells("SF", p, w1n, w2s, xs, n, big_n)
             else:
-                v1, v2 = vf.cont[0, n, s], vf.cont[1, n, s]
-            vf.node_values[0, n, s] = v1
-            vf.node_values[1, n, s] = v2
-        vf.finalize_stage(n)
+                continue
+            coefficients[0, s] = v1 @ project
+            coefficients[1, s] = v2 @ project
+        vf.finalize_stage(n, coefficients)
     return vf.stage_average(1, 1), vf.stage_average(1, 2)
 
 

@@ -34,6 +34,17 @@ def test_thresholds_invalid_horizon():
     assert main(["thresholds", "--horizon", "1"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "inf", "nan"])
+def test_thresholds_reject_unusable_tolerance(tol, monkeypatch, capsys):
+    # an infinite tolerance used to end bisection before its first step,
+    # printing 0.5 for every threshold with exit 0
+    monkeypatch.setenv("BCGAME_TOL", tol)
+    assert main(["thresholds", "--horizon", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bcgame: error: abs_tol must be positive and finite")
+
+
 def test_table1_grid(tmp_path):
     out = tmp_path / "t1.csv"
     assert main(["table1", "--out", str(out)]) == 0

@@ -7,8 +7,9 @@ from bcgame.numerics import Tolerance, bisect_root
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=0.0)
+    for bad in (0.0, -1e-12, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Tolerance(abs_tol=bad)
     with pytest.raises(ValueError):
         Tolerance(max_iter=0)
 

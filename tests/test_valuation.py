@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import legval
 
 from bcgame import valuation
 from bcgame._rng import batch_generator
@@ -62,14 +65,14 @@ def test_continuation_edges(game10):
 
 
 def test_continuation_mass_probe(game10):
-    # with V identically 1 the kernel mass identity gives 1 - x**(N-n)
+    # with V identically 1 the kernel mass identity gives 1 - x**(N-n); V = 1
+    # is the coefficient vector [1, 0, ...] on every segment
     tables, _, _ = game10
     vf = ValueFunction(tables)
     for n in range(10, 0, -1):
-        for s in range(vf.n_segments):
-            vf.node_values[0, n, s] = 1.0
-            vf.node_values[1, n, s] = 1.0
-        vf.finalize_stage(n)
+        ones = np.zeros((2, vf.n_segments, 10 - n + 1))
+        ones[..., 0] = 1.0
+        vf.finalize_stage(n, ones)
     for n in (1, 4, 9):
         for x in (0.0, 0.3, 0.8):
             want = 1.0 - x ** (10 - n)
@@ -183,23 +186,31 @@ def test_table_cost_model_matches_allocation(game10):
     tables, vf, _ = game10
     # x_N = 0 is a break, so N thresholds and 1 give N segments
     assert vf.n_segments == tables.config.horizon
-    allocated = vf.node_values.nbytes + vf.cont.nbytes + vf.tail.nbytes
-    assert valuation._table_bytes(10, vf.n_segments, vf.m) == allocated
-    assert valuation._table_bytes(400, 400, 408) == pytest.approx(2.1e9, rel=0.01)
+    allocated = vf.cont.nbytes + vf.tail.nbytes
+    assert valuation._table_bytes(10, vf.n_segments) == allocated == 16 * 11**3
+    # the tables are all the arrays it holds besides its breakpoints
+    arrays = [v for v in vars(vf).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == allocated + vf.breaks.nbytes
+    assert valuation._table_bytes(400, 400) == pytest.approx(1.03e9, rel=0.01)
+    assert valuation._table_bytes(1000, 1000) == pytest.approx(16e9, rel=0.01)
 
 
 def test_value_function_refuses_tables_beyond_physical_memory(monkeypatch):
-    # 2.5 MB of tables at N = 40 against 1 MiB of memory; the refusal comes
-    # before the O(m^3) partial-integral matrix is built
+    # 1.1 MB of tables at N = 40 against 1 MiB of memory; the refusal comes
+    # before any table is allocated, so the refused call allocates less
+    # than a tenth of them
     tables = build_game_tables(ProblemConfig(horizon=40, priority=0.25))
+    need = valuation._table_bytes(40, 40)
+    assert need > 1 << 20
     monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
-
-    def built_too_early(self):
-        raise AssertionError("tables sized after the partial matrix")
-
-    monkeypatch.setattr(ValueFunction, "_partial_matrix", built_too_early)
-    with pytest.raises(TooLarge, match="physical memory"):
-        backward_induce(tables)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="physical memory"):
+            backward_induce(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need / 10
 
 
 def test_value_function_unchecked_without_memory_figure(monkeypatch):
@@ -213,29 +224,17 @@ def test_value_function_unchecked_without_memory_figure(monkeypatch):
 PARITY_PRIORITIES = (0.0, 0.1, 0.25, 1 / 3, math.exp(-1), 0.5)
 
 
-def _interp_matrix_reference(nodes, bw, points):
-    """``_interp_matrix`` as the array path that answered point queries."""
-    diff = points[:, None] - nodes[None, :]
-    hit = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = bw[None, :] / diff
-        denom = terms.sum(axis=1, keepdims=True)
-        out = terms / denom
-    rows_hit = hit.any(axis=1)
-    if rows_hit.any():
-        out[rows_hit] = hit[rows_hit].astype(float)
-    return out
-
-
-def _continuation_reference(vf, n, x, player):
-    """The array-path ``continuation_at``: one-point interpolation matrix."""
+def _legval_reference(vf, n, x, player):
+    """C_player(n, x) by numpy's ``legval`` on the stored coefficients of
+    the segment that ``searchsorted(side="right")`` finds."""
     if x >= 1.0:
         return 0.0
     s = int(np.searchsorted(vf.breaks, x, side="right")) - 1
     s = min(max(s, 0), vf.n_segments - 1)
-    t = np.array([(x - vf.mids[s]) / vf.halves[s]])
-    basis = _interp_matrix_reference(vf._ref_t, vf._bary, t)[0]
-    return float(basis @ vf.cont[player - 1, n, s])
+    lo, hi = vf.breaks[s], vf.breaks[s + 1]
+    t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+    top = vf.tables.config.horizon - n
+    return float(legval(t, vf.cont[player - 1, n, s, : top + 1]))
 
 
 def _stage_cells_reference(n, stop1, stop2, w2s, tables):
@@ -244,31 +243,47 @@ def _stage_cells_reference(n, stop1, stop2, w2s, tables):
     return np.stack(np.broadcast_arrays(s * tables.w1[n - 1], -s * w2s))
 
 
-def _value_at_reference(vf, n, x, player):
-    kind = classify_state(n, x, vf.tables)
-    if kind is EquilibriumKind.FF:
-        return _continuation_reference(vf, n, x, player)
-    w2n = _w2_values(n, x, vf.tables.config.horizon)
+def _check_point_queries(vf, n, x):
+    """``continuation`` is a Python float within 1e-15 of ``legval`` on the
+    stored coefficients; from n = 1 on, ``value_at`` is that continuation
+    at forgo-forgo states and the array stage cell elsewhere.  Returns the
+    state's kind, or None at n = 0."""
+    tables = vf.tables
+    for player in (1, 2):
+        got = continuation(n, x, vf, player)
+        assert type(got) is float
+        want = _legval_reference(vf, n, x, player)
+        assert abs(got - want) <= 1e-15, (tables.config, n, x, player)
+    if n == 0:
+        return None
+    kind = classify_state(n, x, tables)
     stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
-    return float(_stage_cells_reference(n, stop1, stop2, w2n, vf.tables)[player - 1])
+    w2n = _w2_values(n, x, tables.config.horizon)
+    for player in (1, 2):
+        got = vf.value_at(n, x, player)
+        assert type(got) is float
+        if kind is EquilibriumKind.FF:
+            want = continuation(n, x, vf, player)
+        else:
+            want = float(_stage_cells_reference(n, stop1, stop2, w2n, tables)[player - 1])
+        assert got == want, (tables.config, n, x, player)
+    return kind
 
 
-def _parity_values(vf, seed, node_step=0):
-    """Every breakpoint, 0, 1, 1e-300, 50 uniform values and, given a
-    step, every node_step-th node of every segment."""
+def _parity_values(vf, seed, interior=0):
+    """Every breakpoint, 0, 1, 1e-300, 50 uniform values and ``interior``
+    evenly spaced interior points of every segment."""
     rng = np.random.default_rng(seed)
     xs = vf.breaks.tolist() + [0.0, 1.0, 1e-300] + rng.random(50).tolist()
-    if node_step:
-        xs += vf.nodes_x[:, ::node_step].ravel().tolist()
+    lo, hi = vf.breaks[:-1], vf.breaks[1:]
+    for j in range(1, interior + 1):
+        xs += (lo + (hi - lo) * (j / (interior + 1))).tolist()
     return xs
 
 
-# a query costs about 40 us on the two paths together, so the longer
-# horizons run at fewer priorities and nodes; segments and nodes do not
-# depend on p, and N = 150 has 158 nodes, past numpy's 128-term block of
-# pairwise summation
+# the longer horizons run at fewer priorities; segments do not depend on p
 @pytest.mark.parametrize(
-    "horizon,priorities,node_step",
+    "horizon,priorities,interior",
     [
         (2, PARITY_PRIORITIES, 3),
         (5, PARITY_PRIORITIES, 3),
@@ -278,34 +293,35 @@ def _parity_values(vf, seed, node_step=0):
         (150, (math.exp(-1),), 9),
     ],
 )
-def test_scalar_read_path_matches_array_path(horizon, priorities, node_step):
-    # continuation and value_at give Python floats equal bit for bit to the
-    # interpolation-matrix and array stage-cell paths they replace
-    stages = sorted({1, horizon // 2, horizon - 1, horizon})
+def test_scalar_read_path_matches_array_path(horizon, priorities, interior):
+    # continuation's Clenshaw loop in Python floats against numpy's legval,
+    # and value_at against the array stage cells, at stage 0, 1, N/2, N - 1
+    # and N
+    stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
     for priority in priorities:
         tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
         vf, _ = backward_induce(tables)
-        for x in _parity_values(vf, seed=horizon, node_step=node_step):
-            for n in [0] + stages:
-                for player in (1, 2):
-                    got = continuation(n, x, vf, player)
-                    assert type(got) is float
-                    assert got == _continuation_reference(vf, n, x, player), (
-                        priority, n, x, player
-                    )
         kinds = set()
-        for x in _parity_values(vf, seed=horizon + 1):
+        for x in _parity_values(vf, seed=horizon, interior=interior):
             for n in stages:
-                kinds.add(classify_state(n, x, tables))
-                for player in (1, 2):
-                    got = vf.value_at(n, x, player)
-                    assert type(got) is float
-                    assert got == _value_at_reference(vf, n, x, player), (
-                        priority, n, x, player
-                    )
+                kinds.add(_check_point_queries(vf, n, x))
         # stopped cells ran, and forgo-forgo ones wherever the game has them
-        assert kinds - {EquilibriumKind.FF}
+        assert kinds - {EquilibriumKind.FF, None}
         assert EquilibriumKind.FF in kinds or horizon < 5
+
+
+@given(
+    horizon=st.integers(2, 60),
+    priority=st.floats(0.0, 0.5),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_point_queries_match_legval_property(horizon, priority, data):
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+    vf, _ = backward_induce(tables)
+    states = st.tuples(st.integers(0, horizon), st.floats(0.0, 1.0))
+    for n, x in data.draw(st.lists(states, min_size=1, max_size=20)):
+        _check_point_queries(vf, n, x)
 
 
 def test_simulate_deterministic(game10):
