@@ -21,8 +21,6 @@ from .equilibrium import (
 from .errors import (
     BcgameError,
     DomainError,
-    NoBracket,
-    NoConvergence,
     TooLarge,
     UnsupportedPriority,
 )
@@ -40,7 +38,6 @@ from .models import (
     secretary_cutoff,
     secretary_stop_reward,
 )
-from .numerics import Tolerance, bisect_root
 from .oracle import (
     OracleReport,
     fullinfo_mc_check,

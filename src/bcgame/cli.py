@@ -26,8 +26,6 @@ _TABLE1_PRIORITIES = (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
 
 _EPILOG = """\
 environment:
-  BCGAME_TOL    default absolute tolerance for threshold root finding
-                (default 1e-12)
   BCGAME_SEED   default Monte Carlo seed (default 42); the --seed flag wins
 """
 

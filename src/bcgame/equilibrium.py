@@ -27,7 +27,6 @@ import numpy as np
 from . import models
 from .errors import DomainError, UnsupportedPriority
 from .models import ProblemConfig, RecordState, ThresholdVector
-from .numerics import Tolerance
 
 
 def w1(n: int, cfg: ProblemConfig) -> float:
@@ -198,13 +197,14 @@ def shifted_cutoff(tables: GameTables) -> int:
     return big_n
 
 
-def build_game_tables(cfg: ProblemConfig, tol: Tolerance | None = None) -> GameTables:
+def build_game_tables(cfg: ProblemConfig) -> GameTables:
     """Compute thresholds, margins, one-step shift values and both cutoffs.
 
-    ``tol`` applies to the threshold root finding; everything else is
-    closed form.
+    The thresholds come from ``models.fullinfo_thresholds`` (solved once
+    per horizon, to floating-point resolution); everything else is closed
+    form.
     """
-    thresholds = models.fullinfo_thresholds(cfg, tol)
+    thresholds = models.fullinfo_thresholds(cfg)
     w1_vec = np.array([w1(n, cfg) for n in range(1, cfg.horizon + 1)])
     tv1_vec = np.array(
         [_tv1_value(n, cfg, thresholds, w1_vec) for n in range(1, cfg.horizon + 1)]

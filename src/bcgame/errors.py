@@ -1,16 +1,12 @@
-"""Exception hierarchy shared by all bcgame modules."""
+"""Exception hierarchy shared by all bcgame modules.
+
+The one iterative routine, the threshold solve, stops at floating-point
+resolution and cannot miss a tolerance, so there is no convergence error:
+only bad arguments, unsupported priorities and sizes."""
 
 
 class BcgameError(Exception):
     """Base class for all bcgame errors."""
-
-
-class NoBracket(BcgameError):
-    """Root finder was given an interval whose endpoints do not bracket a sign change."""
-
-
-class NoConvergence(BcgameError):
-    """An iterative numeric routine exceeded its iteration budget."""
 
 
 class DomainError(BcgameError, ValueError):
@@ -25,4 +21,4 @@ class UnsupportedPriority(BcgameError, ValueError):
 class TooLarge(BcgameError, ValueError):
     """A problem too large for an operation: a brute-force oracle beyond the
     horizon it is meant for, or the value tables of backward induction,
-    16 (N+1)**3 bytes at horizon N, beyond physical memory."""
+    about 16 (N+1)**3 bytes at horizon N, beyond physical memory."""

@@ -5,7 +5,7 @@ The rank-only observer sees relative ranks of an i.i.d. uniform sequence
 values (the classical full-information setting).  This module provides
 both Markov transition kernels on "record" states, the stop/continue
 rewards, the rank-side cutoff index, and the value-side indifference
-thresholds.
+thresholds, all solved at once by one monotone Newton iteration.
 
 Conventions: 0**0 = 1 throughout (a record at value 0, or a transition to
 the immediately next index, needs no intermediate observation), and the
@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Tolerance, bisect_root, default_tolerance
 
 
 @dataclass(frozen=True)
@@ -166,52 +164,66 @@ def fullinfo_continue_reward(state: RecordState, cfg: ProblemConfig) -> float:
     )
 
 
-def _threshold_residual(x: float, remaining: int) -> float:
-    """sum_{k=1}^{d} (x**-k - 1)/k - 1, guarded against overflow near 0."""
-    if x <= 0.0:
-        return math.inf
-    log_x = math.log(x)
-    acc = -1.0
-    for k in range(1, remaining + 1):
-        e = -k * log_x
-        if e > 700.0:  # x**-k overflows a double; sign is all that matters
-            return math.inf
-        acc += (math.exp(e) - 1.0) / k
-    return acc
+def _solve_thresholds(count: int) -> np.ndarray:
+    """x_1..x_count by Newton's method in y = 1/x, every d in one lane.
+
+    Lane d solves f_d(y) = sum_{k=1}^{d} (y**k - 1)/k - 1 = 0 from
+    y = 1 + 1/d, where f_d >= 0 (0 at d = 1, at least 0.125 for d >= 2).
+    f_d is increasing and convex, so the iterates fall monotonically onto
+    the root and y**k stays below e; a lane stops when a step no longer
+    lowers y, at floating-point resolution.  Lanes never mix, so lane d
+    gives the same bits for every ``count`` >= d.  Each sweep runs k over
+    the lanes d >= k, a suffix: O(count**2) flops, O(count) memory.
+    """
+    y = 1.0 + 1.0 / np.arange(1, count + 1)
+    live = np.ones(count, dtype=bool)
+    while live.any():
+        f = np.full(count, -1.0)
+        slope = np.zeros(count)
+        power = np.ones(count)  # y**(k-1)
+        for k in range(1, count + 1):
+            lanes = slice(k - 1, None)  # d >= k
+            slope[lanes] += power[lanes]
+            power[lanes] *= y[lanes]
+            f[lanes] += (power[lanes] - 1.0) / k
+        step = y - f / slope
+        live &= step < y
+        y = np.where(live, step, y)
+    return 1.0 / y
 
 
-@lru_cache(maxsize=None)
-def _threshold_cached(remaining: int, abs_tol: float, max_iter: int) -> float:
-    return bisect_root(
-        lambda x: _threshold_residual(x, remaining),
-        0.0,
-        1.0,
-        Tolerance(abs_tol=abs_tol, max_iter=max_iter),
-    )
+#: x_1, x_2, ... for as many remaining counts as any call has needed
+_solved = np.zeros(0)
 
 
-def fullinfo_threshold(remaining: int, tol: Tolerance | None = None) -> float:
+def _thresholds_upto(count: int) -> np.ndarray:
+    """x_d for d = 1..count, solved once: a longer request re-solves every
+    lane and keeps the result, a shorter one takes a prefix."""
+    global _solved
+    if len(_solved) < count:
+        _solved = _solve_thresholds(count)
+    return _solved[:count]
+
+
+def fullinfo_threshold(remaining: int) -> float:
     """Indifference value with ``remaining`` observations still to come.
 
     The unique root in (0, 1) of sum_{k=1}^{d} (x**-k - 1)/k = 1 for d >= 1
     (0.5 at d = 1, ~0.689898 at d = 2, increasing toward 1), and 0 at
-    d = 0.  Depends only on d, so results are cached.
+    d = 0, to floating-point resolution.  Depends only on d, so results
+    are cached.
     """
     if remaining < 0:
         raise DomainError(f"remaining must be >= 0, got {remaining}")
     if remaining == 0:
         return 0.0
-    tol = tol or default_tolerance()
-    return _threshold_cached(remaining, tol.abs_tol, tol.max_iter)
+    return float(_thresholds_upto(remaining)[remaining - 1])
 
 
-def fullinfo_thresholds(cfg: ProblemConfig, tol: Tolerance | None = None) -> ThresholdVector:
+def fullinfo_thresholds(cfg: ProblemConfig) -> ThresholdVector:
     """Vector (x_1, ..., x_N) with x_n the threshold for N - n remaining.
 
     Strictly decreasing in n, reaching 0 at n = N.
     """
-    big_n = cfg.horizon
-    vals = np.array(
-        [fullinfo_threshold(big_n - n, tol) for n in range(1, big_n + 1)]
-    )
-    return ThresholdVector(horizon=big_n, values=vals)
+    vals = np.append(_thresholds_upto(cfg.horizon - 1)[::-1], 0.0)
+    return ThresholdVector(horizon=cfg.horizon, values=vals)

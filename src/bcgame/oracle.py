@@ -125,6 +125,15 @@ def _rule_value_polys(horizon: int, thresholds: ThresholdVector) -> float:
     )
 
 
+def _threshold_residual(x: float, remaining: int) -> float:
+    """sum_{k=1}^{d} (x**-k - 1)/k - 1 by ``math.fsum``, straight from the
+    threshold equation; inf where x**-k is not a finite double."""
+    try:
+        return math.fsum((x**-k - 1.0) / k for k in range(1, remaining + 1)) - 1.0
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
 def fullinfo_mc_check(
     horizon: int,
     thresholds: ThresholdVector | None = None,
@@ -387,7 +396,7 @@ def run_verification_suite(
     # threshold fidelity and margin identities
     thr50 = tampered(50)
     worst_residual = max(
-        abs(models._threshold_residual(thr50.x(n), 50 - n)) for n in range(1, 50)
+        abs(_threshold_residual(thr50.x(n), 50 - n)) for n in range(1, 50)
     )
     reports.append(
         OracleReport.compare(

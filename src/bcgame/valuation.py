@@ -23,8 +23,8 @@ operators,
 a segment's integral is 2h times its P_0 coefficient, and the stopped
 cells come from two running series, x**d = x x**(d-1) and
 S_d = x S_{d-1} + 1/d.  A stage costs O(S (N - n)) for S segments, the
-induction O(N**3).  The tables take 16 (N+1)(S (N+1) + S + 1) bytes,
-16 (N+1)**3 with the S = N segments of the game, about 1.03 GB at
+induction O(N**3).  The tables take 16 (N+1)(S (N+1) + 1) bytes,
+about 16 (N+1)**3 with the S = N segments of the game, 1.03 GB at
 N = 400; a horizon whose tables would not fit in physical memory is
 refused before anything is allocated.
 
@@ -119,8 +119,8 @@ class SimConfig:
 
 def _table_bytes(horizon: int, n_segments: int) -> int:
     """Bytes of a ``ValueFunction``'s tables: ``cont``, (2, N+1, S, N+1)
-    float64, and ``tail``, (2, N+1, S+1); 16 (N+1)**3 when S = N."""
-    return 8 * 2 * (horizon + 1) * (n_segments * (horizon + 1) + n_segments + 1)
+    float64, and ``averages``, (2, N+1); about 16 (N+1)**3 when S = N."""
+    return 8 * 2 * (horizon + 1) * (n_segments * (horizon + 1) + 1)
 
 
 def _physical_memory() -> int | None:
@@ -169,7 +169,7 @@ class ValueFunction:
     [-1, 1], and ``cont[i, n, s, k]`` is the k-th Legendre coefficient in t
     of the continuation C_i(n, .) on segment s: exact, since C(n, .) has
     degree at most N - n there, and zero from k = N - n + 1 on.
-    ``tail[i, n, s]`` is int_{b_s}^1 V_i(n, x) dx, b_s the s-th break.
+    ``averages[i, n]`` is int_0^1 V_i(n, x) dx.
     Raises ``TooLarge`` before any table is built when the tables would
     exceed physical memory.
     """
@@ -188,7 +188,7 @@ class ValueFunction:
                 f"more than the {have / 1e9:.1f} GB of physical memory"
             )
         self.cont = np.zeros((2, big_n + 1, self.n_segments, big_n + 1))  # C(N, .) = 0
-        self.tail = np.zeros((2, big_n + 1, self.n_segments + 1))
+        self.averages = np.zeros((2, big_n + 1))
         # the scalar read path works on Python floats
         lo, hi = self.breaks[:-1], self.breaks[1:]
         self._break_list = self.breaks.tolist()
@@ -200,15 +200,17 @@ class ValueFunction:
         self._fall = [(k + 1) / (k + 2) for k in range(big_n + 1)]
 
     def finalize_stage(self, n: int, coefficients: np.ndarray) -> None:
-        """Fill the integral table of stage n from the Legendre coefficients
-        of V(n, .), shape (2, S, N - n + 1), and the continuation table of
+        """Fill the average of stage n from the Legendre coefficients of
+        V(n, .), shape (2, S, N - n + 1), and the continuation table of
         stage n - 1 by C(n-1) = U(n) + x C(n)."""
         width = self.tables.config.horizon - n + 1
         half = 0.5 * np.diff(self.breaks)
         seg_int = 2.0 * half * coefficients[..., 0]
-        self.tail[:, n, :-1] = np.cumsum(seg_int[:, ::-1], axis=1)[:, ::-1]
+        tail = np.zeros((2, self.n_segments + 1))  # int_{b_s}^1 V(n, x) dx
+        tail[:, :-1] = np.cumsum(seg_int[:, ::-1], axis=1)[:, ::-1]
+        self.averages[:, n] = tail[:, 0]
         upper = half[:, None] * _integral_to_one(coefficients)
-        upper[..., 0] += self.tail[:, n, 1:]
+        upper[..., 0] += tail[:, 1:]
         later = _times_x(self.cont[:, n, :, :width], self.breaks)
         self.cont[:, n - 1, :, : width + 1] = upper + later
 
@@ -249,7 +251,7 @@ class ValueFunction:
         _check_player(player)
         if not 1 <= n <= self.tables.config.horizon:
             raise DomainError(f"index {n} outside 1..{self.tables.config.horizon}")
-        return float(self.tail[player - 1, n, 0])
+        return float(self.averages[player - 1, n])
 
 
 def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:

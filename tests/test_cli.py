@@ -8,11 +8,6 @@ import pytest
 from bcgame.cli import main
 
 
-def run_cli(args, capsys=None):
-    code = main(args)
-    return code
-
-
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
@@ -34,15 +29,16 @@ def test_thresholds_invalid_horizon():
     assert main(["thresholds", "--horizon", "1"]) == 2
 
 
-@pytest.mark.parametrize("tol", ["0", "inf", "nan"])
-def test_thresholds_reject_unusable_tolerance(tol, monkeypatch, capsys):
-    # an infinite tolerance used to end bisection before its first step,
-    # printing 0.5 for every threshold with exit 0
+@pytest.mark.parametrize("tol", ["0", "inf", "nan", "1e300"])
+def test_thresholds_ignore_retired_tolerance_variable(tol, monkeypatch, capsys):
+    # thresholds are solved to floating-point resolution; BCGAME_TOL, which
+    # once set a bisection width, is read by nothing
+    monkeypatch.delenv("BCGAME_TOL", raising=False)
+    assert main(["thresholds", "--horizon", "4"]) == 0
+    unset = capsys.readouterr().out
     monkeypatch.setenv("BCGAME_TOL", tol)
-    assert main(["thresholds", "--horizon", "4"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("bcgame: error: abs_tol must be positive and finite")
+    assert main(["thresholds", "--horizon", "4"]) == 0
+    assert capsys.readouterr().out == unset
 
 
 def test_table1_grid(tmp_path):

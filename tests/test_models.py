@@ -205,3 +205,52 @@ def test_indifference_at_thresholds():
         state = RecordState(n, tv.x(n))
         gap = fullinfo_stop_reward(state, c) - fullinfo_continue_reward(state, c)
         assert abs(gap) < 1e-9
+
+
+def _bisect_threshold(remaining):
+    """Reference x_d: bisection of the threshold equation on [0, 1], as the
+    solver once found it, run until the bracket is at floating-point
+    resolution."""
+
+    def residual(x):
+        if x <= 0.0:
+            return math.inf
+        log_x = math.log(x)
+        acc = -1.0
+        for k in range(1, remaining + 1):
+            e = -k * log_x
+            if e > 700.0:  # x**-k overflows a double; sign is all that matters
+                return math.inf
+            acc += (math.exp(e) - 1.0) / k
+        return acc
+
+    lo, hi = 0.0, 1.0  # residual is +inf at 0 and decreasing in x
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        f = residual(mid)
+        if f == 0.0:
+            return mid
+        if f > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@given(
+    st.integers(min_value=2, max_value=2000),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_large_horizon_thresholds_property(big_n, fractions):
+    tv = fullinfo_thresholds(cfg(big_n))
+    assert np.all(np.diff(tv.values) < 0)
+    assert all(tv.x(n) == fullinfo_threshold(big_n - n) for n in range(1, big_n + 1))
+    sampled = {1, big_n - 1} | {1 + round(f * (big_n - 2)) for f in fractions}
+    for d in sampled:
+        x = fullinfo_threshold(d)
+        residual = math.fsum((x**-k - 1.0) / k for k in range(1, d + 1)) - 1.0
+        assert abs(residual) <= 1e-12
+        # two units in the last place below 1
+        assert abs(x - _bisect_threshold(d)) <= 2.0**-52

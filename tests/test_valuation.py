@@ -186,8 +186,8 @@ def test_table_cost_model_matches_allocation(game10):
     tables, vf, _ = game10
     # x_N = 0 is a break, so N thresholds and 1 give N segments
     assert vf.n_segments == tables.config.horizon
-    allocated = vf.cont.nbytes + vf.tail.nbytes
-    assert valuation._table_bytes(10, vf.n_segments) == allocated == 16 * 11**3
+    allocated = vf.cont.nbytes + vf.averages.nbytes
+    assert valuation._table_bytes(10, vf.n_segments) == allocated == 16 * 11 * 111
     # the tables are all the arrays it holds besides its breakpoints
     arrays = [v for v in vars(vf).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) == allocated + vf.breaks.nbytes
