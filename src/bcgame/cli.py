@@ -2,7 +2,8 @@
 (dynamic programming and Monte Carlo), strategy-region data, and the
 verification suite, each emitted as CSV or JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage, domain or output
+error.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -13,34 +14,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, fields
 
 from . import equilibrium, models, oracle, valuation
 from .errors import BcgameError
 from .models import ProblemConfig
 
-_SEED_ENV = "BCGAME_SEED"
-_DEFAULT_SEED = 42
 _TABLE1_HORIZONS = (5, 10, 20, 30, 50)
 _TABLE1_PRIORITIES = (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
-
-_EPILOG = """\
-environment:
-  BCGAME_SEED   default Monte Carlo seed (default 42); the --seed flag wins
-"""
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Where and how a command writes: csv/json, to a path or stdout."""
-
-    format: str
-    path: str | None
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(_SEED_ENV)
-    return int(raw) if raw is not None else _DEFAULT_SEED
 
 
 def _fmt(value) -> str:
@@ -52,30 +33,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(spec: OutputSpec, text: str) -> None:
-    if spec.path is None or spec.path == "-":
+def _write_text(args: argparse.Namespace, text: str) -> None:
+    """Write ``text`` to stdout, or atomically to ``args.out`` with the mode
+    a shell redirect gives a new file; a path that cannot be written is a
+    ``BcgameError``, so it exits 2 and leaves no temporary file."""
+    if args.out == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(spec.path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bcgame-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(args.out)),
+            prefix=".bcgame-",
+            suffix=".tmp",
+        )
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(tmp, spec.path)
-    except BaseException:
-        if os.path.exists(tmp):
+        umask = os.umask(0)  # the only way to read it; restored at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file 0600
+        os.replace(tmp, args.out)
+    except BaseException as exc:
+        if tmp is not None:
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise BcgameError(f"cannot write {args.out}: {exc.strerror}") from exc
         raise
 
 
-def _emit_rows(spec: OutputSpec, header: list[str], rows: list[list]) -> None:
-    if spec.format == "csv":
+def _emit_rows(args: argparse.Namespace, header: list[str], rows: list) -> None:
+    if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _write_text(spec, "\n".join(lines) + "\n")
+        _write_text(args, "\n".join(lines) + "\n")
     else:
         objs = [dict(zip(header, row)) for row in rows]
-        _write_text(spec, json.dumps(objs, indent=2) + "\n")
+        _write_text(args, json.dumps(objs, indent=2) + "\n")
 
 
 def _parse_priority(text: str) -> float:
@@ -94,10 +87,6 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _spec_of(args: argparse.Namespace) -> OutputSpec:
-    return OutputSpec(format=args.format, path=args.out)
-
-
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(horizon=args.horizon)
     thresholds = models.fullinfo_thresholds(cfg)
@@ -111,7 +100,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         ]
         for n in range(1, cfg.horizon + 1)
     ]
-    _emit_rows(_spec_of(args), ["n", "x_n", "w1", "is_at_or_after_nstar"], rows)
+    _emit_rows(args, ["n", "x_n", "w1", "is_at_or_after_nstar"], rows)
     return 0
 
 
@@ -124,24 +113,24 @@ def _cmd_table1(args: argparse.Namespace) -> int:
                 ProblemConfig(horizon=horizon, priority=p)
             )
             rows.append([horizon, nstar, p, tables.ntilde])
-    _emit_rows(_spec_of(args), ["N", "nstar", "p", "ntilde"], rows)
+    _emit_rows(args, ["N", "nstar", "p", "ntilde"], rows)
     return 0
 
 
-def _values_payload(args: argparse.Namespace, method: str) -> dict:
+def _cmd_values(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(horizon=args.horizon, priority=args.priority)
     tables = equilibrium.build_game_tables(cfg)
     _, pair = valuation.backward_induce(tables)
     payload: dict = {
         "horizon": cfg.horizon,
         "priority": cfg.priority,
-        "method": method,
+        "method": args.method,
         "val1": pair.val1,
         "val2": pair.val2,
     }
-    if method in ("mc", "both"):
-        seed = args.seed if args.seed is not None else _default_seed()
-        sim = valuation.SimConfig(samples=args.samples, seed=seed)
+    header, row = ["val1", "val2"], [pair.val1, pair.val2]
+    if args.method in ("mc", "both"):
+        sim = valuation.SimConfig(samples=args.samples, seed=args.seed)
         mc_pair, ses = valuation.simulate(cfg, tables, sim)
         payload["mc"] = {
             "val1": mc_pair.val1,
@@ -151,31 +140,12 @@ def _values_payload(args: argparse.Namespace, method: str) -> dict:
             "samples": sim.samples,
             "seed": sim.seed,
         }
-    return payload
-
-
-def _emit_values(spec: OutputSpec, payload: dict) -> None:
-    if spec.format == "json":
-        _write_text(spec, json.dumps(payload, indent=2) + "\n")
-        return
-    header = ["val1", "val2"]
-    row = [payload["val1"], payload["val2"]]
-    if "mc" in payload:
-        mc = payload["mc"]
         header += ["mc_val1", "mc_val2", "se1", "se2"]
-        row += [mc["val1"], mc["val2"], mc["se1"], mc["se2"]]
-    _emit_rows(spec, header, [row])
-
-
-def _cmd_values(args: argparse.Namespace) -> int:
-    payload = _values_payload(args, args.method)
-    _emit_values(_spec_of(args), payload)
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    payload = _values_payload(args, "mc")
-    _emit_values(_spec_of(args), payload)
+        row += [mc_pair.val1, mc_pair.val2, ses[0], ses[1]]
+    if args.format == "json":
+        _write_text(args, json.dumps(payload, indent=2) + "\n")
+    else:
+        _emit_rows(args, header, [row])
     return 0
 
 
@@ -188,41 +158,14 @@ def _cmd_regions(args: argparse.Namespace) -> int:
         for i, n in enumerate(grid.ns)
         for j, x in enumerate(grid.xs)
     ]
-    _emit_rows(_spec_of(args), ["n", "x", "kind"], rows)
+    _emit_rows(args, ["n", "x", "kind"], rows)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    reports = oracle.run_verification_suite(samples=args.samples, seed=seed)
-    spec = _spec_of(args)
-    if spec.format == "json":
-        _write_text(
-            spec, json.dumps([asdict(r) for r in reports], indent=2) + "\n"
-        )
-    else:
-        header = [
-            "quantity",
-            "oracle_value",
-            "solver_value",
-            "abs_diff",
-            "tolerance",
-            "passed",
-            "method",
-        ]
-        rows = [
-            [
-                r.quantity,
-                r.oracle_value,
-                r.solver_value,
-                r.abs_diff,
-                r.tolerance,
-                r.passed,
-                r.method,
-            ]
-            for r in reports
-        ]
-        _emit_rows(spec, header, rows)
+    reports = oracle.run_verification_suite(samples=args.samples, seed=args.seed)
+    header = [f.name for f in fields(oracle.OracleReport)]
+    _emit_rows(args, header, [astuple(r) for r in reports])
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -233,8 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "Two-player finite-horizon best-choice stopping game: one player "
             "sees only relative ranks, the other exact uniform values."
         ),
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -267,10 +208,12 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--method", choices=("dp", "mc", "both"), default="dp"
             )
+        else:  # on the values parser this would override --method's default
+            sub.set_defaults(method="mc")
         sub.add_argument("--samples", type=int, default=100_000)
-        sub.add_argument("--seed", type=int, default=None)
+        sub.add_argument("--seed", type=int, default=42)
         _add_output_flags(sub)
-        sub.set_defaults(func=_cmd_values if name == "values" else _cmd_simulate)
+        sub.set_defaults(func=_cmd_values)
 
     sub = subs.add_parser("regions", help="equilibrium kind over an index/value grid")
     sub.add_argument("--horizon", type=int, required=True)
@@ -281,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the oracle suite; exit 1 on any failure")
     sub.add_argument("--samples", type=int, default=200_000)
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=42)
     _add_output_flags(sub)
     sub.set_defaults(func=_cmd_verify)
     return parser

@@ -27,6 +27,10 @@ from .valuation import SimConfig, ValuePair
 
 _MC_BATCH = 1 << 17
 
+#: Midpoints per axis of the joint-grid oracle's mesh; the suite's
+#: tolerances (1e-4 at horizon 2, 1e-3 at horizon 3) assume it.
+_MESH = 1000
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -217,36 +221,34 @@ def _stop_payoffs(
     return pay1, pay2, stops
 
 
-def game_exhaustive_small(horizon: int, priority: float, mesh: int = 1000) -> ValuePair:
+def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
     """Game value by midpoint-rule integration over the joint distribution
-    of all observations, playing the classified profile with the priority
-    coin taken in expectation.  Ground truth for the backward induction at
-    horizons 2 and 3.
+    of all observations, on a mesh of ``_MESH`` midpoints per axis, playing
+    the classified profile with the priority coin taken in expectation.
+    Ground truth for the backward induction at horizons 2 and 3.
     """
     if horizon > 3:
         raise TooLarge(f"joint-grid oracle capped at horizon 3, got {horizon}")
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
-    if mesh < 1000:
-        raise ValueError(f"mesh must be >= 1000, got {mesh}")
     cfg = ProblemConfig(horizon=horizon, priority=priority)
     tables = equilibrium.build_game_tables(cfg)
-    mid = (np.arange(mesh) + 0.5) / mesh
+    mid = (np.arange(_MESH) + 0.5) / _MESH
     # last stage always stops on a record; both margins there equal 1
     last1 = 2.0 * priority - 1.0
     last2 = 1.0 - 2.0 * priority
 
     pay1_1, pay2_1, stop1 = _stop_payoffs(1, mid, tables)
     if horizon == 2:
-        # P(record at 2 beats x1) has exact midpoint count (mesh - 1 - i)/mesh
-        frac_above = (mesh - 1 - np.arange(mesh)) / mesh
+        # P(record at 2 beats x1) has exact midpoint count (_MESH - 1 - i)/_MESH
+        frac_above = (_MESH - 1 - np.arange(_MESH)) / _MESH
         val1 = np.where(stop1, pay1_1, frac_above * last1)
         val2 = np.where(stop1, pay2_1, frac_above * last2)
         return ValuePair(val1=float(val1.mean()), val2=float(val2.mean()))
 
     # horizon == 3: integrate over (x1, x2) cells; the x3 coordinate only
     # enters through exact midpoint counts above a midpoint level.
-    frac_above = (mesh - 1 - np.arange(mesh)) / mesh
+    frac_above = (_MESH - 1 - np.arange(_MESH)) / _MESH
     pay1_2, pay2_2, stop2 = _stop_payoffs(2, mid, tables)
     x1 = mid[:, None]
     x2 = mid[None, :]
@@ -448,7 +450,7 @@ def run_verification_suite(
     for big_n, tol in ((2, 1e-4), (3, 1e-3)):
         cfg = ProblemConfig(horizon=big_n, priority=0.25)
         _, dp = valuation.backward_induce(equilibrium.build_game_tables(cfg))
-        grid = game_exhaustive_small(big_n, 0.25, mesh=1000)
+        grid = game_exhaustive_small(big_n, 0.25)
         for comp, dp_v, gr_v in (
             ("val1", dp.val1, grid.val1),
             ("val2", dp.val2, grid.val2),

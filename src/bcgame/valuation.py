@@ -41,13 +41,13 @@ opponent scores minus the opponent's own margin; the induction scores a
 simultaneous claim at the coin's mean, the simulator draws the coin;
 absorption with no stop scores (0, 0).
 
-The simulator runs its batches on one thread per CPU in the process's
-affinity mask (``taskset`` limits it) and draws each batch in row chunks
-under one memory budget.  Every batch has its own counter-based stream
-and the batch sums are added in batch-index order, so the estimates for
-the same (samples, seed, batch) are bit-identical at any core count and
-chunk size, and memory is the budget plus O(batch) per thread, whatever
-N.
+The simulator plays fixed batches of ``_BATCH`` sequences, runs them on
+one thread per CPU in the process's affinity mask (``taskset`` limits
+it) and draws each batch in row chunks under one memory budget.  Every
+batch has its own counter-based stream and the batch sums are added in
+batch-index order, so the estimates for the same (samples, seed) are
+bit-identical at any core count and chunk size, and memory is the budget
+plus O(batch) per thread, whatever N.
 """
 
 from __future__ import annotations
@@ -79,6 +79,10 @@ _PLAYERS = (1, 2)
 #: shared evenly by its threads: 4 MB, whatever N and the core count.
 _DRAW_BUDGET = 1 << 19
 
+#: Sequences per Monte Carlo batch.  Each batch draws its own Philox
+#: stream, so this size fixes the bytes of every (samples, seed) estimate.
+_BATCH = 1 << 16
+
 
 @dataclass(frozen=True)
 class ValuePair:
@@ -97,24 +101,21 @@ class ValuePair:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sample count, master seed and batch size of one simulation run.
+    """Sample count and master seed of one simulation run.
 
-    Identical (samples, seed, batch) on the same game give bit-identical
-    estimates, whatever the core count: batches use independent
-    deterministic streams, run concurrently and combine in fixed index
-    order.  A running batch holds O(batch) memory besides its share of
-    the draw budget.
+    Identical (samples, seed) on the same game give bit-identical
+    estimates, whatever the core count: the samples are played in
+    batches of ``_BATCH`` sequences on independent deterministic streams,
+    which run concurrently and combine in fixed index order.  A running
+    batch holds O(``_BATCH``) memory besides its share of the draw budget.
     """
 
     samples: int
     seed: int = 42
-    batch: int = 1 << 16
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
 def _table_bytes(horizon: int, n_segments: int) -> int:
@@ -373,11 +374,12 @@ def simulate(
     scores the stage cell at the first stop, and scores (0, 0) when no
     stop occurs before the horizon.
 
-    Batches run on a pool of one thread per CPU in the process's affinity
-    mask, at most one per batch (numpy releases the interpreter lock while
-    it draws and computes), and their sums are added in batch-index order.
-    Each batch draws its uniforms in row chunks; the threads share
-    ``_DRAW_BUDGET`` doubles evenly, so a chunk has at most
+    The sequences are played in batches of ``_BATCH``, the last one
+    partial.  Batches run on a pool of one thread per CPU in the process's
+    affinity mask, at most one per batch (numpy releases the interpreter
+    lock while it draws and computes), and their sums are added in
+    batch-index order.  Each batch draws its uniforms in row chunks; the
+    threads share ``_DRAW_BUDGET`` doubles evenly, so a chunk has at most
     budget / (threads (N + 1)) rows.  Neither the thread count nor the
     chunk size changes a bit of the result.  Memory is the budget plus
     O(batch) per thread, whatever N.  The first error, an interrupt
@@ -386,7 +388,7 @@ def simulate(
     # imported here: it costs every CLI start several milliseconds
     from concurrent.futures import ThreadPoolExecutor
 
-    n_batches = -(-sim.samples // sim.batch)
+    n_batches = -(-sim.samples // _BATCH)
     workers = min(_cpu_count(), n_batches)
     chunk_rows = max(1, _DRAW_BUDGET // workers // (cfg.horizon + 1))
     sums = np.zeros(2)
@@ -399,7 +401,7 @@ def simulate(
                 tables,
                 sim.seed,
                 i,
-                min(sim.batch, sim.samples - i * sim.batch),
+                min(_BATCH, sim.samples - i * _BATCH),
                 chunk_rows,
             )
             for i in range(n_batches)

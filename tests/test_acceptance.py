@@ -234,7 +234,7 @@ def test_criterion_5_oracle_equivalence():
         for p in (0.0, 0.25, 0.5):
             tables = bc.build_game_tables(ProblemConfig(horizon=big_n, priority=p))
             _, dp = bc.backward_induce(tables)
-            grid = bc.game_exhaustive_small(big_n, p, mesh=1000)
+            grid = bc.game_exhaustive_small(big_n, p)
             worst = max(worst, abs(dp.val1 - grid.val1), abs(dp.val2 - grid.val2))
     elapsed = time.time() - start
     ok = formula_ok and worst <= 1e-3 and elapsed < 60.0

@@ -292,25 +292,46 @@ def test_stdout_default(capsys):
     assert captured.out.splitlines()[0] == "n,x_n,w1,is_at_or_after_nstar"
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
+def test_seed_ignores_retired_variable(monkeypatch, capsys):
+    # --seed alone sets the seed; BCGAME_SEED, which once overrode its
+    # default, is read by nothing
+    argv = ["simulate", "--horizon", "5", "--priority", "0.25"]
+    argv += ["--samples", "1000", "--format", "json"]
+    monkeypatch.delenv("BCGAME_SEED", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr().out
     monkeypatch.setenv("BCGAME_SEED", "777")
-    out = tmp_path / "v.json"
-    assert (
-        main(
-            [
-                "simulate",
-                "--horizon",
-                "5",
-                "--priority",
-                "0.25",
-                "--samples",
-                "1000",
-                "--format",
-                "json",
-                "--out",
-                str(out),
-            ]
-        )
-        == 0
-    )
-    assert json.loads(out.read_text())["mc"]["seed"] == 777
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unset
+    assert json.loads(unset)["mc"]["seed"] == 42
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["verify", "--samples", "20000"], "missing/x.csv"),
+        (["thresholds", "--horizon", "5"], "."),
+    ],
+    ids=["missing-dir", "directory"],
+)
+def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
+    # exit 1 means a failed verification, so a bad path must not give it
+    out = tmp_path / target
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bcgame: error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".bcgame-")] == []
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+)
+def test_out_file_mode_follows_umask(umask, mode, tmp_path):
+    out = tmp_path / "x.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["thresholds", "--horizon", "5", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode

@@ -86,15 +86,13 @@ def test_bent_thresholds_lower_the_rule_value():
 def test_game_exhaustive_guards():
     with pytest.raises(TooLarge):
         game_exhaustive_small(4, 0.25)
-    with pytest.raises(ValueError):
-        game_exhaustive_small(3, 0.25, mesh=100)
 
 
 @pytest.mark.parametrize("priority", [0.0, 0.25, 0.5])
 def test_game_exhaustive_matches_induction_two_stage(priority):
     tables = build_game_tables(ProblemConfig(horizon=2, priority=priority))
     _, dp = backward_induce(tables)
-    grid = game_exhaustive_small(2, priority, mesh=1000)
+    grid = game_exhaustive_small(2, priority)
     assert grid.val1 == pytest.approx(dp.val1, abs=1e-4)
     assert grid.val2 == pytest.approx(dp.val2, abs=1e-4)
 
@@ -102,14 +100,14 @@ def test_game_exhaustive_matches_induction_two_stage(priority):
 def test_game_exhaustive_matches_induction_three_stage():
     tables = build_game_tables(ProblemConfig(horizon=3, priority=0.25))
     _, dp = backward_induce(tables)
-    grid = game_exhaustive_small(3, 0.25, mesh=1000)
+    grid = game_exhaustive_small(3, 0.25)
     assert grid.val1 == pytest.approx(dp.val1, abs=1e-3)
     assert grid.val2 == pytest.approx(dp.val2, abs=1e-3)
 
 
 def test_game_exhaustive_priority_probe():
-    low = game_exhaustive_small(2, 0.0, mesh=1000)
-    high = game_exhaustive_small(2, 0.5, mesh=1000)
+    low = game_exhaustive_small(2, 0.0)
+    high = game_exhaustive_small(2, 0.5)
     assert low.val2 >= high.val2
 
 

@@ -46,8 +46,6 @@ def test_value_pair_finite():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(samples=0)
-    with pytest.raises(ValueError):
-        SimConfig(samples=10, batch=0)
 
 
 def test_terminal_stage_matches_cell(game10):
@@ -327,7 +325,7 @@ def test_point_queries_match_legval_property(horizon, priority, data):
 def test_simulate_deterministic(game10):
     tables, _, _ = game10
     cfg = tables.config
-    sim = SimConfig(samples=30_000, seed=11, batch=4096)
+    sim = SimConfig(samples=30_000, seed=11)
     a = simulate(cfg, tables, sim)
     b = simulate(cfg, tables, sim)
     assert a[0].as_tuple() == b[0].as_tuple()
@@ -341,15 +339,6 @@ def test_simulate_single_path_reproducible(game10):
     two = simulate(cfg, tables, SimConfig(samples=1, seed=5))
     assert one[0] == two[0]
     assert one[1] == (0.0, 0.0)
-
-
-def test_simulate_batch_size_invariance_is_not_required_but_seeding_is():
-    # different batch sizes give different (but individually reproducible) runs
-    tables = build_game_tables(ProblemConfig(horizon=6, priority=0.3))
-    cfg = tables.config
-    a = simulate(cfg, tables, SimConfig(samples=20_000, seed=3, batch=1 << 12))
-    b = simulate(cfg, tables, SimConfig(samples=20_000, seed=3, batch=1 << 12))
-    assert a[0] == b[0]
 
 
 def test_simulate_agrees_with_induction(game10):
@@ -393,7 +382,7 @@ def _serial_simulate(cfg, tables, sim):
     remaining = sim.samples
     batch_index = 0
     while remaining > 0:
-        nb = min(sim.batch, remaining)
+        nb = min(valuation._BATCH, remaining)
         rng = batch_generator(sim.seed, batch_index)
         u = rng.random((nb, big_n + 1))
         x = u[:, :big_n]
@@ -433,36 +422,28 @@ def _use_cpus(monkeypatch, count):
     )
 
 
-# batch 1 runs 150000 samples at ~0.2 ms a batch, so it takes 300 here
-_BATCH_SAMPLES = [
-    (batch, samples)
-    for batch, counts in ((1, (1, 3, 300)), (977, (1, 3, 150_000)), (65536, (1, 3, 150_000)))
-    for samples in counts
-]
-
-
 @pytest.mark.parametrize("priority", [0.0, 0.25, 0.5])
 @pytest.mark.parametrize("horizon", [2, 10, 60])
 def test_simulate_matches_serial_reference(monkeypatch, horizon, priority):
     # threads and row chunks change no bit: three threads with 700-row
-    # chunks (a partial last chunk in every batch of 977 or 65536 rows);
-    # on the short runs also one thread with the default budget, and one
-    # row per chunk
+    # chunks (a partial last chunk in every batch) and one thread with the
+    # default budget (at 150000 samples, three batches, the last partial,
+    # refill its window of two); on the short runs also one row per chunk
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
     cfg = tables.config
     default, split = valuation._DRAW_BUDGET, 3 * (horizon + 1) * 700
-    for batch, samples in _BATCH_SAMPLES:
-        sim = SimConfig(samples=samples, seed=17, batch=batch)
+    for samples in (1, 3, 150_000):
+        sim = SimConfig(samples=samples, seed=17)
         want = _serial_simulate(cfg, tables, sim)
-        runs = [(3, split)]
+        runs = [(3, split), (1, default)]
         if samples <= 3:
-            runs += [(1, default), (3, 1)]
+            runs.append((3, 1))
         for cpus, budget in runs:
             _use_cpus(monkeypatch, cpus)
             monkeypatch.setattr(valuation, "_DRAW_BUDGET", budget)
             got = simulate(cfg, tables, sim)
-            assert got[0] == want[0], (batch, samples, cpus, budget)
-            assert got[1] == want[1], (batch, samples, cpus, budget)
+            assert got[0] == want[0], (samples, cpus, budget)
+            assert got[1] == want[1], (samples, cpus, budget)
 
 
 def test_simulate_memory_independent_of_horizon(monkeypatch):
@@ -497,7 +478,7 @@ def test_simulate_error_cancels_remaining_batches(monkeypatch):
     monkeypatch.setattr(valuation, "batch_generator", failing_generator)
     _use_cpus(monkeypatch, 3)
     with pytest.raises(RuntimeError) as caught:
-        simulate(tables.config, tables, SimConfig(samples=2000, seed=1, batch=1))
+        simulate(tables.config, tables, SimConfig(samples=20 * valuation._BATCH, seed=1))
     assert caught.value is failure
     assert 0 in started
     assert len(started) <= 3 + 1
