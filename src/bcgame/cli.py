@@ -33,13 +33,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(args: argparse.Namespace, text: str) -> None:
-    """Write ``text`` to stdout, or atomically to ``args.out`` with the mode
-    a shell redirect gives a new file; a path that cannot be written is a
-    ``BcgameError``, so it exits 2 and leaves no temporary file."""
+def _run(args: argparse.Namespace) -> int:
+    """Run the command with its output on ``args.sink``: stdout, or a
+    temporary file made next to ``args.out`` before anything is computed,
+    which replaces it with a shell redirect's mode once the command returns
+    (verification failure included) and is removed on any error.  Commands
+    do no file I/O of their own, so an ``OSError`` here means ``args.out``
+    cannot be written: a ``BcgameError``, exit 2."""
     if args.out == "-":
-        sys.stdout.write(text)
-        return
+        args.sink = sys.stdout
+        return args.func(args)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(
@@ -47,12 +50,13 @@ def _write_text(args: argparse.Namespace, text: str) -> None:
             prefix=".bcgame-",
             suffix=".tmp",
         )
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8") as args.sink:
+            code = args.func(args)
         umask = os.umask(0)  # the only way to read it; restored at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file 0600
         os.replace(tmp, args.out)
+        return code
     except BaseException as exc:
         if tmp is not None:
             os.unlink(tmp)
@@ -65,10 +69,10 @@ def _emit_rows(args: argparse.Namespace, header: list[str], rows: list) -> None:
     if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _write_text(args, "\n".join(lines) + "\n")
+        args.sink.write("\n".join(lines) + "\n")
     else:
         objs = [dict(zip(header, row)) for row in rows]
-        _write_text(args, json.dumps(objs, indent=2) + "\n")
+        args.sink.write(json.dumps(objs, indent=2) + "\n")
 
 
 def _parse_priority(text: str) -> float:
@@ -119,6 +123,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_values(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(horizon=args.horizon, priority=args.priority)
+    valuation._check_table_memory(cfg.horizon)
     tables = equilibrium.build_game_tables(cfg)
     _, pair = valuation.backward_induce(tables)
     payload: dict = {
@@ -143,7 +148,7 @@ def _cmd_values(args: argparse.Namespace) -> int:
         header += ["mc_val1", "mc_val2", "se1", "se2"]
         row += [mc_pair.val1, mc_pair.val2, ses[0], ses[1]]
     if args.format == "json":
-        _write_text(args, json.dumps(payload, indent=2) + "\n")
+        args.sink.write(json.dumps(payload, indent=2) + "\n")
     else:
         _emit_rows(args, header, [row])
     return 0
@@ -237,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except (BcgameError, ValueError, MemoryError, OverflowError) as exc:
         print(f"bcgame: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

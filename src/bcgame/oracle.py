@@ -3,7 +3,8 @@ verification suite.
 
 Everything here recomputes quantities by a route disjoint from the solver
 path it certifies: rank-side win probabilities by exhaustive permutation
-enumeration, the value-side rule by exact piecewise-polynomial recursion
+enumeration, which scores every rank cutoff in one pass over the orders of
+a horizon, the value-side rule by exact piecewise-polynomial recursion
 and by Monte Carlo, and small-horizon game values by midpoint-rule
 integration over the full joint distribution of the observations.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Callable
 
 import numpy as np
@@ -60,28 +61,31 @@ class OracleReport:
         )
 
 
+def _secretary_wins(horizon: int) -> list[int]:
+    """Rank orders, of all horizon!, that each cutoff r = 1..N wins.  The
+    rule stops at the first record at an index >= r.  With m the position
+    of the maximum and q that of the maximum before it, the last record
+    (0 if none), r wins exactly when q < r <= m, so all r count at once."""
+    diff = [0] * (horizon + 2)
+    for perm in permutations(range(1, horizon + 1)):
+        m = perm.index(horizon) + 1
+        q = perm.index(max(perm[: m - 1])) + 1 if m > 1 else 0
+        diff[q + 1] += 1
+        diff[m + 1] -= 1
+    return list(accumulate(diff[1 : horizon + 1]))
+
+
 def secretary_exhaustive(horizon: int, cutoff: int) -> float:
     """Win probability of "stop at the first candidate at index >= cutoff"
-    over all horizon! rank orders, as an exact rational evaluated to float.
-    """
+    over all horizon! rank orders, as an exact rational evaluated to float."""
     if horizon > 8:
         raise TooLarge(f"exhaustive enumeration capped at horizon 8, got {horizon}")
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
     if not 1 <= cutoff <= horizon:
         raise ValueError(f"cutoff {cutoff} outside 1..{horizon}")
-    wins = 0
-    total = 0
-    for perm in permutations(range(1, horizon + 1)):
-        total += 1
-        best = 0
-        for i, v in enumerate(perm, start=1):
-            if v > best:
-                best = v
-                if i >= cutoff:
-                    wins += v == horizon
-                    break
-    return float(Fraction(wins, total))
+    wins = _secretary_wins(horizon)[cutoff - 1]
+    return float(Fraction(wins, math.factorial(horizon)))
 
 
 def _rule_value_polys(horizon: int, thresholds: ThresholdVector) -> float:
@@ -239,20 +243,17 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
     last2 = 1.0 - 2.0 * priority
 
     pay1_1, pay2_1, stop1 = _stop_payoffs(1, mid, tables)
+    # P(a later value beats midpoint i) has exact midpoint count (_MESH - 1 - i)/_MESH
+    frac_above = (_MESH - 1 - np.arange(_MESH)) / _MESH
     if horizon == 2:
-        # P(record at 2 beats x1) has exact midpoint count (_MESH - 1 - i)/_MESH
-        frac_above = (_MESH - 1 - np.arange(_MESH)) / _MESH
         val1 = np.where(stop1, pay1_1, frac_above * last1)
         val2 = np.where(stop1, pay2_1, frac_above * last2)
         return ValuePair(val1=float(val1.mean()), val2=float(val2.mean()))
 
     # horizon == 3: integrate over (x1, x2) cells; the x3 coordinate only
     # enters through exact midpoint counts above a midpoint level.
-    frac_above = (_MESH - 1 - np.arange(_MESH)) / _MESH
     pay1_2, pay2_2, stop2 = _stop_payoffs(2, mid, tables)
-    x1 = mid[:, None]
-    x2 = mid[None, :]
-    record2 = x2 > x1
+    record2 = mid[None, :] > mid[:, None]  # x2 > x1, with x1 on the rows
     # record at 2 and state (2, x2) stops
     s2 = record2 & stop2[None, :]
     # record at 2, forgo-forgo: stage 3 pays off when x3 > x2
@@ -306,32 +307,30 @@ def run_verification_suite(
             horizon=horizon, values=tamper_thresholds(base.values.copy())
         )
 
-    # rank-side exhaustive enumeration
+    # rank-side exhaustive enumeration, one pass per horizon
+    wins = {big_n: _secretary_wins(big_n) for big_n in (5, 6, 7, 8)}
     reports.append(
         OracleReport.compare(
             "secretary.exhaustive.N5.r3",
             oracle_value=float(Fraction(13, 30)),
-            solver_value=secretary_exhaustive(5, 3),
+            solver_value=float(Fraction(wins[5][2], math.factorial(5))),
             tolerance=0.0,
             method="120-permutation enumeration vs exact rational",
         )
     )
-    for big_n in (5, 6, 7, 8):
+    optimal = True
+    for big_n, counts in wins.items():
         cutoff = models.secretary_cutoff(ProblemConfig(horizon=big_n))
+        optimal &= counts[cutoff - 1] == max(counts)
         reports.append(
             OracleReport.compare(
                 f"secretary.formula.N{big_n}",
-                oracle_value=secretary_exhaustive(big_n, cutoff),
+                oracle_value=float(Fraction(counts[cutoff - 1], math.factorial(big_n))),
                 solver_value=_secretary_rule_formula(big_n, cutoff),
                 tolerance=1e-12,
                 method="permutation enumeration vs closed form at the cutoff",
             )
         )
-    optimal = all(
-        secretary_exhaustive(big_n, models.secretary_cutoff(ProblemConfig(horizon=big_n)))
-        >= max(secretary_exhaustive(big_n, r) for r in range(1, big_n + 1))
-        for big_n in (5, 6, 7, 8)
-    )
     reports.append(
         OracleReport.compare(
             "secretary.cutoff.optimality.N5-8",

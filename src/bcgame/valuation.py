@@ -26,7 +26,8 @@ S_d = x S_{d-1} + 1/d.  A stage costs O(S (N - n)) for S segments, the
 induction O(N**3).  The tables take 16 (N+1)(S (N+1) + 1) bytes,
 about 16 (N+1)**3 with the S = N segments of the game, 1.03 GB at
 N = 400; a horizon whose tables would not fit in physical memory is
-refused before anything is allocated.
+refused before anything is allocated, by the CLI before its thresholds
+are solved.
 
 Point queries (``continuation``, ``ValueFunction.value_at``) take a
 scalar read path in Python floats: the segment by ``bisect`` on a list of
@@ -118,10 +119,11 @@ class SimConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
-def _table_bytes(horizon: int, n_segments: int) -> int:
+def _table_bytes(horizon: int) -> int:
     """Bytes of a ``ValueFunction``'s tables: ``cont``, (2, N+1, S, N+1)
-    float64, and ``averages``, (2, N+1); about 16 (N+1)**3 when S = N."""
-    return 8 * 2 * (horizon + 1) * (n_segments * (horizon + 1) + 1)
+    float64 with the S = N threshold segments of every game, and
+    ``averages``, (2, N+1); about 16 (N+1)**3."""
+    return 8 * 2 * (horizon + 1) * (horizon * (horizon + 1) + 1)
 
 
 def _physical_memory() -> int | None:
@@ -131,6 +133,18 @@ def _physical_memory() -> int | None:
     except (AttributeError, ValueError, OSError):
         return None
     return total if total > 0 else None
+
+
+def _check_table_memory(horizon: int) -> None:
+    """Raise ``TooLarge`` when the value tables at ``horizon`` would exceed
+    physical memory.  The model needs N alone, so callers check it before
+    the thresholds are solved or any table is allocated."""
+    need, have = _table_bytes(horizon), _physical_memory()
+    if have is not None and need > have:
+        raise TooLarge(
+            f"value tables at horizon {horizon} need {need / 1e9:.1f} GB, "
+            f"more than the {have / 1e9:.1f} GB of physical memory"
+        )
 
 
 def _check_player(player: int) -> None:
@@ -178,16 +192,11 @@ class ValueFunction:
     def __init__(self, tables: GameTables):
         self.tables = tables
         big_n = tables.config.horizon
+        _check_table_memory(big_n)
         self.breaks = np.unique(
             np.concatenate(([0.0, 1.0], tables.xthresholds.values))
         )
         self.n_segments = len(self.breaks) - 1
-        need, have = _table_bytes(big_n, self.n_segments), _physical_memory()
-        if have is not None and need > have:
-            raise TooLarge(
-                f"value tables at horizon {big_n} need {need / 1e9:.1f} GB, "
-                f"more than the {have / 1e9:.1f} GB of physical memory"
-            )
         self.cont = np.zeros((2, big_n + 1, self.n_segments, big_n + 1))  # C(N, .) = 0
         self.averages = np.zeros((2, big_n + 1))
         # the scalar read path works on Python floats

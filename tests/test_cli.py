@@ -5,7 +5,11 @@ import os
 
 import pytest
 
+from bcgame import equilibrium, valuation
 from bcgame.cli import main
+from bcgame.errors import DomainError
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def read_csv(path):
@@ -252,6 +256,10 @@ def test_verify_passes_and_writes_reports(tmp_path):
         ["verify", "--samples", "40000", "--seed", "42", "--format", "json", "--out", str(out)]
     )
     assert code == 0
+    # pinned bytes: any drift in a report's value, tolerance or verdict
+    # fails here
+    with open(os.path.join(FIXTURES, "verify-samples40000-seed42.json"), "rb") as handle:
+        assert out.read_bytes() == handle.read()
     reports = json.loads(out.read_text())
     assert len(reports) >= 10
     assert all(r["passed"] for r in reports)
@@ -276,6 +284,8 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(climod.oracle, "run_verification_suite", fake_suite)
     out = tmp_path / "verify.csv"
     assert main(["verify", "--samples", "10", "--out", str(out)]) == 1
+    # a failed verification still writes its reports
+    assert read_csv(out)[0]["quantity"] == "forced"
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -335,3 +345,38 @@ def test_out_file_mode_follows_umask(umask, mode, tmp_path):
     finally:
         os.umask(old)
     assert out.stat().st_mode & 0o777 == mode
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the command computed before its check")
+
+
+def test_unwritable_out_fails_before_computing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
+    out = tmp_path / "missing" / "x.csv"
+    argv = ["values", "--horizon", "300", "--priority", "0.25", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"bcgame: error: cannot write {out}: ")
+
+
+def test_failed_command_leaves_no_out_file(tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise DomainError("refused mid-command")
+
+    monkeypatch.setattr(equilibrium, "build_game_tables", fail)
+    out = tmp_path / "x.csv"
+    argv = ["values", "--horizon", "5", "--priority", "0.25", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "bcgame: error: refused mid-command\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["values", "simulate"])
+def test_over_memory_horizon_refused_before_thresholds(command, monkeypatch, capsys):
+    # 1.6e16 bytes of tables at N = 1e5 against 1 GiB, by arithmetic alone
+    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 30)
+    monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
+    assert main([command, "--horizon", "100000", "--priority", "0.25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bcgame: error: value tables at horizon 100000 need")
+    assert "physical memory" in err

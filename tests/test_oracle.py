@@ -1,14 +1,17 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+from bcgame import oracle
 from bcgame.equilibrium import build_game_tables
 from bcgame.errors import TooLarge
 from bcgame.models import ProblemConfig, ThresholdVector, fullinfo_thresholds
 from bcgame.oracle import (
     OracleReport,
+    _secretary_wins,
     fullinfo_mc_check,
     game_exhaustive_small,
     run_verification_suite,
@@ -47,6 +50,42 @@ def test_secretary_exhaustive_guards():
         secretary_exhaustive(9, 3)
     with pytest.raises(ValueError):
         secretary_exhaustive(5, 0)
+    with pytest.raises(ValueError):
+        secretary_exhaustive(5, 6)
+
+
+def _wins_by_cutoff_loop(horizon, cutoff):
+    # one enumeration per cutoff, stopping at the first record at an
+    # index >= cutoff: the reference the one-pass count must reproduce
+    wins = 0
+    for perm in permutations(range(1, horizon + 1)):
+        best = 0
+        for i, v in enumerate(perm, start=1):
+            if v > best:
+                best = v
+                if i >= cutoff:
+                    wins += v == horizon
+                    break
+    return wins
+
+
+@pytest.mark.parametrize("horizon", range(2, 8))
+def test_secretary_wins_match_per_cutoff_enumeration(horizon):
+    wins = _secretary_wins(horizon)
+    assert all(type(w) is int for w in wins)
+    assert wins == [_wins_by_cutoff_loop(horizon, r) for r in range(1, horizon + 1)]
+
+
+def test_suite_enumerates_each_horizon_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return permutations(*args)
+
+    monkeypatch.setattr(oracle, "permutations", counting)
+    run_verification_suite(samples=2_000, seed=42)
+    assert len(calls) == 4
 
 
 def test_fullinfo_check_two_stage_value():

@@ -185,12 +185,12 @@ def test_table_cost_model_matches_allocation(game10):
     # x_N = 0 is a break, so N thresholds and 1 give N segments
     assert vf.n_segments == tables.config.horizon
     allocated = vf.cont.nbytes + vf.averages.nbytes
-    assert valuation._table_bytes(10, vf.n_segments) == allocated == 16 * 11 * 111
+    assert valuation._table_bytes(10) == allocated == 16 * 11 * 111
     # the tables are all the arrays it holds besides its breakpoints
     arrays = [v for v in vars(vf).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) == allocated + vf.breaks.nbytes
-    assert valuation._table_bytes(400, 400) == pytest.approx(1.03e9, rel=0.01)
-    assert valuation._table_bytes(1000, 1000) == pytest.approx(16e9, rel=0.01)
+    assert valuation._table_bytes(400) == pytest.approx(1.03e9, rel=0.01)
+    assert valuation._table_bytes(1000) == pytest.approx(16e9, rel=0.01)
 
 
 def test_value_function_refuses_tables_beyond_physical_memory(monkeypatch):
@@ -198,7 +198,7 @@ def test_value_function_refuses_tables_beyond_physical_memory(monkeypatch):
     # before any table is allocated, so the refused call allocates less
     # than a tenth of them
     tables = build_game_tables(ProblemConfig(horizon=40, priority=0.25))
-    need = valuation._table_bytes(40, 40)
+    need = valuation._table_bytes(40)
     assert need > 1 << 20
     monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
     tracemalloc.start()
