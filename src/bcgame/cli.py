@@ -23,6 +23,12 @@ from .models import ProblemConfig
 _TABLE1_HORIZONS = (5, 10, 20, 30, 50)
 _TABLE1_PRIORITIES = (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
 
+#: Bytes per cell that ``regions`` holds at its peak, the grid and its
+#: output rows, in either format: 367-386 (csv) and 1235-1244 (json) of
+#: max RSS at N = 50, xstep 1e-4 and 2e-5.  It covers ``region_map``'s own
+#: figure, so that check never refuses what this one lets through.
+_ROW_BYTES = 1300
+
 
 def _fmt(value) -> str:
     """Shortest round-trip text for one cell; locale-independent."""
@@ -156,6 +162,7 @@ def _cmd_values(args: argparse.Namespace) -> int:
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(horizon=args.horizon, priority=args.priority)
+    equilibrium._check_region_size(cfg.horizon, args.xstep, _ROW_BYTES)
     tables = equilibrium.build_game_tables(cfg)
     grid = equilibrium.region_map(tables, args.xstep)
     rows = [

@@ -11,8 +11,9 @@ at (n, x) pays
 
 with p the priority probability of player 1 at a simultaneous claim (s is
 the mean of the +-1 priority coin at (S,S)); the (F,F) cell is the
-continuation pair, supplied externally.  ``stage_actions`` (who stops)
-and ``stage_cells`` (what a stopped cell pays) hold this rule for p <= 0.5.
+continuation pair, supplied externally.  ``stage_actions`` (who stops),
+``stop_bars`` (from which value on anyone stops) and ``stage_cells`` (what
+a stopped cell pays) hold this rule for p <= 0.5.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import models
+from ._memory import _physical_memory, refuse_beyond
 from .errors import DomainError, UnsupportedPriority
 from .models import ProblemConfig, RecordState, ThresholdVector
 
@@ -57,16 +59,24 @@ def _w2_values(n, xs, horizon: int):
 
 def _w2_array(n, xs, horizon: int) -> np.ndarray:
     """``_w2_values`` over arrays.  ``n`` may be an array broadcast against
-    ``xs``: coef[top + m] is 1/m, and 0 for m <= 0, so entries of lower
-    degree start later."""
-    xs = np.asarray(xs, dtype=float)
-    d = horizon - np.asarray(n)
+    ``xs``.  The entries are sorted stably by degree d, highest first (a
+    radix sort on a small unsigned key), so step t of the Horner loop,
+    acc = acc x + 1/t, runs on the prefix of entries with d >= t only."""
+    xs, d = np.broadcast_arrays(np.asarray(xs, dtype=float), horizon - np.asarray(n))
     top = int(np.max(d, initial=0))
-    coef = np.concatenate((np.zeros(top + 1), 1.0 / np.arange(1, top + 1)))
-    acc = np.zeros(np.broadcast_shapes(xs.shape, d.shape))
-    for k in range(top - 1, -1, -1):
-        acc = acc * xs + coef[top + d - k]
-    return xs**d * (1.0 + np.cumsum(coef)[top + d]) - acc
+    order = np.argsort((top - d).ravel().astype(np.min_scalar_type(top)), kind="stable")
+    xs_sorted = xs.ravel()[order]
+    # live[t] entries have degree >= t
+    live = np.cumsum(np.bincount(d.ravel(), minlength=top + 1)[::-1])[::-1]
+    acc = np.zeros(len(order))
+    for t in range(1, top + 1):
+        head = acc[: live[t]]
+        head *= xs_sorted[: live[t]]
+        head += 1.0 / t
+    horner = np.empty_like(acc)
+    horner[order] = acc
+    harmonic = np.cumsum(np.concatenate(([0.0], 1.0 / np.arange(1, top + 1))))
+    return xs**d * (1.0 + harmonic[d]) - horner.reshape(xs.shape)
 
 
 @lru_cache(maxsize=None)
@@ -276,6 +286,14 @@ _KIND_OF = (
 )
 
 
+def _check_priority(tables: GameTables) -> None:
+    p = tables.config.priority
+    if p > 0.5:
+        raise UnsupportedPriority(
+            f"classification established for p <= 0.5 only, got {p}"
+        )
+
+
 def stage_actions(n, xs, tables: GameTables):
     """Stop flags (rank player, value player) at the record states (n, xs),
     bools or bool arrays (indices 1..N broadcast against the values).
@@ -285,14 +303,21 @@ def stage_actions(n, xs, tables: GameTables):
     too: x >= x_n gives SS from nstar on, FS before it; x < x_n gives SF
     from ntilde on, FF before it.
     """
-    p = tables.config.priority
-    if p > 0.5:
-        raise UnsupportedPriority(
-            f"classification established for p <= 0.5 only, got {p}"
-        )
+    _check_priority(tables)
     stop2 = xs >= tables.xthresholds.x(n)
     stop1 = (n >= tables.ntilde) | ((n >= tables.nstar) & stop2)
     return stop1, stop2
+
+
+def stop_bars(tables: GameTables) -> np.ndarray:
+    """Bars b_1..b_N of the classified profile: at a record (n, x) some
+    player stops exactly when x >= b_n, which is ``stage_actions``'s
+    stop1 | stop2.  b_n is the threshold x_n before ntilde and 0 from
+    ntilde on, where the rank player stops at every record."""
+    _check_priority(tables)
+    bars = tables.xthresholds.values.copy()
+    bars[tables.ntilde - 1 :] = 0.0
+    return bars
 
 
 def stage_cells(n, stop1, stop2, w2s, tables: GameTables):
@@ -348,13 +373,31 @@ class RegionGrid:
         self.kinds.setflags(write=False)
 
 
-def region_map(tables: GameTables, xstep: float) -> RegionGrid:
-    """Classify all indices against a uniform value mesh of step ``xstep``."""
+#: Peak bytes per (index, value) cell of ``region_map``: 26 by tracemalloc
+#: at N = 50, plus 16 per value, which this also covers at N = 1.
+_GRID_CELL_BYTES = 48
+
+
+def _check_region_size(horizon: int, xstep: float, cell_bytes: int) -> None:
+    """Refuse a region grid of ``horizon`` indices against the value mesh of
+    step ``xstep`` before anything is built: ``DomainError`` for a step
+    outside (0, 0.1], ``TooLarge`` when its cells, about N / xstep, at
+    ``cell_bytes`` each would exceed physical memory.  The cell count is a
+    float, so a step near 0 gives an infinite need, not an overflow."""
     if not 0.0 < xstep <= 0.1:
         raise DomainError(f"xstep must lie in (0, 0.1], got {xstep}")
+    need = cell_bytes * horizon * (1.0 / xstep + 1.0)
+    refuse_beyond(
+        need, _physical_memory(), f"regions at horizon {horizon} and xstep {xstep}"
+    )
+
+
+def region_map(tables: GameTables, xstep: float) -> RegionGrid:
+    """Classify all indices against a uniform value mesh of step ``xstep``."""
     big_n = tables.config.horizon
+    _check_region_size(big_n, xstep, _GRID_CELL_BYTES)
     count = int(math.floor(1.0 / xstep + 1e-9))
-    xs = np.array([i * xstep for i in range(count + 1)])
+    xs = np.arange(count + 1) * xstep
     ns = np.arange(1, big_n + 1)
     stop1, stop2 = stage_actions(ns[:, None], xs[None, :], tables)
     names = np.array([[kind.value for kind in row] for row in _KIND_OF])

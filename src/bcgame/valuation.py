@@ -44,11 +44,18 @@ absorption with no stop scores (0, 0).
 
 The simulator plays fixed batches of ``_BATCH`` sequences, runs them on
 one thread per CPU in the process's affinity mask (``taskset`` limits
-it) and draws each batch in row chunks under one memory budget.  Every
-batch has its own counter-based stream and the batch sums are added in
-batch-index order, so the estimates for the same (samples, seed) are
-bit-identical at any core count and chunk size, and memory is the budget
-plus O(batch) per thread, whatever N.
+it) and draws each batch in row chunks under one memory budget.  A
+sequence stops at its first record x_n >= b_n, the bar of ``stop_bars``.
+A chunk finds that stop column by column: it copies its draws to
+stage-major order and turns the stages before ntilde into their running
+maximum in place, one vector operation per stage, in buffers the batch
+allocates once; from ntilde on every bar is 0, and the first stop is the
+first value above that maximum.  Only the rows that stop are scored.
+Every batch has its own counter-based stream and the batch sums are added
+in batch-index order, so the estimates for the same (samples, seed) are
+bit-identical at any core count and chunk size, and memory is the budget,
+which covers the draws and their stage-major copy, plus O(batch) per
+thread, whatever N.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ from itertools import islice
 
 import numpy as np
 
+from ._memory import _physical_memory, refuse_beyond
 from ._rng import batch_generator
 from .equilibrium import (
     EquilibriumKind,
@@ -70,14 +78,16 @@ from .equilibrium import (
     classify_state,
     stage_actions,
     stage_cells,
+    stop_bars,
 )
-from .errors import DomainError, TooLarge
+from .errors import DomainError
 from .models import ProblemConfig
 
 _PLAYERS = (1, 2)
 
-#: Uniforms (doubles) that one ``simulate`` call holds drawn at a time,
-#: shared evenly by its threads: 4 MB, whatever N and the core count.
+#: Doubles that one ``simulate`` call holds drawn at a time, the uniforms
+#: and their stage-major copy, shared evenly by its threads: 4 MB,
+#: whatever N and the core count.
 _DRAW_BUDGET = 1 << 19
 
 #: Sequences per Monte Carlo batch.  Each batch draws its own Philox
@@ -126,25 +136,13 @@ def _table_bytes(horizon: int) -> int:
     return 8 * 2 * (horizon + 1) * (horizon * (horizon + 1) + 1)
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return total if total > 0 else None
-
-
 def _check_table_memory(horizon: int) -> None:
     """Raise ``TooLarge`` when the value tables at ``horizon`` would exceed
     physical memory.  The model needs N alone, so callers check it before
     the thresholds are solved or any table is allocated."""
-    need, have = _table_bytes(horizon), _physical_memory()
-    if have is not None and need > have:
-        raise TooLarge(
-            f"value tables at horizon {horizon} need {need / 1e9:.1f} GB, "
-            f"more than the {have / 1e9:.1f} GB of physical memory"
-        )
+    refuse_beyond(
+        _table_bytes(horizon), _physical_memory(), f"value tables at horizon {horizon}"
+    )
 
 
 def _check_player(player: int) -> None:
@@ -330,45 +328,66 @@ def _play_batch(
 
     The uniforms come in chunks of at most ``chunk_rows`` rows; the chunks
     continue one Philox stream, so together they are the one draw of the
-    whole batch.  A chunk finds each row's first stop and who stops after
-    the coin; the stops of the whole batch are scored at the end, in one
-    pass of the Horner loop.
+    whole batch.  The batch allocates its buffers once: the draws, their
+    stage-major copy x[n, row] (a stage is one contiguous vector), and two
+    bool matrices, the stop marks and the rises of the running maximum.
+    Over the stages before ntilde a chunk turns x into its running maximum
+    M in place, one vector operation per stage.  Stage n is a record
+    exactly where M rises, M_n > M_{n-1}, and there M_n = x_n, so the marks
+    are the rises with M_n >= b_n, the bar of ``stop_bars``.  From ntilde
+    on every bar is 0, and the first record is the first value above the
+    maximum of the stages before ntilde, so there the marks are the values
+    above it.  A row's first mark is its first stop, and x there is its
+    value.  Who takes the record, after the coin, is worked out for the
+    rows that stop only, and they alone are scored, at the end of the
+    batch in one pass of the Horner loop, and summed in row order: a row
+    that never stops pays (0, 0) and adds nothing to the sums.
     """
     big_n = cfg.horizon
-    ns = np.arange(1, big_n + 1)
+    bars = stop_bars(tables)[:, None]
+    scanned = max(tables.ntilde - 1, 1)  # stages before ntilde, and stage 1
     rng = batch_generator(seed, batch_index)
-    stage = np.zeros(size, dtype=np.intp)  # index of the first stop, 0 for none
+    width = min(chunk_rows, size)
+    draws = np.empty((width, big_n + 1))
+    xt = np.empty((big_n, width))
+    marks = np.empty((big_n, width), dtype=bool)
+    rises = np.empty((scanned - 1, width), dtype=bool)
+    # the stops of the batch, in row order: index, value and coin
+    stage = np.empty(size, dtype=np.intp)
     value = np.empty(size)
-    taker1 = np.empty(size, dtype=bool)
-    taker2 = np.empty(size, dtype=bool)
+    coin = np.empty(size)
+    count = 0
     for lo in range(0, size, chunk_rows):
-        u = rng.random((min(chunk_rows, size - lo), big_n + 1))
-        x = u[:, :big_n]
-        coin = u[:, big_n]
-        running_max = np.maximum.accumulate(x, axis=1)
-        is_record = np.empty(x.shape, dtype=bool)
-        is_record[:, 0] = True
-        is_record[:, 1:] = x[:, 1:] > running_max[:, :-1]
-        del running_max  # not needed past here; freeing it lowers the peak
-        stop1, stop2 = stage_actions(ns, x, tables)
-        stops = stop1 | stop2
-        stops &= is_record
-        rows = np.flatnonzero(stops.any(axis=1))
-        j = np.argmax(stops[rows], axis=1)  # first stop
-        s1, s2 = stop1[rows, j], stop2[rows, j]
-        both = s1 & s2  # the coin gives the record to the rank player w.p. p
-        wins = coin[rows][both] < cfg.priority
-        s1[both], s2[both] = wins, ~wins
-        at = lo + rows
-        stage[at] = j + 1
-        value[at] = x[rows, j]
-        taker1[at], taker2[at] = s1, s2
-    rows = np.flatnonzero(stage)
-    stopped_at = stage[rows]
-    pay = np.zeros((size, 2))
-    w2s = _w2_values(stopped_at, value[rows], big_n)
-    pay[rows] = stage_cells(stopped_at, taker1[rows], taker2[rows], w2s, tables).T
-    return pay.sum(axis=0), (pay**2).sum(axis=0)
+        rows = min(chunk_rows, size - lo)
+        u = draws[:rows]
+        rng.random(out=u)
+        x, mark, rise = xt[:, :rows], marks[:, :rows], rises[:, :rows]
+        x[...] = u[:, :big_n].T
+        head = x[:scanned]
+        stages = iter(head)
+        before = next(stages)
+        for here in stages:  # the running maximum, in place
+            np.maximum(before, here, out=here)
+            before = here
+        np.greater_equal(head, bars[:scanned], out=mark[:scanned])
+        np.greater(head[1:], head[:-1], out=rise)
+        mark[1:scanned] &= rise
+        np.greater(x[scanned:], before, out=mark[scanned:])
+        first = mark.argmax(axis=0)
+        hit = np.flatnonzero(mark.any(axis=0))
+        j = first[hit]
+        at = slice(count, count + len(hit))
+        stage[at], value[at], coin[at] = j + 1, x[j, hit], u[hit, big_n]
+        count += len(hit)
+    stage, value, coin = stage[:count], value[:count], coin[:count]
+    taker1, taker2 = stage_actions(stage, value, tables)
+    both = taker1 & taker2  # the coin gives the record to the rank player w.p. p
+    wins = coin[both] < cfg.priority
+    taker1[both], taker2[both] = wins, ~wins
+    w2s = _w2_values(stage, value, big_n)
+    # row-major (stops, 2): a sum down axis 0 adds the rows in order
+    cells = np.ascontiguousarray(stage_cells(stage, taker1, taker2, w2s, tables).T)
+    return cells.sum(axis=0), (cells * cells).sum(axis=0)
 
 
 def simulate(
@@ -387,9 +406,10 @@ def simulate(
     partial.  Batches run on a pool of one thread per CPU in the process's
     affinity mask, at most one per batch (numpy releases the interpreter
     lock while it draws and computes), and their sums are added in
-    batch-index order.  Each batch draws its uniforms in row chunks; the
-    threads share ``_DRAW_BUDGET`` doubles evenly, so a chunk has at most
-    budget / (threads (N + 1)) rows.  Neither the thread count nor the
+    batch-index order.  Each batch draws its uniforms in row chunks and
+    copies each chunk to stage-major order; the threads share
+    ``_DRAW_BUDGET`` doubles evenly, so a chunk has at most
+    budget / (threads (2N + 1)) rows.  Neither the thread count nor the
     chunk size changes a bit of the result.  Memory is the budget plus
     O(batch) per thread, whatever N.  The first error, an interrupt
     included, cancels the batches not yet started and propagates.
@@ -399,7 +419,7 @@ def simulate(
 
     n_batches = -(-sim.samples // _BATCH)
     workers = min(_cpu_count(), n_batches)
-    chunk_rows = max(1, _DRAW_BUDGET // workers // (cfg.horizon + 1))
+    chunk_rows = max(1, _DRAW_BUDGET // workers // (2 * cfg.horizon + 1))
     sums = np.zeros(2)
     sq_sums = np.zeros(2)
     with ThreadPoolExecutor(workers) as pool:

@@ -250,6 +250,21 @@ def test_regions_invalid_step():
     )
 
 
+def test_regions_over_memory_grid_exits_2(monkeypatch, capsys):
+    # 5 x 1e9 cells of csv rows against 1 GiB, by arithmetic alone: refused
+    # before the thresholds are solved or a value is built
+    monkeypatch.setattr(equilibrium, "_physical_memory", lambda: 1 << 30)
+    monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
+    argv = ["regions", "--horizon", "5", "--priority", "0.25", "--xstep", "1e-9"]
+    for fmt in ("csv", "json"):
+        assert main(argv + ["--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "bcgame: error: regions at horizon 5 and xstep 1e-09 need 6500.0 GB, "
+            "more than the 1.1 GB of physical memory\n"
+        )
+
+
 def test_verify_passes_and_writes_reports(tmp_path):
     out = tmp_path / "verify.json"
     code = main(

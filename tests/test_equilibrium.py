@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,13 +19,16 @@ from bcgame.equilibrium import (
     fs_condition,
     region_map,
     shifted_cutoff,
+    stage_actions,
     stage_cells,
+    stop_bars,
     tv1,
     tv1_given_x,
     w1,
     w2,
 )
-from bcgame.errors import DomainError, UnsupportedPriority
+from bcgame import equilibrium
+from bcgame.errors import DomainError, TooLarge, UnsupportedPriority
 from bcgame.models import (
     ProblemConfig,
     RecordState,
@@ -290,6 +294,86 @@ def test_classify_guards(tables10):
     hot = build_game_tables(ProblemConfig(horizon=6, priority=0.75))
     with pytest.raises(UnsupportedPriority):
         classify_state(2, 0.5, hot)
+
+
+def _w2_fixed_order(n, xs, horizon):
+    """The Horner loop that ran max d steps over every entry, with a gather
+    of each entry's coefficient per step (0 until its degree starts)."""
+    xs = np.asarray(xs, dtype=float)
+    d = horizon - np.asarray(n)
+    top = int(np.max(d, initial=0))
+    coef = np.concatenate((np.zeros(top + 1), 1.0 / np.arange(1, top + 1)))
+    acc = np.zeros(np.broadcast_shapes(xs.shape, d.shape))
+    for k in range(top - 1, -1, -1):
+        acc = acc * xs + coef[top + d - k]
+    return xs**d * (1.0 + np.cumsum(coef)[top + d]) - acc
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 10, 60, 150, 400])
+def test_w2_array_matches_fixed_order_horner(horizon):
+    # the degree-sorted loop does each entry's multiply-adds in the same
+    # order as the fixed-order loop, so the two agree bit for bit: mixed
+    # degrees with d = 0 among them, unsorted and repeated
+    rng = np.random.default_rng(horizon)
+    ns = rng.integers(1, horizon + 1, size=300)
+    ns[:3] = (horizon, 1, horizon)
+    xs = np.concatenate(([0.0, 1e-300, 1.0], rng.random(297)))
+    rng.shuffle(xs)
+    got, want = _w2_array(ns, xs, horizon), _w2_fixed_order(ns, xs, horizon)
+    assert got.shape == want.shape == (300,)
+    assert np.array_equal(got, want)
+    # one index per row against a row of values, broadcast (N, 1) x (1, M)
+    col = np.arange(1, horizon + 1)[:, None]
+    row = np.concatenate(([0.0, 1e-300, 1.0], rng.random(20)))[None, :]
+    got, want = _w2_array(col, row, horizon), _w2_fixed_order(col, row, horizon)
+    assert got.shape == want.shape == (horizon, 23)
+    assert np.array_equal(got, want)
+    # one index, many values; and nothing at all
+    assert np.array_equal(_w2_array(1, xs, horizon), _w2_fixed_order(1, xs, horizon))
+    assert _w2_array(np.array([], dtype=int), np.array([]), horizon).shape == (0,)
+
+
+@pytest.mark.parametrize("horizon", [2, 10, 60])
+def test_stop_bars_match_stage_actions(horizon):
+    # some player stops at (n, x) exactly when x >= b_n, on a region grid
+    # and at every threshold, for the six priorities of Table 1
+    for p in TABLE_PRIORITIES:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=p))
+        bars = stop_bars(tables)
+        assert bars.shape == (horizon,)
+        grid = region_map(tables, 0.01)
+        assert np.array_equal(grid.kinds != "FF", grid.xs[None, :] >= bars[:, None])
+        xs = np.concatenate((grid.xs, tables.xthresholds.values))
+        stop1, stop2 = stage_actions(grid.ns[:, None], xs[None, :], tables)
+        assert np.array_equal(stop1 | stop2, xs[None, :] >= bars[:, None])
+    hot = build_game_tables(ProblemConfig(horizon=5, priority=0.9))
+    with pytest.raises(UnsupportedPriority):
+        stop_bars(hot)
+
+
+def test_region_map_refuses_over_memory_grid(monkeypatch, tables10):
+    # 10 indices x (1e9 + 1) values at 48 bytes a cell is 480 GB; against
+    # 1 GiB the grid is refused before its values are built
+    monkeypatch.setattr(equilibrium, "_physical_memory", lambda: 1 << 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="regions at horizon 10 and xstep 1e-09 need 480.0 GB"):
+            region_map(tables10, 1e-9)
+        with pytest.raises(TooLarge, match="need inf GB"):
+            region_map(tables10, 5e-324)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the model's edge: 1 GiB holds 10 x 2.2e6 cells of 48 bytes, not 2.3e6
+    equilibrium._check_region_size(10, 1 / 2.2e6, 48)
+    with pytest.raises(TooLarge):
+        equilibrium._check_region_size(10, 1 / 2.3e6, 48)
+    # the step is checked first, and an unknown memory figure refuses nothing
+    with pytest.raises(DomainError):
+        equilibrium._check_region_size(10, 0.0, 48)
+    monkeypatch.setattr(equilibrium, "_physical_memory", lambda: None)
+    equilibrium._check_region_size(10, 1e-9, 48)
 
 
 def test_game_tables_invariants(tables10):

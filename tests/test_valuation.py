@@ -422,8 +422,10 @@ def _use_cpus(monkeypatch, count):
     )
 
 
-@pytest.mark.parametrize("priority", [0.0, 0.25, 0.5])
-@pytest.mark.parametrize("horizon", [2, 10, 60])
+@pytest.mark.parametrize(
+    "horizon,priority",
+    [(h, p) for p in (0.0, 0.25, 0.5) for h in (2, 10, 60)] + [(150, 0.25)],
+)
 def test_simulate_matches_serial_reference(monkeypatch, horizon, priority):
     # threads and row chunks change no bit: three threads with 700-row
     # chunks (a partial last chunk in every batch) and one thread with the

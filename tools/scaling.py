@@ -1,0 +1,158 @@
+"""Scaling figures of the Monte Carlo layer, one row per source tree, for a
+``BENCH_*.json`` file.
+
+    python tools/scaling.py --tree change=src \\
+        [--tree parent=/path/to/parent/src] > BENCH.json
+
+Each ``--tree LABEL=DIR`` names a directory holding the ``bcgame`` package.
+Every case runs in a fresh interpreter, so its ``ru_maxrss`` is its own;
+the five repeats interleave the trees and alternate which goes first.
+Cases:
+
+* ``simulate-N`` for N = 10, 50, 150 and 400: ``valuation.simulate()``
+  on 2**18 sequences at p = 0.25, its thresholds and tables built first
+  and untimed.  Reports the wall time, sequences per second, the
+  ``tracemalloc`` peak of a second, traced call, and the child's max RSS.
+* ``cli-simulate-35``: ``bcgame simulate --horizon 35 --priority 0.25
+  --samples 2000000`` end to end.  Reports the wall time, the child's CPU
+  time and its max RSS.
+
+A row records the tree's commit (``dirty`` when it has uncommitted
+changes), the Python and numpy versions and the CPUs this process may run
+on, and each case's runs and their medians.  The rows go to stdout as
+JSON.  The script reports and never gates.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+HORIZONS = (10, 50, 150, 400)
+REPEATS = 5
+SEQUENCES = 1 << 18
+CLI_ARGV = ("simulate", "--horizon", "35", "--priority", "0.25", "--samples", "2000000")
+
+_SIMULATE_CHILD = """
+import json, sys, time, tracemalloc
+from bcgame import ProblemConfig, SimConfig, build_game_tables, simulate
+horizon, samples = int(sys.argv[1]), int(sys.argv[2])
+tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+sim = SimConfig(samples=samples, seed=1)
+start = time.perf_counter()
+simulate(tables.config, tables, sim)
+wall = time.perf_counter() - start
+tracemalloc.start()
+simulate(tables.config, tables, sim)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"wall_s": wall, "seq_per_s": samples / wall, "tracemalloc_mb": peak / 2**20}))
+"""
+
+_CLI_CHILD = "import sys; from bcgame.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _child(src: str, argv: list[str]) -> tuple[float, bytes, os.rusage]:
+    """Run ``python -c ...`` with ``src`` first on the path; return its wall
+    time, its stdout and its resource usage."""
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", *argv], env=env, stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise SystemExit(f"{argv[1:]} under {src} exited {proc.returncode}")
+    return wall, out, usage
+
+
+def _simulate_case(src: str, horizon: int) -> dict:
+    _, out, usage = _child(src, [_SIMULATE_CHILD, str(horizon), str(SEQUENCES)])
+    run = json.loads(out)
+    run["maxrss_mb"] = usage.ru_maxrss / 1024
+    return run
+
+
+def _cli_case(src: str) -> dict:
+    wall, _, usage = _child(src, [_CLI_CHILD, *CLI_ARGV])
+    return {
+        "wall_s": wall,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "maxrss_mb": usage.ru_maxrss / 1024,
+    }
+
+
+def _commit(src: str) -> tuple[str | None, bool]:
+    def git(*args: str) -> str | None:
+        try:
+            done = subprocess.run(
+                ["git", "-C", src, *args], capture_output=True, text=True, check=True
+            )
+        except (OSError, subprocess.CalledProcessError):
+            return None
+        return done.stdout.strip()
+
+    return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", required=True, metavar="LABEL=DIR")
+    args = ap.parse_args()
+    trees = {}
+    for item in args.tree:
+        label, src = item.split("=", 1)
+        trees[label] = os.path.abspath(src)
+    cases = {f"simulate-{n}": (lambda src, n=n: _simulate_case(src, n)) for n in HORIZONS}
+    cases["cli-simulate-35"] = _cli_case
+    runs = {label: {name: [] for name in cases} for label in trees}
+    order = list(trees)
+    for rep in range(REPEATS):
+        for name, case in cases.items():
+            for label in order if rep % 2 == 0 else order[::-1]:
+                runs[label][name].append(case(trees[label]))
+                print(label, name, runs[label][name][-1], file=sys.stderr, flush=True)
+    rows = []
+    for label, src in trees.items():
+        commit, dirty = _commit(src)
+        rows.append(
+            {
+                "label": label,
+                "commit": commit,
+                "dirty": dirty,
+                "machine": platform.machine(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cpus": _cpu_count(),
+                "cases": {
+                    name: {
+                        "runs": got,
+                        "median": {k: statistics.median(r[k] for r in got) for k in got[0]},
+                    }
+                    for name, got in runs[label].items()
+                },
+            }
+        )
+    json.dump(rows, sys.stdout, indent=2)
+    print()
+
+
+if __name__ == "__main__":
+    main()
