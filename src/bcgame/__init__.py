@@ -14,7 +14,6 @@ from .equilibrium import (
     region_map,
     shifted_cutoff,
     tv1,
-    tv1_given_x,
     w1,
     w2,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -79,24 +79,36 @@ def _w2_array(n, xs, horizon: int) -> np.ndarray:
     return xs**d * (1.0 + harmonic[d]) - horner.reshape(xs.shape)
 
 
-@lru_cache(maxsize=None)
-def _harmonic(d: int) -> float:
-    """H_d summed left to right, as ``np.cumsum`` sums it."""
-    total = 0.0
-    for m in range(1, d + 1):
-        total += 1.0 / m
-    return total
+#: (1/m, H_m) for m = 0..M as two lists of Python floats, 1/0 read as 0 and
+#: H_m summed left to right as ``np.cumsum`` sums it.  They depend on m
+#: alone, so every game shares them; ``_w2_series`` swaps in a longer pair
+#: when a degree beyond M is asked for.  A reader takes both lists from one
+#: tuple, so a concurrent swap cannot mix two lengths.
+_W2_SERIES = ([0.0], [0.0])
+
+
+def _w2_series(d: int) -> tuple[list, list]:
+    """``_W2_SERIES``, rebuilt to at least degree d (doubling) first."""
+    global _W2_SERIES
+    size = max(d + 1, 2 * len(_W2_SERIES[0]))
+    inverse = [0.0] + [1.0 / m for m in range(1, size)]
+    _W2_SERIES = (inverse, list(accumulate(inverse)))
+    return _W2_SERIES
 
 
 def _w2_scalar(n: int, x: float, horizon: int) -> float:
     """``_w2_values`` at one state in Python floats: a numpy step on a 0-d
-    array costs about 2.5 us.  The power is numpy's, because Python's
+    array costs about 2.5 us.  The Horner loop reads 1/m from a list
+    instead of dividing.  The power is numpy's, because Python's
     ``x ** d`` may differ from it in the last bit."""
     d = horizon - n
+    inverse, harmonic = _W2_SERIES
+    if d >= len(inverse):
+        inverse, harmonic = _w2_series(d)
     acc = 0.0
-    for m in range(1, d + 1):
-        acc = acc * x + 1.0 / m
-    return float(np.power(x, d)) * (1.0 + _harmonic(d)) - acc
+    for step in inverse[1 : d + 1]:
+        acc = acc * x + step
+    return float(np.power(x, d)) * (1.0 + harmonic[d]) - acc
 
 
 def w2(state: RecordState, cfg: ProblemConfig) -> float:
@@ -107,11 +119,18 @@ def w2(state: RecordState, cfg: ProblemConfig) -> float:
     classified through thresholds, never through this margin.
     """
     n, x = state.index, float(state.value)
-    if not 1 <= n <= cfg.horizon:
-        raise DomainError(f"index {n} outside 1..{cfg.horizon}")
-    if x == 0.0 and n < cfg.horizon:
-        raise DomainError("w2 is not evaluated at x = 0 before the last stage")
+    _check_margin_state(n, x, cfg.horizon)
     return _w2_values(n, x, cfg.horizon)
+
+
+def _check_margin_state(n: int, x: float, horizon: int) -> None:
+    """Raise ``DomainError`` unless w2 is defined at the record (n, x)."""
+    if not 1 <= n <= horizon:
+        raise DomainError(f"index {n} outside 1..{horizon}")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"value must be in [0, 1], got {x}")
+    if x == 0.0 and n < horizon:
+        raise DomainError("w2 is not evaluated at x = 0 before the last stage")
 
 
 @dataclass(frozen=True)
@@ -130,50 +149,20 @@ class GameTables:
         self.tv1.setflags(write=False)
 
 
-def _tv1_given_x_array(
-    n: int,
-    xs: np.ndarray,
-    cfg: ProblemConfig,
-    thresholds: ThresholdVector,
-    w1_vec: np.ndarray,
-) -> np.ndarray:
-    big_n = cfg.horizon
-    tilt = 2.0 * cfg.priority - 1.0
-    ks = np.arange(n + 1, big_n + 1)
-    if len(ks) == 0:
-        return np.zeros_like(np.asarray(xs, dtype=float))
-    xk = thresholds.values[ks - 1]
-    wk = w1_vec[ks - 1]
-    x_col = np.asarray(xs, dtype=float)[:, None]
-    hi = np.maximum(x_col, xk[None, :])
-    kernel = x_col ** (ks - n - 1)[None, :]
-    cells = kernel * ((hi - x_col) + (1.0 - hi) * tilt) * wk[None, :]
-    return cells.sum(axis=1)
-
-
-def tv1_given_x(n: int, x: float, tables: GameTables) -> float:
-    """Rank player's expected one-step payoff after the record (n, x) when
-    he stops at the next candidate and faces the (stop if above threshold)
-    opponent there: the interval below the threshold pays w1_k alone, the
-    interval above pays the simultaneous-claim weight (2p-1) w1_k, both
-    under the record-chain kernel x**(k-n-1).  Empty sum at n = N.
-    """
-    return float(
-        _tv1_given_x_array(
-            n, np.array([float(x)]), tables.config, tables.xthresholds, tables.w1
-        )[0]
-    )
-
-
 def _tv1_value(
     n: int, cfg: ProblemConfig, thresholds: ThresholdVector, w1_vec: np.ndarray
 ) -> float:
     """tv1 at index n in closed form.
 
-    Term k of tv1_given_x, with e = k - n - 1 and t = 2p - 1, is
-    w1_k x**e ((x_k - x) + (1 - x_k) t) below x_k and w1_k x**e (1 - x) t
-    above it.  The thresholds strictly decrease, so x_k < x_n, and both
-    pieces integrate exactly over [0, x_k] and [x_k, x_n].
+    After the record (n, x), the rank player's expected one-step payoff
+    from stopping at the next candidate k against the (stop if above
+    threshold) opponent there is a sum over k > n of terms that, with
+    e = k - n - 1 and t = 2p - 1, are w1_k x**e ((x_k - x) + (1 - x_k) t)
+    below x_k and w1_k x**e (1 - x) t above it: the interval below the
+    threshold pays w1_k alone, the interval above pays the
+    simultaneous-claim weight t w1_k, both under the record-chain kernel
+    x**e.  The thresholds strictly decrease, so x_k < x_n, and both pieces
+    integrate exactly over [0, x_k] and [x_k, x_n].
     """
     xn = thresholds.x(n)
     if xn <= 0.0:
@@ -187,8 +176,9 @@ def _tv1_value(
 
 
 def tv1(n: int, tables: GameTables) -> float:
-    """Average of tv1_given_x over the values compatible with the opponent
-    continuing, i.e. x uniform on [0, x_n].  Zero at n = N."""
+    """Average of the one-step payoff of ``_tv1_value`` over the values
+    compatible with the opponent continuing, i.e. x uniform on [0, x_n].
+    Zero at n = N."""
     if not 1 <= n <= tables.config.horizon:
         raise DomainError(f"index {n} outside 1..{tables.config.horizon}")
     return _tv1_value(n, tables.config, tables.xthresholds, tables.w1)
@@ -320,6 +310,14 @@ def stop_bars(tables: GameTables) -> np.ndarray:
     return bars
 
 
+def _cell(stop1, stop2, joint: float, w1n: float, w2n: float) -> tuple[float, float]:
+    """One stopped cell s (w1_n, -w2_n) in Python floats, with s = ``joint``
+    (2p - 1) when both stop, +1 when only the rank player stops, -1 when
+    only the value player stops."""
+    s = (joint if stop2 else 1.0) if stop1 else -1.0
+    return s * w1n, -s * w2n
+
+
 def stage_cells(n, stop1, stop2, w2s, tables: GameTables):
     """Payoffs s (w1_n, -w2) of stopped cells at index n, stacked on a
     leading player axis, given who stops there (at least one player) and
@@ -338,8 +336,7 @@ def stage_cells(n, stop1, stop2, w2s, tables: GameTables):
         and isinstance(stop2, (bool, np.bool_))
         and isinstance(w2s, float)
     ):
-        s = (joint if stop2 else 1.0) if stop1 else -1.0
-        return s * tables.w1.item(n - 1), -s * w2s
+        return _cell(stop1, stop2, joint, tables.w1.item(n - 1), w2s)
     s = np.where(stop1, np.where(stop2, joint, 1.0), -1.0)
     return np.stack(np.broadcast_arrays(s * tables.w1[n - 1], -s * w2s))
 
@@ -436,13 +433,19 @@ class Bimatrix:
 def bimatrix(n: int, x: float, tables: GameTables, ff: tuple[float, float]) -> Bimatrix:
     """Assemble the stage bimatrix at (n, x).
 
-    The (F,F) cell has no closed form at this layer and must be supplied
-    by the caller (continuation values from the valuation layer).
+    The three stopped cells share one w1_n and one w2_n(x), as
+    ``stage_cells`` scores them; (n, x) must be a state where w2 is
+    defined, else ``DomainError``.  The (F,F) cell has no closed form at
+    this layer and must be supplied by the caller (continuation values
+    from the valuation layer).
     """
-    w2n = w2(RecordState(index=n, value=x), tables.config)
+    cfg = tables.config
+    _check_margin_state(n, x, cfg.horizon)
+    w1n, w2n = tables.w1.item(n - 1), _w2_scalar(n, float(x), cfg.horizon)
+    joint = 2.0 * cfg.priority - 1.0
     return Bimatrix(
-        ss=stage_cells(n, True, True, w2n, tables),
-        sf=stage_cells(n, True, False, w2n, tables),
-        fs=stage_cells(n, False, True, w2n, tables),
+        ss=_cell(True, True, joint, w1n, w2n),
+        sf=_cell(True, False, joint, w1n, w2n),
+        fs=_cell(False, True, joint, w1n, w2n),
         ff=(float(ff[0]), float(ff[1])),
     )

@@ -32,7 +32,12 @@ are solved.
 Point queries (``continuation``, ``ValueFunction.value_at``) take a
 scalar read path in Python floats: the segment by ``bisect`` on a list of
 the breakpoints, the reference coordinate t, the stopped cells, and one
-Clenshaw loop over the stage's N - n + 1 coefficients.
+Clenshaw loop over the stage's N - n + 1 coefficients that runs both
+players' series side by side, each by the operations of a loop of its
+own.  The pair of the last state read is kept as one tuple, replaced
+whole, so threads may share a value function: auditing a state asks for
+both players at the same (n, x) and reads its coefficients once, while
+one player alone at a new state costs the whole pair.
 
 Payoff accounting: both the induction and the simulator classify and
 score record states by the one stage rule of ``equilibrium``
@@ -206,6 +211,8 @@ class ValueFunction:
         # + (2k+1)/(k+1) t b_{k+1} - (k+1)/(k+2) b_{k+2}, the sum is b_0
         self._rise = [(2 * k + 1) / (k + 1) for k in range(big_n + 1)]
         self._fall = [(k + 1) / (k + 2) for k in range(big_n + 1)]
+        # (n, x, C_1(n, x), C_2(n, x)) of the last pair read; NaN matches no x
+        self._last = (0, math.nan, 0.0, 0.0)
 
     def finalize_stage(self, n: int, coefficients: np.ndarray) -> None:
         """Fill the average of stage n from the Legendre coefficients of
@@ -223,26 +230,40 @@ class ValueFunction:
         self.cont[:, n - 1, :, : width + 1] = upper + later
 
     def continuation_at(self, n: int, x: float, player: int) -> float:
-        """C_player(n, x): the Legendre series of its segment, exact because
-        C(n, .) has degree at most N - n there.
+        """C_player(n, x), player 1 or 2: the Legendre series of its
+        segment, exact because C(n, .) has degree at most N - n there.
 
-        One point in Python floats: the segment by ``bisect`` (the side and
-        clamp of ``searchsorted(side="right")``), the reference coordinate
-        t, and Clenshaw's recurrence over the stage's N - n + 1
-        coefficients.
+        Both players' values come from one pair read and are kept for the
+        last state asked, so the other player's value at the same (n, x)
+        costs a tuple lookup.
         """
         if x >= 1.0:  # no later value beats a record at 1
             return 0.0
+        last = self._last
+        if last[0] != n or last[1] != x:
+            last = self._pair_at(n, x)
+        return last[1 + player]
+
+    def _pair_at(self, n: int, x: float) -> tuple[int, float, float, float]:
+        """(n, x, C_1(n, x), C_2(n, x)) in Python floats, also kept as the
+        last pair read: the segment by ``bisect`` (the side and clamp of
+        ``searchsorted(side="right")``), the reference coordinate t, and
+        Clenshaw's recurrence over the stage's N - n + 1 coefficients, one
+        loop for both players.  Each player's series takes the operations
+        of a loop of its own, in the same order."""
         s = bisect_right(self._break_list, x) - 1
         s = min(max(s, 0), self.n_segments - 1)
         t = (x - self._mid_list[s]) / self._half_list[s]
         top = self.tables.config.horizon - n
-        coef = self.cont[player - 1, n, s, : top + 1].tolist()
+        coef1, coef2 = self.cont[:, n, s, : top + 1].tolist()
         rise, fall = self._rise, self._fall
-        b1 = b2 = 0.0
+        b1 = b2 = c1 = c2 = 0.0  # b_{k+1}, b_{k+2} of players 1 and 2
         for k in range(top, -1, -1):
-            b1, b2 = coef[k] + rise[k] * t * b1 - fall[k] * b2, b1
-        return b1
+            r, f = rise[k] * t, fall[k]
+            b1, b2 = coef1[k] + r * b1 - f * b2, b1
+            c1, c2 = coef2[k] + r * c1 - f * c2, c1
+        last = self._last = (n, x, b1, c1)
+        return last
 
     def value_at(self, n: int, x: float, player: int) -> float:
         """V_player(n, x): the classified stage cell, or the continuation."""

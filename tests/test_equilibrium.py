@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bcgame.equilibrium import (
     Bimatrix,
-    _tv1_given_x_array,
     _w2_array,
     _w2_values,
     EquilibriumKind,
@@ -23,7 +22,6 @@ from bcgame.equilibrium import (
     stage_cells,
     stop_bars,
     tv1,
-    tv1_given_x,
     w1,
     w2,
 )
@@ -44,6 +42,32 @@ TABLE_PRIORITIES = (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
 @pytest.fixture(scope="module")
 def tables10():
     return build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+
+
+def _tv1_given_x_array(n, xs, tables):
+    """Rank player's expected one-step payoff after the records (n, xs) from
+    stopping at the next candidate against the (stop if above threshold)
+    opponent there: the interval below the threshold pays w1_k alone, the
+    interval above pays the simultaneous-claim weight (2p-1) w1_k, both
+    under the record-chain kernel x**(k-n-1).  Empty sum at n = N.  The
+    term-by-term reference for the closed-form ``tv1``."""
+    big_n = tables.config.horizon
+    tilt = 2.0 * tables.config.priority - 1.0
+    ks = np.arange(n + 1, big_n + 1)
+    if len(ks) == 0:
+        return np.zeros_like(np.asarray(xs, dtype=float))
+    xk = tables.xthresholds.values[ks - 1]
+    wk = tables.w1[ks - 1]
+    x_col = np.asarray(xs, dtype=float)[:, None]
+    hi = np.maximum(x_col, xk[None, :])
+    kernel = x_col ** (ks - n - 1)[None, :]
+    cells = kernel * ((hi - x_col) + (1.0 - hi) * tilt) * wk[None, :]
+    return cells.sum(axis=1)
+
+
+def tv1_given_x(n, x, tables):
+    """``_tv1_given_x_array`` at one record (n, x)."""
+    return float(_tv1_given_x_array(n, np.array([float(x)]), tables)[0])
 
 
 def test_w1_values():
@@ -176,7 +200,7 @@ def test_tv1_terminal(tables10):
 
 
 def _tv1_by_quadrature(n, tables):
-    """Average of tv1_given_x over [0, x_n] by Gauss-Legendre, split at the
+    """Average of ``tv1_given_x`` over [0, x_n] by Gauss-Legendre, split at the
     thresholds; the integrand is a polynomial of degree <= N - n between
     them, so ceil((N - n + 1) / 2) nodes per piece are exact."""
     big_n = tables.config.horizon
@@ -189,10 +213,7 @@ def _tv1_by_quadrature(n, tables):
     t, w = np.polynomial.legendre.leggauss((big_n - n) // 2 + 2)
     half = 0.5 * np.diff(cuts)[:, None]
     xs = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * t[None, :]
-    # the array form behind tv1_given_x
-    vals = _tv1_given_x_array(
-        n, xs.ravel(), tables.config, tables.xthresholds, tables.w1
-    ).reshape(xs.shape)
+    vals = _tv1_given_x_array(n, xs.ravel(), tables).reshape(xs.shape)
     return math.fsum((half * vals * w[None, :]).ravel()) / xn
 
 
@@ -433,6 +454,16 @@ def test_bimatrix_cells_and_nash_check(tables10):
     assert bm.cell("S", "F") == bm.sf
     # at a stop-stop state both margins are positive, so SS is self-enforcing
     assert bm.is_pure_nash(EquilibriumKind.SS)
+
+
+def test_bimatrix_rejects_states_without_margin(tables10):
+    # an index outside 1..N, a value outside [0, 1] or NaN, and x = 0 before
+    # the last stage are refused as they were through ``RecordState``
+    for n, x in ((0, 0.5), (11, 0.5), (3, -0.1), (3, 1.1), (3, math.nan), (3, 0.0), (9, 0.0)):
+        with pytest.raises(ValueError):
+            bimatrix(n, x, tables10, ff=(0.0, 0.0))
+    # x = 0 at the last stage has the margin w2 = 1
+    assert bimatrix(10, 0.0, tables10, ff=(0.0, 0.0)).sf == (tables10.w1[9], -1.0)
 
 
 def test_bimatrix_hand_example():

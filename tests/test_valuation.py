@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -220,6 +222,7 @@ def test_value_function_unchecked_without_memory_figure(monkeypatch):
 
 
 PARITY_PRIORITIES = (0.0, 0.1, 0.25, 1 / 3, math.exp(-1), 0.5)
+PARITY_HORIZONS = (2, 5, 10, 30, 60, 150)
 
 
 def _legval_reference(vf, n, x, player):
@@ -306,6 +309,126 @@ def test_scalar_read_path_matches_array_path(horizon, priorities, interior):
         # stopped cells ran, and forgo-forgo ones wherever the game has them
         assert kinds - {EquilibriumKind.FF, None}
         assert EquilibriumKind.FF in kinds or horizon < 5
+
+
+def _clenshaw_reference(vf, n, x, player):
+    """C_player(n, x) by a Clenshaw loop of its own for one player, the read
+    path before one loop served both players: the same segment, t and
+    operations in the same order."""
+    if x >= 1.0:
+        return 0.0
+    s = int(np.searchsorted(vf.breaks, x, side="right")) - 1
+    s = min(max(s, 0), vf.n_segments - 1)
+    lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
+    t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+    top = vf.tables.config.horizon - n
+    coef = vf.cont[player - 1, n, s, : top + 1].tolist()
+    b1 = b2 = 0.0
+    for k in range(top, -1, -1):
+        rise, fall = (2 * k + 1) / (k + 1), (k + 1) / (k + 2)
+        b1, b2 = coef[k] + rise * t * b1 - fall * b2, b1
+    return b1
+
+
+def _value_reference(vf, n, x, player):
+    """V_player(n, x) from ``_clenshaw_reference`` and the array stage cells."""
+    tables = vf.tables
+    kind = classify_state(n, x, tables)
+    if kind is EquilibriumKind.FF:
+        return _clenshaw_reference(vf, n, x, player)
+    w2n = _w2_values(n, x, tables.config.horizon)
+    stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
+    return float(_stage_cells_reference(n, stop1, stop2, w2n, tables)[player - 1])
+
+
+@pytest.mark.parametrize("horizon", PARITY_HORIZONS)
+def test_pair_read_matches_one_loop_per_player(horizon):
+    # both players from one Clenshaw loop, then the other player from the
+    # memo, bit for bit the loop of each player on its own, at stage 0, 1,
+    # N/2, N - 1 and N
+    stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
+    for priority in PARITY_PRIORITIES:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        vf, _ = backward_induce(tables)
+        for x in _parity_values(vf, seed=horizon):
+            for n in stages:
+                for player in (1, 2):
+                    got = continuation(n, x, vf, player)
+                    assert got == _clenshaw_reference(vf, n, x, player), (n, x, player)
+                if n == 0:
+                    continue
+                for player in (2, 1):
+                    got = vf.value_at(n, x, player)
+                    assert got == _value_reference(vf, n, x, player), (n, x, player)
+
+
+def test_pair_memo_interleavings():
+    # each answer is the state's own, whatever the last state asked was
+    tables = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+    vf, _ = backward_induce(tables)
+    queries = [
+        (4, 0.3, 2), (4, 0.3, 1),  # player 2 before player 1
+        (4, 0.6, 1), (4, 0.6, 2),  # the same n with a new x
+        (7, 0.6, 2), (7, 0.6, 1),  # the same x with a new n
+        (0, 0.6, 1), (0, 0.6, 2), (0, 0.3, 2), (0, 0.3, 1),  # n = 0
+        (4, 1.0, 1), (4, 0.3, 2),  # x = 1 answers 0 and keeps the memo
+        (4, 0.0, 2), (4, 0.0, 1), (4, -0.0, 2),  # x = 0 and -0 share a segment
+    ]
+    for n, x, player in queries:
+        assert continuation(n, x, vf, player) == _clenshaw_reference(vf, n, x, player)
+    # value_at reads the memo at forgo-forgo states and passes it by at
+    # stopped ones
+    for n, x in ((3, 0.2), (3, 0.2), (9, 0.99), (3, 0.2), (9, 0.2)):
+        for player in (2, 1):
+            assert vf.value_at(n, x, player) == _value_reference(vf, n, x, player)
+            assert continuation(n, x, vf, player) == _clenshaw_reference(vf, n, x, player)
+
+
+class _YieldingTable:
+    """A coefficient table whose every read first lets another thread run."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, key):
+        time.sleep(0)
+        return self.table[key]
+
+
+def test_pair_memo_shared_by_two_threads():
+    # two threads query their own states on one value function, each state
+    # for both players in turn, and get exactly the single-threaded
+    # answers; the table read inside every pair read yields to the other
+    # thread, so the threads switch there thousands of times
+    tables = build_game_tables(ProblemConfig(horizon=30, priority=0.25))
+    vf, _ = backward_induce(tables)
+    rng = np.random.default_rng(13)
+    plans = []
+    for _ in range(2):
+        ns, xs = rng.integers(0, 31, 2000).tolist(), rng.random(2000).tolist()
+        firsts = rng.integers(1, 3, 2000).tolist()
+        plans.append([(n, x, p) for n, x, f in zip(ns, xs, firsts) for p in (f, 3 - f)])
+    want = [[continuation(n, x, vf, p) for n, x, p in plan] for plan in plans]
+    vf.cont = _YieldingTable(vf.cont)
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        got[i] = [continuation(n, x, vf, p) for n, x, p in plans[i]]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
 
 
 @given(

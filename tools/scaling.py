@@ -1,5 +1,5 @@
-"""Scaling figures of the Monte Carlo layer, one row per source tree, for a
-``BENCH_*.json`` file.
+"""Scaling figures of the Monte Carlo and state-audit layers, one row per
+source tree, for a ``BENCH_*.json`` file.
 
     python tools/scaling.py --tree change=src \\
         [--tree parent=/path/to/parent/src] > BENCH.json
@@ -13,6 +13,13 @@ Cases:
   on 2**18 sequences at p = 0.25, its thresholds and tables built first
   and untimed.  Reports the wall time, sequences per second, the
   ``tracemalloc`` peak of a second, traced call, and the child's max RSS.
+* ``audit-N`` for N = 10, 50, 150 and 400: one audit of each of a fixed,
+  seeded list of 2,000 record states at p = 0.25, as an API session makes
+  it: ``classify_state``, ``continuation`` for both players, ``bimatrix``
+  and ``is_pure_nash``.  The tables and the induction come first and are
+  untimed.  Reports microseconds per state and states per second, from
+  the fastest of five passes over the list, and the child's max RSS,
+  which the induction's tables set.
 * ``cli-simulate-35``: ``bcgame simulate --horizon 35 --priority 0.25
   --samples 2000000`` end to end.  Reports the wall time, the child's CPU
   time and its max RSS.
@@ -39,6 +46,7 @@ import numpy as np
 HORIZONS = (10, 50, 150, 400)
 REPEATS = 5
 SEQUENCES = 1 << 18
+AUDIT_STATES = 2000
 CLI_ARGV = ("simulate", "--horizon", "35", "--priority", "0.25", "--samples", "2000000")
 
 _SIMULATE_CHILD = """
@@ -55,6 +63,29 @@ simulate(tables.config, tables, sim)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 print(json.dumps({"wall_s": wall, "seq_per_s": samples / wall, "tracemalloc_mb": peak / 2**20}))
+"""
+
+_AUDIT_CHILD = """
+import json, random, sys, time
+from bcgame import (
+    ProblemConfig, backward_induce, bimatrix, build_game_tables, classify_state,
+    continuation,
+)
+horizon, count = int(sys.argv[1]), int(sys.argv[2])
+tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+vf, _ = backward_induce(tables)
+rng = random.Random(1)
+states = [(rng.randint(1, horizon), 1.0 - rng.random()) for _ in range(count)]
+walls = []
+for _ in range(5):
+    start = time.perf_counter()
+    for n, x in states:
+        kind = classify_state(n, x, tables)
+        ff = (continuation(n, x, vf, 1), continuation(n, x, vf, 2))
+        bimatrix(n, x, tables, ff).is_pure_nash(kind)
+    walls.append(time.perf_counter() - start)
+wall = min(walls)
+print(json.dumps({"us_per_state": wall / count * 1e6, "states_per_s": count / wall}))
 """
 
 _CLI_CHILD = "import sys; from bcgame.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -76,8 +107,10 @@ def _child(src: str, argv: list[str]) -> tuple[float, bytes, os.rusage]:
     return wall, out, usage
 
 
-def _simulate_case(src: str, horizon: int) -> dict:
-    _, out, usage = _child(src, [_SIMULATE_CHILD, str(horizon), str(SEQUENCES)])
+def _layer_case(src: str, child: str, horizon: int, count: int) -> dict:
+    """One run of an in-process ``child`` at ``horizon`` over ``count``
+    sequences or states: the JSON it prints, plus its max RSS."""
+    _, out, usage = _child(src, [child, str(horizon), str(count)])
     run = json.loads(out)
     run["maxrss_mb"] = usage.ru_maxrss / 1024
     return run
@@ -120,7 +153,13 @@ def main() -> None:
     for item in args.tree:
         label, src = item.split("=", 1)
         trees[label] = os.path.abspath(src)
-    cases = {f"simulate-{n}": (lambda src, n=n: _simulate_case(src, n)) for n in HORIZONS}
+    cases = {}
+    for name, child, count in (
+        ("simulate", _SIMULATE_CHILD, SEQUENCES),
+        ("audit", _AUDIT_CHILD, AUDIT_STATES),
+    ):
+        for n in HORIZONS:
+            cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
     cases["cli-simulate-35"] = _cli_case
     runs = {label: {name: [] for name in cases} for label in trees}
     order = list(trees)
