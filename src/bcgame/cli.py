@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import astuple, fields
+from itertools import islice
 
 from . import equilibrium, models, oracle, valuation
 from .errors import BcgameError
@@ -23,11 +24,11 @@ from .models import ProblemConfig
 _TABLE1_HORIZONS = (5, 10, 20, 30, 50)
 _TABLE1_PRIORITIES = (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
 
-#: Bytes per cell that ``regions`` holds at its peak, the grid and its
-#: output rows, in either format: 367-386 (csv) and 1235-1244 (json) of
-#: max RSS at N = 50, xstep 1e-4 and 2e-5.  It covers ``region_map``'s own
-#: figure, so that check never refuses what this one lets through.
-_ROW_BYTES = 1300
+#: Rows formatted per write, in either format: only one slice of row
+#: objects and text is held at a time, and an unbuffered stdout
+#: (``python -u``, ``PYTHONUNBUFFERED``) takes one write call a slice, not
+#: one a line.
+_ROW_SLICE = 4096
 
 
 def _fmt(value) -> str:
@@ -71,14 +72,22 @@ def _run(args: argparse.Namespace) -> int:
         raise
 
 
-def _emit_rows(args: argparse.Namespace, header: list[str], rows: list) -> None:
+def _emit_rows(args: argparse.Namespace, header: list[str], rows) -> None:
+    """Write ``rows``, any iterable, as they come, ``_ROW_SLICE`` at a
+    time: CSV lines, or JSON objects, each slice one ``json.dumps`` with
+    its brackets cut off, joined to the bytes of one dump of the whole
+    list."""
+    sink, rows = args.sink, iter(rows)
     if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        args.sink.write("\n".join(lines) + "\n")
-    else:
-        objs = [dict(zip(header, row)) for row in rows]
-        args.sink.write(json.dumps(objs, indent=2) + "\n")
+        sink.write(",".join(header) + "\n")
+        while chunk := list(islice(rows, _ROW_SLICE)):
+            sink.write("".join(",".join(map(_fmt, row)) + "\n" for row in chunk))
+        return
+    sep = "[\n"
+    while chunk := [dict(zip(header, row)) for row in islice(rows, _ROW_SLICE)]:
+        sink.write(sep + json.dumps(chunk, indent=2)[2:-2])
+        sep = ",\n"
+    sink.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def _parse_priority(text: str) -> float:
@@ -162,14 +171,15 @@ def _cmd_values(args: argparse.Namespace) -> int:
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(horizon=args.horizon, priority=args.priority)
-    equilibrium._check_region_size(cfg.horizon, args.xstep, _ROW_BYTES)
+    equilibrium._check_region_size(cfg.horizon, args.xstep)
     tables = equilibrium.build_game_tables(cfg)
     grid = equilibrium.region_map(tables, args.xstep)
-    rows = [
-        [int(n), float(x), grid.kinds[i, j]]
-        for i, n in enumerate(grid.ns)
-        for j, x in enumerate(grid.xs)
-    ]
+    xs = grid.xs.tolist()
+    rows = (
+        [n, x, kind]
+        for i, n in enumerate(grid.ns.tolist())
+        for x, kind in zip(xs, grid.kinds[i].tolist())
+    )
     _emit_rows(args, ["n", "x", "kind"], rows)
     return 0
 

@@ -13,7 +13,8 @@ with p the priority probability of player 1 at a simultaneous claim (s is
 the mean of the +-1 priority coin at (S,S)); the (F,F) cell is the
 continuation pair, supplied externally.  ``stage_actions`` (who stops),
 ``stop_bars`` (from which value on anyone stops) and ``stage_cells`` (what
-a stopped cell pays) hold this rule for p <= 0.5.
+stopped cells pay; ``_cell`` for one, in floats) hold this rule for
+p <= 0.5.
 """
 
 from __future__ import annotations
@@ -42,25 +43,15 @@ def w1(n: int, cfg: ProblemConfig) -> float:
     return (n / cfg.horizon) * (1.0 - models._harmonic_suffix(n, cfg.horizon))
 
 
-def _w2_values(n, xs, horizon: int):
-    """Value-player margin at index n, stable down to x = 0.
+def _w2_array(n, xs, horizon: int) -> np.ndarray:
+    """Value-player margin at the indices n and values xs, stable down to
+    x = 0; ``n`` may be an array broadcast against ``xs``.
 
     x**d (1 + H_d) - sum_{j=1}^{d} x**(d-j)/j with d = N - n and H_d the
     d-th harmonic number.  The sum has coefficient 1/(d-k) at x**k and is
     taken by Horner's rule in d multiply-adds, with no negative power.
-    A scalar n and x give a Python float, by the same operations in the
-    same order as the array path, so the two agree bit for bit; an array
-    in either place gives an array.
-    """
-    if isinstance(n, (int, np.integer)) and isinstance(xs, (int, float)):
-        return _w2_scalar(int(n), float(xs), horizon)
-    return _w2_array(n, xs, horizon)
-
-
-def _w2_array(n, xs, horizon: int) -> np.ndarray:
-    """``_w2_values`` over arrays.  ``n`` may be an array broadcast against
-    ``xs``.  The entries are sorted stably by degree d, highest first (a
-    radix sort on a small unsigned key), so step t of the Horner loop,
+    The entries are sorted stably by degree d, highest first (a radix sort
+    on a small unsigned key), so step t of the Horner loop,
     acc = acc x + 1/t, runs on the prefix of entries with d >= t only."""
     xs, d = np.broadcast_arrays(np.asarray(xs, dtype=float), horizon - np.asarray(n))
     top = int(np.max(d, initial=0))
@@ -97,7 +88,8 @@ def _w2_series(d: int) -> tuple[list, list]:
 
 
 def _w2_scalar(n: int, x: float, horizon: int) -> float:
-    """``_w2_values`` at one state in Python floats: a numpy step on a 0-d
+    """``_w2_array`` at one state in Python floats, by the same operations
+    in the same order, so the two agree bit for bit: a numpy step on a 0-d
     array costs about 2.5 us.  The Horner loop reads 1/m from a list
     instead of dividing.  The power is numpy's, because Python's
     ``x ** d`` may differ from it in the last bit."""
@@ -120,7 +112,7 @@ def w2(state: RecordState, cfg: ProblemConfig) -> float:
     """
     n, x = state.index, float(state.value)
     _check_margin_state(n, x, cfg.horizon)
-    return _w2_values(n, x, cfg.horizon)
+    return _w2_scalar(n, x, cfg.horizon)
 
 
 def _check_margin_state(n: int, x: float, horizon: int) -> None:
@@ -318,25 +310,15 @@ def _cell(stop1, stop2, joint: float, w1n: float, w2n: float) -> tuple[float, fl
     return s * w1n, -s * w2n
 
 
-def stage_cells(n, stop1, stop2, w2s, tables: GameTables):
+def stage_cells(n, stop1, stop2, w2s, tables: GameTables) -> np.ndarray:
     """Payoffs s (w1_n, -w2) of stopped cells at index n, stacked on a
     leading player axis, given who stops there (at least one player) and
-    the value player's margins ``w2s``: s = 2p - 1 when both stop, +1 when
-    only the rank player stops, -1 when only the value player stops.
-
-    One cell (n, both flags and ``w2s`` scalars) gives a pair of Python
-    floats, by the same products as the array path, so the two agree bit
-    for bit: a numpy step on a 3-element array costs about 1.5 us.  An
-    array anywhere gives an array.
+    the value player's margins ``w2s``, as arrays: s = 2p - 1 when both
+    stop, +1 when only the rank player stops, -1 when only the value player
+    stops.  ``_cell`` scores one cell by the same products in Python
+    floats, so the two agree bit for bit.
     """
     joint = 2.0 * tables.config.priority - 1.0
-    if (
-        isinstance(n, (int, np.integer))
-        and isinstance(stop1, (bool, np.bool_))
-        and isinstance(stop2, (bool, np.bool_))
-        and isinstance(w2s, float)
-    ):
-        return _cell(stop1, stop2, joint, tables.w1.item(n - 1), w2s)
     s = np.where(stop1, np.where(stop2, joint, 1.0), -1.0)
     return np.stack(np.broadcast_arrays(s * tables.w1[n - 1], -s * w2s))
 
@@ -371,19 +353,22 @@ class RegionGrid:
 
 
 #: Peak bytes per (index, value) cell of ``region_map``: 26 by tracemalloc
-#: at N = 50, plus 16 per value, which this also covers at N = 1.
+#: at N = 50, plus 16 per value, which this also covers at N = 1.  The CLI
+#: streams its rows from the grid, so the figure covers ``regions`` too.
 _GRID_CELL_BYTES = 48
 
 
-def _check_region_size(horizon: int, xstep: float, cell_bytes: int) -> None:
+def _check_region_size(horizon: int, xstep: float) -> None:
     """Refuse a region grid of ``horizon`` indices against the value mesh of
     step ``xstep`` before anything is built: ``DomainError`` for a step
     outside (0, 0.1], ``TooLarge`` when its cells, about N / xstep, at
-    ``cell_bytes`` each would exceed physical memory.  The cell count is a
-    float, so a step near 0 gives an infinite need, not an overflow."""
+    ``_GRID_CELL_BYTES`` each would exceed physical memory.  ``region_map``
+    checks for API callers, and the CLI before it solves the thresholds.
+    The cell count is a float, so a step near 0 gives an infinite need,
+    not an overflow."""
     if not 0.0 < xstep <= 0.1:
         raise DomainError(f"xstep must lie in (0, 0.1], got {xstep}")
-    need = cell_bytes * horizon * (1.0 / xstep + 1.0)
+    need = _GRID_CELL_BYTES * horizon * (1.0 / xstep + 1.0)
     refuse_beyond(
         need, _physical_memory(), f"regions at horizon {horizon} and xstep {xstep}"
     )
@@ -392,7 +377,7 @@ def _check_region_size(horizon: int, xstep: float, cell_bytes: int) -> None:
 def region_map(tables: GameTables, xstep: float) -> RegionGrid:
     """Classify all indices against a uniform value mesh of step ``xstep``."""
     big_n = tables.config.horizon
-    _check_region_size(big_n, xstep, _GRID_CELL_BYTES)
+    _check_region_size(big_n, xstep)
     count = int(math.floor(1.0 / xstep + 1e-9))
     xs = np.arange(count + 1) * xstep
     ns = np.arange(1, big_n + 1)

@@ -79,7 +79,9 @@ from ._rng import batch_generator
 from .equilibrium import (
     EquilibriumKind,
     GameTables,
-    _w2_values,
+    _cell,
+    _w2_array,
+    _w2_scalar,
     classify_state,
     stage_actions,
     stage_cells,
@@ -271,9 +273,11 @@ class ValueFunction:
         kind = classify_state(n, x, self.tables)
         if kind is EquilibriumKind.FF:
             return self.continuation_at(n, x, player)
-        w2n = _w2_values(n, x, self.tables.config.horizon)
+        tables = self.tables
+        w2n = _w2_scalar(n, float(x), tables.config.horizon)
+        joint = 2.0 * tables.config.priority - 1.0
         stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
-        return float(stage_cells(n, stop1, stop2, w2n, self.tables)[player - 1])
+        return _cell(stop1, stop2, joint, tables.w1.item(n - 1), w2n)[player - 1]
 
     def stage_average(self, n: int, player: int) -> float:
         """int_0^1 V_player(n, x) dx, for n in 1..N."""
@@ -405,7 +409,7 @@ def _play_batch(
     both = taker1 & taker2  # the coin gives the record to the rank player w.p. p
     wins = coin[both] < cfg.priority
     taker1[both], taker2[both] = wins, ~wins
-    w2s = _w2_values(stage, value, big_n)
+    w2s = _w2_array(stage, value, big_n)
     # row-major (stops, 2): a sum down axis 0 adds the rows in order
     cells = np.ascontiguousarray(stage_cells(stage, taker1, taker2, w2s, tables).T)
     return cells.sum(axis=0), (cells * cells).sum(axis=0)

@@ -1,11 +1,14 @@
+import argparse
 import csv
+import io
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
-from bcgame import equilibrium, valuation
+from bcgame import cli, equilibrium, valuation
 from bcgame.cli import main
 from bcgame.errors import DomainError
 
@@ -251,8 +254,8 @@ def test_regions_invalid_step():
 
 
 def test_regions_over_memory_grid_exits_2(monkeypatch, capsys):
-    # 5 x 1e9 cells of csv rows against 1 GiB, by arithmetic alone: refused
-    # before the thresholds are solved or a value is built
+    # 5 x (1e9 + 1) cells of 48 bytes against 1 GiB, by arithmetic alone:
+    # refused before the thresholds are solved or a value is built
     monkeypatch.setattr(equilibrium, "_physical_memory", lambda: 1 << 30)
     monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
     argv = ["regions", "--horizon", "5", "--priority", "0.25", "--xstep", "1e-9"]
@@ -260,9 +263,49 @@ def test_regions_over_memory_grid_exits_2(monkeypatch, capsys):
         assert main(argv + ["--format", fmt]) == 2
         err = capsys.readouterr().err
         assert err == (
-            "bcgame: error: regions at horizon 5 and xstep 1e-09 need 6500.0 GB, "
+            "bcgame: error: regions at horizon 5 and xstep 1e-09 need 240.0 GB, "
             "more than the 1.1 GB of physical memory\n"
         )
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, cli._ROW_SLICE, cli._ROW_SLICE + 1], ids=lambda c: f"{c}rows"
+)
+def test_emit_rows_streams_the_bytes_of_one_dump(count):
+    # rows written as they come equal the whole list formatted at once
+    header = ["i", "x", "flag", "kind"]
+    cells = [1.5, math.inf, -math.inf, math.nan, 0.1, -0.0]
+    rows = [
+        [i, cells[i % len(cells)], i % 2 == 0, "SF" if i % 3 else "FS"]
+        for i in range(count)
+    ]
+    want = {
+        "csv": "\n".join(
+            [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        )
+        + "\n",
+        "json": json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n",
+    }
+    for fmt, text in want.items():
+        args = argparse.Namespace(format=fmt, sink=io.StringIO())
+        cli._emit_rows(args, header, iter(rows))
+        assert args.sink.getvalue() == text
+
+
+def test_regions_peak_memory_is_the_grid(tmp_path):
+    # 20 x 10001 cells: the rows are written as they are formatted, so the
+    # traced peak stays within the grid's own bytes a cell
+    cells = 20 * 10001
+    out = tmp_path / "r.csv"
+    argv = ["regions", "--horizon", "20", "--priority", "0.25", "--xstep", "1e-4"]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < equilibrium._GRID_CELL_BYTES * cells
+    assert out.read_text().count("\n") == cells + 1
 
 
 def test_verify_passes_and_writes_reports(tmp_path):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from bcgame.equilibrium import (
     Bimatrix,
+    _cell,
     _w2_array,
-    _w2_values,
+    _w2_scalar,
     EquilibriumKind,
     bimatrix,
     build_game_tables,
@@ -135,10 +136,10 @@ def test_w2_horner_matches_fsum_reference(horizon, data):
     )
     want = np.array([[_w2_reference(n, x, horizon) for x in xs] for n in ns])
     for row, n in enumerate(ns):  # one index, many values (the induction)
-        got = _w2_values(n, np.array(xs), horizon)
+        got = _w2_array(n, np.array(xs), horizon)
         assert np.max(np.abs(got - want[row])) <= 1e-12
     # one index per entry (the simulator)
-    got = _w2_values(np.array(ns)[:, None], np.array(xs)[None, :], horizon)
+    got = _w2_array(np.array(ns)[:, None], np.array(xs)[None, :], horizon)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -148,17 +149,16 @@ def test_w2_horner_matches_fsum_reference(horizon, data):
     data=st.data(),
 )
 def test_w2_scalar_path_matches_array_path(horizon, data):
-    # a scalar state takes Python floats; it must equal the array path on
-    # the same state bit for bit (0-d arrays take the array path)
+    # one state in Python floats must equal the array path on the same
+    # state bit for bit
     n = data.draw(st.integers(min_value=1, max_value=horizon))
     xs = [0.0, 1e-300, 0.5, 1.0] + data.draw(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8)
     )
     for x in xs:
-        got = _w2_values(n, x, horizon)
+        got = _w2_scalar(n, x, horizon)
         assert type(got) is float
         assert got == float(_w2_array(np.asarray(n), np.asarray(x), horizon))
-        assert _w2_values(np.int64(n), np.float64(x), horizon) == got
 
 
 def test_margin_sign_structure(tables10):
@@ -387,14 +387,14 @@ def test_region_map_refuses_over_memory_grid(monkeypatch, tables10):
         tracemalloc.stop()
     assert peak < 1 << 20
     # the model's edge: 1 GiB holds 10 x 2.2e6 cells of 48 bytes, not 2.3e6
-    equilibrium._check_region_size(10, 1 / 2.2e6, 48)
+    equilibrium._check_region_size(10, 1 / 2.2e6)
     with pytest.raises(TooLarge):
-        equilibrium._check_region_size(10, 1 / 2.3e6, 48)
+        equilibrium._check_region_size(10, 1 / 2.3e6)
     # the step is checked first, and an unknown memory figure refuses nothing
     with pytest.raises(DomainError):
-        equilibrium._check_region_size(10, 0.0, 48)
+        equilibrium._check_region_size(10, 0.0)
     monkeypatch.setattr(equilibrium, "_physical_memory", lambda: None)
-    equilibrium._check_region_size(10, 1e-9, 48)
+    equilibrium._check_region_size(10, 1e-9)
 
 
 def test_game_tables_invariants(tables10):
@@ -488,20 +488,12 @@ PARITY_PRIORITIES = (0.0, 0.1, 0.25, 1 / 3, math.exp(-1), 0.5)
 PARITY_HORIZONS = (2, 5, 10, 30, 60, 150)
 
 
-def _stage_cells_reference(n, stop1, stop2, w2s, tables):
-    """The array path of ``stage_cells``, which scored every cell before
-    single cells took Python floats."""
-    joint = 2.0 * tables.config.priority - 1.0
-    s = np.where(stop1, np.where(stop2, joint, 1.0), -1.0)
-    return np.stack(np.broadcast_arrays(s * tables.w1[n - 1], -s * w2s))
-
-
 def _bimatrix_cells_reference(n, x, tables):
     """(S,S), (S,F) and (F,S) cells of the bimatrix by the array path."""
     w2n = w2(RecordState(index=n, value=x), tables.config)
     stop1 = np.array([True, True, False])
     stop2 = np.array([True, False, True])
-    cells = _stage_cells_reference(n, stop1, stop2, w2n, tables).T.tolist()
+    cells = stage_cells(n, stop1, stop2, w2n, tables).T.tolist()
     return [tuple(c) for c in cells]
 
 
@@ -517,22 +509,22 @@ def _is_pure_nash_reference(bm, kind):
 
 @pytest.mark.parametrize("horizon", PARITY_HORIZONS)
 def test_stage_cells_scalar_path_matches_array_path(horizon):
-    # one cell gives two Python floats, bit for bit the array path's;
-    # numpy integer and bool scalars take the same path
+    # ``_cell`` scores one cell in two Python floats, bit for bit the
+    # array path's
     rng = np.random.default_rng(horizon)
     margins = [0.0, -0.0, 1e-300, -1e-300, 1.0] + rng.uniform(-1, 1, 5).tolist()
     for priority in PARITY_PRIORITIES:
         tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        joint = 2.0 * priority - 1.0
         for n in range(1, horizon + 1):
+            w1n = tables.w1.item(n - 1)
             for stop1, stop2 in ((True, True), (True, False), (False, True)):
                 for w in margins:
-                    got = stage_cells(n, stop1, stop2, w, tables)
+                    got = _cell(stop1, stop2, joint, w1n, w)
                     assert type(got) is tuple
                     assert all(type(v) is float for v in got)
-                    want = _stage_cells_reference(n, stop1, stop2, w, tables)
+                    want = stage_cells(n, stop1, stop2, w, tables)
                     assert got == tuple(want.tolist())
-                    flags = (np.bool_(stop1), np.bool_(stop2))
-                    assert stage_cells(np.int64(n), *flags, w, tables) == got
 
 
 @pytest.mark.parametrize("horizon", PARITY_HORIZONS)

@@ -15,7 +15,8 @@ from bcgame import valuation
 from bcgame._rng import batch_generator
 from bcgame.equilibrium import (
     EquilibriumKind,
-    _w2_values,
+    _w2_array,
+    _w2_scalar,
     build_game_tables,
     classify_state,
     stage_actions,
@@ -238,12 +239,6 @@ def _legval_reference(vf, n, x, player):
     return float(legval(t, vf.cont[player - 1, n, s, : top + 1]))
 
 
-def _stage_cells_reference(n, stop1, stop2, w2s, tables):
-    joint = 2.0 * tables.config.priority - 1.0
-    s = np.where(stop1, np.where(stop2, joint, 1.0), -1.0)
-    return np.stack(np.broadcast_arrays(s * tables.w1[n - 1], -s * w2s))
-
-
 def _check_point_queries(vf, n, x):
     """``continuation`` is a Python float within 1e-15 of ``legval`` on the
     stored coefficients; from n = 1 on, ``value_at`` is that continuation
@@ -259,14 +254,14 @@ def _check_point_queries(vf, n, x):
         return None
     kind = classify_state(n, x, tables)
     stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
-    w2n = _w2_values(n, x, tables.config.horizon)
+    w2n = _w2_scalar(n, x, tables.config.horizon)
     for player in (1, 2):
         got = vf.value_at(n, x, player)
         assert type(got) is float
         if kind is EquilibriumKind.FF:
             want = continuation(n, x, vf, player)
         else:
-            want = float(_stage_cells_reference(n, stop1, stop2, w2n, tables)[player - 1])
+            want = float(stage_cells(n, stop1, stop2, w2n, tables)[player - 1])
         assert got == want, (tables.config, n, x, player)
     return kind
 
@@ -336,9 +331,9 @@ def _value_reference(vf, n, x, player):
     kind = classify_state(n, x, tables)
     if kind is EquilibriumKind.FF:
         return _clenshaw_reference(vf, n, x, player)
-    w2n = _w2_values(n, x, tables.config.horizon)
+    w2n = _w2_scalar(n, x, tables.config.horizon)
     stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
-    return float(_stage_cells_reference(n, stop1, stop2, w2n, tables)[player - 1])
+    return float(stage_cells(n, stop1, stop2, w2n, tables)[player - 1])
 
 
 @pytest.mark.parametrize("horizon", PARITY_HORIZONS)
@@ -523,7 +518,7 @@ def _serial_simulate(cfg, tables, sim):
         wins = coin[rows][both] < p
         s1[both], s2[both] = wins, ~wins
         pay = np.zeros((nb, 2))
-        w2s = _w2_values(j + 1, x[rows, j], big_n)
+        w2s = _w2_array(j + 1, x[rows, j], big_n)
         pay[rows] = stage_cells(j + 1, s1, s2, w2s, tables).T
         sums += pay.sum(axis=0)
         sq_sums += (pay**2).sum(axis=0)

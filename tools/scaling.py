@@ -1,5 +1,5 @@
-"""Scaling figures of the Monte Carlo and state-audit layers, one row per
-source tree, for a ``BENCH_*.json`` file.
+"""Scaling figures of the Monte Carlo and state-audit layers and of some
+end-to-end commands, one row per source tree, for a ``BENCH_*.json`` file.
 
     python tools/scaling.py --tree change=src \\
         [--tree parent=/path/to/parent/src] > BENCH.json
@@ -21,8 +21,13 @@ Cases:
   the fastest of five passes over the list, and the child's max RSS,
   which the induction's tables set.
 * ``cli-simulate-35``: ``bcgame simulate --horizon 35 --priority 0.25
-  --samples 2000000`` end to end.  Reports the wall time, the child's CPU
-  time and its max RSS.
+  --samples 2000000`` end to end.
+* ``cli-regions-50-csv`` and ``cli-regions-50-json``: ``bcgame regions
+  --horizon 50 --priority 0.25 --xstep 1e-4``, 500,050 rows, in each
+  format.
+
+The ``cli-*`` cases report the wall time, the child's CPU time and its
+max RSS; their output goes to /dev/null.
 
 A row records the tree's commit (``dirty`` when it has uncommitted
 changes), the Python and numpy versions and the CPUs this process may run
@@ -47,7 +52,14 @@ HORIZONS = (10, 50, 150, 400)
 REPEATS = 5
 SEQUENCES = 1 << 18
 AUDIT_STATES = 2000
-CLI_ARGV = ("simulate", "--horizon", "35", "--priority", "0.25", "--samples", "2000000")
+_REGIONS_ARGV = ("regions", "--horizon", "50", "--priority", "0.25", "--xstep", "1e-4")
+CLI_CASES = {
+    "cli-simulate-35": (
+        "simulate", "--horizon", "35", "--priority", "0.25", "--samples", "2000000"
+    ),
+    "cli-regions-50-csv": (*_REGIONS_ARGV, "--format", "csv"),
+    "cli-regions-50-json": (*_REGIONS_ARGV, "--format", "json"),
+}
 
 _SIMULATE_CHILD = """
 import json, sys, time, tracemalloc
@@ -91,14 +103,21 @@ print(json.dumps({"us_per_state": wall / count * 1e6, "states_per_s": count / wa
 _CLI_CHILD = "import sys; from bcgame.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _child(src: str, argv: list[str]) -> tuple[float, bytes, os.rusage]:
+def _child(src: str, argv: list[str], keep: bool = True) -> tuple[float, bytes, os.rusage]:
     """Run ``python -c ...`` with ``src`` first on the path; return its wall
-    time, its stdout and its resource usage."""
+    time, its stdout (empty unless ``keep``) and its resource usage.
+
+    Linux carries a process's peak RSS over ``exec``, so a child's
+    ``ru_maxrss`` is at least this script's own peak when it was started:
+    output that is not kept goes to /dev/null, never into this process."""
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", *argv], env=env, stdout=subprocess.PIPE)
-    out = proc.stdout.read()
-    proc.stdout.close()
+    sink = subprocess.PIPE if keep else subprocess.DEVNULL
+    proc = subprocess.Popen([sys.executable, "-c", *argv], env=env, stdout=sink)
+    out = b""
+    if keep:
+        out = proc.stdout.read()
+        proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
@@ -116,8 +135,8 @@ def _layer_case(src: str, child: str, horizon: int, count: int) -> dict:
     return run
 
 
-def _cli_case(src: str) -> dict:
-    wall, _, usage = _child(src, [_CLI_CHILD, *CLI_ARGV])
+def _cli_case(src: str, argv: tuple[str, ...]) -> dict:
+    wall, _, usage = _child(src, [_CLI_CHILD, *argv], keep=False)
     return {
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
@@ -160,7 +179,8 @@ def main() -> None:
     ):
         for n in HORIZONS:
             cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
-    cases["cli-simulate-35"] = _cli_case
+    for name, argv in CLI_CASES.items():
+        cases[name] = lambda src, a=argv: _cli_case(src, a)
     runs = {label: {name: [] for name in cases} for label in trees}
     order = list(trees)
     for rep in range(REPEATS):
