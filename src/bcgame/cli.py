@@ -111,13 +111,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     thresholds = models.fullinfo_thresholds(cfg)
     nstar = models.secretary_cutoff(cfg)
     rows = [
-        [
-            n,
-            thresholds.x(n),
-            equilibrium.w1(n, cfg),
-            n >= nstar,
-        ]
-        for n in range(1, cfg.horizon + 1)
+        [n, thresholds.x(n), w1n, n >= nstar]
+        for n, w1n in enumerate(equilibrium._w1_values(cfg), start=1)
     ]
     _emit_rows(args, ["n", "x_n", "w1", "is_at_or_after_nstar"], rows)
     return 0

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,33 @@ def w1(n: int, cfg: ProblemConfig) -> float:
     if not 1 <= n <= cfg.horizon:
         raise DomainError(f"index {n} outside 1..{cfg.horizon}")
     return (n / cfg.horizon) * (1.0 - models._harmonic_suffix(n, cfg.horizon))
+
+
+def _w1_values(cfg: ProblemConfig) -> list[float]:
+    """``w1(n, cfg)`` for n = 1..N, bit for bit, in O(N) instead of one
+    ``math.fsum`` of N - n terms per n.  As n falls, 1/n joins a running
+    list of Shewchuk partials (the algorithm behind ``math.fsum``), whose
+    exact sum is the exact sum of the terms so far; ``math.fsum`` of the
+    partials, a few floats, is then the correctly rounded harmonic suffix,
+    as ``math.fsum`` of the terms is."""
+    big_n = cfg.horizon
+    partials: list[float] = []
+    values = [0.0] * big_n
+    for n in range(big_n, 0, -1):
+        if n < big_n:
+            term, i = 1.0 / n, 0
+            for partial in partials:  # Two-Sum of term and each partial
+                if abs(term) < abs(partial):
+                    term, partial = partial, term
+                high = term + partial
+                low = partial - (high - term)
+                if low:
+                    partials[i] = low
+                    i += 1
+                term = high
+            partials[i:] = [term]
+        values[n - 1] = (n / big_n) * (1.0 - math.fsum(partials))
+    return values
 
 
 def _w2_array(n, xs, horizon: int) -> np.ndarray:
@@ -73,17 +101,21 @@ def _w2_array(n, xs, horizon: int) -> np.ndarray:
 #: (1/m, H_m) for m = 0..M as two lists of Python floats, 1/0 read as 0 and
 #: H_m summed left to right as ``np.cumsum`` sums it.  They depend on m
 #: alone, so every game shares them; ``_w2_series`` swaps in a longer pair
-#: when a degree beyond M is asked for.  A reader takes both lists from one
-#: tuple, so a concurrent swap cannot mix two lengths.
+#: when a degree beyond M is asked for.  ``build_game_tables`` asks for
+#: every degree of its game, so no query of the game pays for a rebuild.
+#: A reader takes both lists from one tuple, so a concurrent swap cannot
+#: mix two lengths.
 _W2_SERIES = ([0.0], [0.0])
 
 
 def _w2_series(d: int) -> tuple[list, list]:
-    """``_W2_SERIES``, rebuilt to at least degree d (doubling) first."""
+    """``_W2_SERIES``, first rebuilt to at least degree d (doubling) when
+    it is shorter."""
     global _W2_SERIES
-    size = max(d + 1, 2 * len(_W2_SERIES[0]))
-    inverse = [0.0] + [1.0 / m for m in range(1, size)]
-    _W2_SERIES = (inverse, list(accumulate(inverse)))
+    if d >= len(_W2_SERIES[0]):
+        size = max(d + 1, 2 * len(_W2_SERIES[0]))
+        inverse = [0.0] + [1.0 / m for m in range(1, size)]
+        _W2_SERIES = (inverse, list(accumulate(inverse)))
     return _W2_SERIES
 
 
@@ -92,7 +124,8 @@ def _w2_scalar(n: int, x: float, horizon: int) -> float:
     in the same order, so the two agree bit for bit: a numpy step on a 0-d
     array costs about 2.5 us.  The Horner loop reads 1/m from a list
     instead of dividing.  The power is numpy's, because Python's
-    ``x ** d`` may differ from it in the last bit."""
+    ``x ** d`` and ``math.pow`` differ from it in the last bit: where numpy
+    runs its AVX-512 power kernel, in about 5 % of random (x, d)."""
     d = horizon - n
     inverse, harmonic = _W2_SERIES
     if d >= len(inverse):
@@ -194,10 +227,11 @@ def build_game_tables(cfg: ProblemConfig) -> GameTables:
 
     The thresholds come from ``models.fullinfo_thresholds`` (solved once
     per horizon, to floating-point resolution); everything else is closed
-    form.
+    form.  The shared w2 series are extended to the game's degrees here.
     """
     thresholds = models.fullinfo_thresholds(cfg)
-    w1_vec = np.array([w1(n, cfg) for n in range(1, cfg.horizon + 1)])
+    _w2_series(cfg.horizon - 1)
+    w1_vec = np.array(_w1_values(cfg))
     tv1_vec = np.array(
         [_tv1_value(n, cfg, thresholds, w1_vec) for n in range(1, cfg.horizon + 1)]
     )
@@ -245,20 +279,18 @@ def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:
 
 class EquilibriumKind(Enum):
     """Pure Nash action pair at a record state; first letter is the rank
-    player's action, second the value player's (S = stop, F = forgo)."""
+    player's action, second the value player's (S = stop, F = forgo).
+    Each member carries its actions as plain attributes, ``action1`` and
+    ``action2``, and as stop flags, ``stop1`` and ``stop2``."""
 
     SS = "SS"
     SF = "SF"
     FS = "FS"
     FF = "FF"
 
-    @property
-    def action1(self) -> str:
-        return self.value[0]
-
-    @property
-    def action2(self) -> str:
-        return self.value[1]
+    def __init__(self, value: str) -> None:
+        self.action1, self.action2 = value
+        self.stop1, self.stop2 = self.action1 == "S", self.action2 == "S"
 
 
 # kind by (rank player stops, value player stops)
@@ -386,33 +418,33 @@ def region_map(tables: GameTables, xstep: float) -> RegionGrid:
     return RegionGrid(ns=ns, xs=xs, kinds=names[stop1.astype(int), stop2.astype(int)])
 
 
-# grid index of an action: 1 for stop, 0 for forgo
-_STOPS = {"S": 1, "F": 0}
+# position of a cell in ``Bimatrix`` by its action pair
+_CELL_INDEX = {("S", "S"): 0, ("S", "F"): 1, ("F", "S"): 2, ("F", "F"): 3}
 
 
-@dataclass(frozen=True)
-class Bimatrix:
+class Bimatrix(NamedTuple):
     """Stage bimatrix at one record state; each cell is (payoff1, payoff2)
-    and rows/columns are indexed by actions (S, F) of players 1 and 2."""
+    and rows/columns are indexed by actions (S, F) of players 1 and 2.
+    A named tuple, so it equals the 4-tuple of its cells."""
 
     ss: tuple[float, float]
     sf: tuple[float, float]
     fs: tuple[float, float]
     ff: tuple[float, float]
 
-    def _grid(self) -> tuple:
-        """Cells indexed [player 1 stops][player 2 stops], as ``_KIND_OF``."""
-        return ((self.ff, self.fs), (self.sf, self.ss))
-
     def cell(self, action1: str, action2: str) -> tuple[float, float]:
-        return self._grid()[_STOPS[action1]][_STOPS[action2]]
+        return self[_CELL_INDEX[action1, action2]]
 
     def is_pure_nash(self, kind: EquilibriumKind) -> bool:
-        """True when neither unilateral deviation improves the deviator."""
-        i, j = _STOPS[kind.action1], _STOPS[kind.action2]
-        grid = self._grid()
-        here = grid[i][j]
-        return grid[1 - i][j][0] <= here[0] and grid[i][1 - j][1] <= here[1]
+        """True when neither unilateral deviation improves the deviator:
+        the cell of ``kind`` against the cell where only player 1 switches
+        and the cell where only player 2 switches."""
+        ss, sf, fs, ff = self
+        if kind.stop1:
+            here, dev1, dev2 = (ss, fs, sf) if kind.stop2 else (sf, ff, ss)
+        else:
+            here, dev1, dev2 = (fs, ss, ff) if kind.stop2 else (ff, sf, fs)
+        return dev1[0] <= here[0] and dev2[1] <= here[1]
 
 
 def bimatrix(n: int, x: float, tables: GameTables, ff: tuple[float, float]) -> Bimatrix:
@@ -429,8 +461,8 @@ def bimatrix(n: int, x: float, tables: GameTables, ff: tuple[float, float]) -> B
     w1n, w2n = tables.w1.item(n - 1), _w2_scalar(n, float(x), cfg.horizon)
     joint = 2.0 * cfg.priority - 1.0
     return Bimatrix(
-        ss=_cell(True, True, joint, w1n, w2n),
-        sf=_cell(True, False, joint, w1n, w2n),
-        fs=_cell(False, True, joint, w1n, w2n),
-        ff=(float(ff[0]), float(ff[1])),
+        _cell(True, True, joint, w1n, w2n),
+        _cell(True, False, joint, w1n, w2n),
+        _cell(False, True, joint, w1n, w2n),
+        (float(ff[0]), float(ff[1])),
     )

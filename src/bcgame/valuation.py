@@ -196,7 +196,7 @@ class ValueFunction:
 
     def __init__(self, tables: GameTables):
         self.tables = tables
-        big_n = tables.config.horizon
+        big_n = self._horizon = tables.config.horizon
         _check_table_memory(big_n)
         self.breaks = np.unique(
             np.concatenate(([0.0, 1.0], tables.xthresholds.values))
@@ -248,15 +248,17 @@ class ValueFunction:
 
     def _pair_at(self, n: int, x: float) -> tuple[int, float, float, float]:
         """(n, x, C_1(n, x), C_2(n, x)) in Python floats, also kept as the
-        last pair read: the segment by ``bisect`` (the side and clamp of
-        ``searchsorted(side="right")``), the reference coordinate t, and
+        last pair read: the segment by ``bisect`` (the side of
+        ``searchsorted(side="right")``; callers pass 0 <= x < 1, and a NaN
+        falls in the last segment), the reference coordinate t, and
         Clenshaw's recurrence over the stage's N - n + 1 coefficients, one
         loop for both players.  Each player's series takes the operations
         of a loop of its own, in the same order."""
         s = bisect_right(self._break_list, x) - 1
-        s = min(max(s, 0), self.n_segments - 1)
+        if s == self.n_segments:
+            s -= 1
         t = (x - self._mid_list[s]) / self._half_list[s]
-        top = self.tables.config.horizon - n
+        top = self._horizon - n
         coef1, coef2 = self.cont[:, n, s, : top + 1].tolist()
         rise, fall = self._rise, self._fall
         b1 = b2 = c1 = c2 = 0.0  # b_{k+1}, b_{k+2} of players 1 and 2
@@ -274,10 +276,9 @@ class ValueFunction:
         if kind is EquilibriumKind.FF:
             return self.continuation_at(n, x, player)
         tables = self.tables
-        w2n = _w2_scalar(n, float(x), tables.config.horizon)
+        w1n, w2n = tables.w1.item(n - 1), _w2_scalar(n, float(x), self._horizon)
         joint = 2.0 * tables.config.priority - 1.0
-        stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
-        return _cell(stop1, stop2, joint, tables.w1.item(n - 1), w2n)[player - 1]
+        return _cell(kind.stop1, kind.stop2, joint, w1n, w2n)[player - 1]
 
     def stage_average(self, n: int, player: int) -> float:
         """int_0^1 V_player(n, x) dx, for n in 1..N."""
@@ -291,8 +292,8 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     """Expected payoff to ``player`` when nobody stops at record (n, x):
     the record kernel applied to next-stage values, absorption worth 0."""
     _check_player(player)
-    if not 0 <= n <= V.tables.config.horizon:
-        raise DomainError(f"index {n} outside 0..{V.tables.config.horizon}")
+    if not 0 <= n <= V._horizon:
+        raise DomainError(f"index {n} outside 0..{V._horizon}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"value must be in [0, 1], got {x}")
     return V.continuation_at(n, x, player)

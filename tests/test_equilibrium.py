@@ -500,7 +500,7 @@ def _bimatrix_cells_reference(n, x, tables):
 def _is_pure_nash_reference(bm, kind):
     """``Bimatrix.is_pure_nash`` through a table keyed by action pairs."""
     cells = {("S", "S"): bm.ss, ("S", "F"): bm.sf, ("F", "S"): bm.fs, ("F", "F"): bm.ff}
-    a1, a2 = kind.action1, kind.action2
+    a1, a2 = kind.value
     here = cells[(a1, a2)]
     dev1 = cells[("F" if a1 == "S" else "S", a2)]
     dev2 = cells[(a1, "F" if a2 == "S" else "S")]
@@ -560,3 +560,58 @@ def test_bimatrix_cell_layout():
     assert bm.cell("F", "F") == bm.ff
     with pytest.raises(KeyError):
         bm.cell("S", "X")
+    with pytest.raises(KeyError):
+        bm.cell("X", "F")
+
+
+def test_bimatrix_is_an_immutable_named_tuple():
+    cells = ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0))
+    bm = Bimatrix(*cells)
+    assert bm == cells
+    assert bm == Bimatrix(ss=cells[0], sf=cells[1], fs=cells[2], ff=cells[3])
+    assert (bm.ss, bm.sf, bm.fs, bm.ff) == cells
+    for name in ("ss", "sf", "fs", "ff"):
+        with pytest.raises(AttributeError):
+            setattr(bm, name, (0.0, 0.0))
+    assert bm == cells  # the refused assignments changed nothing
+
+
+def test_equilibrium_kind_round_trips_and_carries_its_stop_flags():
+    for kind in EquilibriumKind:
+        assert EquilibriumKind(kind.value) is kind
+        first, second = kind.value
+        assert (kind.action1, kind.action2) == (first, second)
+        assert kind.stop1 is (first == "S")
+        assert kind.stop2 is (second == "S")
+    assert [kind.value for kind in EquilibriumKind] == ["SS", "SF", "FS", "FF"]
+    with pytest.raises(ValueError):
+        EquilibriumKind("SX")
+
+
+@pytest.mark.parametrize("horizon", (2, 3, 10, 50, 400, 1000))
+def test_w1_values_match_scalar_w1(horizon):
+    # the running Shewchuk partials give math.fsum's correctly rounded
+    # suffix, so every entry is the scalar margin bit for bit
+    cfg = ProblemConfig(horizon=horizon)
+    got = equilibrium._w1_values(cfg)
+    assert all(type(v) is float for v in got)
+    assert got == [w1(n, cfg) for n in range(1, horizon + 1)]
+
+
+def test_w1_values_match_scalar_w1_at_5000():
+    # every 37th index and the ends: the scalar reference costs O(N) each
+    cfg = ProblemConfig(horizon=5000)
+    got = equilibrium._w1_values(cfg)
+    for n in [*range(1, 5001, 37), 4999, 5000]:
+        assert got[n - 1] == w1(n, cfg), n
+
+
+def test_game_tables_extend_the_shared_w2_series(monkeypatch):
+    # build_game_tables covers every degree d = N - n of its game, so no
+    # query rebuilds the series; a shorter request keeps the same lists
+    monkeypatch.setattr(equilibrium, "_W2_SERIES", ([0.0], [0.0]))
+    build_game_tables(ProblemConfig(horizon=50, priority=0.25))
+    series = equilibrium._W2_SERIES
+    assert len(series[0]) == 50
+    assert equilibrium._w2_series(49) is series
+    assert equilibrium._w2_series(0) is series

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from numpy.polynomial.legendre import legval
 from bcgame import valuation
 from bcgame._rng import batch_generator
 from bcgame.equilibrium import (
+    Bimatrix,
     EquilibriumKind,
+    _cell,
     _w2_array,
     _w2_scalar,
+    bimatrix,
     build_game_tables,
     classify_state,
     stage_actions,
@@ -355,6 +359,91 @@ def test_pair_read_matches_one_loop_per_player(horizon):
                 for player in (2, 1):
                     got = vf.value_at(n, x, player)
                     assert got == _value_reference(vf, n, x, player), (n, x, player)
+
+
+AUDIT_HORIZONS = (2, 5, 10, 30, 40, 50, 60, 150)
+
+
+def _pair_before(vf, n, x):
+    """(C_1(n, x), C_2(n, x)) by the pair read as it was before the cached
+    horizon: the segment clamped into range both ways, N read from the
+    config."""
+    if x >= 1.0:
+        return 0.0, 0.0
+    s = bisect_right(vf.breaks.tolist(), x) - 1
+    s = min(max(s, 0), vf.n_segments - 1)
+    lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
+    t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+    top = vf.tables.config.horizon - n
+    coef1, coef2 = vf.cont[:, n, s, : top + 1].tolist()
+    b1 = b2 = c1 = c2 = 0.0
+    for k in range(top, -1, -1):
+        r, f = (2 * k + 1) / (k + 1) * t, (k + 1) / (k + 2)
+        b1, b2 = coef1[k] + r * b1 - f * b2, b1
+        c1, c2 = coef2[k] + r * c1 - f * c2, c1
+    return b1, c1
+
+
+def _is_pure_nash_before(cells, kind):
+    """The Nash check as it was: cells on a grid [player 1 stops][player 2
+    stops], indexed through the kind's action letters."""
+    ss, sf, fs, ff = cells
+    grid = ((ff, fs), (sf, ss))
+    i, j = ("FS".index(a) for a in kind.value)
+    here = grid[i][j]
+    return grid[1 - i][j][0] <= here[0] and grid[i][1 - j][1] <= here[1]
+
+
+def _audit_before(vf, n, x):
+    """The audit row of a record state by the code before the tuple
+    ``Bimatrix`` and the kind flags: kind, both continuations, the four
+    cells, the Nash verdict and both players' values."""
+    tables = vf.tables
+    kind = classify_state(n, x, tables)
+    c1, c2 = _pair_before(vf, n, x)
+    w1n, w2n = tables.w1.item(n - 1), _w2_scalar(n, x, tables.config.horizon)
+    joint = 2.0 * tables.config.priority - 1.0
+    cells = (
+        _cell(True, True, joint, w1n, w2n),
+        _cell(True, False, joint, w1n, w2n),
+        _cell(False, True, joint, w1n, w2n),
+        (c1, c2),
+    )
+    stop1, stop2 = kind.value[0] == "S", kind.value[1] == "S"
+    if kind is EquilibriumKind.FF:
+        values = (c1, c2)
+    else:
+        values = _cell(stop1, stop2, joint, w1n, w2n)
+    return kind, c1, c2, cells, _is_pure_nash_before(cells, kind), values
+
+
+@pytest.mark.parametrize("horizon", AUDIT_HORIZONS)
+def test_audit_rows_match_code_before_tuple_bimatrix(horizon):
+    # classify_state, continuation for both players, bimatrix, is_pure_nash
+    # and value_at equal the code before, value and type, at stage 1, 2,
+    # N/2, N - 1 and N, over every priority
+    stages = sorted({1, 2, horizon // 2, horizon - 1, horizon})
+    for priority in PARITY_PRIORITIES:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        vf, _ = backward_induce(tables)
+        for x in _parity_values(vf, seed=horizon):
+            for n in stages:
+                if x == 0.0 and n < horizon:
+                    continue  # bimatrix refuses it, as before
+                kind = classify_state(n, x, tables)
+                c1, c2 = continuation(n, x, vf, 1), continuation(n, x, vf, 2)
+                bm = bimatrix(n, x, tables, (c1, c2))
+                values = (vf.value_at(n, x, 1), vf.value_at(n, x, 2))
+                row = (kind, c1, c2, tuple(bm), bm.is_pure_nash(kind), values)
+                want = _audit_before(vf, n, x)
+                assert row == want, (priority, n, x)
+                assert type(bm) is Bimatrix and type(row[4]) is bool
+                leaves = (c1, c2, *values, *(v for cell in bm for v in cell))
+                assert all(type(v) is float for v in leaves)
+        # the continuation at n = 0 reads the same segment too
+        for x in _parity_values(vf, seed=horizon):
+            got = (continuation(0, x, vf, 1), continuation(0, x, vf, 2))
+            assert got == _pair_before(vf, 0, x)
 
 
 def test_pair_memo_interleavings():

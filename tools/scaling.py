@@ -1,5 +1,6 @@
-"""Scaling figures of the Monte Carlo and state-audit layers and of some
-end-to-end commands, one row per source tree, for a ``BENCH_*.json`` file.
+"""Scaling figures of the thresholds, game-table, Monte Carlo and
+state-audit layers and of some end-to-end commands, one row per source
+tree, for a ``BENCH_*.json`` file.
 
     python tools/scaling.py --tree change=src \\
         [--tree parent=/path/to/parent/src] > BENCH.json
@@ -20,6 +21,13 @@ Cases:
   untimed.  Reports microseconds per state and states per second, from
   the fastest of five passes over the list, and the child's max RSS,
   which the induction's tables set.
+* ``thresholds-N`` for N = 10, 50, 150 and 400: one
+  ``models.fullinfo_thresholds()`` call at horizon N with its cache cold,
+  the first call of the interpreter.  Reports its wall time and the
+  child's max RSS.
+* ``tables-N`` for N = 10, 50, 150 and 400: ``build_game_tables()`` at
+  p = 0.25 with the thresholds already solved and cached.  Reports the
+  fastest of five calls and the child's max RSS.
 * ``cli-simulate-35``: ``bcgame simulate --horizon 35 --priority 0.25
   --samples 2000000`` end to end.
 * ``cli-regions-50-csv`` and ``cli-regions-50-json``: ``bcgame regions
@@ -100,6 +108,30 @@ wall = min(walls)
 print(json.dumps({"us_per_state": wall / count * 1e6, "states_per_s": count / wall}))
 """
 
+_THRESHOLDS_CHILD = """
+import json, sys, time
+from bcgame import ProblemConfig, fullinfo_thresholds
+horizon = int(sys.argv[1])
+cfg = ProblemConfig(horizon=horizon)
+start = time.perf_counter()
+fullinfo_thresholds(cfg)
+print(json.dumps({"wall_s": time.perf_counter() - start}))
+"""
+
+_TABLES_CHILD = """
+import json, sys, time
+from bcgame import ProblemConfig, build_game_tables, fullinfo_thresholds
+horizon, count = int(sys.argv[1]), int(sys.argv[2])
+cfg = ProblemConfig(horizon=horizon, priority=0.25)
+fullinfo_thresholds(cfg)
+walls = []
+for _ in range(count):
+    start = time.perf_counter()
+    build_game_tables(cfg)
+    walls.append(time.perf_counter() - start)
+print(json.dumps({"wall_s": min(walls)}))
+"""
+
 _CLI_CHILD = "import sys; from bcgame.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -128,7 +160,7 @@ def _child(src: str, argv: list[str], keep: bool = True) -> tuple[float, bytes, 
 
 def _layer_case(src: str, child: str, horizon: int, count: int) -> dict:
     """One run of an in-process ``child`` at ``horizon`` over ``count``
-    sequences or states: the JSON it prints, plus its max RSS."""
+    sequences, states or calls: the JSON it prints, plus its max RSS."""
     _, out, usage = _child(src, [child, str(horizon), str(count)])
     run = json.loads(out)
     run["maxrss_mb"] = usage.ru_maxrss / 1024
@@ -176,6 +208,8 @@ def main() -> None:
     for name, child, count in (
         ("simulate", _SIMULATE_CHILD, SEQUENCES),
         ("audit", _AUDIT_CHILD, AUDIT_STATES),
+        ("thresholds", _THRESHOLDS_CHILD, 1),
+        ("tables", _TABLES_CHILD, REPEATS),
     ):
         for n in HORIZONS:
             cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
