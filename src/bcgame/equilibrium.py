@@ -121,11 +121,20 @@ def _w2_series(d: int) -> tuple[list, list]:
 
 def _w2_scalar(n: int, x: float, horizon: int) -> float:
     """``_w2_array`` at one state in Python floats, by the same operations
-    in the same order, so the two agree bit for bit: a numpy step on a 0-d
-    array costs about 2.5 us.  The Horner loop reads 1/m from a list
-    instead of dividing.  The power is numpy's, because Python's
-    ``x ** d`` and ``math.pow`` differ from it in the last bit: where numpy
-    runs its AVX-512 power kernel, in about 5 % of random (x, d)."""
+    in the same order: a numpy step on a 0-d array costs about 2.5 us.
+    The Horner loop reads 1/m from a list instead of dividing.  The power
+    is numpy's, because Python's ``x ** d`` and ``math.pow`` differ from it
+    in the last bit: where numpy runs its AVX-512 power kernel, in about
+    5 % of random (x, d).
+
+    The two forms agree to 1e-15, not bit for bit.  Numpy's power over a
+    long array can round differently from its call on one value, and
+    x**d (1 + H_d) nearly cancels the Horner sum, so a last-bit power
+    difference becomes up to 4.4e-16 in the margin: 16 of 50,000 random
+    (n, x) at N = 60 and 5 of 50,000 at N = 400 (numpy 2.4, AVX-512).
+    ``w2``, ``bimatrix`` and ``ValueFunction.value_at`` take this form; the
+    Monte Carlo scoring in ``valuation._play_batch`` takes the array form,
+    so a stopped cell may differ in its last bits between the two."""
     d = horizon - n
     inverse, harmonic = _W2_SERIES
     if d >= len(inverse):

@@ -26,7 +26,12 @@ from .errors import TooLarge
 from .models import ProblemConfig, ThresholdVector
 from .valuation import SimConfig, ValuePair
 
+#: Sequences per batch of ``fullinfo_mc_check``; each batch draws its own
+#: stream, so this size fixes the sample set of every (samples, seed).
 _MC_BATCH = 1 << 17
+
+#: Draws that one ``fullinfo_mc_check`` chunk holds, whatever N.
+_MC_BUDGET = 1 << 16
 
 #: Midpoints per axis of the joint-grid oracle's mesh; the suite's
 #: tolerances (1e-4 at horizon 2, 1e-3 at horizon 3) assume it.
@@ -149,7 +154,17 @@ def fullinfo_mc_check(
     seed: int = 42,
 ) -> OracleReport:
     """Monte Carlo win rate of the solo threshold rule against its exact
-    recursion value; passes within 4 standard errors."""
+    recursion value; passes within 4 standard errors.
+
+    The samples come in batches of ``_MC_BATCH`` sequences, each batch on
+    its own stream, and each batch is drawn in chunks of max(1,
+    ``_MC_BUDGET`` // N) rows that continue its stream, so the sequences
+    are those of one draw per batch.  The chunk buffers are allocated once
+    a call: the draws, their running maximum and the record and stop
+    masks.  The Monte Carlo part thus holds O(``_MC_BUDGET``) memory
+    whatever N and ``samples`` (one row when N exceeds the budget), and
+    the win count is an exact integer.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if thresholds is None:
@@ -159,25 +174,27 @@ def fullinfo_mc_check(
         thresholds = ThresholdVector(horizon=horizon, values=thr_values)
     dp_value = 1.0 if horizon == 1 else _rule_value_polys(horizon, thresholds)
     thr = thresholds.values
+    chunk = max(1, _MC_BUDGET // horizon)
+    draws = np.empty((chunk, horizon))
+    running = np.empty((chunk, horizon))
+    records = np.empty((chunk, horizon), dtype=bool)
+    records[:, 0] = True
+    marks = np.empty((chunk, horizon), dtype=bool)
     wins = 0
-    remaining = samples
-    batch_index = 0
-    while remaining > 0:
-        nb = min(_MC_BATCH, remaining)
+    for batch_index, lo in enumerate(range(0, samples, _MC_BATCH)):
         rng = batch_generator(seed, batch_index)
-        x = rng.random((nb, horizon))
-        running = np.maximum.accumulate(x, axis=1)
-        rec = np.empty((nb, horizon), dtype=bool)
-        rec[:, 0] = True
-        rec[:, 1:] = x[:, 1:] > running[:, :-1]
-        stops = rec & (x >= thr[None, :])
-        stopped = stops.any(axis=1)
-        first = np.argmax(stops, axis=1)
-        rows = np.nonzero(stopped)[0]
-        picked = x[rows, first[rows]]
-        wins += int(np.sum(picked == running[rows, -1]))
-        remaining -= nb
-        batch_index += 1
+        size = min(_MC_BATCH, samples - lo)
+        for start in range(0, size, chunk):
+            rows = min(chunk, size - start)
+            x, run, rec, stops = draws[:rows], running[:rows], records[:rows], marks[:rows]
+            rng.random(out=x)
+            np.maximum.accumulate(x, axis=1, out=run)
+            np.greater(x[:, 1:], run[:, :-1], out=rec[:, 1:])
+            np.greater_equal(x, thr, out=stops)
+            stops &= rec
+            hit = np.flatnonzero(stops.any(axis=1))
+            picked = x[hit, stops.argmax(axis=1)[hit]]
+            wins += int(np.count_nonzero(picked == run[hit, -1]))
     rate = wins / samples
     se = math.sqrt(max(rate * (1.0 - rate), 1e-300) / samples)
     return OracleReport.compare(
@@ -260,23 +277,21 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
     c2 = record2 & ~stop2[None, :]
     # no record at 2: stage 3 pays off when x3 > x1
     c1 = ~record2
-    cont_from_x2 = frac_above[None, :]
-    cont_from_x1 = frac_above[:, None]
-    cont1 = np.where(
-        stop1[:, None],
-        pay1_1[:, None],
-        s2 * pay1_2[None, :]
-        + c2 * cont_from_x2 * last1
-        + c1 * cont_from_x1 * last1,
-    )
-    cont2 = np.where(
-        stop1[:, None],
-        pay2_1[:, None],
-        s2 * pay2_2[None, :]
-        + c2 * cont_from_x2 * last2
-        + c1 * cont_from_x1 * last2,
-    )
-    return ValuePair(val1=float(cont1.mean()), val2=float(cont2.mean()))
+    levels = ((c2, ~c2, frac_above[None, :]), (c1, record2, frac_above[:, None]))
+    # each player's integrand s2 pay_2 + c2 level_2 last + c1 level_1 last,
+    # term by term in one buffer, every element as the whole-array sum
+    # gives it, signed zeros included: a mask entry is 0 or 1, so a term is
+    # level * last where its mask holds and (0 * level) * last elsewhere
+    cell = np.empty((_MESH, _MESH))
+    means = []
+    for pay_1, pay_2, last in ((pay1_1, pay1_2, last1), (pay2_1, pay2_2, last2)):
+        np.multiply(s2, pay_2[None, :], out=cell)
+        for on, off, level in levels:
+            np.add(cell, level * last, out=cell, where=on)
+            np.add(cell, 0.0 * level * last, out=cell, where=off)
+        np.copyto(cell, pay_1[:, None], where=stop1[:, None])
+        means.append(float(cell.mean()))
+    return ValuePair(*means)
 
 
 def _secretary_rule_formula(horizon: int, cutoff: int) -> float:

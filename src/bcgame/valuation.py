@@ -405,15 +405,21 @@ def _play_batch(
         at = slice(count, count + len(hit))
         stage[at], value[at], coin[at] = j + 1, x[j, hit], u[hit, big_n]
         count += len(hit)
+    if not count:
+        return np.zeros(2), np.zeros(2)
     stage, value, coin = stage[:count], value[:count], coin[:count]
-    taker1, taker2 = stage_actions(stage, value, tables)
-    both = taker1 & taker2  # the coin gives the record to the rank player w.p. p
-    wins = coin[both] < cfg.priority
-    taker1[both], taker2[both] = wins, ~wins
+    stop1, stop2 = stage_actions(stage, value, tables)
+    wins = coin < cfg.priority  # where both stop, the coin gives the rank player the record
+    taker1 = stop1 & (~stop2 | wins)
+    taker2 = stop2 & ~(stop1 & wins)
     w2s = _w2_array(stage, value, big_n)
-    # row-major (stops, 2): a sum down axis 0 adds the rows in order
-    cells = np.ascontiguousarray(stage_cells(stage, taker1, taker2, w2s, tables).T)
-    return cells.sum(axis=0), (cells * cells).sum(axis=0)
+    cells = stage_cells(stage, taker1, taker2, w2s, tables)
+    squares = cells * cells
+    # (2, stops): a running sum along the rows adds the stops in row order;
+    # + 0.0 turns a sum of -0.0 cells into +0.0, as a sum from 0 does
+    np.add.accumulate(cells, axis=1, out=cells)
+    np.add.accumulate(squares, axis=1, out=squares)
+    return cells[:, -1] + 0.0, squares[:, -1]
 
 
 def simulate(

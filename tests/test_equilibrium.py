@@ -161,6 +161,18 @@ def test_w2_scalar_path_matches_array_path(horizon, data):
         assert got == float(_w2_array(np.asarray(n), np.asarray(x), horizon))
 
 
+@pytest.mark.parametrize("horizon", [60, 400])
+def test_w2_scalar_path_within_rounding_of_long_array_path(horizon):
+    # over a long array numpy's power may round differently from its call
+    # on one value, so the two forms agree to rounding, not bit for bit
+    rng = np.random.default_rng(horizon)
+    ns = rng.integers(1, horizon + 1, 20_000)
+    xs = rng.random(20_000)
+    array = _w2_array(ns, xs, horizon)
+    scalar = np.array([_w2_scalar(n, x, horizon) for n, x in zip(ns.tolist(), xs.tolist())])
+    assert np.max(np.abs(scalar - array)) <= 1e-15
+
+
 def test_margin_sign_structure(tables10):
     c = tables10.config
     for n in range(1, 11):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,9 +7,15 @@ import numpy as np
 import pytest
 
 from bcgame import oracle
+from bcgame._rng import batch_generator
 from bcgame.equilibrium import build_game_tables
 from bcgame.errors import TooLarge
-from bcgame.models import ProblemConfig, ThresholdVector, fullinfo_thresholds
+from bcgame.models import (
+    ProblemConfig,
+    ThresholdVector,
+    fullinfo_threshold,
+    fullinfo_thresholds,
+)
 from bcgame.oracle import (
     OracleReport,
     _secretary_wins,
@@ -120,6 +127,129 @@ def test_bent_thresholds_lower_the_rule_value():
     # rule: both sides evaluate the same (suboptimal) rule
     report = fullinfo_mc_check(10, thresholds=bent, samples=100_000, seed=4)
     assert report.passed
+
+
+def _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed):
+    """Reference: the check drawing each batch whole, as (rows, N) arrays."""
+    dp_value = 1.0 if horizon == 1 else oracle._rule_value_polys(horizon, thresholds)
+    thr = thresholds.values
+    wins = 0
+    remaining = samples
+    batch_index = 0
+    while remaining > 0:
+        nb = min(oracle._MC_BATCH, remaining)
+        x = batch_generator(seed, batch_index).random((nb, horizon))
+        running = np.maximum.accumulate(x, axis=1)
+        rec = np.empty((nb, horizon), dtype=bool)
+        rec[:, 0] = True
+        rec[:, 1:] = x[:, 1:] > running[:, :-1]
+        stops = rec & (x >= thr[None, :])
+        first = np.argmax(stops, axis=1)
+        rows = np.nonzero(stops.any(axis=1))[0]
+        wins += int(np.sum(x[rows, first[rows]] == running[rows, -1]))
+        remaining -= nb
+        batch_index += 1
+    rate = wins / samples
+    se = math.sqrt(max(rate * (1.0 - rate), 1e-300) / samples)
+    return OracleReport.compare(
+        quantity=f"fullinfo.rule_win_rate.N{horizon}",
+        oracle_value=rate,
+        solver_value=dp_value,
+        tolerance=4.0 * se,
+        method=f"monte carlo ({samples} samples, seed {seed}) vs exact recursion",
+    )
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 10, 25])
+def test_fullinfo_check_chunks_match_one_shot_draw(monkeypatch, horizon):
+    # chunk boundaries inside and across the 131072-sequence batches
+    # change no sequence and no count; the recursion is computed once per
+    # threshold table
+    polys = oracle._rule_value_polys
+    cache = {}
+
+    def cached_polys(n, t):
+        key = t.values.tobytes()
+        if key not in cache:
+            cache[key] = polys(n, t)
+        return cache[key]
+
+    monkeypatch.setattr(oracle, "_rule_value_polys", cached_polys)
+    chunk = max(1, oracle._MC_BUDGET // horizon)
+    counts = {1, 7, chunk - 1, chunk, chunk + 1, 131_073, 200_000}
+    values = [fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]
+    thresholds = ThresholdVector(horizon=horizon, values=np.array(values))
+    for samples in sorted(counts):
+        for seed in (42, 7):
+            want = _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed)
+            assert fullinfo_mc_check(horizon, samples=samples, seed=seed) == want
+
+
+def test_fullinfo_check_chunks_match_one_shot_draw_tampered():
+    base = fullinfo_thresholds(ProblemConfig(horizon=10)).values
+    rng = np.random.default_rng(5)
+    for values in (np.clip(base + 0.2, 0.0, 0.999), rng.random(10), np.zeros(10)):
+        bent = ThresholdVector(horizon=10, values=values)
+        for samples in (6_553, 131_073):
+            want = _fullinfo_mc_check_one_shot(10, bent, samples, 3)
+            assert fullinfo_mc_check(10, thresholds=bent, samples=samples, seed=3) == want
+
+
+def test_fullinfo_check_memory_independent_of_horizon(monkeypatch):
+    # drawn whole, a batch at N = 10 holds 131072 x 10 draws and their
+    # running maximum (21 MB), at N = 60 six times that; the chunk buffers
+    # hold one budget of 65536 draws, 1.2 MB whatever N (the recursion is
+    # stubbed out: its memory is not the Monte Carlo's)
+    monkeypatch.setattr(oracle, "_rule_value_polys", lambda n, t: 0.5)
+    fullinfo_mc_check(10, samples=100)  # first-call imports
+    for horizon in (10, 60):
+        thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
+        tracemalloc.start()
+        try:
+            fullinfo_mc_check(horizon, thresholds=thresholds, samples=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, horizon
+
+
+def _game_exhaustive_small_whole_arrays(horizon, priority):
+    """Reference: the joint-grid value from whole-array temporaries."""
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+    mesh = oracle._MESH
+    mid = (np.arange(mesh) + 0.5) / mesh
+    last1 = 2.0 * priority - 1.0
+    last2 = 1.0 - 2.0 * priority
+    pay1_1, pay2_1, stop1 = oracle._stop_payoffs(1, mid, tables)
+    frac_above = (mesh - 1 - np.arange(mesh)) / mesh
+    if horizon == 2:
+        val1 = np.where(stop1, pay1_1, frac_above * last1)
+        val2 = np.where(stop1, pay2_1, frac_above * last2)
+        return val1.mean(), val2.mean()
+    pay1_2, pay2_2, stop2 = oracle._stop_payoffs(2, mid, tables)
+    record2 = mid[None, :] > mid[:, None]
+    s2 = record2 & stop2[None, :]
+    c2 = record2 & ~stop2[None, :]
+    c1 = ~record2
+    cont_from_x2 = frac_above[None, :]
+    cont_from_x1 = frac_above[:, None]
+    out = []
+    for pay_1, pay_2, last in ((pay1_1, pay1_2, last1), (pay2_1, pay2_2, last2)):
+        cont = np.where(
+            stop1[:, None],
+            pay_1[:, None],
+            s2 * pay_2[None, :] + c2 * cont_from_x2 * last + c1 * cont_from_x1 * last,
+        )
+        out.append(cont.mean())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_game_exhaustive_matches_whole_array_reference(horizon):
+    for priority in (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5):
+        got = game_exhaustive_small(horizon, priority)
+        want = _game_exhaustive_small_whole_arrays(horizon, priority)
+        assert repr(got.as_tuple()) == repr(tuple(float(v) for v in want)), priority
 
 
 def test_game_exhaustive_guards():

@@ -655,6 +655,17 @@ def test_simulate_matches_serial_reference(monkeypatch, horizon, priority):
             assert got[1] == want[1], (samples, cpus, budget)
 
 
+@pytest.mark.parametrize("priority", [0.0, 0.25, 0.5])
+def test_batch_sums_carry_no_negative_zero(priority):
+    # at N = 2, w1_1 = 0, so a sequence the value player takes alone scores
+    # -0.0 for the rank player (seed 9); the batch of that one stop sums to
+    # +0.0, as a sum from 0 does
+    tables = build_game_tables(ProblemConfig(horizon=2, priority=priority))
+    for seed in range(10):
+        for total in valuation._play_batch(tables.config, tables, seed, 0, 1, 1):
+            assert not np.signbit(total[total == 0.0]).any(), seed
+
+
 def test_simulate_memory_independent_of_horizon(monkeypatch):
     # four 65536-row batches at N = 400 on four threads; drawn whole, one
     # batch alone holds 65536 x 401 uniforms (210 MB) plus their running

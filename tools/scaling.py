@@ -33,6 +33,8 @@ Cases:
 * ``cli-regions-50-csv`` and ``cli-regions-50-json``: ``bcgame regions
   --horizon 50 --priority 0.25 --xstep 1e-4``, 500,050 rows, in each
   format.
+* ``cli-verify``: ``bcgame verify``, the oracle suite at its default
+  200,000 samples.
 
 The ``cli-*`` cases report the wall time, the child's CPU time and its
 max RSS; their output goes to /dev/null.
@@ -67,6 +69,7 @@ CLI_CASES = {
     ),
     "cli-regions-50-csv": (*_REGIONS_ARGV, "--format", "csv"),
     "cli-regions-50-json": (*_REGIONS_ARGV, "--format", "json"),
+    "cli-verify": ("verify",),
 }
 
 _SIMULATE_CHILD = """
