@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import astuple, fields
 from itertools import islice
 
-from . import equilibrium, models, oracle, valuation
+from . import equilibrium, models, valuation
 from .errors import BcgameError
 from .models import ProblemConfig
 
@@ -133,9 +133,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_values(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(horizon=args.horizon, priority=args.priority)
-    valuation._check_table_memory(cfg.horizon)
     tables = equilibrium.build_game_tables(cfg)
-    _, pair = valuation.backward_induce(tables)
+    pair = valuation.game_value(tables)
     payload: dict = {
         "horizon": cfg.horizon,
         "priority": cfg.priority,
@@ -180,6 +179,9 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # imported here: no other command runs the oracles
+    from . import oracle
+
     reports = oracle.run_verification_suite(samples=args.samples, seed=args.seed)
     header = [f.name for f in fields(oracle.OracleReport)]
     _emit_rows(args, header, [astuple(r) for r in reports])
@@ -210,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_table1)
 
     for name, help_text in (
-        ("values", "game value by backward induction and optionally Monte Carlo"),
+        ("values", "game value by the first-stop density and optionally Monte Carlo"),
         ("simulate", "game value by Monte Carlo (alias of values --method mc)"),
     ):
         sub = subs.add_parser(name, help=help_text)

@@ -93,10 +93,21 @@ def secretary_exhaustive(horizon: int, cutoff: int) -> float:
     return float(Fraction(wins, math.factorial(horizon)))
 
 
+def _breakpoints(thresholds: np.ndarray) -> np.ndarray:
+    """The distinct values among 0, 1 and ``thresholds``, ascending, as
+    ``np.unique`` gives them (a sort and an adjacent-difference mask),
+    without its ``numpy.ma`` import; the solver keeps its own copy."""
+    points = np.sort(np.concatenate(([0.0, 1.0], thresholds)))
+    keep = np.empty(len(points), dtype=bool)
+    keep[0] = True
+    np.not_equal(points[1:], points[:-1], out=keep[1:])
+    return points[keep]
+
+
 def _rule_value_polys(horizon: int, thresholds: ThresholdVector) -> float:
     """Win probability of the value player's solo threshold rule, by exact
     piecewise-polynomial backward recursion on record states."""
-    breaks = np.unique(np.concatenate(([0.0, 1.0], thresholds.values)))
+    breaks = _breakpoints(thresholds.values)
     segs = list(zip(breaks[:-1], breaks[1:]))
 
     def monomial(k: int) -> np.ndarray:
@@ -461,9 +472,12 @@ def run_verification_suite(
     )
 
     # game values: joint-grid oracle and Monte Carlo against the induction
+    induced = {}  # horizon -> (tables, induction pair)
     for big_n, tol in ((2, 1e-4), (3, 1e-3)):
         cfg = ProblemConfig(horizon=big_n, priority=0.25)
-        _, dp = valuation.backward_induce(equilibrium.build_game_tables(cfg))
+        tables = equilibrium.build_game_tables(cfg)
+        _, dp = valuation.backward_induce(tables)
+        induced[big_n] = tables, dp
         grid = game_exhaustive_small(big_n, 0.25)
         for comp, dp_v, gr_v in (
             ("val1", dp.val1, grid.val1),
@@ -481,6 +495,7 @@ def run_verification_suite(
     cfg10 = ProblemConfig(horizon=10, priority=0.25)
     tables10 = equilibrium.build_game_tables(cfg10)
     _, dp10 = valuation.backward_induce(tables10)
+    induced[10] = tables10, dp10
     mc10, se10 = valuation.simulate(
         cfg10, tables10, SimConfig(samples=samples, seed=seed + 2)
     )
@@ -497,6 +512,23 @@ def run_verification_suite(
                 method=f"monte carlo ({samples} samples) vs backward induction, 3 sigma",
             )
         )
+
+    # the first-stop game value, which the CLI prints, against the induction
+    for big_n, (tables, dp) in induced.items():
+        first_stop = valuation.game_value(tables)
+        for comp, dp_v, fs_v in (
+            ("val1", dp.val1, first_stop.val1),
+            ("val2", dp.val2, first_stop.val2),
+        ):
+            reports.append(
+                OracleReport.compare(
+                    f"game.value.first_stop_vs_induction.N{big_n}.p0.25.{comp}",
+                    oracle_value=dp_v,
+                    solver_value=fs_v,
+                    tolerance=1e-12,
+                    method="first-stop closed form vs backward induction",
+                )
+            )
 
     # shifted-cutoff row at horizon 10
     expected_row = {0.1: 4, 0.2: 5, 0.25: 5, 1 / 3: 5, math.exp(-1): 5, 0.5: 6}

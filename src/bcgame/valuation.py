@@ -1,5 +1,14 @@
-"""Game value by backward induction over record states, and an independent
-Monte Carlo simulation of play under the classified profile.
+"""Game values by the first-stop density and by backward induction over
+record states, and an independent Monte Carlo simulation of play under
+the classified profile.
+
+``game_value`` gives the game value alone, the pair that ``values`` and
+``simulate`` print, in O(N**2) time and O(N) memory: the classified
+profile stops at a record (n, x) exactly when x >= b_n, with b the
+nonincreasing bars of ``stop_bars``, so the first stop has a density in
+closed form, and the value is its integral against the stopped cells.
+``backward_induce`` gives the value of every record state, which the
+API's point queries read, and certifies ``game_value`` (within 1e-12).
 
 The induction walks indices downward.  At each record state it reads the
 classified action pair and scores the corresponding stage-bimatrix cell;
@@ -26,8 +35,7 @@ S_d = x S_{d-1} + 1/d.  A stage costs O(S (N - n)) for S segments, the
 induction O(N**3).  The tables take 16 (N+1)(S (N+1) + 1) bytes,
 about 16 (N+1)**3 with the S = N segments of the game, 1.03 GB at
 N = 400; a horizon whose tables would not fit in physical memory is
-refused before anything is allocated, by the CLI before its thresholds
-are solved.
+refused before anything is allocated.
 
 Point queries (``continuation``, ``ValueFunction.value_at``) take a
 scalar read path in Python floats: the segment by ``bisect`` on a list of
@@ -143,15 +151,6 @@ def _table_bytes(horizon: int) -> int:
     return 8 * 2 * (horizon + 1) * (horizon * (horizon + 1) + 1)
 
 
-def _check_table_memory(horizon: int) -> None:
-    """Raise ``TooLarge`` when the value tables at ``horizon`` would exceed
-    physical memory.  The model needs N alone, so callers check it before
-    the thresholds are solved or any table is allocated."""
-    refuse_beyond(
-        _table_bytes(horizon), _physical_memory(), f"value tables at horizon {horizon}"
-    )
-
-
 def _check_player(player: int) -> None:
     if player not in _PLAYERS:
         raise DomainError(f"player must be 1 or 2, got {player}")
@@ -182,6 +181,18 @@ def _times_x(a: np.ndarray, breaks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _breakpoints(thresholds: np.ndarray) -> np.ndarray:
+    """The distinct values among 0, 1 and ``thresholds``, ascending:
+    ``np.unique``'s array, bit for bit, by the sort and adjacent-difference
+    mask it runs itself, without the ``numpy.ma`` import (12-15 ms) that
+    its first call in a process pays."""
+    points = np.sort(np.concatenate(([0.0, 1.0], thresholds)))
+    keep = np.empty(len(points), dtype=bool)
+    keep[0] = True
+    np.not_equal(points[1:], points[:-1], out=keep[1:])
+    return points[keep]
+
+
 class ValueFunction:
     """Piecewise-polynomial per-index values of both players.
 
@@ -197,10 +208,11 @@ class ValueFunction:
     def __init__(self, tables: GameTables):
         self.tables = tables
         big_n = self._horizon = tables.config.horizon
-        _check_table_memory(big_n)
-        self.breaks = np.unique(
-            np.concatenate(([0.0, 1.0], tables.xthresholds.values))
+        # the model needs N alone: refuse before any table is allocated
+        refuse_beyond(
+            _table_bytes(big_n), _physical_memory(), f"value tables at horizon {big_n}"
         )
+        self.breaks = _breakpoints(tables.xthresholds.values)
         self.n_segments = len(self.breaks) - 1
         self.cont = np.zeros((2, big_n + 1, self.n_segments, big_n + 1))  # C(N, .) = 0
         self.averages = np.zeros((2, big_n + 1))
@@ -330,6 +342,86 @@ def backward_induce(tables: GameTables) -> tuple[ValueFunction, ValuePair]:
         vf.finalize_stage(n, coefficients)
     pair = ValuePair(val1=vf.stage_average(1, 1), val2=vf.stage_average(1, 2))
     return vf, pair
+
+
+def game_value(tables: GameTables) -> ValuePair:
+    """The game value of ``backward_induce``, by the first-stop density,
+    in O(N**2) time and O(N) memory.
+
+    With b the bars of ``stop_bars``, nobody stops before a record at n
+    exactly when the maximum of the first n - 1 values, at some index j,
+    lies below b_j, so the first stop falls at (n, y), y >= b_n, with
+    density f_n(y) = sum_{j<n} min(y, b_j)**m / m, m = n - 1, and f_1 = 1.
+    The value is sum_n int_{b_n}^1 f_n(y) cell_n(y) dy.  Stage n splits at
+    x_n into the piece [x_n, 1] and, from ntilde on, where b_n = 0, the
+    piece [0, x_n); each piece takes its stopped cell s (w1_n, -w2_n(y))
+    from ``stage_actions`` at one of its points.  Only the J = min(m,
+    ntilde - 1) positive bars b_j = x_j count, and x_j > x_n, so
+
+        int_{x_n}^1 f_n = sum_j [(x_j**n - x_n**n) / n + x_j**m (1 - x_j)] / m,
+        int_{x_n}^1 f_n w2_n = sum_j [A(x_j) - A(x_n) + x_j**m (B(1) - B(x_j))] / m,
+        int_0^{x_n} f_n = J x_n**n / (n m),  int_0^{x_n} f_n w2_n = J A(x_n) / m,
+
+    with A(y) = int_0^y t**m w2_n(t) dt and B(y) = int_0^y w2_n(t) dt.  With
+    d = N - n and w2_n = y**d (1 + H_d) - sum_{k=1}^{d} y**(d-k) / k,
+
+        A = (1 + H_d) y**N / N - G_d,   G_d = sum_{k=1}^{d} y**(N-k) / (k (N-k)),
+        B = ((1 + H_d) y**(d+1) - S_d - R_d) / (d + 1),
+        S_d = sum_{k=1}^{d} y**k / k,   R_d = y (R_{d-1} + 1/d),
+
+    each series one vector update a stage, at the points 1, x_1, .., x_n
+    that stage n and the stages before it read.
+    """
+    big_n = tables.config.horizon
+    bars = stop_bars(tables)
+    thresholds = tables.xthresholds.values
+    live = int(np.count_nonzero(bars))  # the bars before ntilde
+    ns = np.arange(1, big_n + 1)
+    upper = [flags.tolist() for flags in stage_actions(ns, thresholds, tables)]
+    lower = [flags.tolist() for flags in stage_actions(ns, bars, tables)]
+    joint = 2.0 * tables.config.priority - 1.0
+    y = np.concatenate(([1.0], thresholds))  # y[j] = x_j, y[0] = 1
+    top = y**big_n
+    power = np.ones_like(y)  # y**d
+    g, s, r = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
+    harmonic = 0.0
+    terms1: list[float] = []
+    terms2: list[float] = []
+    for n in range(big_n, 0, -1):
+        d, k = big_n - n, n + 1
+        head = y[:k]
+        if d:
+            harmonic += 1.0 / d
+            yn = head**n
+            g[:k] += yn / (d * n)
+            power[:k] *= head
+            s[:k] += power[:k] / d
+            r[:k] += 1.0 / d
+            r[:k] *= head
+        else:
+            yn = top
+        a = (1.0 + harmonic) / big_n * top[:k] - g[:k]
+        b = ((1.0 + harmonic) * power[:k] * head - s[:k] - r[:k]) / (d + 1)
+        if n == 1:
+            up1, up2 = 1.0 - y[1], b[0] - b[1]
+            lo1, lo2 = y[1], b[1]
+        else:
+            m = n - 1
+            j = min(m, live)
+            xj = y[1 : j + 1]
+            pm = yn[1 : j + 1] / xj
+            up1 = ((yn[1 : j + 1].sum() - j * yn[n]) / n + pm @ (1.0 - xj)) / m
+            up2 = (a[1 : j + 1].sum() - j * a[n] + pm @ (b[0] - b[1 : j + 1])) / m
+            lo1, lo2 = j * yn[n] / (n * m), j * a[n] / m
+        w1n = tables.w1.item(n - 1)
+        pieces = [(upper, up1, up2)]
+        if bars[n - 1] < thresholds[n - 1]:
+            pieces.append((lower, lo1, lo2))
+        for (stop1, stop2), i1, i2 in pieces:
+            c1, c2 = _cell(stop1[n - 1], stop2[n - 1], joint, w1n, 1.0)
+            terms1.append(c1 * i1)
+            terms2.append(c2 * i2)
+    return ValuePair(val1=math.fsum(terms1), val2=math.fsum(terms2))
 
 
 def _cpu_count() -> int:

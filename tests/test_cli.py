@@ -4,13 +4,17 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import bcgame
 from bcgame import cli, equilibrium, valuation
 from bcgame.cli import main
 from bcgame.errors import DomainError
+from bcgame.models import ProblemConfig
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -121,17 +125,6 @@ def test_resource_errors_exit_2(error, monkeypatch, capsys):
     assert main(["thresholds", "--horizon", "5"]) == 2
     assert capsys.readouterr().err == "bcgame: error: out of range\n"
 
-
-
-def test_values_beyond_physical_memory_exits_2(monkeypatch, capsys):
-    # the cost model refuses the value tables before they are allocated
-    from bcgame import valuation
-
-    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
-    assert main(["values", "--horizon", "40", "--priority", "0.25"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("bcgame: error: value tables at horizon 40 need")
-    assert "physical memory" in err
 
 
 def test_values_priority_literals(tmp_path):
@@ -333,13 +326,15 @@ def test_verify_passes_and_writes_reports(tmp_path):
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
-    from bcgame import cli as climod
+    from bcgame import oracle
     from bcgame.oracle import OracleReport
 
     def fake_suite(samples, seed):
         return [OracleReport.compare("forced", 0.0, 1.0, 1e-9, "negative control")]
 
-    monkeypatch.setattr(climod.oracle, "run_verification_suite", fake_suite)
+    # verify imports the oracle module when it runs and calls the suite
+    # through it, so a patch of the module reaches it
+    monkeypatch.setattr(oracle, "run_verification_suite", fake_suite)
     out = tmp_path / "verify.csv"
     assert main(["verify", "--samples", "10", "--out", str(out)]) == 1
     # a failed verification still writes its reports
@@ -429,12 +424,61 @@ def test_failed_command_leaves_no_out_file(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("command", ["values", "simulate"])
-def test_over_memory_horizon_refused_before_thresholds(command, monkeypatch, capsys):
-    # 1.6e16 bytes of tables at N = 1e5 against 1 GiB, by arithmetic alone
-    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 30)
-    monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
-    assert main([command, "--horizon", "100000", "--priority", "0.25"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("bcgame: error: value tables at horizon 100000 need")
-    assert "physical memory" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["values", "--horizon", "40", "--priority", "0.25"],
+        ["simulate", "--horizon", "40", "--priority", "0.25", "--samples", "1000"],
+    ],
+    ids=["values", "simulate"],
+)
+def test_game_value_commands_build_no_value_tables(argv, monkeypatch, capsys):
+    # the value tables at N = 40 (1.1 MB) exceed 1 MiB of memory, yet the
+    # printed game value needs none of them: the refusal of tables beyond
+    # memory belongs to the API (test_valuation's
+    # test_value_function_refuses_tables_beyond_physical_memory)
+    assert valuation._table_bytes(40) > 1 << 20
+    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(valuation, "ValueFunction", _never_called)
+    monkeypatch.setattr(valuation, "backward_induce", _never_called)
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split(",")[:2] == ["val1", "val2"]
+    tables = equilibrium.build_game_tables(ProblemConfig(horizon=40, priority=0.25))
+    pair = valuation.game_value(tables)
+    assert [float(v) for v in row.split(",")[:2]] == [pair.val1, pair.val2]
+
+
+#: Modules a cold start must not load: the oracle module and what it
+#: imports, which only ``verify`` runs, and numpy.ma, which the first
+#: ``np.unique`` of a process loads and no command needs.
+_COLD_PATH_SKIPS = ("bcgame.oracle", "fractions", "numpy.polynomial", "numpy.ma")
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules of ``_COLD_PATH_SKIPS`` that a fresh interpreter holds
+    after running ``code``, read from the last line it prints."""
+    src = os.path.dirname(os.path.dirname(bcgame.__file__))
+    probe = f"{code}\nimport sys\nprint(*[m for m in {_COLD_PATH_SKIPS!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_cold_start_loads_only_what_the_command_runs():
+    assert _modules_after("import bcgame.cli") == set()
+    values = (
+        "from bcgame.cli import main\n"
+        "main(['values', '--horizon', '20', '--priority', '0.25'])"
+    )
+    assert "numpy.ma" not in _modules_after(values)
+    induce = (
+        "from bcgame import ProblemConfig, backward_induce, build_game_tables\n"
+        "backward_induce(build_game_tables(ProblemConfig(horizon=20, priority=0.25)))"
+    )
+    assert "numpy.ma" not in _modules_after(induce)

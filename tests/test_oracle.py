@@ -280,6 +280,17 @@ def test_game_exhaustive_priority_probe():
     assert low.val2 >= high.val2
 
 
+def test_package_loads_oracle_names_on_first_use():
+    import bcgame
+
+    assert bcgame.run_verification_suite is bcgame.oracle.run_verification_suite
+    from bcgame import OracleReport as exported
+
+    assert exported is OracleReport
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        bcgame.not_a_name
+
+
 def test_report_consistency():
     r = OracleReport.compare("x", 1.0, 1.0 + 5e-13, 1e-12, "m")
     assert r.passed and r.abs_diff <= r.tolerance

@@ -27,13 +27,14 @@ from bcgame.equilibrium import (
     stage_cells,
 )
 from bcgame.errors import DomainError, TooLarge, UnsupportedPriority
-from bcgame.models import ProblemConfig
+from bcgame.models import ProblemConfig, fullinfo_thresholds
 from bcgame.valuation import (
     SimConfig,
     ValueFunction,
     ValuePair,
     backward_induce,
     continuation,
+    game_value,
     simulate,
 )
 
@@ -99,6 +100,41 @@ def test_backward_induce_rejects_high_priority():
     tables = build_game_tables(ProblemConfig(horizon=5, priority=0.7))
     with pytest.raises(UnsupportedPriority):
         backward_induce(tables)
+
+
+#: The seven priorities of the first-stop parity grid: Table 1's six and 0.
+FIRST_STOP_PRIORITIES = (0.0, 0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
+
+
+@pytest.mark.parametrize("horizon", [*range(2, 61), 100, 150])
+def test_game_value_matches_induction(horizon):
+    # the closed form the CLI prints, against the induction that certifies it
+    for priority in FIRST_STOP_PRIORITIES:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        _, want = backward_induce(tables)
+        got = game_value(tables)
+        assert abs(got.val1 - want.val1) <= 1e-12, (horizon, priority)
+        assert abs(got.val2 - want.val2) <= 1e-12, (horizon, priority)
+
+
+def test_game_value_rejects_high_priority():
+    tables = build_game_tables(ProblemConfig(horizon=5, priority=0.7))
+    with pytest.raises(UnsupportedPriority):
+        game_value(tables)
+
+
+def test_game_value_memory_is_linear_in_horizon():
+    # a handful of (N + 1)-vectors: 16 KB each at N = 2000, where the
+    # induction's tables would take 128 GB
+    tables = build_game_tables(ProblemConfig(horizon=2000, priority=0.25))
+    tracemalloc.start()
+    try:
+        pair = game_value(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert math.isfinite(pair.val1) and math.isfinite(pair.val2)
 
 
 def test_value_monotone_in_priority():
@@ -185,6 +221,22 @@ def test_value_at_and_stage_average_validate_player_and_index(game10):
             vf.stage_average(n, 1)
         with pytest.raises(DomainError):
             vf.value_at(n, 0.2, 1)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 10, 150])
+def test_breakpoints_match_np_unique(horizon):
+    # the solver's and the oracle's copies give np.unique's array, bit for bit
+    from bcgame import oracle
+
+    if horizon == 1:
+        values = np.zeros(1)
+    else:
+        values = fullinfo_thresholds(ProblemConfig(horizon=horizon)).values
+    want = np.unique(np.concatenate(([0.0, 1.0], values)))
+    for breakpoints in (valuation._breakpoints, oracle._breakpoints):
+        got = breakpoints(values)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_table_cost_model_matches_allocation(game10):

@@ -1,6 +1,6 @@
-"""Scaling figures of the thresholds, game-table, Monte Carlo and
-state-audit layers and of some end-to-end commands, one row per source
-tree, for a ``BENCH_*.json`` file.
+"""Scaling figures of the thresholds, game-table, game-value, induction,
+Monte Carlo and state-audit layers and of some end-to-end commands, one
+row per source tree, for a ``BENCH_*.json`` file.
 
     python tools/scaling.py --tree change=src \\
         [--tree parent=/path/to/parent/src] > BENCH.json
@@ -28,6 +28,14 @@ Cases:
 * ``tables-N`` for N = 10, 50, 150 and 400: ``build_game_tables()`` at
   p = 0.25 with the thresholds already solved and cached.  Reports the
   fastest of five calls and the child's max RSS.
+* ``value-N`` for N = 10, 50, 150 and 400: ``valuation.game_value()``
+  at p = 0.25 with the tables already built.  Reports the fastest of five
+  calls and the child's max RSS.  A tree without ``game_value`` records
+  no runs.
+* ``induce-N`` for N = 10, 50, 150 and 400: one
+  ``valuation.backward_induce()`` call at p = 0.25 with the tables
+  already built.  Reports its wall time and the child's max RSS, which
+  the induction's tables set.
 * ``cli-simulate-35``: ``bcgame simulate --horizon 35 --priority 0.25
   --samples 2000000`` end to end.
 * ``cli-regions-50-csv`` and ``cli-regions-50-json``: ``bcgame regions
@@ -35,6 +43,7 @@ Cases:
   format.
 * ``cli-verify``: ``bcgame verify``, the oracle suite at its default
   200,000 samples.
+* ``cli-values-400``: ``bcgame values --horizon 400 --priority 0.25``.
 
 The ``cli-*`` cases report the wall time, the child's CPU time and its
 max RSS; their output goes to /dev/null.
@@ -70,6 +79,7 @@ CLI_CASES = {
     "cli-regions-50-csv": (*_REGIONS_ARGV, "--format", "csv"),
     "cli-regions-50-json": (*_REGIONS_ARGV, "--format", "json"),
     "cli-verify": ("verify",),
+    "cli-values-400": ("values", "--horizon", "400", "--priority", "0.25"),
 }
 
 _SIMULATE_CHILD = """
@@ -135,6 +145,30 @@ for _ in range(count):
 print(json.dumps({"wall_s": min(walls)}))
 """
 
+_VALUE_CHILD = """
+import json, sys, time
+from bcgame import ProblemConfig, build_game_tables, valuation
+horizon, count = int(sys.argv[1]), int(sys.argv[2])
+tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+game_value = getattr(valuation, "game_value", None)
+walls = []
+for _ in range(count if game_value else 0):
+    start = time.perf_counter()
+    game_value(tables)
+    walls.append(time.perf_counter() - start)
+print(json.dumps({"wall_s": min(walls)} if walls else None))
+"""
+
+_INDUCE_CHILD = """
+import json, sys, time
+from bcgame import ProblemConfig, backward_induce, build_game_tables
+horizon = int(sys.argv[1])
+tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+start = time.perf_counter()
+backward_induce(tables)
+print(json.dumps({"wall_s": time.perf_counter() - start}))
+"""
+
 _CLI_CHILD = "import sys; from bcgame.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -161,12 +195,14 @@ def _child(src: str, argv: list[str], keep: bool = True) -> tuple[float, bytes, 
     return wall, out, usage
 
 
-def _layer_case(src: str, child: str, horizon: int, count: int) -> dict:
+def _layer_case(src: str, child: str, horizon: int, count: int) -> dict | None:
     """One run of an in-process ``child`` at ``horizon`` over ``count``
-    sequences, states or calls: the JSON it prints, plus its max RSS."""
+    sequences, states or calls: the JSON it prints, plus its max RSS; None
+    when the child prints null, for a layer the tree does not have."""
     _, out, usage = _child(src, [child, str(horizon), str(count)])
     run = json.loads(out)
-    run["maxrss_mb"] = usage.ru_maxrss / 1024
+    if run is not None:
+        run["maxrss_mb"] = usage.ru_maxrss / 1024
     return run
 
 
@@ -213,6 +249,8 @@ def main() -> None:
         ("audit", _AUDIT_CHILD, AUDIT_STATES),
         ("thresholds", _THRESHOLDS_CHILD, 1),
         ("tables", _TABLES_CHILD, REPEATS),
+        ("value", _VALUE_CHILD, REPEATS),
+        ("induce", _INDUCE_CHILD, 1),
     ):
         for n in HORIZONS:
             cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
@@ -223,8 +261,10 @@ def main() -> None:
     for rep in range(REPEATS):
         for name, case in cases.items():
             for label in order if rep % 2 == 0 else order[::-1]:
-                runs[label][name].append(case(trees[label]))
-                print(label, name, runs[label][name][-1], file=sys.stderr, flush=True)
+                run = case(trees[label])
+                print(label, name, run, file=sys.stderr, flush=True)
+                if run is not None:
+                    runs[label][name].append(run)
     rows = []
     for label, src in trees.items():
         commit, dirty = _commit(src)
@@ -240,7 +280,9 @@ def main() -> None:
                 "cases": {
                     name: {
                         "runs": got,
-                        "median": {k: statistics.median(r[k] for r in got) for k in got[0]},
+                        "median": {k: statistics.median(r[k] for r in got) for k in got[0]}
+                        if got
+                        else None,
                     }
                     for name, got in runs[label].items()
                 },
