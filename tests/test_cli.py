@@ -449,6 +449,21 @@ def test_game_value_commands_build_no_value_tables(argv, monkeypatch, capsys):
     assert [float(v) for v in row.split(",")[:2]] == [pair.val1, pair.val2]
 
 
+def test_values_beyond_the_table_horizon_limit_completes(monkeypatch, capsys):
+    # N = 1000 needs 16 GB of value tables, refused against 1 GiB, and lies
+    # above the N = 805 that any machine's tables allow; values prints the
+    # game value without them
+    assert valuation._table_bytes(1000) > 1 << 30
+    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 30)
+    monkeypatch.setattr(valuation, "ValueFunction", _never_called)
+    assert main(["values", "--horizon", "1000", "--priority", "0.25"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "val1,val2"
+    val1, val2 = (float(v) for v in row.split(","))
+    assert math.isfinite(val1) and math.isfinite(val2)
+    assert 0.0 < val2 < 1.0 and -1.0 < val1 < val2
+
+
 #: Modules a cold start must not load: the oracle module and what it
 #: imports, which only ``verify`` runs, and numpy.ma, which the first
 #: ``np.unique`` of a process loads and no command needs.
