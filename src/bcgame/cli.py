@@ -41,28 +41,33 @@ def _fmt(value) -> str:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run the command with its output on ``args.sink``: stdout, or a
-    temporary file made next to ``args.out`` before anything is computed,
-    which replaces it with a shell redirect's mode once the command returns
-    (verification failure included) and is removed on any error.  Commands
-    do no file I/O of their own, so an ``OSError`` here means ``args.out``
-    cannot be written: a ``BcgameError``, exit 2."""
+    """Run the command with its output on ``args.sink``, opened before
+    anything is computed, as a shell redirect would write it: stdout for
+    ``-``; else ``args.out``, symlinks followed.  An existing target that
+    is not a regular file, such as a FIFO or a device, is written in
+    place.  A regular file or a new path gets a temporary file made next
+    to it, which replaces it with a shell redirect's mode once the command
+    returns (verification failure included) and is removed on any error.
+    Commands do no file I/O of their own, so an ``OSError`` here means
+    ``args.out`` cannot be written: a ``BcgameError``, exit 2."""
     if args.out == "-":
         args.sink = sys.stdout
         return args.func(args)
     tmp = None
     try:
+        if os.path.exists(args.out) and not os.path.isfile(args.out):
+            with open(args.out, "w", encoding="utf-8") as args.sink:
+                return args.func(args)
+        path = os.path.realpath(args.out)
         fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(args.out)),
-            prefix=".bcgame-",
-            suffix=".tmp",
+            dir=os.path.dirname(path), prefix=".bcgame-", suffix=".tmp"
         )
         with os.fdopen(fd, "w", encoding="utf-8") as args.sink:
             code = args.func(args)
         umask = os.umask(0)  # the only way to read it; restored at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file 0600
-        os.replace(tmp, args.out)
+        os.replace(tmp, path)
         return code
     except BaseException as exc:
         if tmp is not None:

@@ -20,7 +20,7 @@ p <= 0.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from typing import NamedTuple
@@ -169,90 +169,85 @@ def _check_margin_state(n: int, x: float, horizon: int) -> None:
 
 @dataclass(frozen=True)
 class GameTables:
-    """Per-config immutable tables read by every game operation."""
+    """Per-config immutable tables read by every game operation: the
+    thresholds, the rank margins w1_1..w1_N and both cutoffs.  ``ntilde``
+    is not passed in: it is ``shifted_cutoff`` of the other fields, set
+    once on construction.  No tv1 is kept; finding ntilde evaluates tv1
+    only at n = nstar..min(ntilde, N - 1)."""
 
     config: ProblemConfig
     xthresholds: ThresholdVector
     nstar: int
-    ntilde: int
+    ntilde: int = field(init=False)
     w1: np.ndarray
-    tv1: np.ndarray
 
     def __post_init__(self) -> None:
         self.w1.setflags(write=False)
-        self.tv1.setflags(write=False)
+        object.__setattr__(self, "ntilde", shifted_cutoff(self))
 
 
-def _tv1_value(
-    n: int, cfg: ProblemConfig, thresholds: ThresholdVector, w1_vec: np.ndarray
-) -> float:
-    """tv1 at index n in closed form.
+def tv1(n: int, tables: GameTables) -> float:
+    """Rank player's one-step shift at index n in closed form, computed on
+    each call: the average over x uniform on [0, x_n], the values
+    compatible with the opponent continuing, of its expected one-step
+    payoff after the record (n, x).  Zero at n = N.
 
-    After the record (n, x), the rank player's expected one-step payoff
-    from stopping at the next candidate k against the (stop if above
-    threshold) opponent there is a sum over k > n of terms that, with
-    e = k - n - 1 and t = 2p - 1, are w1_k x**e ((x_k - x) + (1 - x_k) t)
+    That payoff, from stopping at the next candidate k against the (stop
+    if above threshold) opponent there, is a sum over k > n of terms that,
+    with e = k - n - 1 and t = 2p - 1, are w1_k x**e ((x_k - x) + (1 - x_k) t)
     below x_k and w1_k x**e (1 - x) t above it: the interval below the
     threshold pays w1_k alone, the interval above pays the
     simultaneous-claim weight t w1_k, both under the record-chain kernel
     x**e.  The thresholds strictly decrease, so x_k < x_n, and both pieces
     integrate exactly over [0, x_k] and [x_k, x_n].
     """
-    xn = thresholds.x(n)
+    cfg = tables.config
+    if not 1 <= n <= cfg.horizon:
+        raise DomainError(f"index {n} outside 1..{cfg.horizon}")
+    xn = tables.xthresholds.x(n)
     if xn <= 0.0:
         return 0.0
     t = 2.0 * cfg.priority - 1.0
     e1 = np.arange(1, cfg.horizon - n + 1, dtype=float)  # e + 1
-    xk = thresholds.values[n:]
+    xk = tables.xthresholds.values[n:]
     below = xk ** (e1 + 1) / (e1 * (e1 + 1)) + t * (1.0 - xk) * xk**e1 / e1
     above = t * ((xn**e1 - xk**e1) / e1 - (xn ** (e1 + 1) - xk ** (e1 + 1)) / (e1 + 1))
-    return math.fsum(w1_vec[n:] * (below + above)) / xn
-
-
-def tv1(n: int, tables: GameTables) -> float:
-    """Average of the one-step payoff of ``_tv1_value`` over the values
-    compatible with the opponent continuing, i.e. x uniform on [0, x_n].
-    Zero at n = N."""
-    if not 1 <= n <= tables.config.horizon:
-        raise DomainError(f"index {n} outside 1..{tables.config.horizon}")
-    return _tv1_value(n, tables.config, tables.xthresholds, tables.w1)
+    return math.fsum(tables.w1[n:] * (below + above)) / xn
 
 
 def shifted_cutoff(tables: GameTables) -> int:
     """First index from the rank cutoff on where stopping beats the
     one-step continuation even against a continuing opponent.
 
-    min{n in [nstar, N] : tv1(n) <= w1(n)}; n = N always qualifies.
+    min{n in [nstar, N] : tv1(n) <= w1(n)}, by a linear scan that
+    evaluates ``tv1`` from nstar up to the first such n and no further;
+    n = N always qualifies, so tv1(N) is never evaluated.  Reads no
+    ``tables.ntilde``, so ``GameTables`` can call it on construction.
     """
     big_n = tables.config.horizon
-    for n in range(tables.nstar, big_n + 1):
-        if tables.tv1[n - 1] <= tables.w1[n - 1]:
+    for n in range(tables.nstar, big_n):
+        if tv1(n, tables) <= tables.w1[n - 1]:
             return n
     return big_n
 
 
 def build_game_tables(cfg: ProblemConfig) -> GameTables:
-    """Compute thresholds, margins, one-step shift values and both cutoffs.
+    """Compute the thresholds, the rank margins w1 and both cutoffs.
 
     The thresholds come from ``models.fullinfo_thresholds`` (solved once
     per horizon, to floating-point resolution); everything else is closed
-    form.  The shared w2 series are extended to the game's degrees here.
+    form.  tv1 is evaluated only where ``shifted_cutoff`` scans it, at
+    n = nstar..min(ntilde, N - 1).  The shared w2 series are extended to
+    the game's degrees here.
     """
     thresholds = models.fullinfo_thresholds(cfg)
     _w2_series(cfg.horizon - 1)
-    w1_vec = np.array(_w1_values(cfg))
-    tv1_vec = np.array(
-        [_tv1_value(n, cfg, thresholds, w1_vec) for n in range(1, cfg.horizon + 1)]
-    )
-    tables = GameTables(
+    return GameTables(
         config=cfg,
         xthresholds=thresholds,
         nstar=models.secretary_cutoff(cfg),
-        ntilde=cfg.horizon,  # replaced by shifted_cutoff below
-        w1=w1_vec,
-        tv1=tv1_vec,
+        w1=np.array(_w1_values(cfg)),
     )
-    return replace(tables, ntilde=shifted_cutoff(tables))
 
 
 def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:

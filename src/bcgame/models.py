@@ -75,11 +75,14 @@ class ThresholdVector:
 
     def x(self, n):
         """Threshold at index n (1-based) as a float; an array of indices
-        gives an array."""
+        gives an array.  ``DomainError`` for any index outside 1..N."""
         try:
-            return self._floats[n - 1]
-        except TypeError:  # an array of indices
-            return self.values[n - 1]
+            if 0 < n <= self.horizon:
+                return self._floats[n - 1]
+        except (TypeError, ValueError):  # an array of indices
+            if n.size == 0 or 0 < n.min() and n.max() <= self.horizon:
+                return self.values[n - 1]
+        raise DomainError(f"index {n} outside 1..{self.horizon}")
 
     def __len__(self) -> int:
         return self.horizon

@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -347,6 +349,32 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert out.exists()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".bcgame-")]
     assert leftovers == []
+
+
+def test_out_symlink_writes_its_target(tmp_path):
+    want = tmp_path / "want.csv"
+    assert main(["thresholds", "--horizon", "5", "--out", str(want)]) == 0
+    target, link = tmp_path / "target.csv", tmp_path / "link"
+    target.write_text("old bytes\n")
+    link.symlink_to(target)
+    assert main(["thresholds", "--horizon", "5", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == want.read_bytes()
+
+
+def test_out_fifo_written_in_place(tmp_path):
+    want = tmp_path / "want.csv"
+    assert main(["thresholds", "--horizon", "5", "--out", str(want)]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    # daemon: a reader left blocked in open() must not hold up the session
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["thresholds", "--horizon", "5", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert got == [want.read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 def test_stdout_default(capsys):

@@ -208,7 +208,6 @@ def test_tv1_given_x_half_priority_collapses_tilt():
 
 def test_tv1_terminal(tables10):
     assert tv1(10, tables10) == 0.0
-    assert tables10.tv1[-1] == 0.0
 
 
 def _tv1_by_quadrature(n, tables):
@@ -237,18 +236,35 @@ def test_tv1_closed_form_matches_quadrature(horizon):
         if horizon > 50:  # the ends and the shift; every index takes seconds
             ns = (1, 2, horizon // 2, tables.ntilde - 1, tables.ntilde, horizon)
         for n in ns:
-            assert tables.tv1[n - 1] == pytest.approx(
+            assert tv1(n, tables) == pytest.approx(
                 _tv1_by_quadrature(n, tables), abs=1e-12
             )
 
 
 def test_tv1_crossing_matches_reference_shift():
     t25 = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
-    first = next(n for n in range(t25.nstar, 11) if t25.tv1[n - 1] <= t25.w1[n - 1])
+    first = next(n for n in range(t25.nstar, 11) if tv1(n, t25) <= t25.w1[n - 1])
     assert first == 5
     t50 = build_game_tables(ProblemConfig(horizon=10, priority=0.5))
-    first = next(n for n in range(t50.nstar, 11) if t50.tv1[n - 1] <= t50.w1[n - 1])
+    first = next(n for n in range(t50.nstar, 11) if tv1(n, t50) <= t50.w1[n - 1])
     assert first == 6
+
+
+@pytest.mark.parametrize(
+    "horizon,priority",
+    [(2, 0.75), (5, 1.0), (10, 0.25), (50, 1 / 3), (150, 0.25), (400, 0.25), (400, 0.5)],
+)
+def test_tables_evaluate_tv1_only_up_to_the_crossing(horizon, priority, monkeypatch):
+    # at (2, 0.75) and (5, 1.0) ntilde = N, so the scan ends at N - 1
+    seen = []
+
+    def counting_tv1(n, tables):
+        seen.append(n)
+        return tv1(n, tables)
+
+    monkeypatch.setattr(equilibrium, "tv1", counting_tv1)
+    t = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+    assert seen == list(range(t.nstar, min(t.ntilde, horizon - 1) + 1))
 
 
 @pytest.mark.parametrize(

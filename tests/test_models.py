@@ -192,6 +192,17 @@ def test_fullinfo_thresholds_vector():
     assert np.all(diffs < 0)
 
 
+def test_threshold_vector_index_outside_horizon():
+    tv = fullinfo_thresholds(cfg(5))
+    for n in (0, -1, 6):
+        with pytest.raises(DomainError):
+            tv.x(n)
+    for ns in (np.array([0, 1]), np.array([5, 6]), np.array([[1], [6]])):
+        with pytest.raises(DomainError):
+            tv.x(ns)
+    assert tv.x(np.array([1, 5])).tolist() == [tv.x(1), tv.x(5)]
+
+
 def test_threshold_vector_immutable():
     tv = fullinfo_thresholds(cfg(5))
     with pytest.raises(ValueError):

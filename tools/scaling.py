@@ -44,6 +44,8 @@ Cases:
 * ``cli-verify``: ``bcgame verify``, the oracle suite at its default
   200,000 samples.
 * ``cli-values-400``: ``bcgame values --horizon 400 --priority 0.25``.
+* ``cli-table1``: ``bcgame table1``, the shifted cutoffs of 30 games at
+  N = 5 to 50.
 
 The ``cli-*`` cases report the wall time, the child's CPU time and its
 max RSS; their output goes to /dev/null.
@@ -80,6 +82,7 @@ CLI_CASES = {
     "cli-regions-50-json": (*_REGIONS_ARGV, "--format", "json"),
     "cli-verify": ("verify",),
     "cli-values-400": ("values", "--horizon", "400", "--priority", "0.25"),
+    "cli-table1": ("table1",),
 }
 
 _SIMULATE_CHILD = """
