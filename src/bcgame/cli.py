@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import astuple, fields
@@ -46,10 +47,12 @@ def _run(args: argparse.Namespace) -> int:
     ``-``; else ``args.out``, symlinks followed.  An existing target that
     is not a regular file, such as a FIFO or a device, is written in
     place.  A regular file or a new path gets a temporary file made next
-    to it, which replaces it with a shell redirect's mode once the command
-    returns (verification failure included) and is removed on any error.
-    Commands do no file I/O of their own, so an ``OSError`` here means
-    ``args.out`` cannot be written: a ``BcgameError``, exit 2."""
+    to it, which is copied into the target once the command returns
+    (verification failure included), so an existing file keeps its inode,
+    mode and links and a new one gets a shell redirect's mode; the
+    temporary file is removed either way.  Commands do no file I/O of
+    their own, so an ``OSError`` here means ``args.out`` cannot be
+    written: a ``BcgameError``, exit 2."""
     if args.out == "-":
         args.sink = sys.stdout
         return args.func(args)
@@ -64,17 +67,13 @@ def _run(args: argparse.Namespace) -> int:
         )
         with os.fdopen(fd, "w", encoding="utf-8") as args.sink:
             code = args.func(args)
-        umask = os.umask(0)  # the only way to read it; restored at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file 0600
-        os.replace(tmp, path)
+        shutil.copyfile(tmp, path)
         return code
-    except BaseException as exc:
+    except OSError as exc:
+        raise BcgameError(f"cannot write {args.out}: {exc.strerror}") from exc
+    finally:
         if tmp is not None:
             os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise BcgameError(f"cannot write {args.out}: {exc.strerror}") from exc
-        raise
 
 
 def _emit_rows(args: argparse.Namespace, header: list[str], rows) -> None:

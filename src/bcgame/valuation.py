@@ -32,10 +32,11 @@ operators,
 a segment's integral is 2h times its P_0 coefficient, and the stopped
 cells come from two running series, x**d = x x**(d-1) and
 S_d = x S_{d-1} + 1/d.  A stage costs O(S (N - n)) for S segments, the
-induction O(N**3).  The tables take 16 (N+1)(S (N+1) + 1) bytes,
-about 16 (N+1)**3 with the S = N segments of the game, 1.03 GB at
-N = 400; a horizon whose tables would not fit in physical memory is
-refused before anything is allocated.
+induction O(N**3).  Stage n holds only its N - n + 1 coefficients a
+segment, so the tables take 8 (N+1)(N (N+2) + 2) bytes with the S = N
+segments of the game, about 8 (N+1)**3, 0.52 GB at N = 400; a horizon
+whose tables would not fit in physical memory is refused before anything
+is allocated.
 
 Point queries (``continuation``, ``ValueFunction.value_at``) take a
 scalar read path in Python floats: the segment by ``bisect`` on a list of
@@ -145,10 +146,10 @@ class SimConfig:
 
 
 def _table_bytes(horizon: int) -> int:
-    """Bytes of a ``ValueFunction``'s tables: ``cont``, (2, N+1, S, N+1)
-    float64 with the S = N threshold segments of every game, and
-    ``averages``, (2, N+1); about 16 (N+1)**3."""
-    return 8 * 2 * (horizon + 1) * (horizon * (horizon + 1) + 1)
+    """Bytes of a ``ValueFunction``'s tables: ``cont``, 2 S (N - n + 1)
+    float64 at each stage n = 0..N with the S = N threshold segments of
+    every game, and ``averages``, (2, N+1); about 8 (N+1)**3."""
+    return 8 * (horizon + 1) * (horizon * (horizon + 2) + 2)
 
 
 def _check_player(player: int) -> None:
@@ -197,9 +198,10 @@ class ValueFunction:
     """Piecewise-polynomial per-index values of both players.
 
     On each segment between consecutive breakpoints, x = c + h t with t in
-    [-1, 1], and ``cont[i, n, s, k]`` is the k-th Legendre coefficient in t
-    of the continuation C_i(n, .) on segment s: exact, since C(n, .) has
-    degree at most N - n there, and zero from k = N - n + 1 on.
+    [-1, 1], and ``cont[n][i, s, k]``, k = 0..N - n, is the k-th Legendre
+    coefficient in t of the continuation C_i(n, .) on segment s: exact,
+    since C(n, .) has degree at most N - n there.  The stages are views of
+    shape (2, S, N - n + 1) into one buffer.
     ``averages[i, n]`` is int_0^1 V_i(n, x) dx.
     Raises ``TooLarge`` before any table is built when the tables would
     exceed physical memory.
@@ -214,7 +216,11 @@ class ValueFunction:
         )
         self.breaks = _breakpoints(tables.xthresholds.values)
         self.n_segments = len(self.breaks) - 1
-        self.cont = np.zeros((2, big_n + 1, self.n_segments, big_n + 1))  # C(N, .) = 0
+        # one buffer for all stages: stage arrays of their own fragment the heap
+        sizes = 2 * self.n_segments * np.arange(big_n + 1, 0, -1)
+        self._buffer = np.zeros(sizes.sum())  # C(N, .) = 0
+        stages = np.split(self._buffer, np.cumsum(sizes)[:-1])
+        self.cont = tuple(stage.reshape(2, self.n_segments, -1) for stage in stages)
         self.averages = np.zeros((2, big_n + 1))
         # the scalar read path works on Python floats
         lo, hi = self.breaks[:-1], self.breaks[1:]
@@ -232,7 +238,6 @@ class ValueFunction:
         """Fill the average of stage n from the Legendre coefficients of
         V(n, .), shape (2, S, N - n + 1), and the continuation table of
         stage n - 1 by C(n-1) = U(n) + x C(n)."""
-        width = self.tables.config.horizon - n + 1
         half = 0.5 * np.diff(self.breaks)
         seg_int = 2.0 * half * coefficients[..., 0]
         tail = np.zeros((2, self.n_segments + 1))  # int_{b_s}^1 V(n, x) dx
@@ -240,23 +245,8 @@ class ValueFunction:
         self.averages[:, n] = tail[:, 0]
         upper = half[:, None] * _integral_to_one(coefficients)
         upper[..., 0] += tail[:, 1:]
-        later = _times_x(self.cont[:, n, :, :width], self.breaks)
-        self.cont[:, n - 1, :, : width + 1] = upper + later
-
-    def continuation_at(self, n: int, x: float, player: int) -> float:
-        """C_player(n, x), player 1 or 2: the Legendre series of its
-        segment, exact because C(n, .) has degree at most N - n there.
-
-        Both players' values come from one pair read and are kept for the
-        last state asked, so the other player's value at the same (n, x)
-        costs a tuple lookup.
-        """
-        if x >= 1.0:  # no later value beats a record at 1
-            return 0.0
-        last = self._last
-        if last[0] != n or last[1] != x:
-            last = self._pair_at(n, x)
-        return last[1 + player]
+        later = _times_x(self.cont[n], self.breaks)
+        np.add(upper, later, out=self.cont[n - 1])
 
     def _pair_at(self, n: int, x: float) -> tuple[int, float, float, float]:
         """(n, x, C_1(n, x), C_2(n, x)) in Python floats, also kept as the
@@ -270,11 +260,10 @@ class ValueFunction:
         if s == self.n_segments:
             s -= 1
         t = (x - self._mid_list[s]) / self._half_list[s]
-        top = self._horizon - n
-        coef1, coef2 = self.cont[:, n, s, : top + 1].tolist()
+        coef1, coef2 = self.cont[n][:, s].tolist()
         rise, fall = self._rise, self._fall
         b1 = b2 = c1 = c2 = 0.0  # b_{k+1}, b_{k+2} of players 1 and 2
-        for k in range(top, -1, -1):
+        for k in range(self._horizon - n, -1, -1):
             r, f = rise[k] * t, fall[k]
             b1, b2 = coef1[k] + r * b1 - f * b2, b1
             c1, c2 = coef2[k] + r * c1 - f * c2, c1
@@ -286,7 +275,7 @@ class ValueFunction:
         _check_player(player)
         kind = classify_state(n, x, self.tables)
         if kind is EquilibriumKind.FF:
-            return self.continuation_at(n, x, player)
+            return continuation(n, x, self, player)
         tables = self.tables
         w1n, w2n = tables.w1.item(n - 1), _w2_scalar(n, float(x), self._horizon)
         joint = 2.0 * tables.config.priority - 1.0
@@ -302,13 +291,24 @@ class ValueFunction:
 
 def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     """Expected payoff to ``player`` when nobody stops at record (n, x):
-    the record kernel applied to next-stage values, absorption worth 0."""
+    the record kernel applied to next-stage values, absorption worth 0.
+
+    It is the Legendre series of x's segment, exact because C(n, .) has
+    degree at most N - n there.  Both players' values come from one pair
+    read and are kept for the last state asked, so the other player's
+    value at the same (n, x) costs a tuple lookup.
+    """
     _check_player(player)
     if not 0 <= n <= V._horizon:
         raise DomainError(f"index {n} outside 0..{V._horizon}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"value must be in [0, 1], got {x}")
-    return V.continuation_at(n, x, player)
+    if x >= 1.0:  # no later value beats a record at 1
+        return 0.0
+    last = V._last
+    if last[0] != n or last[1] != x:
+        last = V._pair_at(n, x)
+    return last[1 + player]
 
 
 def backward_induce(tables: GameTables) -> tuple[ValueFunction, ValuePair]:
@@ -334,7 +334,7 @@ def backward_induce(tables: GameTables) -> tuple[ValueFunction, ValuePair]:
         # each segment takes the actions at its left break
         stop1, stop2 = stage_actions(n, vf.breaks[:-1], tables)
         stop = stop1 | stop2
-        coefficients = vf.cont[:, n, :, : d + 1].copy()
+        coefficients = vf.cont[n].copy()
         w2s = power[stop] * (1.0 + harmonic) - series[stop]
         cells = stage_cells(n, stop1[stop, None], stop2[stop, None], w2s, tables)
         cells[0, :, 1:] = 0.0  # the rank player's cell is constant in x

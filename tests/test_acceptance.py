@@ -86,7 +86,7 @@ def _margin_dp_variant(tables, cells):
         # a_k = (2k + 1)/2 int_{-1}^{1} f P_k dt, by the Gauss rule
         project = np.polynomial.legendre.legvander(t, width - 1) * w[:, None]
         project *= (2 * np.arange(width) + 1) / 2
-        coefficients = vf.cont[:, n, :, :width].copy()
+        coefficients = vf.cont[n].copy()
         for s in range(vf.n_segments):
             xs = grid_x[s]
             w2s = eq._w2_array(n, xs, big_n)

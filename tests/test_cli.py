@@ -362,6 +362,27 @@ def test_out_symlink_writes_its_target(tmp_path):
     assert target.read_bytes() == want.read_bytes()
 
 
+def test_out_existing_file_written_in_place(tmp_path):
+    # as a shell redirect: the file keeps its inode and mode, and every
+    # hard link to it reads the new bytes
+    want = tmp_path / "want.csv"
+    assert main(["thresholds", "--horizon", "3", "--out", str(want)]) == 0
+    out, link = tmp_path / "f.csv", tmp_path / "h.csv"
+    out.write_text("old bytes\n")
+    out.chmod(0o600)
+    os.link(out, link)
+    inode = out.stat().st_ino
+    old = os.umask(0o022)
+    try:
+        assert main(["thresholds", "--horizon", "3", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.read_bytes() == link.read_bytes() == want.read_bytes()
+    assert out.stat().st_ino == inode
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["f.csv", "h.csv", "want.csv"]
+
+
 def test_out_fifo_written_in_place(tmp_path):
     want = tmp_path / "want.csv"
     assert main(["thresholds", "--horizon", "5", "--out", str(want)]) == 0
@@ -455,32 +476,31 @@ def test_failed_command_leaves_no_out_file(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["values", "--horizon", "40", "--priority", "0.25"],
-        ["simulate", "--horizon", "40", "--priority", "0.25", "--samples", "1000"],
+        ["values", "--horizon", "50", "--priority", "0.25"],
+        ["simulate", "--horizon", "50", "--priority", "0.25", "--samples", "1000"],
     ],
     ids=["values", "simulate"],
 )
 def test_game_value_commands_build_no_value_tables(argv, monkeypatch, capsys):
-    # the value tables at N = 40 (1.1 MB) exceed 1 MiB of memory, yet the
+    # the value tables at N = 50 (1.06 MB) exceed 1 MiB of memory, yet the
     # printed game value needs none of them: the refusal of tables beyond
     # memory belongs to the API (test_valuation's
     # test_value_function_refuses_tables_beyond_physical_memory)
-    assert valuation._table_bytes(40) > 1 << 20
+    assert valuation._table_bytes(50) > 1 << 20
     monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
     monkeypatch.setattr(valuation, "ValueFunction", _never_called)
     monkeypatch.setattr(valuation, "backward_induce", _never_called)
     assert main(argv) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert header.split(",")[:2] == ["val1", "val2"]
-    tables = equilibrium.build_game_tables(ProblemConfig(horizon=40, priority=0.25))
+    tables = equilibrium.build_game_tables(ProblemConfig(horizon=50, priority=0.25))
     pair = valuation.game_value(tables)
     assert [float(v) for v in row.split(",")[:2]] == [pair.val1, pair.val2]
 
 
 def test_values_beyond_the_table_horizon_limit_completes(monkeypatch, capsys):
-    # N = 1000 needs 16 GB of value tables, refused against 1 GiB, and lies
-    # above the N = 805 that any machine's tables allow; values prints the
-    # game value without them
+    # N = 1000 needs 8 GB of value tables, refused against 1 GiB; values
+    # prints the game value without them
     assert valuation._table_bytes(1000) > 1 << 30
     monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 30)
     monkeypatch.setattr(valuation, "ValueFunction", _never_called)

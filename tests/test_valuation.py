@@ -243,21 +243,49 @@ def test_table_cost_model_matches_allocation(game10):
     tables, vf, _ = game10
     # x_N = 0 is a break, so N thresholds and 1 give N segments
     assert vf.n_segments == tables.config.horizon
-    allocated = vf.cont.nbytes + vf.averages.nbytes
-    assert valuation._table_bytes(10) == allocated == 16 * 11 * 111
+    allocated = vf.cont[0].base.nbytes + vf.averages.nbytes
+    assert valuation._table_bytes(10) == allocated == 8 * 11 * 122
     # the tables are all the arrays it holds besides its breakpoints
     arrays = [v for v in vars(vf).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) == allocated + vf.breaks.nbytes
-    assert valuation._table_bytes(400) == pytest.approx(1.03e9, rel=0.01)
-    assert valuation._table_bytes(1000) == pytest.approx(16e9, rel=0.01)
+    assert valuation._table_bytes(400) == pytest.approx(0.516e9, rel=0.01)
+    assert valuation._table_bytes(1000) == pytest.approx(8e9, rel=0.01)
+
+
+@pytest.mark.parametrize("horizon", (2, 10, 60))
+def test_value_tables_are_stage_views_of_one_unpadded_buffer(horizon):
+    # stage n holds its N - n + 1 coefficients a segment and nothing more,
+    # and the stages tile one buffer, which is all the table allocates
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+    vf, _ = backward_induce(tables)
+    assert len(vf.cont) == horizon + 1
+    buffer = vf.cont[0].base
+    for n, stage in enumerate(vf.cont):
+        assert stage.shape == (2, vf.n_segments, horizon - n + 1)
+        assert stage.base is buffer
+    assert sum(stage.nbytes for stage in vf.cont) == buffer.nbytes
+    assert buffer.nbytes + vf.averages.nbytes == valuation._table_bytes(horizon)
+
+
+def test_packed_tables_fit_where_padded_ones_did_not(monkeypatch):
+    # at N = 40 the tables take 0.55 MB, and took 1.08 MB padded to N + 1
+    # coefficients a stage: 0.8 MB of memory now holds them
+    tables = build_game_tables(ProblemConfig(horizon=40, priority=0.25))
+    memory = 800_000
+    assert valuation._table_bytes(40) < memory < 16 * 41 * (40 * 41 + 1)
+    monkeypatch.setattr(valuation, "_physical_memory", lambda: memory)
+    _, pair = backward_induce(tables)
+    want = game_value(tables)
+    assert abs(pair.val1 - want.val1) <= 1e-12
+    assert abs(pair.val2 - want.val2) <= 1e-12
 
 
 def test_value_function_refuses_tables_beyond_physical_memory(monkeypatch):
-    # 1.1 MB of tables at N = 40 against 1 MiB of memory; the refusal comes
+    # 1.06 MB of tables at N = 50 against 1 MiB of memory; the refusal comes
     # before any table is allocated, so the refused call allocates less
     # than a tenth of them
-    tables = build_game_tables(ProblemConfig(horizon=40, priority=0.25))
-    need = valuation._table_bytes(40)
+    tables = build_game_tables(ProblemConfig(horizon=50, priority=0.25))
+    need = valuation._table_bytes(50)
     assert need > 1 << 20
     monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
     tracemalloc.start()
@@ -291,8 +319,7 @@ def _legval_reference(vf, n, x, player):
     s = min(max(s, 0), vf.n_segments - 1)
     lo, hi = vf.breaks[s], vf.breaks[s + 1]
     t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    top = vf.tables.config.horizon - n
-    return float(legval(t, vf.cont[player - 1, n, s, : top + 1]))
+    return float(legval(t, vf.cont[n][player - 1, s]))
 
 
 def _check_point_queries(vf, n, x):
@@ -372,10 +399,9 @@ def _clenshaw_reference(vf, n, x, player):
     s = min(max(s, 0), vf.n_segments - 1)
     lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
     t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    top = vf.tables.config.horizon - n
-    coef = vf.cont[player - 1, n, s, : top + 1].tolist()
+    coef = vf.cont[n][player - 1, s].tolist()
     b1 = b2 = 0.0
-    for k in range(top, -1, -1):
+    for k in range(vf.tables.config.horizon - n, -1, -1):
         rise, fall = (2 * k + 1) / (k + 1), (k + 1) / (k + 2)
         b1, b2 = coef[k] + rise * t * b1 - fall * b2, b1
     return b1
@@ -426,10 +452,9 @@ def _pair_before(vf, n, x):
     s = min(max(s, 0), vf.n_segments - 1)
     lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
     t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    top = vf.tables.config.horizon - n
-    coef1, coef2 = vf.cont[:, n, s, : top + 1].tolist()
+    coef1, coef2 = vf.cont[n][:, s].tolist()
     b1 = b2 = c1 = c2 = 0.0
-    for k in range(top, -1, -1):
+    for k in range(vf.tables.config.horizon - n, -1, -1):
         r, f = (2 * k + 1) / (k + 1) * t, (k + 1) / (k + 2)
         b1, b2 = coef1[k] + r * b1 - f * b2, b1
         c1, c2 = coef2[k] + r * c1 - f * c2, c1

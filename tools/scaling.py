@@ -44,6 +44,9 @@ Cases:
 * ``cli-verify``: ``bcgame verify``, the oracle suite at its default
   200,000 samples.
 * ``cli-values-400``: ``bcgame values --horizon 400 --priority 0.25``.
+* ``cli-values-both-10``: ``bcgame values --horizon 10 --priority 0.25
+  --method both --samples 1000000``, the game value and its Monte Carlo
+  check.
 * ``cli-table1``: ``bcgame table1``, the shifted cutoffs of 30 games at
   N = 5 to 50.
 
@@ -82,6 +85,10 @@ CLI_CASES = {
     "cli-regions-50-json": (*_REGIONS_ARGV, "--format", "json"),
     "cli-verify": ("verify",),
     "cli-values-400": ("values", "--horizon", "400", "--priority", "0.25"),
+    "cli-values-both-10": (
+        "values", "--horizon", "10", "--priority", "0.25", "--method", "both",
+        "--samples", "1000000",
+    ),
     "cli-table1": ("table1",),
 }
 
