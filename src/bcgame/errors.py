@@ -22,5 +22,6 @@ class TooLarge(BcgameError, ValueError):
     """A problem too large for an operation: a brute-force oracle beyond the
     horizon it is meant for, or, beyond physical memory, the value tables
     of backward induction (``ValueFunction``, an API object: the CLI's
-    game values need none), about 8 (N+1)**3 bytes at horizon N, or a
-    region grid of about N / xstep cells."""
+    game values need none), about 8 (N+1)**3 bytes at horizon N, the
+    threshold solve, about 64 N bytes, or a region grid of about N / xstep
+    cells."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._memory import _physical_memory, refuse_beyond
 from .errors import DomainError
 
 
@@ -176,7 +177,9 @@ def _solve_thresholds(count: int) -> np.ndarray:
     the root and y**k stays below e; a lane stops when a step no longer
     lowers y, at floating-point resolution.  Lanes never mix, so lane d
     gives the same bits for every ``count`` >= d.  Each sweep runs k over
-    the lanes d >= k, a suffix: O(count**2) flops, O(count) memory.
+    the lanes d >= k, a suffix: O(count**2) flops and O(count) memory, at
+    most eight doubles a lane: y, f, the slope, the power and the step,
+    two temporaries, and the result (58 bytes by tracemalloc).
     """
     y = 1.0 + 1.0 / np.arange(1, count + 1)
     live = np.ones(count, dtype=bool)
@@ -201,9 +204,14 @@ _solved = np.zeros(0)
 
 def _thresholds_upto(count: int) -> np.ndarray:
     """x_d for d = 1..count, solved once: a longer request re-solves every
-    lane and keeps the result, a shorter one takes a prefix."""
+    lane and keeps the result, a shorter one takes a prefix.  A solve
+    whose arrays would exceed physical memory is refused with
+    ``TooLarge`` before any is allocated."""
     global _solved
     if len(_solved) < count:
+        refuse_beyond(
+            64 * count, _physical_memory(), f"thresholds at horizon {count + 1}"
+        )
         _solved = _solve_thresholds(count)
     return _solved[:count]
 

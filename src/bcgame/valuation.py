@@ -64,12 +64,16 @@ A chunk finds that stop column by column: it copies its draws to
 stage-major order and turns the stages before ntilde into their running
 maximum in place, one vector operation per stage, in buffers the batch
 allocates once; from ntilde on every bar is 0, and the first stop is the
-first value above that maximum.  Only the rows that stop are scored.
-Every batch has its own counter-based stream and the batch sums are added
-in batch-index order, so the estimates for the same (samples, seed) are
-bit-identical at any core count and chunk size, and memory is the budget,
-which covers the draws and their stage-major copy, plus O(batch) per
-thread, whatever N.
+first value above that maximum.  The first stops of a chunk are one
+maximum down its stages of stop marks, stage n weighted N - n + 1.  Only
+the rows that stop are scored, in blocks of B = share / 32 stops, the
+thread's share of the budget counted in doubles, with the running sums
+carried from block to block.  Every batch has its own counter-based
+stream and the batch sums are added in batch-index order, so the
+estimates for the same (samples, seed) are bit-identical at any core
+count, chunk size and block size, and memory is the budget, which covers
+the draws and their stage-major copy, plus O(B) per thread, whatever N
+and the batch size.
 """
 
 from __future__ import annotations
@@ -103,7 +107,9 @@ _PLAYERS = (1, 2)
 
 #: Doubles that one ``simulate`` call holds drawn at a time, the uniforms
 #: and their stage-major copy, shared evenly by its threads: 4 MB,
-#: whatever N and the core count.
+#: whatever N and the core count.  A thread scores its stops in blocks of
+#: B = share / 32 stops, its share counted in doubles, which take about
+#: half its share again.
 _DRAW_BUDGET = 1 << 19
 
 #: Sequences per Monte Carlo batch.  Each batch draws its own Philox
@@ -134,7 +140,9 @@ class SimConfig:
     estimates, whatever the core count: the samples are played in
     batches of ``_BATCH`` sequences on independent deterministic streams,
     which run concurrently and combine in fixed index order.  A running
-    batch holds O(``_BATCH``) memory besides its share of the draw budget.
+    batch holds its share of the draw budget plus O(B) for a block of
+    B = share / 32 stops (the share counted in doubles), whatever the
+    batch size.
     """
 
     samples: int
@@ -433,6 +441,34 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _score_stops(
+    tables: GameTables,
+    stage: np.ndarray,
+    value: np.ndarray,
+    coin: np.ndarray,
+    totals: np.ndarray,
+) -> None:
+    """Add the payoffs of a block of stops, in row order, to ``totals``:
+    (sums, sums of squares), one entry per player.
+
+    Who takes the record, after the coin, the margins in one pass of the
+    Horner loop, and the cells; then a running sum along the stops from
+    the sums so far, which adds them in the order one running sum over the
+    whole batch would.
+    """
+    stop1, stop2 = stage_actions(stage, value, tables)
+    # where both stop, the coin gives the rank player the record
+    wins = coin < tables.config.priority
+    taker1 = stop1 & (~stop2 | wins)
+    taker2 = stop2 & ~(stop1 & wins)
+    w2s = _w2_array(stage, value, tables.config.horizon)
+    cells = stage_cells(stage, taker1, taker2, w2s, tables)
+    for total, terms in zip(totals, (cells, cells * cells)):
+        terms[:, 0] += total
+        np.add.accumulate(terms, axis=1, out=terms)
+        total[...] = terms[:, -1]
+
+
 def _play_batch(
     cfg: ProblemConfig,
     tables: GameTables,
@@ -447,33 +483,44 @@ def _play_batch(
     The uniforms come in chunks of at most ``chunk_rows`` rows; the chunks
     continue one Philox stream, so together they are the one draw of the
     whole batch.  The batch allocates its buffers once: the draws, their
-    stage-major copy x[n, row] (a stage is one contiguous vector), and two
-    bool matrices, the stop marks and the rises of the running maximum.
-    Over the stages before ntilde a chunk turns x into its running maximum
-    M in place, one vector operation per stage.  Stage n is a record
-    exactly where M rises, M_n > M_{n-1}, and there M_n = x_n, so the marks
-    are the rises with M_n >= b_n, the bar of ``stop_bars``.  From ntilde
-    on every bar is 0, and the first record is the first value above the
-    maximum of the stages before ntilde, so there the marks are the values
-    above it.  A row's first mark is its first stop, and x there is its
-    value.  Who takes the record, after the coin, is worked out for the
-    rows that stop only, and they alone are scored, at the end of the
-    batch in one pass of the Horner loop, and summed in row order: a row
-    that never stops pays (0, 0) and adds nothing to the sums.
+    stage-major copy x[n, row] (a stage is one contiguous vector), the
+    stop marks, the rises of the running maximum, the weighted marks, and
+    a block of B stops.  Over the stages before ntilde a chunk turns x
+    into its running maximum M in place, one vector operation per stage.
+    Stage n is a record exactly where M rises, M_n > M_{n-1}, and there
+    M_n = x_n, so the marks are the rises with M_n >= b_n, the bar of
+    ``stop_bars``.  From ntilde on every bar is 0, and the first record is
+    the first value above the maximum of the stages before ntilde, so
+    there the marks are the values above it.  Stage n's marks, weighted
+    N - n + 1, take one maximum down the stages: it is 0 where a row never
+    stops, else N - n + 1 at its first stop n, where x is its value.
+
+    The stops fill the block in row order, and each full block, and the
+    last, is scored by ``_score_stops``; a row that never stops pays
+    (0, 0) and adds nothing to the sums.  B is a thirty-second of the
+    thread's share of the draw budget, chunk_rows (2N + 1) doubles:
+    scoring takes about 16 doubles a stop, so a block holds about half the
+    share, whatever the batch size.
     """
     big_n = cfg.horizon
     bars = stop_bars(tables)[:, None]
     scanned = max(tables.ntilde - 1, 1)  # stages before ntilde, and stage 1
     rng = batch_generator(seed, batch_index)
     width = min(chunk_rows, size)
+    block = max(1, chunk_rows * (2 * big_n + 1) // 32)
     draws = np.empty((width, big_n + 1))
     xt = np.empty((big_n, width))
     marks = np.empty((big_n, width), dtype=bool)
     rises = np.empty((scanned - 1, width), dtype=bool)
-    # the stops of the batch, in row order: index, value and coin
-    stage = np.empty(size, dtype=np.intp)
-    value = np.empty(size)
-    coin = np.empty(size)
+    weights = np.arange(big_n, 0, -1, dtype=np.min_scalar_type(big_n))[:, None]
+    weighted = np.empty((big_n, width), dtype=weights.dtype)
+    # a block of stops: index, value and coin
+    stage = np.empty(block, dtype=np.intp)
+    value = np.empty(block)
+    coin = np.empty(block)
+    # sums and sums of squares, from +0.0: a sum of -0.0 cells is +0.0,
+    # as a sum from 0 is
+    totals = np.zeros((2, 2))
     count = 0
     for lo in range(0, size, chunk_rows):
         rows = min(chunk_rows, size - lo)
@@ -491,27 +538,23 @@ def _play_batch(
         np.greater(head[1:], head[:-1], out=rise)
         mark[1:scanned] &= rise
         np.greater(x[scanned:], before, out=mark[scanned:])
-        first = mark.argmax(axis=0)
-        hit = np.flatnonzero(mark.any(axis=0))
-        j = first[hit]
-        at = slice(count, count + len(hit))
-        stage[at], value[at], coin[at] = j + 1, x[j, hit], u[hit, big_n]
-        count += len(hit)
-    if not count:
-        return np.zeros(2), np.zeros(2)
-    stage, value, coin = stage[:count], value[:count], coin[:count]
-    stop1, stop2 = stage_actions(stage, value, tables)
-    wins = coin < cfg.priority  # where both stop, the coin gives the rank player the record
-    taker1 = stop1 & (~stop2 | wins)
-    taker2 = stop2 & ~(stop1 & wins)
-    w2s = _w2_array(stage, value, big_n)
-    cells = stage_cells(stage, taker1, taker2, w2s, tables)
-    squares = cells * cells
-    # (2, stops): a running sum along the rows adds the stops in row order;
-    # + 0.0 turns a sum of -0.0 cells into +0.0, as a sum from 0 does
-    np.add.accumulate(cells, axis=1, out=cells)
-    np.add.accumulate(squares, axis=1, out=squares)
-    return cells[:, -1] + 0.0, squares[:, -1]
+        first = np.multiply(mark, weights, out=weighted[:, :rows]).max(axis=0)
+        hit = np.flatnonzero(first)
+        j = big_n - first[hit].astype(np.intp)  # the first stops' x rows
+        done = 0
+        while done < len(hit):  # into the block, split where it fills
+            take = min(block - count, len(hit) - done)
+            r, k = hit[done : done + take], j[done : done + take]
+            at = slice(count, count + take)
+            stage[at], value[at], coin[at] = k + 1, x[k, r], u[r, big_n]
+            count += take
+            done += take
+            if count == block:
+                _score_stops(tables, stage, value, coin, totals)
+                count = 0
+    if count:
+        _score_stops(tables, stage[:count], value[:count], coin[:count], totals)
+    return totals[0], totals[1]
 
 
 def simulate(
@@ -534,9 +577,11 @@ def simulate(
     copies each chunk to stage-major order; the threads share
     ``_DRAW_BUDGET`` doubles evenly, so a chunk has at most
     budget / (threads (2N + 1)) rows.  Neither the thread count nor the
-    chunk size changes a bit of the result.  Memory is the budget plus
-    O(batch) per thread, whatever N.  The first error, an interrupt
-    included, cancels the batches not yet started and propagates.
+    chunk size changes a bit of the result.  A thread scores its stops in
+    blocks of B = share / 32 stops, its share counted in doubles, so
+    memory is the budget plus O(B) per thread, whatever N.  The first
+    error, an interrupt included, cancels the batches not yet started and
+    propagates.
     """
     # imported here: it costs every CLI start several milliseconds
     from concurrent.futures import ThreadPoolExecutor

@@ -264,6 +264,20 @@ def test_regions_over_memory_grid_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["thresholds"], ["values", "--priority", "0.25"]],
+    ids=["thresholds", "values"],
+)
+def test_huge_horizon_exits_2_before_the_threshold_solve(argv, capsys):
+    assert main(argv + ["--horizon", str(10**12)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "bcgame: error: thresholds at horizon 1000000000000 need 64000.0 GB, "
+        "more than the "
+    )
+
+
+@pytest.mark.parametrize(
     "count", [0, 1, cli._ROW_SLICE, cli._ROW_SLICE + 1], ids=lambda c: f"{c}rows"
 )
 def test_emit_rows_streams_the_bytes_of_one_dump(count):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcgame.errors import DomainError
+from bcgame import models
+from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
     ProblemConfig,
     RecordState,
@@ -201,6 +202,18 @@ def test_threshold_vector_index_outside_horizon():
         with pytest.raises(DomainError):
             tv.x(ns)
     assert tv.x(np.array([1, 5])).tolist() == [tv.x(1), tv.x(5)]
+
+
+def test_thresholds_beyond_physical_memory_refused_before_the_solve():
+    # 10**12 lanes of 64 bytes: refused with TooLarge by arithmetic alone,
+    # where numpy's MemoryError used to report the first array; the solved
+    # cache is kept
+    solved = models._thresholds_upto(5)
+    with pytest.raises(TooLarge, match="thresholds at horizon 1000000000000 need 64000.0 GB"):
+        fullinfo_thresholds(cfg(10**12))
+    with pytest.raises(TooLarge, match="thresholds at horizon 1000000000000 need"):
+        fullinfo_threshold(10**12 - 1)
+    assert np.array_equal(models._thresholds_upto(5), solved)
 
 
 def test_threshold_vector_immutable():

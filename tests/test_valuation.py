@@ -758,6 +758,104 @@ def test_simulate_memory_independent_of_horizon(monkeypatch):
     assert peak < 40 * 2**20
 
 
+@pytest.mark.parametrize("horizon", [2, 10, 60, 400])
+def test_simulate_memory_is_the_budget_and_a_block(monkeypatch, horizon):
+    # one thread holds the 4 MB draw budget and a block of stops, about
+    # half that again, whatever N; the stops of whole 65536-row batches
+    # took 9.9-11.8 MB
+    _use_cpus(monkeypatch, 1)
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+    tracemalloc.start()
+    try:
+        simulate(tables.config, tables, SimConfig(samples=1 << 17, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "horizon,priority,budget,samples",
+    [
+        (2, 0.25, None, 65536 + 777),
+        (10, 0.25, 3200, 65536 + 777),
+        (60, 0.5, 3200, 65536 + 777),
+        (300, 0.1, 3200, 3000),
+    ],
+)
+def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
+    monkeypatch, horizon, priority, budget, samples
+):
+    # one thread; at N = 2 one chunk holds the whole batch and its stops
+    # fill several blocks, and a budget of 3200 doubles makes blocks of
+    # about 100 stops, so every batch is scored in many blocks
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+    cfg = tables.config
+    sim = SimConfig(samples=samples, seed=23)
+    want = _serial_simulate(cfg, tables, sim)
+    blocks = []
+    score = valuation._score_stops
+
+    def counted(tables, stage, value, coin, totals):
+        blocks.append(len(stage))
+        score(tables, stage, value, coin, totals)
+
+    monkeypatch.setattr(valuation, "_score_stops", counted)
+    _use_cpus(monkeypatch, 1)
+    if budget is not None:
+        monkeypatch.setattr(valuation, "_DRAW_BUDGET", budget)
+    got = simulate(cfg, tables, sim)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    n_batches = -(-samples // valuation._BATCH)
+    assert len(blocks) >= 3 * n_batches
+
+
+class _FixedDraws:
+    """A batch stream that hands out the given rows, chunk after chunk."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+        self.at = 0
+
+    def random(self, out):
+        out[...] = self.rows[self.at : self.at + len(out)]
+        self.at += len(out)
+
+
+@pytest.mark.parametrize("horizon", [5, 300])
+def test_play_batch_first_stop_edge_rows(monkeypatch, horizon):
+    # chunks of two rows: the first chunk has no stop (each row's first
+    # value is below its bar and no later value is a record); in the
+    # second, one row's only stop is its last stage (weight 1, at N = 300
+    # in the 16-bit weights) and one row stops at once
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+    cfg = tables.config
+    assert tables.ntilde > 1
+
+    def row(head, last, coin):
+        return [head] + [0.0] * (horizon - 2) + [last, coin]
+
+    x1 = 0.9999
+    assert x1 >= tables.xthresholds.x(1) > 0.3
+    rows = [row(0.3, 0.0, 0.5), row(0.2, 0.1, 0.5), row(0.1, 0.5, 0.1), row(x1, 0.0, 0.5)]
+    monkeypatch.setattr(valuation, "batch_generator", lambda s, i: _FixedDraws(rows))
+    sums, squares = valuation._play_batch(cfg, tables, 0, 0, len(rows), 2)
+    # the stage-N row: both stop and the coin gives the rank player the
+    # record, w1_N = 1 and w2_N = 1; the stage-1 row: the value player alone
+    last = _cell(True, False, -0.5, tables.w1[-1], 1.0)
+    assert last == (1.0, -1.0)
+    w2 = _w2_array(np.array([1]), np.array([x1]), horizon)[0]
+    first = _cell(False, True, -0.5, tables.w1[0], w2)
+    assert sums.tolist() == [last[0] + first[0], last[1] + first[1]]
+    assert squares.tolist() == [1.0 + first[0] ** 2, 1.0 + first[1] ** 2]
+    # a batch of rows that never stop sums to +0.0
+    rows = rows[:2]
+    sums, squares = valuation._play_batch(cfg, tables, 0, 0, len(rows), 2)
+    assert sums.tolist() == squares.tolist() == [0.0, 0.0]
+    assert not np.signbit(sums).any()
+
+
 def test_simulate_error_cancels_remaining_batches(monkeypatch):
     # batch 0 fails at once while the other threads hold slow batches, so
     # at most one more batch per thread starts before the rest is cancelled
