@@ -4,9 +4,10 @@ verification suite.
 Everything here recomputes quantities by a route disjoint from the solver
 path it certifies: rank-side win probabilities by exhaustive permutation
 enumeration, which scores every rank cutoff in one pass over the orders of
-a horizon, the value-side rule by exact piecewise-polynomial recursion
-and by Monte Carlo, and small-horizon game values by midpoint-rule
-integration over the full joint distribution of the observations.
+a horizon and checks the solver's closed form at the cutoff, the
+value-side rule by exact piecewise-polynomial recursion and by Monte
+Carlo, and small-horizon game values by midpoint-rule integration over
+the full joint distribution of the observations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from numpy.polynomial import polynomial as P
 
 from . import equilibrium, models, valuation
 from ._rng import batch_generator
-from .errors import TooLarge
+from .errors import DomainError, TooLarge
 from .models import ProblemConfig, ThresholdVector
 from .valuation import SimConfig, ValuePair
 
@@ -96,7 +97,8 @@ def secretary_exhaustive(horizon: int, cutoff: int) -> float:
 def _breakpoints(thresholds: np.ndarray) -> np.ndarray:
     """The distinct values among 0, 1 and ``thresholds``, ascending, as
     ``np.unique`` gives them (a sort and an adjacent-difference mask),
-    without its ``numpy.ma`` import; the solver keeps its own copy."""
+    without its ``numpy.ma`` import.  Tampered thresholds may repeat or
+    rise, so they are sorted and deduplicated here."""
     points = np.sort(np.concatenate(([0.0, 1.0], thresholds)))
     keep = np.empty(len(points), dtype=bool)
     keep[0] = True
@@ -106,47 +108,41 @@ def _breakpoints(thresholds: np.ndarray) -> np.ndarray:
 
 def _rule_value_polys(horizon: int, thresholds: ThresholdVector) -> float:
     """Win probability of the value player's solo threshold rule, by exact
-    piecewise-polynomial backward recursion on record states."""
+    piecewise-polynomial backward recursion on record states: U(n, .) is
+    x^(N-n) above x_n and the sum over k > n of x^(k-n-1) times the
+    integral of U(k, .) from x to 1 below it, O(N^3) slice additions."""
     breaks = _breakpoints(thresholds.values)
     segs = list(zip(breaks[:-1], breaks[1:]))
-
-    def monomial(k: int) -> np.ndarray:
-        c = np.zeros(k + 1)
-        c[k] = 1.0
-        return c
-
-    # per stage: list of coefficient arrays, one per segment
-    u: dict[int, list[np.ndarray]] = {}
-    upper: dict[int, list[np.ndarray]] = {}  # int_x^{1}, as polys per segment
+    upper: dict[int, list[np.ndarray]] = {}  # int_x^{1} U(k, t) dt per segment
     for n in range(horizon, 0, -1):
         xn = thresholds.x(n)
-        stage: list[np.ndarray] = []
+        stop = np.zeros(horizon - n + 1)
+        stop[-1] = 1.0  # x^(N-n)
+        stage: list[np.ndarray] = []  # U(n, .), one coefficient array a segment
         for seg_idx, (a, b) in enumerate(segs):
             if a >= xn:
-                stage.append(monomial(horizon - n))
-            else:
-                acc = np.zeros(1)
-                for k in range(n + 1, horizon + 1):
-                    term = P.polymul(monomial(k - n - 1), upper[k][seg_idx])
-                    acc = P.polyadd(acc, term)
-                stage.append(acc)
-        u[n] = stage
+                stage.append(stop)
+                continue
+            # each term x^(k-n-1) int_x^1 U(k) is that integral's
+            # coefficients shifted k - n - 1 places up
+            acc = np.zeros(horizon - n + 1)
+            for k in range(n + 1, horizon + 1):
+                term = upper[k][seg_idx]
+                acc[k - n - 1 : k - n - 1 + len(term)] += term
+            stage.append(acc)
         # integral tables for the stage just built
         anti = [P.polyint(c) for c in stage]
         fulls = [
             float(P.polyval(b, f) - P.polyval(a, f))
             for (a, b), f in zip(segs, anti)
         ]
-        tails = np.concatenate((np.cumsum(fulls[::-1])[::-1], [0.0]))
-        ups: list[np.ndarray] = []
-        for idx, ((a, b), f) in enumerate(zip(segs, anti)):
-            const = tails[idx + 1] + float(P.polyval(b, f))
-            ups.append(P.polysub(np.array([const]), f))
-        upper[n] = ups
-    anti1 = [P.polyint(c) for c in u[1]]
-    return math.fsum(
-        float(P.polyval(b, f) - P.polyval(a, f)) for (a, b), f in zip(segs, anti1)
-    )
+        tails = np.append(np.cumsum(fulls[::-1])[::-1], 0.0)  # int_{b_s}^1
+        upper[n] = [
+            P.polysub(np.array([tail + float(P.polyval(b, f))]), f)
+            for tail, (a, b), f in zip(tails[1:], segs, anti)
+        ]
+    # the segment integrals of U(1, .)
+    return math.fsum(fulls)
 
 
 def _threshold_residual(x: float, remaining: int) -> float:
@@ -178,6 +174,8 @@ def fullinfo_mc_check(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     if thresholds is None:
         thr_values = np.array(
             [models.fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]
@@ -241,9 +239,8 @@ def _stop_payoffs(
     pay1 = np.zeros_like(xs)
     pay2 = np.zeros_like(xs)
     if n >= tables.nstar:
-        both = above
-        pay1[both] = (2.0 * p - 1.0) * w1n
-        pay2[both] = (1.0 - 2.0 * p) * w2v[both]
+        pay1[above] = (2.0 * p - 1.0) * w1n
+        pay2[above] = (1.0 - 2.0 * p) * w2v[above]
     else:
         pay1[above] = -w1n
         pay2[above] = w2v[above]
@@ -257,7 +254,9 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
     """Game value by midpoint-rule integration over the joint distribution
     of all observations, on a mesh of ``_MESH`` midpoints per axis, playing
     the classified profile with the priority coin taken in expectation.
-    Ground truth for the backward induction at horizons 2 and 3.
+    Ground truth for the backward induction at horizons 2 and 3.  At
+    horizon 3 each player's integrand fills one reused mesh-by-mesh buffer
+    under one mask, the record at stage 2: 9 MB whatever the priority.
     """
     if horizon > 3:
         raise TooLarge(f"joint-grid oracle capped at horizon 3, got {horizon}")
@@ -278,40 +277,21 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
         val2 = np.where(stop1, pay2_1, frac_above * last2)
         return ValuePair(val1=float(val1.mean()), val2=float(val2.mean()))
 
-    # horizon == 3: integrate over (x1, x2) cells; the x3 coordinate only
-    # enters through exact midpoint counts above a midpoint level.
+    # horizon == 3: integrate over (x1, x2) cells, x1 on the rows; the x3
+    # coordinate only enters through exact midpoint counts above a level.
+    # Without a record at 2, stage 3 pays off when x3 > x1; with one, the
+    # state (2, x2) stops or stage 3 pays off when x3 > x2.
     pay1_2, pay2_2, stop2 = _stop_payoffs(2, mid, tables)
-    record2 = mid[None, :] > mid[:, None]  # x2 > x1, with x1 on the rows
-    # record at 2 and state (2, x2) stops
-    s2 = record2 & stop2[None, :]
-    # record at 2, forgo-forgo: stage 3 pays off when x3 > x2
-    c2 = record2 & ~stop2[None, :]
-    # no record at 2: stage 3 pays off when x3 > x1
-    c1 = ~record2
-    levels = ((c2, ~c2, frac_above[None, :]), (c1, record2, frac_above[:, None]))
-    # each player's integrand s2 pay_2 + c2 level_2 last + c1 level_1 last,
-    # term by term in one buffer, every element as the whole-array sum
-    # gives it, signed zeros included: a mask entry is 0 or 1, so a term is
-    # level * last where its mask holds and (0 * level) * last elsewhere
+    record2 = mid[None, :] > mid[:, None]
     cell = np.empty((_MESH, _MESH))
     means = []
     for pay_1, pay_2, last in ((pay1_1, pay1_2, last1), (pay2_1, pay2_2, last2)):
-        np.multiply(s2, pay_2[None, :], out=cell)
-        for on, off, level in levels:
-            np.add(cell, level * last, out=cell, where=on)
-            np.add(cell, 0.0 * level * last, out=cell, where=off)
-        np.copyto(cell, pay_1[:, None], where=stop1[:, None])
+        later = frac_above * last
+        cell[:] = later[:, None]
+        np.copyto(cell, np.where(stop2, pay_2, later), where=record2)
+        cell[stop1] = pay_1[stop1, None]
         means.append(float(cell.mean()))
     return ValuePair(*means)
-
-
-def _secretary_rule_formula(horizon: int, cutoff: int) -> float:
-    """Closed-form win probability of the rank cutoff rule."""
-    if cutoff == 1:
-        return 1.0 / horizon
-    return (cutoff - 1) / horizon * math.fsum(
-        1.0 / (k - 1) for k in range(cutoff, horizon + 1)
-    )
 
 
 def run_verification_suite(
@@ -323,7 +303,19 @@ def run_verification_suite(
     tolerance.  ``tamper_thresholds`` lets tests corrupt the threshold
     table that the threshold-sensitive checks consume (negative control).
     """
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     reports: list[OracleReport] = []
+
+    def pair_reports(
+        prefix: str, oracle: ValuePair, solver: ValuePair, tols: tuple, method: str
+    ) -> None:
+        for comp, oracle_v, solver_v, tol in zip(
+            ("val1", "val2"), oracle.as_tuple(), solver.as_tuple(), tols
+        ):
+            reports.append(
+                OracleReport.compare(f"{prefix}.{comp}", oracle_v, solver_v, tol, method)
+            )
 
     def tampered(horizon: int) -> ThresholdVector:
         base = models.fullinfo_thresholds(ProblemConfig(horizon=horizon))
@@ -346,13 +338,16 @@ def run_verification_suite(
     )
     optimal = True
     for big_n, counts in wins.items():
-        cutoff = models.secretary_cutoff(ProblemConfig(horizon=big_n))
+        cfg = ProblemConfig(horizon=big_n)
+        cutoff = models.secretary_cutoff(cfg)
         optimal &= counts[cutoff - 1] == max(counts)
+        # the rule passes the candidate at cutoff - 1 (>= 1 at these
+        # horizons) and takes the next: the solver's continue reward there
         reports.append(
             OracleReport.compare(
                 f"secretary.formula.N{big_n}",
                 oracle_value=float(Fraction(counts[cutoff - 1], math.factorial(big_n))),
-                solver_value=_secretary_rule_formula(big_n, cutoff),
+                solver_value=models.secretary_continue_reward(cutoff - 1, cfg),
                 tolerance=1e-12,
                 method="permutation enumeration vs closed form at the cutoff",
             )
@@ -473,62 +468,39 @@ def run_verification_suite(
 
     # game values: joint-grid oracle and Monte Carlo against the induction
     induced = {}  # horizon -> (tables, induction pair)
-    for big_n, tol in ((2, 1e-4), (3, 1e-3)):
+    for big_n in (2, 3, 10):
         cfg = ProblemConfig(horizon=big_n, priority=0.25)
         tables = equilibrium.build_game_tables(cfg)
-        _, dp = valuation.backward_induce(tables)
-        induced[big_n] = tables, dp
-        grid = game_exhaustive_small(big_n, 0.25)
-        for comp, dp_v, gr_v in (
-            ("val1", dp.val1, grid.val1),
-            ("val2", dp.val2, grid.val2),
-        ):
-            reports.append(
-                OracleReport.compare(
-                    f"game.value.exhaustive.N{big_n}.p0.25.{comp}",
-                    oracle_value=gr_v,
-                    solver_value=dp_v,
-                    tolerance=tol,
-                    method="midpoint-rule joint integration vs backward induction",
-                )
-            )
-    cfg10 = ProblemConfig(horizon=10, priority=0.25)
-    tables10 = equilibrium.build_game_tables(cfg10)
-    _, dp10 = valuation.backward_induce(tables10)
-    induced[10] = tables10, dp10
-    mc10, se10 = valuation.simulate(
-        cfg10, tables10, SimConfig(samples=samples, seed=seed + 2)
-    )
-    for comp, dp_v, mc_v, se in (
-        ("val1", dp10.val1, mc10.val1, se10[0]),
-        ("val2", dp10.val2, mc10.val2, se10[1]),
-    ):
-        reports.append(
-            OracleReport.compare(
-                f"game.value.dp_vs_mc.N10.p0.25.{comp}",
-                oracle_value=mc_v,
-                solver_value=dp_v,
-                tolerance=3.0 * se,
-                method=f"monte carlo ({samples} samples) vs backward induction, 3 sigma",
-            )
+        induced[big_n] = tables, valuation.backward_induce(tables)[1]
+    for big_n, tol in ((2, 1e-4), (3, 1e-3)):
+        pair_reports(
+            f"game.value.exhaustive.N{big_n}.p0.25",
+            game_exhaustive_small(big_n, 0.25),
+            induced[big_n][1],
+            (tol, tol),
+            "midpoint-rule joint integration vs backward induction",
         )
+    tables10, dp10 = induced[10]
+    mc10, se10 = valuation.simulate(
+        tables10.config, tables10, SimConfig(samples=samples, seed=seed + 2)
+    )
+    pair_reports(
+        "game.value.dp_vs_mc.N10.p0.25",
+        mc10,
+        dp10,
+        (3.0 * se10[0], 3.0 * se10[1]),
+        f"monte carlo ({samples} samples) vs backward induction, 3 sigma",
+    )
 
     # the first-stop game value, which the CLI prints, against the induction
     for big_n, (tables, dp) in induced.items():
-        first_stop = valuation.game_value(tables)
-        for comp, dp_v, fs_v in (
-            ("val1", dp.val1, first_stop.val1),
-            ("val2", dp.val2, first_stop.val2),
-        ):
-            reports.append(
-                OracleReport.compare(
-                    f"game.value.first_stop_vs_induction.N{big_n}.p0.25.{comp}",
-                    oracle_value=dp_v,
-                    solver_value=fs_v,
-                    tolerance=1e-12,
-                    method="first-stop closed form vs backward induction",
-                )
-            )
+        pair_reports(
+            f"game.value.first_stop_vs_induction.N{big_n}.p0.25",
+            dp,
+            valuation.game_value(tables),
+            (1e-12, 1e-12),
+            "first-stop closed form vs backward induction",
+        )
 
     # shifted-cutoff row at horizon 10
     expected_row = {0.1: 4, 0.2: 5, 0.25: 5, 1 / 3: 5, math.exp(-1): 5, 0.5: 6}

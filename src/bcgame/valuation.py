@@ -190,18 +190,6 @@ def _times_x(a: np.ndarray, breaks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _breakpoints(thresholds: np.ndarray) -> np.ndarray:
-    """The distinct values among 0, 1 and ``thresholds``, ascending:
-    ``np.unique``'s array, bit for bit, by the sort and adjacent-difference
-    mask it runs itself, without the ``numpy.ma`` import (12-15 ms) that
-    its first call in a process pays."""
-    points = np.sort(np.concatenate(([0.0, 1.0], thresholds)))
-    keep = np.empty(len(points), dtype=bool)
-    keep[0] = True
-    np.not_equal(points[1:], points[:-1], out=keep[1:])
-    return points[keep]
-
-
 class ValueFunction:
     """Piecewise-polynomial per-index values of both players.
 
@@ -222,7 +210,9 @@ class ValueFunction:
         refuse_beyond(
             _table_bytes(big_n), _physical_memory(), f"value tables at horizon {big_n}"
         )
-        self.breaks = _breakpoints(tables.xthresholds.values)
+        # the thresholds strictly decrease to x_N = 0: ascending, they and
+        # 1 are the distinct breakpoints
+        self.breaks = np.append(tables.xthresholds.values[::-1], 1.0)
         self.n_segments = len(self.breaks) - 1
         # one buffer for all stages: stage arrays of their own fragment the heap
         sizes = 2 * self.n_segments * np.arange(big_n + 1, 0, -1)

@@ -467,6 +467,21 @@ def _never_called(*args, **kwargs):
     raise AssertionError("the command computed before its check")
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_samples_below_one_exit_2_before_computing(samples, monkeypatch, capsys):
+    # exit 1 means a failed verification, so a refused argument must not
+    # give it, nor run part of the suite first
+    from bcgame import oracle
+
+    monkeypatch.setattr(oracle, "_secretary_wins", _never_called)
+    monkeypatch.setattr(oracle, "_rule_value_polys", _never_called)
+    monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
+    assert main(["verify", "--samples", str(samples)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"bcgame: error: samples must be >= 1, got {samples}\n"
+    assert captured.out == ""
+
+
 def test_unwritable_out_fails_before_computing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
     out = tmp_path / "missing" / "x.csv"

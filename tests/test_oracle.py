@@ -9,7 +9,7 @@ import pytest
 from bcgame import oracle
 from bcgame._rng import batch_generator
 from bcgame.equilibrium import build_game_tables
-from bcgame.errors import TooLarge
+from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
     ProblemConfig,
     ThresholdVector,
@@ -127,6 +127,65 @@ def test_bent_thresholds_lower_the_rule_value():
     # rule: both sides evaluate the same (suboptimal) rule
     report = fullinfo_mc_check(10, thresholds=bent, samples=100_000, seed=4)
     assert report.passed
+
+
+def _rule_value_polys_polymul(horizon, thresholds):
+    """Reference: the recursion with one ``polymul`` by a monomial and one
+    ``polyadd`` per later stage, every stage kept."""
+    P = np.polynomial.polynomial
+    breaks = oracle._breakpoints(thresholds.values)
+    segs = list(zip(breaks[:-1], breaks[1:]))
+
+    def monomial(k):
+        c = np.zeros(k + 1)
+        c[k] = 1.0
+        return c
+
+    u, upper = {}, {}
+    for n in range(horizon, 0, -1):
+        stage = []
+        for seg_idx, (a, b) in enumerate(segs):
+            if a >= thresholds.x(n):
+                stage.append(monomial(horizon - n))
+            else:
+                acc = np.zeros(1)
+                for k in range(n + 1, horizon + 1):
+                    term = P.polymul(monomial(k - n - 1), upper[k][seg_idx])
+                    acc = P.polyadd(acc, term)
+                stage.append(acc)
+        u[n] = stage
+        anti = [P.polyint(c) for c in stage]
+        fulls = [
+            float(P.polyval(b, f) - P.polyval(a, f)) for (a, b), f in zip(segs, anti)
+        ]
+        tails = np.concatenate((np.cumsum(fulls[::-1])[::-1], [0.0]))
+        upper[n] = [
+            P.polysub(np.array([tails[idx + 1] + float(P.polyval(b, f))]), f)
+            for idx, ((a, b), f) in enumerate(zip(segs, anti))
+        ]
+    anti1 = [P.polyint(c) for c in u[1]]
+    return math.fsum(
+        float(P.polyval(b, f) - P.polyval(a, f)) for (a, b), f in zip(segs, anti1)
+    )
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 10, 25])
+def test_rule_value_polys_matches_polymul_recursion(horizon):
+    # shifted slice additions are the additions polyadd made, in its order:
+    # the same float for solved, raised, random (not monotone) and zero
+    # thresholds
+    base = fullinfo_thresholds(ProblemConfig(horizon=horizon)).values
+    rng = np.random.default_rng(horizon)
+    families = (
+        base,
+        np.clip(base + 0.2, 0.0, 0.999),
+        rng.random(horizon),
+        np.zeros(horizon),
+    )
+    for values in families:
+        thresholds = ThresholdVector(horizon=horizon, values=values)
+        got = oracle._rule_value_polys(horizon, thresholds)
+        assert repr(got) == repr(_rule_value_polys_polymul(horizon, thresholds))
 
 
 def _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed):
@@ -252,6 +311,19 @@ def test_game_exhaustive_matches_whole_array_reference(horizon):
         assert repr(got.as_tuple()) == repr(tuple(float(v) for v in want)), priority
 
 
+def test_game_exhaustive_memory_is_one_buffer_and_one_mask():
+    # at horizon 3 the integrand buffer (8 MB) and the record mask (1 MB)
+    # dominate; a mask per integrand term would add 1 MB each
+    game_exhaustive_small(3, 0.25)  # first-call imports
+    tracemalloc.start()
+    try:
+        game_exhaustive_small(3, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
+
+
 def test_game_exhaustive_guards():
     with pytest.raises(TooLarge):
         game_exhaustive_small(4, 0.25)
@@ -289,6 +361,20 @@ def test_package_loads_oracle_names_on_first_use():
     assert exported is OracleReport
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         bcgame.not_a_name
+
+
+def test_samples_below_one_are_refused_before_computing(monkeypatch):
+    def never_called(*args, **kwargs):
+        raise AssertionError("computed before the samples check")
+
+    monkeypatch.setattr(oracle, "_secretary_wins", never_called)
+    monkeypatch.setattr(oracle, "_rule_value_polys", never_called)
+    for samples in (0, -5):
+        message = f"samples must be >= 1, got {samples}"
+        with pytest.raises(DomainError, match=message):
+            run_verification_suite(samples=samples)
+        with pytest.raises(DomainError, match=message):
+            fullinfo_mc_check(10, samples=samples)
 
 
 def test_report_consistency():

@@ -27,7 +27,7 @@ from bcgame.equilibrium import (
     stage_cells,
 )
 from bcgame.errors import DomainError, TooLarge, UnsupportedPriority
-from bcgame.models import ProblemConfig, fullinfo_thresholds
+from bcgame.models import ProblemConfig
 from bcgame.valuation import (
     SimConfig,
     ValueFunction,
@@ -225,18 +225,21 @@ def test_value_at_and_stage_average_validate_player_and_index(game10):
 
 @pytest.mark.parametrize("horizon", [1, 2, 10, 150])
 def test_breakpoints_match_np_unique(horizon):
-    # the solver's and the oracle's copies give np.unique's array, bit for bit
+    # the solver's segments, read off the thresholds, and the oracle's
+    # breakpoints, which allow repeated thresholds, give np.unique's
+    # array, bit for bit
     from bcgame import oracle
 
-    if horizon == 1:
-        values = np.zeros(1)
-    else:
-        values = fullinfo_thresholds(ProblemConfig(horizon=horizon)).values
+    values = np.zeros(1)
+    got = []
+    if horizon > 1:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+        values = tables.xthresholds.values
+        got.append(valuation.ValueFunction(tables).breaks)
     want = np.unique(np.concatenate(([0.0, 1.0], values)))
-    for breakpoints in (valuation._breakpoints, oracle._breakpoints):
-        got = breakpoints(values)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    for breaks in got + [oracle._breakpoints(values)]:
+        assert breaks.dtype == want.dtype
+        assert breaks.tobytes() == want.tobytes()
 
 
 def test_table_cost_model_matches_allocation(game10):

@@ -1,6 +1,6 @@
 """Scaling figures of the thresholds, game-table, game-value, induction,
-Monte Carlo and state-audit layers and of some end-to-end commands, one
-row per source tree, for a ``BENCH_*.json`` file.
+Monte Carlo, state-audit and oracle-suite layers and of some end-to-end
+commands, one row per source tree, for a ``BENCH_*.json`` file.
 
     python tools/scaling.py --tree change=src \\
         [--tree parent=/path/to/parent/src] > BENCH.json
@@ -36,6 +36,9 @@ Cases:
   ``valuation.backward_induce()`` call at p = 0.25 with the tables
   already built.  Reports its wall time and the child's max RSS, which
   the induction's tables set.
+* ``suite``: one ``run_verification_suite()`` call at its defaults,
+  200,000 samples and seed 42.  Reports its wall time, the
+  ``tracemalloc`` peak of a second, traced call, and the child's max RSS.
 * ``cli-simulate-35``: ``bcgame simulate --horizon 35 --priority 0.25
   --samples 2000000`` end to end.
 * ``cli-regions-50-csv`` and ``cli-regions-50-json``: ``bcgame regions
@@ -179,6 +182,19 @@ backward_induce(tables)
 print(json.dumps({"wall_s": time.perf_counter() - start}))
 """
 
+_SUITE_CHILD = """
+import json, time, tracemalloc
+from bcgame import run_verification_suite
+start = time.perf_counter()
+run_verification_suite()
+wall = time.perf_counter() - start
+tracemalloc.start()
+run_verification_suite()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"wall_s": wall, "tracemalloc_mb": peak / 2**20}))
+"""
+
 _CLI_CHILD = "import sys; from bcgame.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -205,11 +221,12 @@ def _child(src: str, argv: list[str], keep: bool = True) -> tuple[float, bytes, 
     return wall, out, usage
 
 
-def _layer_case(src: str, child: str, horizon: int, count: int) -> dict | None:
-    """One run of an in-process ``child`` at ``horizon`` over ``count``
-    sequences, states or calls: the JSON it prints, plus its max RSS; None
-    when the child prints null, for a layer the tree does not have."""
-    _, out, usage = _child(src, [child, str(horizon), str(count)])
+def _layer_case(src: str, child: str, *args: int) -> dict | None:
+    """One run of an in-process ``child`` with ``args``, such as a horizon
+    and a count of sequences, states or calls: the JSON it prints, plus
+    its max RSS; None when the child prints null, for a layer the tree
+    does not have."""
+    _, out, usage = _child(src, [child, *map(str, args)])
     run = json.loads(out)
     if run is not None:
         run["maxrss_mb"] = usage.ru_maxrss / 1024
@@ -264,6 +281,7 @@ def main() -> None:
     ):
         for n in HORIZONS:
             cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
+    cases["suite"] = lambda src: _layer_case(src, _SUITE_CHILD)
     for name, argv in CLI_CASES.items():
         cases[name] = lambda src, a=argv: _cli_case(src, a)
     runs = {label: {name: [] for name in cases} for label in trees}
