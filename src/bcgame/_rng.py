@@ -6,9 +6,12 @@ the batch index by SplitMix64 finalization:
 
     key = mix(seed + (2 i + 1) g) | mix(seed + (2 i + 2) g) << 64
 
-with g the 64-bit golden-ratio increment.  Distinct (seed, batch) pairs
-map to distinct keys, and uniforms come out as 53-bit-mantissa doubles in
-[0, 1).
+with g the 64-bit golden-ratio increment and the sums taken modulo
+2**64.  Within one seed the batches have distinct keys, and for one batch
+index distinct seeds in [0, 2**64) have distinct keys, since g is odd and
+SplitMix64 finalization is a bijection.  Across seeds keys do repeat:
+batch i of seed s has the key of batch i - 1 of seed s + 2 g.  Uniforms
+come out as 53-bit-mantissa doubles in [0, 1).
 """
 
 from __future__ import annotations

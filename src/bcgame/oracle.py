@@ -176,6 +176,8 @@ def fullinfo_mc_check(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
     if thresholds is None:
         thr_values = np.array(
             [models.fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]
@@ -305,6 +307,8 @@ def run_verification_suite(
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if not 0 <= seed < (1 << 64) - 2:  # it also plays seed + 1 and seed + 2
+        raise DomainError(f"seed must be in [0, 2**64 - 2), got {seed}")
     reports: list[OracleReport] = []
 
     def pair_reports(

@@ -60,20 +60,21 @@ The simulator plays fixed batches of ``_BATCH`` sequences, runs them on
 one thread per CPU in the process's affinity mask (``taskset`` limits
 it) and draws each batch in row chunks under one memory budget.  A
 sequence stops at its first record x_n >= b_n, the bar of ``stop_bars``.
-A chunk finds that stop column by column: it copies its draws to
-stage-major order and turns the stages before ntilde into their running
-maximum in place, one vector operation per stage, in buffers the batch
-allocates once; from ntilde on every bar is 0, and the first stop is the
-first value above that maximum.  The first stops of a chunk are one
-maximum down its stages of stop marks, stage n weighted N - n + 1.  Only
-the rows that stop are scored, in blocks of B = share / 32 stops, the
-thread's share of the budget counted in doubles, with the running sums
-carried from block to block.  Every batch has its own counter-based
-stream and the batch sums are added in batch-index order, so the
-estimates for the same (samples, seed) are bit-identical at any core
-count, chunk size and block size, and memory is the budget, which covers
-the draws and their stage-major copy, plus O(B) per thread, whatever N
-and the batch size.
+A chunk is drawn a row-major tile at a time, each tile transposed into
+one stage-major buffer, N + 1 doubles a row, whose last row is the coin.
+A chunk finds the stop column by column: it turns the stages before
+ntilde into their running maximum in place, one vector operation per
+stage, in buffers the batch allocates once; from ntilde on every bar is
+0, and the first stop is the first value above that maximum.  The first
+stops of a chunk are one maximum down its stages of stop marks, stage n
+weighted N - n + 1.  Only the rows that stop are scored, in blocks of
+B = share / 16 stops, the thread's stage-major buffer counted in
+doubles, with the running sums carried from block to block.  Every batch
+has its own counter-based stream and the batch sums are added in
+batch-index order, so the estimates for the same (samples, seed) are
+bit-identical at any core count, chunk, tile and block size, and memory
+is the budget, which covers the stage-major buffers, plus a quarter of
+it for the tiles and O(B) per thread, whatever N and the batch size.
 """
 
 from __future__ import annotations
@@ -105,12 +106,12 @@ from .models import ProblemConfig
 
 _PLAYERS = (1, 2)
 
-#: Doubles that one ``simulate`` call holds drawn at a time, the uniforms
-#: and their stage-major copy, shared evenly by its threads: 4 MB,
-#: whatever N and the core count.  A thread scores its stops in blocks of
-#: B = share / 32 stops, its share counted in doubles, which take about
-#: half its share again.
-_DRAW_BUDGET = 1 << 19
+#: Doubles of stage-major uniforms that one ``simulate`` call holds at a
+#: time, N + 1 a sequence, shared evenly by its threads: 2 MB, whatever N
+#: and the core count.  A thread draws into a row-major tile of a quarter
+#: of its share and scores its stops in blocks of B = share / 16 stops,
+#: its share counted in doubles, which take about its share again.
+_DRAW_BUDGET = 1 << 18
 
 #: Sequences per Monte Carlo batch.  Each batch draws its own Philox
 #: stream, so this size fixes the bytes of every (samples, seed) estimate.
@@ -140,9 +141,10 @@ class SimConfig:
     estimates, whatever the core count: the samples are played in
     batches of ``_BATCH`` sequences on independent deterministic streams,
     which run concurrently and combine in fixed index order.  A running
-    batch holds its share of the draw budget plus O(B) for a block of
-    B = share / 32 stops (the share counted in doubles), whatever the
-    batch size.
+    batch holds its share of the draw budget, N + 1 doubles a row, a tile
+    of a quarter of it, and O(B) for a block of B = share / 16 stops (the
+    share counted in doubles), whatever the batch size.  The seed must lie
+    in [0, 2**64): the stream keys read it modulo 2**64.
     """
 
     samples: int
@@ -151,6 +153,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 0 <= self.seed < 1 << 64:
+            raise DomainError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def _table_bytes(horizon: int) -> int:
@@ -470,13 +474,16 @@ def _play_batch(
     """Payoff sum and sum of squares over the ``size`` sequences of one
     batch, each player on its own entry.
 
-    The uniforms come in chunks of at most ``chunk_rows`` rows; the chunks
-    continue one Philox stream, so together they are the one draw of the
-    whole batch.  The batch allocates its buffers once: the draws, their
-    stage-major copy x[n, row] (a stage is one contiguous vector), the
-    stop marks, the rises of the running maximum, the weighted marks, and
-    a block of B stops.  Over the stages before ntilde a chunk turns x
-    into its running maximum M in place, one vector operation per stage.
+    The uniforms come in chunks of at most ``chunk_rows`` rows, and each
+    chunk in row-major tiles of a quarter of its rows, each transposed
+    into the stage-major buffer x[n, row] (a stage is one contiguous
+    vector; row N holds the coins); the tiles and chunks continue one
+    Philox stream, so together they are the one draw of the whole batch.
+    The batch allocates its buffers once: the stage-major buffer, the
+    tile, the stop marks, the rises of the running maximum, the weighted
+    marks, and a block of B stops.  Over the stages before ntilde a chunk
+    turns x into its running maximum M in place, one vector operation per
+    stage.
     Stage n is a record exactly where M rises, M_n > M_{n-1}, and there
     M_n = x_n, so the marks are the rises with M_n >= b_n, the bar of
     ``stop_bars``.  From ntilde on every bar is 0, and the first record is
@@ -487,19 +494,19 @@ def _play_batch(
 
     The stops fill the block in row order, and each full block, and the
     last, is scored by ``_score_stops``; a row that never stops pays
-    (0, 0) and adds nothing to the sums.  B is a thirty-second of the
-    thread's share of the draw budget, chunk_rows (2N + 1) doubles:
-    scoring takes about 16 doubles a stop, so a block holds about half the
-    share, whatever the batch size.
+    (0, 0) and adds nothing to the sums.  B is a sixteenth of the
+    stage-major buffer, at most chunk_rows (N + 1) doubles: scoring takes
+    about 16 doubles a stop, so a block holds about as much as the
+    buffer, whatever the batch size.
     """
     big_n = cfg.horizon
     bars = stop_bars(tables)[:, None]
     scanned = max(tables.ntilde - 1, 1)  # stages before ntilde, and stage 1
     rng = batch_generator(seed, batch_index)
     width = min(chunk_rows, size)
-    block = max(1, chunk_rows * (2 * big_n + 1) // 32)
-    draws = np.empty((width, big_n + 1))
-    xt = np.empty((big_n, width))
+    block = max(1, width * (big_n + 1) // 16)
+    xt = np.empty((big_n + 1, width))  # the stages, then the coin
+    tile = np.empty((-(-width // 4), big_n + 1))
     marks = np.empty((big_n, width), dtype=bool)
     rises = np.empty((scanned - 1, width), dtype=bool)
     weights = np.arange(big_n, 0, -1, dtype=np.min_scalar_type(big_n))[:, None]
@@ -514,10 +521,11 @@ def _play_batch(
     count = 0
     for lo in range(0, size, chunk_rows):
         rows = min(chunk_rows, size - lo)
-        u = draws[:rows]
-        rng.random(out=u)
-        x, mark, rise = xt[:, :rows], marks[:, :rows], rises[:, :rows]
-        x[...] = u[:, :big_n].T
+        for a in range(0, rows, len(tile)):
+            t = min(len(tile), rows - a)
+            rng.random(out=tile[:t])
+            xt[:, a : a + t] = tile[:t].T
+        x, mark, rise = xt[:big_n, :rows], marks[:, :rows], rises[:, :rows]
         head = x[:scanned]
         stages = iter(head)
         before = next(stages)
@@ -530,13 +538,13 @@ def _play_batch(
         np.greater(x[scanned:], before, out=mark[scanned:])
         first = np.multiply(mark, weights, out=weighted[:, :rows]).max(axis=0)
         hit = np.flatnonzero(first)
-        j = big_n - first[hit].astype(np.intp)  # the first stops' x rows
         done = 0
         while done < len(hit):  # into the block, split where it fills
             take = min(block - count, len(hit) - done)
-            r, k = hit[done : done + take], j[done : done + take]
+            r = hit[done : done + take]
+            k = big_n - first[r].astype(np.intp)  # the first stops' x rows
             at = slice(count, count + take)
-            stage[at], value[at], coin[at] = k + 1, x[k, r], u[r, big_n]
+            stage[at], value[at], coin[at] = k + 1, x[k, r], xt[big_n, r]
             count += take
             done += take
             if count == block:
@@ -563,13 +571,14 @@ def simulate(
     partial.  Batches run on a pool of one thread per CPU in the process's
     affinity mask, at most one per batch (numpy releases the interpreter
     lock while it draws and computes), and their sums are added in
-    batch-index order.  Each batch draws its uniforms in row chunks and
-    copies each chunk to stage-major order; the threads share
-    ``_DRAW_BUDGET`` doubles evenly, so a chunk has at most
-    budget / (threads (2N + 1)) rows.  Neither the thread count nor the
-    chunk size changes a bit of the result.  A thread scores its stops in
-    blocks of B = share / 32 stops, its share counted in doubles, so
-    memory is the budget plus O(B) per thread, whatever N.  The first
+    batch-index order.  Each batch draws its uniforms in row chunks,
+    each chunk in row-major tiles transposed into one stage-major
+    buffer; the threads share ``_DRAW_BUDGET`` doubles of those buffers
+    evenly, so a chunk has at most budget / (threads (N + 1)) rows.
+    Neither the thread count nor the chunk size changes a bit of the
+    result.  A thread scores its stops in blocks of B = share / 16 stops,
+    its share counted in doubles, so memory is the budget, a quarter of
+    it for the tiles, plus O(B) per thread, whatever N.  The first
     error, an interrupt included, cancels the batches not yet started and
     propagates.
     """
@@ -578,7 +587,7 @@ def simulate(
 
     n_batches = -(-sim.samples // _BATCH)
     workers = min(_cpu_count(), n_batches)
-    chunk_rows = max(1, _DRAW_BUDGET // workers // (2 * cfg.horizon + 1))
+    chunk_rows = max(1, _DRAW_BUDGET // workers // (cfg.horizon + 1))
     sums = np.zeros(2)
     sq_sums = np.zeros(2)
     with ThreadPoolExecutor(workers) as pool:

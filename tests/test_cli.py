@@ -482,6 +482,34 @@ def test_verify_samples_below_one_exit_2_before_computing(samples, monkeypatch, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,bounds,seed",
+    [
+        (["simulate"], "[0, 2**64)", -1),
+        (["values", "--method", "both"], "[0, 2**64)", 1 << 64),
+        (["verify"], "[0, 2**64 - 2)", (1 << 64) - 2),
+    ],
+    ids=["simulate", "values-both", "verify"],
+)
+def test_seed_outside_the_stream_keys_exits_2_before_computing(
+    argv, bounds, seed, monkeypatch, capsys
+):
+    # the keys read a seed modulo 2**64, so -1 printed the bytes of
+    # 2**64 - 1 and 2**64 those of 0
+    from bcgame import oracle
+
+    monkeypatch.setattr(oracle, "_secretary_wins", _never_called)
+    monkeypatch.setattr(oracle, "_rule_value_polys", _never_called)
+    monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
+    argv = argv + ["--seed", str(seed)]
+    if argv[0] != "verify":
+        argv += ["--horizon", "10", "--priority", "0.25"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"bcgame: error: seed must be in {bounds}, got {seed}\n"
+    assert captured.out == ""
+
+
 def test_unwritable_out_fails_before_computing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
     out = tmp_path / "missing" / "x.csv"

@@ -377,6 +377,24 @@ def test_samples_below_one_are_refused_before_computing(monkeypatch):
             fullinfo_mc_check(10, samples=samples)
 
 
+def test_seeds_outside_the_stream_keys_are_refused_before_computing(monkeypatch):
+    # the keys read a seed modulo 2**64, and the suite also plays seed + 1
+    # and seed + 2, so its last seed is 2**64 - 3
+    def never_called(*args, **kwargs):
+        raise AssertionError("computed before the seed check")
+
+    monkeypatch.setattr(oracle, "_secretary_wins", never_called)
+    monkeypatch.setattr(oracle, "_rule_value_polys", never_called)
+    for seed in (-1, (1 << 64) - 2, 1 << 64):
+        with pytest.raises(DomainError) as caught:
+            run_verification_suite(seed=seed)
+        assert str(caught.value) == f"seed must be in [0, 2**64 - 2), got {seed}"
+    for seed in (-1, 1 << 64):
+        with pytest.raises(DomainError) as caught:
+            fullinfo_mc_check(10, seed=seed)
+        assert str(caught.value) == f"seed must be in [0, 2**64), got {seed}"
+
+
 def test_report_consistency():
     r = OracleReport.compare("x", 1.0, 1.0 + 5e-13, 1e-12, "m")
     assert r.passed and r.abs_diff <= r.tolerance

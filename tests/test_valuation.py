@@ -654,6 +654,20 @@ def test_simulate_two_stage_matches_hand_value():
     assert abs(mc.val2 - 0.25) <= 3 * se[1]
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_sim_config_refuses_seed_outside_64_bits(seed):
+    # the stream keys read the seed modulo 2**64: -1 would replay
+    # 2**64 - 1 and 2**64 would replay 0
+    with pytest.raises(DomainError) as caught:
+        SimConfig(samples=1, seed=seed)
+    assert str(caught.value) == f"seed must be in [0, 2**64), got {seed}"
+
+
+def test_sim_config_takes_the_ends_of_the_seed_range():
+    assert SimConfig(samples=1, seed=0).seed == 0
+    assert SimConfig(samples=1, seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+
 def test_simulate_rejects_high_priority():
     tables = build_game_tables(ProblemConfig(horizon=5, priority=0.8))
     with pytest.raises(UnsupportedPriority):
@@ -714,19 +728,21 @@ def _use_cpus(monkeypatch, count):
     [(h, p) for p in (0.0, 0.25, 0.5) for h in (2, 10, 60)] + [(150, 0.25)],
 )
 def test_simulate_matches_serial_reference(monkeypatch, horizon, priority):
-    # threads and row chunks change no bit: three threads with 700-row
-    # chunks (a partial last chunk in every batch) and one thread with the
-    # default budget (at 150000 samples, three batches, the last partial,
-    # refill its window of two); on the short runs also one row per chunk
+    # threads, row chunks and tiles change no bit: three threads with
+    # 700-row chunks (a partial last chunk in every batch) and with 701-row
+    # chunks (tiles of 176 rows, the last of a chunk 173), and one thread
+    # with the default budget (at 150000 samples, three batches, the last
+    # partial, refill its window of two); on the short runs also one row
+    # per chunk, and 3-row chunks drawn in one-row tiles
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
     cfg = tables.config
     default, split = valuation._DRAW_BUDGET, 3 * (horizon + 1) * 700
     for samples in (1, 3, 150_000):
         sim = SimConfig(samples=samples, seed=17)
         want = _serial_simulate(cfg, tables, sim)
-        runs = [(3, split), (1, default)]
+        runs = [(3, split), (3, 3 * (horizon + 1) * 701), (1, default)]
         if samples <= 3:
-            runs.append((3, 1))
+            runs += [(3, 1), (1, 3 * (horizon + 1))]
         for cpus, budget in runs:
             _use_cpus(monkeypatch, cpus)
             monkeypatch.setattr(valuation, "_DRAW_BUDGET", budget)
@@ -777,6 +793,25 @@ def test_simulate_memory_is_the_budget_and_a_block(monkeypatch, horizon):
     assert peak <= 8 * 2**20
 
 
+@pytest.mark.parametrize("horizon", [2, 10, 60, 400])
+def test_simulate_memory_is_one_stage_major_buffer(monkeypatch, horizon):
+    # one thread holds 2 MB of stage-major uniforms, a tile of a quarter
+    # of that and a block of stops, about as much again (3.9-4.9 MB); with
+    # the draws kept row-major beside their stage-major copy it took
+    # 5.3 MB at N = 2 and 6.1-6.4 MB at the others
+    _use_cpus(monkeypatch, 1)
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+    sim = SimConfig(samples=1 << 17, seed=3)
+    simulate(tables.config, tables, SimConfig(samples=1))  # loads the pool's modules
+    tracemalloc.start()
+    try:
+        simulate(tables.config, tables, sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2**20
+
+
 @pytest.mark.parametrize(
     "horizon,priority,budget,samples",
     [
@@ -784,6 +819,8 @@ def test_simulate_memory_is_the_budget_and_a_block(monkeypatch, horizon):
         (10, 0.25, 3200, 65536 + 777),
         (60, 0.5, 3200, 65536 + 777),
         (300, 0.1, 3200, 3000),
+        (10, 0.25, 701 * 11, 65536 + 777),
+        (5, 0.25, 3 * 6, 3000),
     ],
 )
 def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
@@ -791,7 +828,9 @@ def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
 ):
     # one thread; at N = 2 one chunk holds the whole batch and its stops
     # fill several blocks, and a budget of 3200 doubles makes blocks of
-    # about 100 stops, so every batch is scored in many blocks
+    # about 200 stops, so every batch is scored in many blocks; 701-row
+    # chunks are drawn in tiles of 176 rows, the last of a chunk 173, and
+    # 3-row chunks in one-row tiles, one stop a block
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
     cfg = tables.config
     sim = SimConfig(samples=samples, seed=23)

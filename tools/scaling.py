@@ -1,6 +1,7 @@
 """Scaling figures of the thresholds, game-table, game-value, induction,
-Monte Carlo, state-audit and oracle-suite layers and of some end-to-end
-commands, one row per source tree, for a ``BENCH_*.json`` file.
+Monte Carlo, state-audit, region-map and oracle-suite layers and of some
+end-to-end commands, one row per source tree, for a ``BENCH_*.json``
+file.
 
     python tools/scaling.py --tree change=src \\
         [--tree parent=/path/to/parent/src] > BENCH.json
@@ -36,6 +37,9 @@ Cases:
   ``valuation.backward_induce()`` call at p = 0.25 with the tables
   already built.  Reports its wall time and the child's max RSS, which
   the induction's tables set.
+* ``regions-N`` for N = 10, 50, 150 and 400: ``region_map()`` at
+  p = 0.25 and xstep 1e-3 with the tables already built.  Reports the
+  fastest of five calls and the child's max RSS.
 * ``suite``: one ``run_verification_suite()`` call at its defaults,
   200,000 samples and seed 42.  Reports its wall time, the
   ``tracemalloc`` peak of a second, traced call, and the child's max RSS.
@@ -182,6 +186,19 @@ backward_induce(tables)
 print(json.dumps({"wall_s": time.perf_counter() - start}))
 """
 
+_REGIONS_CHILD = """
+import json, sys, time
+from bcgame import ProblemConfig, build_game_tables, region_map
+horizon, count = int(sys.argv[1]), int(sys.argv[2])
+tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+walls = []
+for _ in range(count):
+    start = time.perf_counter()
+    region_map(tables, 1e-3)
+    walls.append(time.perf_counter() - start)
+print(json.dumps({"wall_s": min(walls)}))
+"""
+
 _SUITE_CHILD = """
 import json, time, tracemalloc
 from bcgame import run_verification_suite
@@ -278,6 +295,7 @@ def main() -> None:
         ("tables", _TABLES_CHILD, REPEATS),
         ("value", _VALUE_CHILD, REPEATS),
         ("induce", _INDUCE_CHILD, 1),
+        ("regions", _REGIONS_CHILD, REPEATS),
     ):
         for n in HORIZONS:
             cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
