@@ -4,11 +4,18 @@ verification suite, each emitted as CSV or JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, domain or output
 error.  No environment variable is read.
+
+The CLI process keeps OpenSSL out: ``main`` registers its ``_hashlib``
+as absent before it dispatches, where CPython has all its own digest
+modules, so ``numpy.random``'s import of ``secrets`` does not map
+libcrypto, 3.4 MB of a Monte Carlo command's resident memory, for hashing
+that no command does.  The API leaves ``sys.modules`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -255,7 +262,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: CPython's own digest modules, which ``hashlib`` falls back to when
+#: OpenSSL's ``_hashlib`` is absent, logging one traceback for each that
+#: is missing; a build configured with fewer (FIPS-oriented ones keep
+#: ``_blake2`` alone), or CPython 3.12 on, which merges the SHA-2 pair
+#: into ``_sha2``, keeps OpenSSL.
+_DIGEST_MODULES = ("_md5", "_sha1", "_sha256", "_sha512", "_sha3", "_blake2")
+
+
+def _keep_openssl_out() -> None:
+    """Register OpenSSL's ``_hashlib`` as absent where all of
+    ``_DIGEST_MODULES`` can be imported.  ``numpy.random`` imports
+    ``secrets``, which imports ``hashlib``, which would map OpenSSL's
+    libcrypto (3.4 MB resident) although no command hashes anything;
+    ``hashlib``, ``hmac`` and ``secrets`` then use the built-in digests.
+    The modules are looked up, not imported: reading the build's
+    configuration through ``sysconfig`` would hold 0.26 MB.  A process
+    that has already imported ``_hashlib`` keeps it."""
+    if all(importlib.util.find_spec(name) for name in _DIGEST_MODULES):
+        sys.modules.setdefault("_hashlib", None)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_openssl_out()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -71,31 +71,47 @@ def _w1_values(cfg: ProblemConfig) -> list[float]:
     return values
 
 
-def _w2_array(n, xs, horizon: int) -> np.ndarray:
+def _w2_array(n, xs, horizon: int, out=None) -> np.ndarray:
     """Value-player margin at the indices n and values xs, stable down to
-    x = 0; ``n`` may be an array broadcast against ``xs``.
+    x = 0; ``n`` may be an array broadcast against ``xs``.  With ``out``,
+    a C-contiguous float array of the broadcast shape, the margins are
+    written there.
 
     x**d (1 + H_d) - sum_{j=1}^{d} x**(d-j)/j with d = N - n and H_d the
     d-th harmonic number.  The sum has coefficient 1/(d-k) at x**k and is
     taken by Horner's rule in d multiply-adds, with no negative power.
     The entries are sorted stably by degree d, highest first (a radix sort
-    on a small unsigned key), so step t of the Horner loop,
-    acc = acc x + 1/t, runs on the prefix of entries with d >= t only."""
-    xs, d = np.broadcast_arrays(np.asarray(xs, dtype=float), horizon - np.asarray(n))
-    top = int(np.max(d, initial=0))
-    order = np.argsort((top - d).ravel().astype(np.min_scalar_type(top)), kind="stable")
-    xs_sorted = xs.ravel()[order]
-    # live[t] entries have degree >= t
-    live = np.cumsum(np.bincount(d.ravel(), minlength=top + 1)[::-1])[::-1]
-    acc = np.zeros(len(order))
+    on the small unsigned key top - d), so step t of the Horner loop,
+    acc = acc x + 1/t, runs on the prefix of entries with d >= t only.
+    The sorted values are held in ``out``, and the sums go back there in
+    the order of the entries; the first term follows, its power taken in
+    place on the degrees as floats, so beside ``out`` at most two arrays
+    of its size are held at a time."""
+    xs, n = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(n))
+    low = int(np.min(n, initial=horizon))
+    top = horizon - low
+    key = (n - low).ravel().astype(np.min_scalar_type(top))
+    # live[t] entries, the first in the order, have degree >= t
+    live = np.cumsum(np.bincount(key, minlength=top + 1))[::-1]
+    order = np.argsort(key, kind="stable")
+    if out is None:
+        out = np.empty(xs.shape)
+    flat = out.reshape(-1)
+    np.take(xs.ravel(), order, out=flat)
+    acc = head = np.zeros(len(order))
     for t in range(1, top + 1):
         head = acc[: live[t]]
-        head *= xs_sorted[: live[t]]
+        head *= flat[: live[t]]
         head += 1.0 / t
-    horner = np.empty_like(acc)
-    horner[order] = acc
+    flat[order] = acc
+    del acc, head, order  # freed before the first term's two arrays
     harmonic = np.cumsum(np.concatenate(([0.0], 1.0 / np.arange(1, top + 1))))
-    return xs**d * (1.0 + harmonic[d]) - horner.reshape(xs.shape)
+    scale = (1.0 + harmonic)[::-1].take(key).reshape(xs.shape)  # 1 + H_d
+    power = n.astype(float)
+    np.subtract(horizon, power, out=power)
+    np.power(xs, power, out=power)
+    power *= scale
+    return np.subtract(power, out, out=out)
 
 
 #: (1/m, H_m) for m = 0..M as two lists of Python floats, 1/0 read as 0 and
@@ -346,17 +362,30 @@ def _cell(stop1, stop2, joint: float, w1n: float, w2n: float) -> tuple[float, fl
     return s * w1n, -s * w2n
 
 
-def stage_cells(n, stop1, stop2, w2s, tables: GameTables) -> np.ndarray:
+def stage_cells(n, stop1, stop2, w2s, tables: GameTables, out=None) -> np.ndarray:
     """Payoffs s (w1_n, -w2) of stopped cells at index n, stacked on a
     leading player axis, given who stops there (at least one player) and
     the value player's margins ``w2s``, as arrays: s = 2p - 1 when both
     stop, +1 when only the rank player stops, -1 when only the value player
     stops.  ``_cell`` scores one cell by the same products in Python
-    floats, so the two agree bit for bit.
+    floats, so the two agree bit for bit.  With ``out``, a float array of
+    shape (2, *broadcast shape), the cells are written there; ``w2s`` may
+    be ``out[1]`` itself.
     """
     joint = 2.0 * tables.config.priority - 1.0
-    s = np.where(stop1, np.where(stop2, joint, 1.0), -1.0)
-    return np.stack(np.broadcast_arrays(s * tables.w1[n - 1], -s * w2s))
+    w1n = tables.w1[n - 1]
+    if out is None:
+        shapes = (np.shape(w1n), np.shape(stop1), np.shape(stop2), np.shape(w2s))
+        out = np.empty((2, *np.broadcast_shapes(*shapes)))
+    s, cell2 = out[0, ...], out[1, ...]
+    s[...] = -1.0
+    np.copyto(s, 1.0, where=stop1)
+    np.copyto(s, joint, where=np.logical_and(stop1, stop2))
+    # -(s w2) is (-s) w2 bit for bit: negation and rounding are symmetric
+    np.multiply(s, w2s, out=cell2)
+    np.negative(cell2, out=cell2)
+    np.multiply(s, w1n, out=s)
+    return out
 
 
 def classify_state(n: int, x: float, tables: GameTables) -> EquilibriumKind:

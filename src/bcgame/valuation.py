@@ -69,12 +69,16 @@ stage, in buffers the batch allocates once; from ntilde on every bar is
 stops of a chunk are one maximum down its stages of stop marks, stage n
 weighted N - n + 1.  Only the rows that stop are scored, in blocks of
 B = share / 16 stops, the thread's stage-major buffer counted in
-doubles, with the running sums carried from block to block.  Every batch
+doubles, with the running sums carried from block to block.  A block is
+scored in the tile's memory: a batch's one scratch buffer is the tile
+while a chunk is drawn, then holds the chunk's weighted stop marks, and
+a block's margins, cells and squares while it is scored.  Every batch
 has its own counter-based stream and the batch sums are added in
 batch-index order, so the estimates for the same (samples, seed) are
 bit-identical at any core count, chunk, tile and block size, and memory
 is the budget, which covers the stage-major buffers, plus a quarter of
-it for the tiles and O(B) per thread, whatever N and the batch size.
+it for the scratch buffers, an eighth for the stop marks and about five
+doubles a stop of a block per thread, whatever N and the batch size.
 """
 
 from __future__ import annotations
@@ -109,8 +113,10 @@ _PLAYERS = (1, 2)
 #: Doubles of stage-major uniforms that one ``simulate`` call holds at a
 #: time, N + 1 a sequence, shared evenly by its threads: 2 MB, whatever N
 #: and the core count.  A thread draws into a row-major tile of a quarter
-#: of its share and scores its stops in blocks of B = share / 16 stops,
-#: its share counted in doubles, which take about its share again.
+#: of its share, finds and scores its stops in the tile's memory, in
+#: blocks of B = share / 16 stops, its share counted in doubles, and holds
+#: stop marks of an eighth of its share; a block holds three doubles a
+#: stop and its scoring about two more, a third of the share.
 _DRAW_BUDGET = 1 << 18
 
 #: Sequences per Monte Carlo batch.  Each batch draws its own Philox
@@ -141,10 +147,14 @@ class SimConfig:
     estimates, whatever the core count: the samples are played in
     batches of ``_BATCH`` sequences on independent deterministic streams,
     which run concurrently and combine in fixed index order.  A running
-    batch holds its share of the draw budget, N + 1 doubles a row, a tile
-    of a quarter of it, and O(B) for a block of B = share / 16 stops (the
-    share counted in doubles), whatever the batch size.  The seed must lie
-    in [0, 2**64): the stream keys read it modulo 2**64.
+    batch holds its share of the draw budget, N + 1 doubles a row, a
+    scratch buffer of a quarter of it, the tile of its draws and the
+    scratch of its stop search and scoring in turn, stop marks of an
+    eighth of it, and about five doubles a stop for a block of
+    B = share / 16 stops (the share counted in doubles), whatever the
+    batch size.  The seed must lie in [0, 2**64): the stream keys read
+    it modulo 2**64; ``DomainError`` for a seed outside it or fewer than
+    one sample.
     """
 
     samples: int
@@ -152,7 +162,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+            raise DomainError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 1 << 64:
             raise DomainError(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -441,26 +451,34 @@ def _score_stops(
     value: np.ndarray,
     coin: np.ndarray,
     totals: np.ndarray,
+    scratch: np.ndarray,
 ) -> None:
     """Add the payoffs of a block of stops, in row order, to ``totals``:
     (sums, sums of squares), one entry per player.
 
-    Who takes the record, after the coin, the margins in one pass of the
-    Horner loop, and the cells; then a running sum along the stops from
-    the sums so far, which adds them in the order one running sum over the
-    whole batch would.
+    Who takes the record, after the coin; the margins, by one pass of the
+    Horner loop, and the cells, written into ``scratch``, at least three
+    doubles a stop; then, one player at a time, the squares and a running
+    sum along the stops from the sums so far, which adds them in the order
+    one running sum over the whole batch would.
     """
+    count = len(stage)
+    cells = scratch[: 2 * count].reshape(2, count)
+    square = scratch[2 * count : 3 * count]
+    _w2_array(stage, value, tables.config.horizon, out=cells[1])
     stop1, stop2 = stage_actions(stage, value, tables)
     # where both stop, the coin gives the rank player the record
     wins = coin < tables.config.priority
     taker1 = stop1 & (~stop2 | wins)
     taker2 = stop2 & ~(stop1 & wins)
-    w2s = _w2_array(stage, value, tables.config.horizon)
-    cells = stage_cells(stage, taker1, taker2, w2s, tables)
-    for total, terms in zip(totals, (cells, cells * cells)):
-        terms[:, 0] += total
-        np.add.accumulate(terms, axis=1, out=terms)
-        total[...] = terms[:, -1]
+    del stop1, stop2, wins  # only the takers are held through the cells
+    stage_cells(stage, taker1, taker2, cells[1], tables, out=cells)
+    for player, cell in enumerate(cells):
+        np.multiply(cell, cell, out=square)
+        for row, terms in enumerate((cell, square)):
+            terms[0] += totals[row, player]
+            np.add.accumulate(terms, out=terms)
+            totals[row, player] = terms[-1]
 
 
 def _play_batch(
@@ -479,11 +497,17 @@ def _play_batch(
     into the stage-major buffer x[n, row] (a stage is one contiguous
     vector; row N holds the coins); the tiles and chunks continue one
     Philox stream, so together they are the one draw of the whole batch.
-    The batch allocates its buffers once: the stage-major buffer, the
-    tile, the stop marks, the rises of the running maximum, the weighted
-    marks, and a block of B stops.  Over the stages before ntilde a chunk
-    turns x into its running maximum M in place, one vector operation per
-    stage.
+    The batch allocates its buffers once: the stage-major buffer, one
+    scratch buffer, the stop marks and a block of B stops.  The scratch
+    buffer is the tile while a chunk is drawn; once the chunk is drawn in
+    full, it holds in turn the rises of its running maximum, its weighted
+    marks, the places of the stops being gathered into the block, and a
+    full block's margins, cells and squares, 3 B doubles, while
+    ``_score_stops`` scores it.  It takes the largest of the tile, the
+    weighted marks and 3 B doubles, so tiny budgets work too.
+
+    Over the stages before ntilde a chunk turns x into its running
+    maximum M in place, one vector operation per stage.
     Stage n is a record exactly where M rises, M_n > M_{n-1}, and there
     M_n = x_n, so the marks are the rises with M_n >= b_n, the bar of
     ``stop_bars``.  From ntilde on every bar is 0, and the first record is
@@ -495,8 +519,9 @@ def _play_batch(
     The stops fill the block in row order, and each full block, and the
     last, is scored by ``_score_stops``; a row that never stops pays
     (0, 0) and adds nothing to the sums.  B is a sixteenth of the
-    stage-major buffer, at most chunk_rows (N + 1) doubles: scoring takes
-    about 16 doubles a stop, so a block holds about as much as the
+    stage-major buffer, at most chunk_rows (N + 1) doubles: the block
+    holds three doubles a stop, and its scoring, beside the scratch
+    buffer, about two more, so together they hold about a third of the
     buffer, whatever the batch size.
     """
     big_n = cfg.horizon
@@ -506,11 +531,12 @@ def _play_batch(
     width = min(chunk_rows, size)
     block = max(1, width * (big_n + 1) // 16)
     xt = np.empty((big_n + 1, width))  # the stages, then the coin
-    tile = np.empty((-(-width // 4), big_n + 1))
-    marks = np.empty((big_n, width), dtype=bool)
-    rises = np.empty((scanned - 1, width), dtype=bool)
     weights = np.arange(big_n, 0, -1, dtype=np.min_scalar_type(big_n))[:, None]
-    weighted = np.empty((big_n, width), dtype=weights.dtype)
+    tile_rows = -(-width // 4)
+    weighted_size = -(-big_n * width * weights.itemsize // 8)  # in doubles
+    scratch = np.empty(max(tile_rows * (big_n + 1), weighted_size, 3 * block))
+    tile = scratch[: tile_rows * (big_n + 1)].reshape(tile_rows, big_n + 1)
+    marks = np.empty((big_n, width), dtype=bool)
     # a block of stops: index, value and coin
     stage = np.empty(block, dtype=np.intp)
     value = np.empty(block)
@@ -521,11 +547,14 @@ def _play_batch(
     count = 0
     for lo in range(0, size, chunk_rows):
         rows = min(chunk_rows, size - lo)
-        for a in range(0, rows, len(tile)):
-            t = min(len(tile), rows - a)
+        for a in range(0, rows, tile_rows):
+            t = min(tile_rows, rows - a)
             rng.random(out=tile[:t])
             xt[:, a : a + t] = tile[:t].T
-        x, mark, rise = xt[:big_n, :rows], marks[:, :rows], rises[:, :rows]
+        x, mark = xt[:big_n, :rows], marks[:, :rows]
+        # the rises, then the weighted marks, in the drawn chunk's tile
+        rise = scratch.view(bool)[: (scanned - 1) * rows].reshape(scanned - 1, rows)
+        weighted = scratch.view(weights.dtype)[: big_n * rows].reshape(big_n, rows)
         head = x[:scanned]
         stages = iter(head)
         before = next(stages)
@@ -536,22 +565,30 @@ def _play_batch(
         np.greater(head[1:], head[:-1], out=rise)
         mark[1:scanned] &= rise
         np.greater(x[scanned:], before, out=mark[scanned:])
-        first = np.multiply(mark, weights, out=weighted[:, :rows]).max(axis=0)
+        first = np.multiply(mark, weights, out=weighted).max(axis=0)
         hit = np.flatnonzero(first)
         done = 0
         while done < len(hit):  # into the block, split where it fills
             take = min(block - count, len(hit) - done)
             r = hit[done : done + take]
-            k = big_n - first[r].astype(np.intp)  # the first stops' x rows
             at = slice(count, count + take)
-            stage[at], value[at], coin[at] = k + 1, x[k, r], xt[big_n, r]
+            # the first stops' places in xt, held in the drawn chunk's tile
+            place = scratch[:take].view(np.intp)
+            np.subtract(big_n, first[r], out=place, dtype=np.intp)  # x rows
+            np.add(place, 1, out=stage[at])
+            place *= width
+            place += r
+            xt.ravel().take(place, out=value[at])
+            xt[big_n].take(r, out=coin[at])
             count += take
             done += take
             if count == block:
-                _score_stops(tables, stage, value, coin, totals)
+                _score_stops(tables, stage, value, coin, totals, scratch)
                 count = 0
     if count:
-        _score_stops(tables, stage[:count], value[:count], coin[:count], totals)
+        _score_stops(
+            tables, stage[:count], value[:count], coin[:count], totals, scratch
+        )
     return totals[0], totals[1]
 
 
@@ -577,10 +614,11 @@ def simulate(
     evenly, so a chunk has at most budget / (threads (N + 1)) rows.
     Neither the thread count nor the chunk size changes a bit of the
     result.  A thread scores its stops in blocks of B = share / 16 stops,
-    its share counted in doubles, so memory is the budget, a quarter of
-    it for the tiles, plus O(B) per thread, whatever N.  The first
-    error, an interrupt included, cancels the batches not yet started and
-    propagates.
+    its share counted in doubles, in the memory of its tile, so memory is
+    the budget, a quarter of it for the tiles, an eighth for the stop
+    marks and about five doubles a stop of a block per thread, whatever
+    N.  The first error, an interrupt included, cancels the batches not
+    yet started and propagates.
     """
     # imported here: it costs every CLI start several milliseconds
     from concurrent.futures import ThreadPoolExecutor

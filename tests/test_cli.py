@@ -482,6 +482,15 @@ def test_verify_samples_below_one_exit_2_before_computing(samples, monkeypatch, 
     assert captured.out == ""
 
 
+def test_mc_samples_below_one_exit_2_before_computing(monkeypatch, capsys):
+    monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
+    argv = ["values", "--method", "mc", "--samples", "0", "--horizon", "10"]
+    assert main(argv + ["--priority", "0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "bcgame: error: samples must be >= 1, got 0\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv,bounds,seed",
     [
@@ -588,6 +597,82 @@ def _modules_after(code: str) -> set[str]:
         check=True,
     )
     return set(done.stdout.splitlines()[-1].split())
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports bcgame from this tree."""
+    src = os.path.dirname(os.path.dirname(bcgame.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+#: SHA-256 of b"abc" (FIPS 180-2) and HMAC-SHA256 of b"m" under key b"k".
+_SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+_HMAC_K_M = "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec"
+
+
+def test_monte_carlo_commands_leave_openssl_unloaded():
+    # numpy.random imports secrets, hashlib and, without the guard,
+    # OpenSSL's _hashlib; after main the digests are CPython's own
+    done = _run_fresh(
+        "import os\n"
+        "from bcgame.cli import main\n"
+        "game = ['--horizon', '10', '--priority', '0.25', '--samples', '1000']\n"
+        "for argv in (['simulate'] + game, ['values', '--method', 'both'] + game,\n"
+        "             ['verify', '--samples', '1000']):\n"
+        "    main(argv + ['--out', os.devnull])\n"
+        "import hashlib, hmac, sys\n"
+        "print(sys.modules.get('_hashlib', 'unset'),\n"
+        "      hashlib.sha256(b'abc').hexdigest(),\n"
+        "      hmac.new(b'k', b'm', 'sha256').hexdigest())"
+    )
+    assert done.stdout.split() == ["None", _SHA256_ABC, _HMAC_K_M]
+    assert done.stderr == ""
+
+
+def test_api_leaves_openssl_alone():
+    done = _run_fresh(
+        "import sys\n"
+        "from bcgame import ProblemConfig, build_game_tables\n"
+        "from bcgame.valuation import SimConfig, simulate\n"
+        "tables = build_game_tables(ProblemConfig(horizon=10, priority=0.25))\n"
+        "simulate(tables.config, tables, SimConfig(samples=1000))\n"
+        "print(sys.modules.get('_hashlib') is not None)"
+    )
+    assert done.stdout.split() == ["True"]
+
+
+@pytest.mark.parametrize(
+    "missing,registered",
+    [
+        ((), True),
+        (("_sha256",), False),
+        (("_md5", "_sha1", "_sha256", "_sha512", "_sha3"), False),
+    ],
+    ids=["none", "sha256", "all-but-blake2"],
+)
+def test_openssl_kept_out_only_with_every_builtin_digest(
+    missing, registered, monkeypatch, capsys
+):
+    # with a digest module missing, hashlib would log a traceback for it
+    import importlib.util
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util,
+        "find_spec",
+        lambda name, *args: None if name in missing else find_spec(name, *args),
+    )
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    assert main(["thresholds", "--horizon", "5"]) == 0
+    capsys.readouterr()
+    assert ("_hashlib" in sys.modules) is registered
+    assert sys.modules.get("_hashlib") is None
 
 
 def test_cold_start_loads_only_what_the_command_runs():

@@ -26,7 +26,7 @@ from bcgame.equilibrium import (
     stage_actions,
     stage_cells,
 )
-from bcgame.errors import DomainError, TooLarge, UnsupportedPriority
+from bcgame.errors import BcgameError, DomainError, TooLarge, UnsupportedPriority
 from bcgame.models import ProblemConfig
 from bcgame.valuation import (
     SimConfig,
@@ -52,7 +52,7 @@ def test_value_pair_finite():
 
 
 def test_sim_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BcgameError):
         SimConfig(samples=0)
 
 
@@ -812,6 +812,26 @@ def test_simulate_memory_is_one_stage_major_buffer(monkeypatch, horizon):
     assert peak <= 5.5 * 2**20
 
 
+@pytest.mark.parametrize("horizon", [2, 10, 60, 400])
+def test_simulate_scores_stops_in_the_tile(monkeypatch, horizon):
+    # one thread holds 2 MB of stage-major uniforms, the stop marks, a
+    # block of stops and one scratch buffer of a quarter of the uniforms:
+    # the tile of the draws, then the chunk's weighted marks, then the
+    # scoring scratch of a block's margins, cells and squares (3.1-3.6
+    # MiB); with the weighted marks and the scoring's temporaries beside
+    # the tile it took 3.89 / 4.80 / 4.64 / 4.88 MiB
+    _use_cpus(monkeypatch, 1)
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+    simulate(tables.config, tables, SimConfig(samples=1))  # loads the pool's modules
+    tracemalloc.start()
+    try:
+        simulate(tables.config, tables, SimConfig(samples=1 << 17, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.8 * 2**20
+
+
 @pytest.mark.parametrize(
     "horizon,priority,budget,samples",
     [
@@ -821,6 +841,8 @@ def test_simulate_memory_is_one_stage_major_buffer(monkeypatch, horizon):
         (300, 0.1, 3200, 3000),
         (10, 0.25, 701 * 11, 65536 + 777),
         (5, 0.25, 3 * 6, 3000),
+        (2, 0.25, 3, 3000),
+        (3, 0.25, 4 * 4000, 65536 + 777),
     ],
 )
 def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
@@ -830,7 +852,11 @@ def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
     # fill several blocks, and a budget of 3200 doubles makes blocks of
     # about 200 stops, so every batch is scored in many blocks; 701-row
     # chunks are drawn in tiles of 176 rows, the last of a chunk 173, and
-    # 3-row chunks in one-row tiles, one stop a block
+    # 3-row chunks in one-row tiles, one stop a block.  The scratch
+    # buffer is the tile and a block's scoring scratch in turn: a budget
+    # of 3 at N = 2 gives one-row chunks whose tile of 3 doubles is no
+    # larger than a one-stop block's scratch, and 4000-row chunks at N = 3
+    # fill blocks of 1000 stops three or four times while they are gathered
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
     cfg = tables.config
     sim = SimConfig(samples=samples, seed=23)
@@ -838,9 +864,9 @@ def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
     blocks = []
     score = valuation._score_stops
 
-    def counted(tables, stage, value, coin, totals):
+    def counted(tables, stage, *rest):
         blocks.append(len(stage))
-        score(tables, stage, value, coin, totals)
+        score(tables, stage, *rest)
 
     monkeypatch.setattr(valuation, "_score_stops", counted)
     _use_cpus(monkeypatch, 1)

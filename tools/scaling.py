@@ -43,8 +43,9 @@ Cases:
 * ``suite``: one ``run_verification_suite()`` call at its defaults,
   200,000 samples and seed 42.  Reports its wall time, the
   ``tracemalloc`` peak of a second, traced call, and the child's max RSS.
-* ``cli-simulate-35``: ``bcgame simulate --horizon 35 --priority 0.25
-  --samples 2000000`` end to end.
+* ``cli-simulate-35`` and ``cli-simulate-10``: ``bcgame simulate
+  --horizon N --priority 0.25 --samples 2000000`` end to end; N = 10 sets
+  perfbench mc-play's peak RSS.
 * ``cli-regions-50-csv`` and ``cli-regions-50-json``: ``bcgame regions
   --horizon 50 --priority 0.25 --xstep 1e-4``, 500,050 rows, in each
   format.
@@ -60,6 +61,13 @@ Cases:
 The ``cli-*`` cases report the wall time, the child's CPU time and its
 max RSS; their output goes to /dev/null.
 
+* ``tier1``: the tier-1 command, ``python -m pytest -q
+  --continue-on-collection-errors`` with DIR on the path, run from DIR's
+  parent, the checkout that holds the tests; three runs a tree, not five.
+  Reports the wall time, the CPU time and max RSS of the pytest process,
+  and the passed and failed counts of its summary line.  Failing tests
+  do not stop the script; a run that pytest itself aborts does.
+
 A row records the tree's commit (``dirty`` when it has uncommitted
 changes), the Python and numpy versions and the CPUs this process may run
 on, and each case's runs and their medians.  The rows go to stdout as
@@ -72,6 +80,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -87,6 +96,9 @@ _REGIONS_ARGV = ("regions", "--horizon", "50", "--priority", "0.25", "--xstep", 
 CLI_CASES = {
     "cli-simulate-35": (
         "simulate", "--horizon", "35", "--priority", "0.25", "--samples", "2000000"
+    ),
+    "cli-simulate-10": (
+        "simulate", "--horizon", "10", "--priority", "0.25", "--samples", "2000000"
     ),
     "cli-regions-50-csv": (*_REGIONS_ARGV, "--format", "csv"),
     "cli-regions-50-json": (*_REGIONS_ARGV, "--format", "json"),
@@ -214,10 +226,18 @@ print(json.dumps({"wall_s": wall, "tracemalloc_mb": peak / 2**20}))
 
 _CLI_CHILD = "import sys; from bcgame.cli import main; sys.exit(main(sys.argv[1:]))"
 
+#: The tier-1 command's arguments to the interpreter; pytest exits 1 when
+#: a test fails, and acceptance criteria 2 and 8 fail by design.
+_TIER1_ARGV = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_REPEATS = 3
 
-def _child(src: str, argv: list[str], keep: bool = True) -> tuple[float, bytes, os.rusage]:
-    """Run ``python -c ...`` with ``src`` first on the path; return its wall
-    time, its stdout (empty unless ``keep``) and its resource usage.
+
+def _child(
+    src: str, argv: list[str], keep: bool = True, cwd: str | None = None, ok=(0,)
+) -> tuple[float, bytes, os.rusage]:
+    """Run ``python ARGV`` with ``src`` first on the path, in ``cwd``;
+    return its wall time, its stdout (empty unless ``keep``) and its
+    resource usage.  An exit code outside ``ok`` stops the script.
 
     Linux carries a process's peak RSS over ``exec``, so a child's
     ``ru_maxrss`` is at least this script's own peak when it was started:
@@ -225,7 +245,7 @@ def _child(src: str, argv: list[str], keep: bool = True) -> tuple[float, bytes, 
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     start = time.perf_counter()
     sink = subprocess.PIPE if keep else subprocess.DEVNULL
-    proc = subprocess.Popen([sys.executable, "-c", *argv], env=env, stdout=sink)
+    proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=sink, cwd=cwd)
     out = b""
     if keep:
         out = proc.stdout.read()
@@ -233,7 +253,7 @@ def _child(src: str, argv: list[str], keep: bool = True) -> tuple[float, bytes, 
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
+    if proc.returncode not in ok:
         raise SystemExit(f"{argv[1:]} under {src} exited {proc.returncode}")
     return wall, out, usage
 
@@ -243,20 +263,32 @@ def _layer_case(src: str, child: str, *args: int) -> dict | None:
     and a count of sequences, states or calls: the JSON it prints, plus
     its max RSS; None when the child prints null, for a layer the tree
     does not have."""
-    _, out, usage = _child(src, [child, *map(str, args)])
+    _, out, usage = _child(src, ["-c", child, *map(str, args)])
     run = json.loads(out)
     if run is not None:
         run["maxrss_mb"] = usage.ru_maxrss / 1024
     return run
 
 
-def _cli_case(src: str, argv: tuple[str, ...]) -> dict:
-    wall, _, usage = _child(src, [_CLI_CHILD, *argv], keep=False)
+def _process_row(wall: float, usage: os.rusage) -> dict:
     return {
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
         "maxrss_mb": usage.ru_maxrss / 1024,
     }
+
+
+def _cli_case(src: str, argv: tuple[str, ...]) -> dict:
+    wall, _, usage = _child(src, ["-c", _CLI_CHILD, *argv], keep=False)
+    return _process_row(wall, usage)
+
+
+def _tier1_case(src: str) -> dict:
+    """One run of the tier-1 command on the checkout holding ``src``."""
+    wall, out, usage = _child(src, _TIER1_ARGV, cwd=os.path.dirname(src), ok=(0, 1))
+    summary = out.decode().strip().splitlines()[-1]
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {**_process_row(wall, usage), "passed": 0, "failed": 0, **counts}
 
 
 def _commit(src: str) -> tuple[str | None, bool]:
@@ -302,10 +334,13 @@ def main() -> None:
     cases["suite"] = lambda src: _layer_case(src, _SUITE_CHILD)
     for name, argv in CLI_CASES.items():
         cases[name] = lambda src, a=argv: _cli_case(src, a)
+    cases["tier1"] = _tier1_case
     runs = {label: {name: [] for name in cases} for label in trees}
     order = list(trees)
     for rep in range(REPEATS):
         for name, case in cases.items():
+            if name == "tier1" and rep >= TIER1_REPEATS:
+                continue
             for label in order if rep % 2 == 0 else order[::-1]:
                 run = case(trees[label])
                 print(label, name, run, file=sys.stderr, flush=True)
