@@ -13,13 +13,8 @@ SplitMix64 finalization is a bijection.  Across seeds keys do repeat:
 batch i of seed s has the key of batch i - 1 of seed s + 2 g.  Uniforms
 come out as 53-bit-mantissa doubles in [0, 1).
 
-Importing ``numpy.random`` costs a Monte Carlo command about 6 MB of
-resident memory: its own modules, and ``numpy.random.bit_generator``'s
-import of ``secrets``, then ``hmac``, ``hashlib`` and OpenSSL's
-``_hashlib``, which maps libcrypto (3.4 MB).  The CLI registers
-``_hashlib`` as absent first, where CPython has its own digests
-(``cli._keep_openssl_out``); ``secrets`` itself cannot be left out, as
-``bit_generator`` imports it unconditionally.
+The CLI keeps the OpenSSL library that importing ``numpy.random`` would
+map out of its process (``cli._keep_openssl_out``).
 """
 
 from __future__ import annotations

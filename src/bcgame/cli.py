@@ -3,13 +3,8 @@
 verification suite, each emitted as CSV or JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, domain or output
-error.  No environment variable is read.
-
-The CLI process keeps OpenSSL out: ``main`` registers its ``_hashlib``
-as absent before it dispatches, where CPython has all its own digest
-modules, so ``numpy.random``'s import of ``secrets`` does not map
-libcrypto, 3.4 MB of a Monte Carlo command's resident memory, for hashing
-that no command does.  The API leaves ``sys.modules`` alone.
+error.  No environment variable is read.  ``main`` first keeps OpenSSL
+out of the process (``_keep_openssl_out``).
 """
 
 from __future__ import annotations
@@ -19,6 +14,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -39,12 +35,23 @@ _TABLE1_PRIORITIES = (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
 _ROW_SLICE = 4096
 
 
+#: Characters that put a CSV cell in quotes (RFC 4180).
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
 def _fmt(value) -> str:
-    """Shortest round-trip text for one cell; locale-independent."""
+    """Shortest round-trip text for one CSV cell; locale-independent.  A
+    string holding a comma, a quote, CR or LF is quoted, its quotes
+    doubled (RFC 4180)."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str):
+        # letters and digits, such as every regions kind, are the cheap test
+        if value.isalnum() or not _CSV_SPECIAL.search(value):
+            return value
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 
@@ -272,13 +279,15 @@ _DIGEST_MODULES = ("_md5", "_sha1", "_sha256", "_sha512", "_sha3", "_blake2")
 
 def _keep_openssl_out() -> None:
     """Register OpenSSL's ``_hashlib`` as absent where all of
-    ``_DIGEST_MODULES`` can be imported.  ``numpy.random`` imports
-    ``secrets``, which imports ``hashlib``, which would map OpenSSL's
-    libcrypto (3.4 MB resident) although no command hashes anything;
-    ``hashlib``, ``hmac`` and ``secrets`` then use the built-in digests.
-    The modules are looked up, not imported: reading the build's
-    configuration through ``sysconfig`` would hold 0.26 MB.  A process
-    that has already imported ``_hashlib`` keeps it."""
+    ``_DIGEST_MODULES`` can be imported.  ``numpy.random``, which the
+    Monte Carlo commands load, imports ``secrets`` unconditionally, and
+    with it ``hmac`` and ``hashlib``, which would map OpenSSL's libcrypto
+    (3.4 MB resident) although no command hashes anything; ``hashlib``,
+    ``hmac`` and ``secrets`` then use the built-in digests.  The modules
+    are looked up, not imported: reading the build's configuration
+    through ``sysconfig`` would hold 0.26 MB.  A process that has already
+    imported ``_hashlib`` keeps it, and only ``main`` calls this: the API
+    leaves ``sys.modules`` alone."""
     if all(importlib.util.find_spec(name) for name in _DIGEST_MODULES):
         sys.modules.setdefault("_hashlib", None)
 

@@ -114,34 +114,21 @@ def _w2_array(n, xs, horizon: int, out=None) -> np.ndarray:
     return np.subtract(power, out, out=out)
 
 
-#: (1/m, H_m) for m = 0..M as two lists of Python floats, 1/0 read as 0 and
-#: H_m summed left to right as ``np.cumsum`` sums it.  They depend on m
-#: alone, so every game shares them; ``_w2_series`` swaps in a longer pair
-#: when a degree beyond M is asked for.  ``build_game_tables`` asks for
-#: every degree of its game, so no query of the game pays for a rebuild.
-#: A reader takes both lists from one tuple, so a concurrent swap cannot
-#: mix two lengths.
-_W2_SERIES = ([0.0], [0.0])
+def _horner_lists(degree: int) -> tuple[tuple, tuple]:
+    """(1/m, H_m) for m = 0..degree as two tuples of Python floats, 1/0
+    read as 0 and H_m summed left to right as ``np.cumsum`` sums it: the
+    lists that ``_w2_scalar`` reads up to its degree."""
+    inverses = (0.0, *(1.0 / m for m in range(1, degree + 1)))
+    return inverses, tuple(accumulate(inverses))
 
 
-def _w2_series(d: int) -> tuple[list, list]:
-    """``_W2_SERIES``, first rebuilt to at least degree d (doubling) when
-    it is shorter."""
-    global _W2_SERIES
-    if d >= len(_W2_SERIES[0]):
-        size = max(d + 1, 2 * len(_W2_SERIES[0]))
-        inverse = [0.0] + [1.0 / m for m in range(1, size)]
-        _W2_SERIES = (inverse, list(accumulate(inverse)))
-    return _W2_SERIES
-
-
-def _w2_scalar(n: int, x: float, horizon: int) -> float:
-    """``_w2_array`` at one state in Python floats, by the same operations
-    in the same order: a numpy step on a 0-d array costs about 2.5 us.
-    The Horner loop reads 1/m from a list instead of dividing.  The power
-    is numpy's, because Python's ``x ** d`` and ``math.pow`` differ from it
-    in the last bit: where numpy runs its AVX-512 power kernel, in about
-    5 % of random (x, d).
+def _w2_scalar(d: int, x: float, inverses: tuple, harmonics: tuple) -> float:
+    """``_w2_array`` at one state of degree d = N - n in Python floats, by
+    the same operations in the same order, with 1/m and H_m read from
+    ``_horner_lists`` of degree d or more: a numpy step on a 0-d array
+    costs about 2.5 us.  The power is numpy's, because Python's ``x ** d``
+    and ``math.pow`` differ from it in the last bit: where numpy runs its
+    AVX-512 power kernel, in about 5 % of random (x, d).
 
     The two forms agree to 1e-15, not bit for bit.  Numpy's power over a
     long array can round differently from its call on one value, and
@@ -149,16 +136,12 @@ def _w2_scalar(n: int, x: float, horizon: int) -> float:
     difference becomes up to 4.4e-16 in the margin: 16 of 50,000 random
     (n, x) at N = 60 and 5 of 50,000 at N = 400 (numpy 2.4, AVX-512).
     ``w2``, ``bimatrix`` and ``ValueFunction.value_at`` take this form; the
-    Monte Carlo scoring in ``valuation._play_batch`` takes the array form,
-    so a stopped cell may differ in its last bits between the two."""
-    d = horizon - n
-    inverse, harmonic = _W2_SERIES
-    if d >= len(inverse):
-        inverse, harmonic = _w2_series(d)
+    Monte Carlo scoring takes the array form, so a stopped cell may differ
+    in its last bits between the two."""
     acc = 0.0
-    for step in inverse[1 : d + 1]:
+    for step in inverses[1 : d + 1]:
         acc = acc * x + step
-    return float(np.power(x, d)) * (1.0 + harmonic[d]) - acc
+    return float(np.power(x, d)) * (1.0 + harmonics[d]) - acc
 
 
 def w2(state: RecordState, cfg: ProblemConfig) -> float:
@@ -170,7 +153,8 @@ def w2(state: RecordState, cfg: ProblemConfig) -> float:
     """
     n, x = state.index, float(state.value)
     _check_margin_state(n, x, cfg.horizon)
-    return _w2_scalar(n, x, cfg.horizon)
+    d = cfg.horizon - n
+    return _w2_scalar(d, x, *_horner_lists(d))
 
 
 def _check_margin_state(n: int, x: float, horizon: int) -> None:
@@ -185,20 +169,30 @@ def _check_margin_state(n: int, x: float, horizon: int) -> None:
 
 @dataclass(frozen=True)
 class GameTables:
-    """Per-config immutable tables read by every game operation: the
-    thresholds, the rank margins w1_1..w1_N and both cutoffs.  ``ntilde``
-    is not passed in: it is ``shifted_cutoff`` of the other fields, set
-    once on construction.  No tv1 is kept; finding ntilde evaluates tv1
-    only at n = nstar..min(ntilde, N - 1)."""
+    """What follows from a game's (N, p), immutable and read by every game
+    operation: the thresholds, the rank margins w1_1..w1_N and both
+    cutoffs, the simultaneous-claim weight ``joint`` = 2p - 1, and the w2
+    Horner lists ``inverses`` (1/m) and ``harmonics`` (H_m) for m < N,
+    from ``_horner_lists``.  Only the first four are passed in; the others
+    are set once on construction, ``ntilde`` last, as ``shifted_cutoff``
+    of the rest.  No tv1 is kept; finding ntilde evaluates tv1 only at
+    n = nstar..min(ntilde, N - 1)."""
 
     config: ProblemConfig
     xthresholds: ThresholdVector
     nstar: int
     ntilde: int = field(init=False)
     w1: np.ndarray
+    joint: float = field(init=False)
+    inverses: tuple = field(init=False, repr=False, compare=False)
+    harmonics: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.w1.setflags(write=False)
+        inverses, harmonics = _horner_lists(self.config.horizon - 1)
+        object.__setattr__(self, "joint", 2.0 * self.config.priority - 1.0)
+        object.__setattr__(self, "inverses", inverses)
+        object.__setattr__(self, "harmonics", harmonics)
         object.__setattr__(self, "ntilde", shifted_cutoff(self))
 
 
@@ -210,8 +204,9 @@ def tv1(n: int, tables: GameTables) -> float:
 
     That payoff, from stopping at the next candidate k against the (stop
     if above threshold) opponent there, is a sum over k > n of terms that,
-    with e = k - n - 1 and t = 2p - 1, are w1_k x**e ((x_k - x) + (1 - x_k) t)
-    below x_k and w1_k x**e (1 - x) t above it: the interval below the
+    with e = k - n - 1 and t = ``tables.joint``, are
+    w1_k x**e ((x_k - x) + (1 - x_k) t) below x_k and
+    w1_k x**e (1 - x) t above it: the interval below the
     threshold pays w1_k alone, the interval above pays the
     simultaneous-claim weight t w1_k, both under the record-chain kernel
     x**e.  The thresholds strictly decrease, so x_k < x_n, and both pieces
@@ -223,7 +218,7 @@ def tv1(n: int, tables: GameTables) -> float:
     xn = tables.xthresholds.x(n)
     if xn <= 0.0:
         return 0.0
-    t = 2.0 * cfg.priority - 1.0
+    t = tables.joint
     e1 = np.arange(1, cfg.horizon - n + 1, dtype=float)  # e + 1
     xk = tables.xthresholds.values[n:]
     below = xk ** (e1 + 1) / (e1 * (e1 + 1)) + t * (1.0 - xk) * xk**e1 / e1
@@ -253,11 +248,9 @@ def build_game_tables(cfg: ProblemConfig) -> GameTables:
     The thresholds come from ``models.fullinfo_thresholds`` (solved once
     per horizon, to floating-point resolution); everything else is closed
     form.  tv1 is evaluated only where ``shifted_cutoff`` scans it, at
-    n = nstar..min(ntilde, N - 1).  The shared w2 series are extended to
-    the game's degrees here.
+    n = nstar..min(ntilde, N - 1).
     """
     thresholds = models.fullinfo_thresholds(cfg)
-    _w2_series(cfg.horizon - 1)
     return GameTables(
         config=cfg,
         xthresholds=thresholds,
@@ -356,7 +349,7 @@ def stop_bars(tables: GameTables) -> np.ndarray:
 
 def _cell(stop1, stop2, joint: float, w1n: float, w2n: float) -> tuple[float, float]:
     """One stopped cell s (w1_n, -w2_n) in Python floats, with s = ``joint``
-    (2p - 1) when both stop, +1 when only the rank player stops, -1 when
+    when both stop, +1 when only the rank player stops, -1 when
     only the value player stops."""
     s = (joint if stop2 else 1.0) if stop1 else -1.0
     return s * w1n, -s * w2n
@@ -365,14 +358,13 @@ def _cell(stop1, stop2, joint: float, w1n: float, w2n: float) -> tuple[float, fl
 def stage_cells(n, stop1, stop2, w2s, tables: GameTables, out=None) -> np.ndarray:
     """Payoffs s (w1_n, -w2) of stopped cells at index n, stacked on a
     leading player axis, given who stops there (at least one player) and
-    the value player's margins ``w2s``, as arrays: s = 2p - 1 when both
-    stop, +1 when only the rank player stops, -1 when only the value player
-    stops.  ``_cell`` scores one cell by the same products in Python
+    the value player's margins ``w2s``, as arrays: s = ``tables.joint``
+    when both stop, +1 when only the rank player stops, -1 when only the
+    value player stops.  ``_cell`` scores one cell by the same products in Python
     floats, so the two agree bit for bit.  With ``out``, a float array of
     shape (2, *broadcast shape), the cells are written there; ``w2s`` may
     be ``out[1]`` itself.
     """
-    joint = 2.0 * tables.config.priority - 1.0
     w1n = tables.w1[n - 1]
     if out is None:
         shapes = (np.shape(w1n), np.shape(stop1), np.shape(stop2), np.shape(w2s))
@@ -380,7 +372,7 @@ def stage_cells(n, stop1, stop2, w2s, tables: GameTables, out=None) -> np.ndarra
     s, cell2 = out[0, ...], out[1, ...]
     s[...] = -1.0
     np.copyto(s, 1.0, where=stop1)
-    np.copyto(s, joint, where=np.logical_and(stop1, stop2))
+    np.copyto(s, tables.joint, where=np.logical_and(stop1, stop2))
     # -(s w2) is (-s) w2 bit for bit: negation and rounding are symmetric
     np.multiply(s, w2s, out=cell2)
     np.negative(cell2, out=cell2)
@@ -489,10 +481,10 @@ def bimatrix(n: int, x: float, tables: GameTables, ff: tuple[float, float]) -> B
     this layer and must be supplied by the caller (continuation values
     from the valuation layer).
     """
-    cfg = tables.config
-    _check_margin_state(n, x, cfg.horizon)
-    w1n, w2n = tables.w1.item(n - 1), _w2_scalar(n, float(x), cfg.horizon)
-    joint = 2.0 * cfg.priority - 1.0
+    big_n, joint = tables.config.horizon, tables.joint
+    _check_margin_state(n, x, big_n)
+    w1n = tables.w1.item(n - 1)
+    w2n = _w2_scalar(big_n - n, float(x), tables.inverses, tables.harmonics)
     return Bimatrix(
         _cell(True, True, joint, w1n, w2n),
         _cell(True, False, joint, w1n, w2n),

@@ -174,10 +174,7 @@ def fullinfo_mc_check(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    if not 0 <= seed < 1 << 64:
-        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    SimConfig(samples=samples, seed=seed)  # refuses them as ``simulate`` would
     if thresholds is None:
         thr_values = np.array(
             [models.fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]

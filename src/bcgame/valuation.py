@@ -56,29 +56,9 @@ opponent scores minus the opponent's own margin; the induction scores a
 simultaneous claim at the coin's mean, the simulator draws the coin;
 absorption with no stop scores (0, 0).
 
-The simulator plays fixed batches of ``_BATCH`` sequences, runs them on
-one thread per CPU in the process's affinity mask (``taskset`` limits
-it) and draws each batch in row chunks under one memory budget.  A
-sequence stops at its first record x_n >= b_n, the bar of ``stop_bars``.
-A chunk is drawn a row-major tile at a time, each tile transposed into
-one stage-major buffer, N + 1 doubles a row, whose last row is the coin.
-A chunk finds the stop column by column: it turns the stages before
-ntilde into their running maximum in place, one vector operation per
-stage, in buffers the batch allocates once; from ntilde on every bar is
-0, and the first stop is the first value above that maximum.  The first
-stops of a chunk are one maximum down its stages of stop marks, stage n
-weighted N - n + 1.  Only the rows that stop are scored, in blocks of
-B = share / 16 stops, the thread's stage-major buffer counted in
-doubles, with the running sums carried from block to block.  A block is
-scored in the tile's memory: a batch's one scratch buffer is the tile
-while a chunk is drawn, then holds the chunk's weighted stop marks, and
-a block's margins, cells and squares while it is scored.  Every batch
-has its own counter-based stream and the batch sums are added in
-batch-index order, so the estimates for the same (samples, seed) are
-bit-identical at any core count, chunk, tile and block size, and memory
-is the budget, which covers the stage-major buffers, plus a quarter of
-it for the scratch buffers, an eighth for the stop marks and about five
-doubles a stop of a block per thread, whatever N and the batch size.
+The simulator plays the classified profile in fixed batches of
+``_BATCH`` sequences on one thread per CPU: ``simulate`` states what a
+caller may rely on, and ``_play_batch`` how a batch is laid out.
 """
 
 from __future__ import annotations
@@ -112,11 +92,7 @@ _PLAYERS = (1, 2)
 
 #: Doubles of stage-major uniforms that one ``simulate`` call holds at a
 #: time, N + 1 a sequence, shared evenly by its threads: 2 MB, whatever N
-#: and the core count.  A thread draws into a row-major tile of a quarter
-#: of its share, finds and scores its stops in the tile's memory, in
-#: blocks of B = share / 16 stops, its share counted in doubles, and holds
-#: stop marks of an eighth of its share; a block holds three doubles a
-#: stop and its scoring about two more, a third of the share.
+#: and the core count.  ``_play_batch`` lays a thread's share out.
 _DRAW_BUDGET = 1 << 18
 
 #: Sequences per Monte Carlo batch.  Each batch draws its own Philox
@@ -144,17 +120,9 @@ class SimConfig:
     """Sample count and master seed of one simulation run.
 
     Identical (samples, seed) on the same game give bit-identical
-    estimates, whatever the core count: the samples are played in
-    batches of ``_BATCH`` sequences on independent deterministic streams,
-    which run concurrently and combine in fixed index order.  A running
-    batch holds its share of the draw budget, N + 1 doubles a row, a
-    scratch buffer of a quarter of it, the tile of its draws and the
-    scratch of its stop search and scoring in turn, stop marks of an
-    eighth of it, and about five doubles a stop for a block of
-    B = share / 16 stops (the share counted in doubles), whatever the
-    batch size.  The seed must lie in [0, 2**64): the stream keys read
-    it modulo 2**64; ``DomainError`` for a seed outside it or fewer than
-    one sample.
+    estimates, whatever the core count (``simulate``).  The seed must lie
+    in [0, 2**64): the stream keys read it modulo 2**64; ``DomainError``
+    for a seed outside it or fewer than one sample.
     """
 
     samples: int
@@ -289,9 +257,9 @@ class ValueFunction:
         if kind is EquilibriumKind.FF:
             return continuation(n, x, self, player)
         tables = self.tables
-        w1n, w2n = tables.w1.item(n - 1), _w2_scalar(n, float(x), self._horizon)
-        joint = 2.0 * tables.config.priority - 1.0
-        return _cell(kind.stop1, kind.stop2, joint, w1n, w2n)[player - 1]
+        w1n = tables.w1.item(n - 1)
+        w2n = _w2_scalar(self._horizon - n, float(x), tables.inverses, tables.harmonics)
+        return _cell(kind.stop1, kind.stop2, tables.joint, w1n, w2n)[player - 1]
 
     def stage_average(self, n: int, player: int) -> float:
         """int_0^1 V_player(n, x) dx, for n in 1..N."""
@@ -391,7 +359,6 @@ def game_value(tables: GameTables) -> ValuePair:
     ns = np.arange(1, big_n + 1)
     upper = [flags.tolist() for flags in stage_actions(ns, thresholds, tables)]
     lower = [flags.tolist() for flags in stage_actions(ns, bars, tables)]
-    joint = 2.0 * tables.config.priority - 1.0
     y = np.concatenate(([1.0], thresholds))  # y[j] = x_j, y[0] = 1
     top = y**big_n
     power = np.ones_like(y)  # y**d
@@ -430,7 +397,7 @@ def game_value(tables: GameTables) -> ValuePair:
         if bars[n - 1] < thresholds[n - 1]:
             pieces.append((lower, lo1, lo2))
         for (stop1, stop2), i1, i2 in pieces:
-            c1, c2 = _cell(stop1[n - 1], stop2[n - 1], joint, w1n, 1.0)
+            c1, c2 = _cell(stop1[n - 1], stop2[n - 1], tables.joint, w1n, 1.0)
             terms1.append(c1 * i1)
             terms2.append(c2 * i2)
     return ValuePair(val1=math.fsum(terms1), val2=math.fsum(terms2))
@@ -457,10 +424,10 @@ def _score_stops(
     (sums, sums of squares), one entry per player.
 
     Who takes the record, after the coin; the margins, by one pass of the
-    Horner loop, and the cells, written into ``scratch``, at least three
-    doubles a stop; then, one player at a time, the squares and a running
-    sum along the stops from the sums so far, which adds them in the order
-    one running sum over the whole batch would.
+    Horner loop, and the cells, written into ``scratch`` (three doubles a
+    stop, as ``_play_batch`` sizes it); then, one player at a time, the
+    squares and a running sum along the stops from the sums so far, which
+    adds them in the order one running sum over the whole batch would.
     """
     count = len(stage)
     cells = scratch[: 2 * count].reshape(2, count)
@@ -482,49 +449,52 @@ def _score_stops(
 
 
 def _play_batch(
-    cfg: ProblemConfig,
-    tables: GameTables,
-    seed: int,
-    batch_index: int,
-    size: int,
-    chunk_rows: int,
+    tables: GameTables, seed: int, batch_index: int, size: int, chunk_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Payoff sum and sum of squares over the ``size`` sequences of one
-    batch, each player on its own entry.
+    batch, each player on its own entry: the Monte Carlo batch layout.
 
-    The uniforms come in chunks of at most ``chunk_rows`` rows, and each
-    chunk in row-major tiles of a quarter of its rows, each transposed
-    into the stage-major buffer x[n, row] (a stage is one contiguous
+    A sequence stops at its first record x_n >= b_n, the bar of
+    ``stop_bars``, and scores the stage cell there; a sequence that never
+    stops pays (0, 0) and adds nothing to the sums.  The uniforms come in
+    chunks of at most ``chunk_rows`` rows, and each chunk in row-major
+    tiles of a quarter of its rows, each transposed into the stage-major
+    buffer x[n, row], N + 1 doubles a row (a stage is one contiguous
     vector; row N holds the coins); the tiles and chunks continue one
     Philox stream, so together they are the one draw of the whole batch.
+
     The batch allocates its buffers once: the stage-major buffer, one
-    scratch buffer, the stop marks and a block of B stops.  The scratch
-    buffer is the tile while a chunk is drawn; once the chunk is drawn in
-    full, it holds in turn the rises of its running maximum, its weighted
-    marks, the places of the stops being gathered into the block, and a
-    full block's margins, cells and squares, 3 B doubles, while
-    ``_score_stops`` scores it.  It takes the largest of the tile, the
-    weighted marks and 3 B doubles, so tiny budgets work too.
+    scratch buffer, the stop marks, an eighth of the stage-major buffer,
+    and a block of B stops.  The scratch buffer is the tile while a chunk
+    is drawn; once the chunk is drawn in full, it holds in turn the rises
+    of its running maximum, its weighted marks, the places of the stops
+    being gathered into the block, and a full block's margins, cells and
+    squares, 3 B doubles, while ``_score_stops`` scores it.  It takes the
+    largest of the tile, the weighted marks and 3 B doubles, so tiny
+    budgets work too.
 
     Over the stages before ntilde a chunk turns x into its running
     maximum M in place, one vector operation per stage.
     Stage n is a record exactly where M rises, M_n > M_{n-1}, and there
-    M_n = x_n, so the marks are the rises with M_n >= b_n, the bar of
-    ``stop_bars``.  From ntilde on every bar is 0, and the first record is
-    the first value above the maximum of the stages before ntilde, so
-    there the marks are the values above it.  Stage n's marks, weighted
-    N - n + 1, take one maximum down the stages: it is 0 where a row never
-    stops, else N - n + 1 at its first stop n, where x is its value.
+    M_n = x_n, so the marks are the rises with M_n >= b_n.  From ntilde on
+    every bar is 0, and the first record is the first value above the
+    maximum of the stages before ntilde, so there the marks are the values
+    above it.  Stage n's marks, weighted N - n + 1, take one maximum down
+    the stages: it is 0 where a row never stops, else N - n + 1 at its
+    first stop n, where x is its value.
 
-    The stops fill the block in row order, and each full block, and the
-    last, is scored by ``_score_stops``; a row that never stops pays
-    (0, 0) and adds nothing to the sums.  B is a sixteenth of the
-    stage-major buffer, at most chunk_rows (N + 1) doubles: the block
-    holds three doubles a stop, and its scoring, beside the scratch
-    buffer, about two more, so together they hold about a third of the
-    buffer, whatever the batch size.
+    Only the rows that stop are scored.  They fill the block in row order,
+    and each full block, and the last, is scored by ``_score_stops``, with
+    the running sums carried from block to block, so the sums are the
+    same bit for bit at any chunk, tile and block size.  B is a sixteenth
+    of the stage-major buffer, at most chunk_rows (N + 1) doubles: the
+    block holds three doubles a stop, and its scoring, beside the scratch
+    buffer, about two more.  So a batch holds its share of the draw
+    budget, a quarter of it for the scratch buffer, an eighth for the stop
+    marks and about five doubles a stop of a block, whatever N and the
+    batch size.
     """
-    big_n = cfg.horizon
+    big_n = tables.config.horizon
     bars = stop_bars(tables)[:, None]
     scanned = max(tables.ntilde - 1, 1)  # stages before ntilde, and stage 1
     rng = batch_generator(seed, batch_index)
@@ -596,7 +566,8 @@ def simulate(
     cfg: ProblemConfig, tables: GameTables, sim: SimConfig
 ) -> tuple[ValuePair, tuple[float, float]]:
     """Monte Carlo play of the classified profile; returns the mean payoff
-    pair and its standard errors.
+    pair and its standard errors.  ``cfg`` must be the game of ``tables``,
+    ``tables.config``: ``DomainError`` otherwise, before anything is drawn.
 
     Each sequence consumes N + 1 uniforms from its batch stream: the N
     observations plus the priority coin (used only at simultaneous
@@ -605,21 +576,18 @@ def simulate(
     stop occurs before the horizon.
 
     The sequences are played in batches of ``_BATCH``, the last one
-    partial.  Batches run on a pool of one thread per CPU in the process's
-    affinity mask, at most one per batch (numpy releases the interpreter
-    lock while it draws and computes), and their sums are added in
-    batch-index order.  Each batch draws its uniforms in row chunks,
-    each chunk in row-major tiles transposed into one stage-major
-    buffer; the threads share ``_DRAW_BUDGET`` doubles of those buffers
-    evenly, so a chunk has at most budget / (threads (N + 1)) rows.
-    Neither the thread count nor the chunk size changes a bit of the
-    result.  A thread scores its stops in blocks of B = share / 16 stops,
-    its share counted in doubles, in the memory of its tile, so memory is
-    the budget, a quarter of it for the tiles, an eighth for the stop
-    marks and about five doubles a stop of a block per thread, whatever
-    N.  The first error, an interrupt included, cancels the batches not
-    yet started and propagates.
+    partial, laid out as ``_play_batch`` describes.  Batches run on a pool
+    of one thread per CPU in the process's affinity mask, at most one per
+    batch (numpy releases the interpreter lock while it draws and
+    computes), and their sums are added in batch-index order.  The threads
+    share ``_DRAW_BUDGET`` evenly, so a chunk has at most
+    budget / (threads (N + 1)) rows, and memory does not grow with N or
+    the sample count.  Neither the thread count nor the chunk size changes
+    a bit of the result.  The first error, an interrupt included, cancels
+    the batches not yet started and propagates.
     """
+    if cfg != tables.config:
+        raise DomainError(f"simulate got {cfg} for tables of {tables.config}")
     # imported here: it costs every CLI start several milliseconds
     from concurrent.futures import ThreadPoolExecutor
 
@@ -632,7 +600,6 @@ def simulate(
         futures = (
             pool.submit(
                 _play_batch,
-                cfg,
                 tables,
                 sim.seed,
                 i,

@@ -341,6 +341,33 @@ def test_verify_passes_and_writes_reports(tmp_path):
     }
 
 
+def test_verify_csv_rows_have_one_field_a_column(tmp_path):
+    # methods such as "monte carlo (40000 samples, seed 42) vs exact
+    # recursion" hold commas, so their cells are quoted
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--samples", "40000", "--seed", "42", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    with open(os.path.join(FIXTURES, "verify-samples40000-seed42.json"), "rb") as handle:
+        reports = json.load(handle)
+    assert len(rows) == len(reports)
+    assert any("," in report["method"] for report in reports)
+    for row, report in zip(rows, reports):
+        assert len(row) == 7 and None not in row, row
+        assert (row["quantity"], row["method"]) == (report["quantity"], report["method"])
+
+
+def test_csv_cells_with_commas_quotes_or_line_breaks_are_quoted():
+    sink = io.StringIO()
+    texts = ["plain", "a, b", 'say "hi"', "two\nlines", "cr\rlf", ""]
+    args = argparse.Namespace(sink=sink, format="csv")
+    cli._emit_rows(args, ["i", "text"], [[i, text] for i, text in enumerate(texts)])
+    lines = sink.getvalue().split("\n")
+    assert lines[1:3] == ["0,plain", '1,"a, b"']
+    assert lines[3] == '2,"say ""hi"""'
+    got = list(csv.reader(io.StringIO(sink.getvalue(), newline="")))
+    assert got == [["i", "text"]] + [[str(i), text] for i, text in enumerate(texts)]
+
+
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     from bcgame import oracle
     from bcgame.oracle import OracleReport

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bcgame.equilibrium import (
     Bimatrix,
     _cell,
+    _horner_lists,
     _w2_array,
     _w2_scalar,
     EquilibriumKind,
@@ -155,8 +156,9 @@ def test_w2_scalar_path_matches_array_path(horizon, data):
     xs = [0.0, 1e-300, 0.5, 1.0] + data.draw(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8)
     )
+    lists = _horner_lists(horizon - n)
     for x in xs:
-        got = _w2_scalar(n, x, horizon)
+        got = _w2_scalar(horizon - n, x, *lists)
         assert type(got) is float
         assert got == float(_w2_array(np.asarray(n), np.asarray(x), horizon))
 
@@ -169,7 +171,10 @@ def test_w2_scalar_path_within_rounding_of_long_array_path(horizon):
     ns = rng.integers(1, horizon + 1, 20_000)
     xs = rng.random(20_000)
     array = _w2_array(ns, xs, horizon)
-    scalar = np.array([_w2_scalar(n, x, horizon) for n, x in zip(ns.tolist(), xs.tolist())])
+    lists = _horner_lists(horizon - 1)
+    scalar = np.array(
+        [_w2_scalar(horizon - n, x, *lists) for n, x in zip(ns.tolist(), xs.tolist())]
+    )
     assert np.max(np.abs(scalar - array)) <= 1e-15
 
 
@@ -634,12 +639,11 @@ def test_w1_values_match_scalar_w1_at_5000():
         assert got[n - 1] == w1(n, cfg), n
 
 
-def test_game_tables_extend_the_shared_w2_series(monkeypatch):
-    # build_game_tables covers every degree d = N - n of its game, so no
-    # query rebuilds the series; a shorter request keeps the same lists
-    monkeypatch.setattr(equilibrium, "_W2_SERIES", ([0.0], [0.0]))
-    build_game_tables(ProblemConfig(horizon=50, priority=0.25))
-    series = equilibrium._W2_SERIES
-    assert len(series[0]) == 50
-    assert equilibrium._w2_series(49) is series
-    assert equilibrium._w2_series(0) is series
+def test_game_tables_carry_the_game_constants():
+    # 2p - 1 and the w2 lists of every degree d = N - n of the game, built
+    # once with the tables; w2 builds the lists of its own degree
+    tables = build_game_tables(ProblemConfig(horizon=50, priority=1 / 3))
+    assert tables.joint == 2.0 * (1 / 3) - 1.0
+    assert len(tables.inverses) == len(tables.harmonics) == 50
+    assert tables.inverses[:3] == (0.0, 1.0, 0.5)
+    assert tables.harmonics[3] == 1.0 + 0.5 + 1 / 3

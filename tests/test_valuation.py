@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from bcgame.equilibrium import (
     classify_state,
     stage_actions,
     stage_cells,
+    w2,
 )
 from bcgame.errors import BcgameError, DomainError, TooLarge, UnsupportedPriority
-from bcgame.models import ProblemConfig
+from bcgame.models import ProblemConfig, RecordState
 from bcgame.valuation import (
     SimConfig,
     ValueFunction,
@@ -40,10 +42,9 @@ from bcgame.valuation import (
 
 
 @pytest.fixture(scope="module")
-def game10():
-    tables = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
-    vf, pair = backward_induce(tables)
-    return tables, vf, pair
+def game10(induced):
+    vf, pair = induced(10, 0.25)
+    return vf.tables, vf, pair
 
 
 def test_value_pair_finite():
@@ -108,7 +109,9 @@ FIRST_STOP_PRIORITIES = (0.0, 0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
 
 @pytest.mark.parametrize("horizon", [*range(2, 61), 100, 150])
 def test_game_value_matches_induction(horizon):
-    # the closed form the CLI prints, against the induction that certifies it
+    # the closed form the CLI prints, against the induction that certifies
+    # it; each of these 427 games is read once, so none is kept in the
+    # session's ``induced``, where they would hold about 450 MB
     for priority in FIRST_STOP_PRIORITIES:
         tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
         _, want = backward_induce(tables)
@@ -137,12 +140,8 @@ def test_game_value_memory_is_linear_in_horizon():
     assert math.isfinite(pair.val1) and math.isfinite(pair.val2)
 
 
-def test_value_monotone_in_priority():
-    vals = []
-    for p in (0.1, 0.25, math.exp(-1), 0.5):
-        tables = build_game_tables(ProblemConfig(horizon=10, priority=p))
-        _, pair = backward_induce(tables)
-        vals.append(pair)
+def test_value_monotone_in_priority(induced):
+    vals = [induced(10, p)[1] for p in (0.1, 0.25, math.exp(-1), 0.5)]
     assert all(a.val1 <= b.val1 for a, b in zip(vals, vals[1:]))
     assert all(a.val2 >= b.val2 for a, b in zip(vals, vals[1:]))
 
@@ -185,10 +184,9 @@ def _upper_integral_by_quadrature(vf, k, x, player):
 
 
 @pytest.mark.parametrize("horizon,priority", [(6, 0.1), (10, 0.25), (8, 0.5)])
-def test_continuation_matches_kernel_sum(horizon, priority):
+def test_continuation_matches_kernel_sum(induced, horizon, priority):
     # C(n, x) = sum_{k>n} x**(k-n-1) int_x^1 V(k, y) dy, on and off breakpoints
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
-    vf, _ = backward_induce(tables)
+    vf, _ = induced(horizon, priority)
     xs = [float(b) for b in vf.breaks[:-1]] + [0.13, 0.58, 0.91]
     for n in range(1, horizon, 3):
         for x in xs:
@@ -340,7 +338,7 @@ def _check_point_queries(vf, n, x):
         return None
     kind = classify_state(n, x, tables)
     stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
-    w2n = _w2_scalar(n, x, tables.config.horizon)
+    w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
     for player in (1, 2):
         got = vf.value_at(n, x, player)
         assert type(got) is float
@@ -375,14 +373,13 @@ def _parity_values(vf, seed, interior=0):
         (150, (math.exp(-1),), 9),
     ],
 )
-def test_scalar_read_path_matches_array_path(horizon, priorities, interior):
+def test_scalar_read_path_matches_array_path(induced, horizon, priorities, interior):
     # continuation's Clenshaw loop in Python floats against numpy's legval,
     # and value_at against the array stage cells, at stage 0, 1, N/2, N - 1
     # and N
     stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
     for priority in priorities:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
-        vf, _ = backward_induce(tables)
+        vf, _ = induced(horizon, priority)
         kinds = set()
         for x in _parity_values(vf, seed=horizon, interior=interior):
             for n in stages:
@@ -416,20 +413,19 @@ def _value_reference(vf, n, x, player):
     kind = classify_state(n, x, tables)
     if kind is EquilibriumKind.FF:
         return _clenshaw_reference(vf, n, x, player)
-    w2n = _w2_scalar(n, x, tables.config.horizon)
+    w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
     stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
     return float(stage_cells(n, stop1, stop2, w2n, tables)[player - 1])
 
 
 @pytest.mark.parametrize("horizon", PARITY_HORIZONS)
-def test_pair_read_matches_one_loop_per_player(horizon):
+def test_pair_read_matches_one_loop_per_player(induced, horizon):
     # both players from one Clenshaw loop, then the other player from the
     # memo, bit for bit the loop of each player on its own, at stage 0, 1,
     # N/2, N - 1 and N
     stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
     for priority in PARITY_PRIORITIES:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
-        vf, _ = backward_induce(tables)
+        vf, _ = induced(horizon, priority)
         for x in _parity_values(vf, seed=horizon):
             for n in stages:
                 for player in (1, 2):
@@ -481,7 +477,8 @@ def _audit_before(vf, n, x):
     tables = vf.tables
     kind = classify_state(n, x, tables)
     c1, c2 = _pair_before(vf, n, x)
-    w1n, w2n = tables.w1.item(n - 1), _w2_scalar(n, x, tables.config.horizon)
+    w1n = tables.w1.item(n - 1)
+    w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
     joint = 2.0 * tables.config.priority - 1.0
     cells = (
         _cell(True, True, joint, w1n, w2n),
@@ -498,14 +495,14 @@ def _audit_before(vf, n, x):
 
 
 @pytest.mark.parametrize("horizon", AUDIT_HORIZONS)
-def test_audit_rows_match_code_before_tuple_bimatrix(horizon):
+def test_audit_rows_match_code_before_tuple_bimatrix(induced, horizon):
     # classify_state, continuation for both players, bimatrix, is_pure_nash
     # and value_at equal the code before, value and type, at stage 1, 2,
     # N/2, N - 1 and N, over every priority
     stages = sorted({1, 2, horizon // 2, horizon - 1, horizon})
     for priority in PARITY_PRIORITIES:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
-        vf, _ = backward_induce(tables)
+        vf, _ = induced(horizon, priority)
+        tables = vf.tables
         for x in _parity_values(vf, seed=horizon):
             for n in stages:
                 if x == 0.0 and n < horizon:
@@ -524,6 +521,57 @@ def test_audit_rows_match_code_before_tuple_bimatrix(horizon):
         for x in _parity_values(vf, seed=horizon):
             got = (continuation(0, x, vf, 1), continuation(0, x, vf, 2))
             assert got == _pair_before(vf, 0, x)
+
+
+def _w2_before(n, x, horizon):
+    """w2 as computed before the game tables carried its lists: 1/m and
+    H_m built to degree d = N - n by the same operations, then the Horner
+    loop and numpy's power."""
+    d = horizon - n
+    inverse = [0.0] + [1.0 / m for m in range(1, d + 1)]
+    harmonic = list(accumulate(inverse))
+    acc = 0.0
+    for step in inverse[1 : d + 1]:
+        acc = acc * x + step
+    return float(np.power(x, d)) * (1.0 + harmonic[d]) - acc
+
+
+@pytest.mark.parametrize("horizon", [2, 10, 60, 400])
+def test_game_constants_on_the_tables_change_no_bit(horizon):
+    # w2, bimatrix, value_at and stage_cells against 2p - 1 and the w2
+    # lists computed per call, as before the tables carried them.  value_at
+    # at a forgo-forgo state is the continuation, which reads the value
+    # table and no game constant, so an unfilled table serves
+    rng = np.random.default_rng(horizon)
+    for priority in (0.0, 0.25, 1 / 3, 0.5):
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        vf = ValueFunction(tables)
+        joint = 2.0 * priority - 1.0
+        ns = rng.integers(1, horizon + 1, 300)
+        ns[0] = horizon  # its threshold, x_N = 0, has the margin 1
+        xs = rng.random(300)
+        xs[:20] = tables.xthresholds.values[ns[:20] - 1]
+        for n, x in zip(ns.tolist(), xs.tolist()):
+            if x == 0.0 and n < horizon:
+                continue  # no margin there
+            w1n, w2n = tables.w1.item(n - 1), _w2_before(n, x, horizon)
+            assert w2(RecordState(n, x), tables.config) == w2n
+            cells = [_cell(s1, s2, joint, w1n, w2n) for s1, s2 in ((1, 1), (1, 0), (0, 1))]
+            assert list(bimatrix(n, x, tables, (0.5, -0.5))) == [*cells, (0.5, -0.5)]
+            kind = classify_state(n, x, tables)
+            for player in (1, 2):
+                if kind is EquilibriumKind.FF:
+                    want = continuation(n, x, vf, player)
+                else:
+                    want = _cell(kind.stop1, kind.stop2, joint, w1n, w2n)[player - 1]
+                assert vf.value_at(n, x, player) == want
+        stop1, stop2 = stage_actions(ns, xs, tables)
+        stop = stop1 | stop2
+        n, s1, s2 = ns[stop], stop1[stop], stop2[stop]
+        w2s = _w2_array(n, xs[stop], horizon)
+        s = np.where(s1, np.where(s2, joint, 1.0), -1.0)
+        want = np.stack([s * tables.w1[n - 1], -(s * w2s)])
+        assert stage_cells(n, s1, s2, w2s, tables).tobytes() == want.tobytes()
 
 
 def test_pair_memo_interleavings():
@@ -638,9 +686,9 @@ def test_simulate_agrees_with_induction(game10):
 
 @pytest.mark.parametrize("priority", [0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5])
 @pytest.mark.parametrize("horizon", [5, 20])
-def test_simulate_agrees_across_grid(horizon, priority):
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
-    _, pair = backward_induce(tables)
+def test_simulate_agrees_across_grid(induced, horizon, priority):
+    vf, pair = induced(horizon, priority)
+    tables = vf.tables
     mc, se = simulate(tables.config, tables, SimConfig(samples=100_000, seed=31))
     assert abs(mc.val1 - pair.val1) <= 3 * max(se[0], 1e-12)
     assert abs(mc.val2 - pair.val2) <= 3 * max(se[1], 1e-12)
@@ -672,6 +720,25 @@ def test_simulate_rejects_high_priority():
     tables = build_game_tables(ProblemConfig(horizon=5, priority=0.8))
     with pytest.raises(UnsupportedPriority):
         simulate(tables.config, tables, SimConfig(samples=10, seed=1))
+
+
+@pytest.mark.parametrize("horizon,priority", [(8, 0.25), (12, 0.25), (10, 0.5)])
+def test_simulate_refuses_a_config_other_than_the_tables_game(
+    monkeypatch, horizon, priority
+):
+    # the tables are the game played: a shorter horizon used to play part
+    # of it, a longer one ran off the tables, another priority was ignored
+    tables = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+    sim = SimConfig(samples=100)
+    # an equal config that is another object plays the game
+    equal = ProblemConfig(horizon=10, priority=0.25)
+    assert simulate(equal, tables, sim) == simulate(tables.config, tables, sim)
+    drawn = []
+    monkeypatch.setattr(valuation, "batch_generator", lambda *args: drawn.append(args))
+    cfg = ProblemConfig(horizon=horizon, priority=priority)
+    with pytest.raises(DomainError):
+        simulate(cfg, tables, SimConfig(samples=100_000, seed=1))
+    assert drawn == []
 
 
 def _serial_simulate(cfg, tables, sim):
@@ -758,7 +825,7 @@ def test_batch_sums_carry_no_negative_zero(priority):
     # +0.0, as a sum from 0 does
     tables = build_game_tables(ProblemConfig(horizon=2, priority=priority))
     for seed in range(10):
-        for total in valuation._play_batch(tables.config, tables, seed, 0, 1, 1):
+        for total in valuation._play_batch(tables, seed, 0, 1, 1):
             assert not np.signbit(total[total == 0.0]).any(), seed
 
 
@@ -779,9 +846,8 @@ def test_simulate_memory_independent_of_horizon(monkeypatch):
 
 @pytest.mark.parametrize("horizon", [2, 10, 60, 400])
 def test_simulate_memory_is_the_budget_and_a_block(monkeypatch, horizon):
-    # one thread holds the 4 MB draw budget and a block of stops, about
-    # half that again, whatever N; the stops of whole 65536-row batches
-    # took 9.9-11.8 MB
+    # cold, with no warm-up call: one thread holds its share of the draw
+    # budget and what ``_play_batch`` lays out beside it, whatever N
     _use_cpus(monkeypatch, 1)
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
     tracemalloc.start()
@@ -794,32 +860,11 @@ def test_simulate_memory_is_the_budget_and_a_block(monkeypatch, horizon):
 
 
 @pytest.mark.parametrize("horizon", [2, 10, 60, 400])
-def test_simulate_memory_is_one_stage_major_buffer(monkeypatch, horizon):
-    # one thread holds 2 MB of stage-major uniforms, a tile of a quarter
-    # of that and a block of stops, about as much again (3.9-4.9 MB); with
-    # the draws kept row-major beside their stage-major copy it took
-    # 5.3 MB at N = 2 and 6.1-6.4 MB at the others
-    _use_cpus(monkeypatch, 1)
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-    sim = SimConfig(samples=1 << 17, seed=3)
-    simulate(tables.config, tables, SimConfig(samples=1))  # loads the pool's modules
-    tracemalloc.start()
-    try:
-        simulate(tables.config, tables, sim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.5 * 2**20
-
-
-@pytest.mark.parametrize("horizon", [2, 10, 60, 400])
 def test_simulate_scores_stops_in_the_tile(monkeypatch, horizon):
-    # one thread holds 2 MB of stage-major uniforms, the stop marks, a
-    # block of stops and one scratch buffer of a quarter of the uniforms:
-    # the tile of the draws, then the chunk's weighted marks, then the
-    # scoring scratch of a block's margins, cells and squares (3.1-3.6
-    # MiB); with the weighted marks and the scoring's temporaries beside
-    # the tile it took 3.89 / 4.80 / 4.64 / 4.88 MiB
+    # after a warm-up call, one thread holds its share of the draw budget
+    # and the scratch buffer, stop marks and block of ``_play_batch``
+    # (3.1-3.6 MiB); the bound is below the 5.5 MiB of one stage-major
+    # buffer, a tile and a block, so it checks that bound too
     _use_cpus(monkeypatch, 1)
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
     simulate(tables.config, tables, SimConfig(samples=1))  # loads the pool's modules
@@ -898,7 +943,6 @@ def test_play_batch_first_stop_edge_rows(monkeypatch, horizon):
     # second, one row's only stop is its last stage (weight 1, at N = 300
     # in the 16-bit weights) and one row stops at once
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-    cfg = tables.config
     assert tables.ntilde > 1
 
     def row(head, last, coin):
@@ -908,7 +952,7 @@ def test_play_batch_first_stop_edge_rows(monkeypatch, horizon):
     assert x1 >= tables.xthresholds.x(1) > 0.3
     rows = [row(0.3, 0.0, 0.5), row(0.2, 0.1, 0.5), row(0.1, 0.5, 0.1), row(x1, 0.0, 0.5)]
     monkeypatch.setattr(valuation, "batch_generator", lambda s, i: _FixedDraws(rows))
-    sums, squares = valuation._play_batch(cfg, tables, 0, 0, len(rows), 2)
+    sums, squares = valuation._play_batch(tables, 0, 0, len(rows), 2)
     # the stage-N row: both stop and the coin gives the rank player the
     # record, w1_N = 1 and w2_N = 1; the stage-1 row: the value player alone
     last = _cell(True, False, -0.5, tables.w1[-1], 1.0)
@@ -919,7 +963,7 @@ def test_play_batch_first_stop_edge_rows(monkeypatch, horizon):
     assert squares.tolist() == [1.0 + first[0] ** 2, 1.0 + first[1] ** 2]
     # a batch of rows that never stop sums to +0.0
     rows = rows[:2]
-    sums, squares = valuation._play_batch(cfg, tables, 0, 0, len(rows), 2)
+    sums, squares = valuation._play_batch(tables, 0, 0, len(rows), 2)
     assert sums.tolist() == squares.tolist() == [0.0, 0.0]
     assert not np.signbit(sums).any()
 

@@ -69,14 +69,18 @@ max RSS; their output goes to /dev/null.
   do not stop the script; a run that pytest itself aborts does.
 
 A row records the tree's commit (``dirty`` when it has uncommitted
-changes), the Python and numpy versions and the CPUs this process may run
-on, and each case's runs and their medians.  The rows go to stdout as
+changes), the Python and numpy versions, the CPUs this process may run
+on, the line counts of each ``bcgame`` module (``_line_counts``), and
+each case's runs and their medians.  The rows go to stdout as
 JSON.  The script reports and never gates.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import glob
+import io
 import json
 import os
 import platform
@@ -85,6 +89,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 
 import numpy as np
 
@@ -304,6 +309,50 @@ def _commit(src: str) -> tuple[str | None, bool]:
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
 
 
+#: Tokens that carry no code of their own.
+_LAYOUT_TOKENS = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+def _line_counts(src: str) -> dict:
+    """Lines of every module of the ``bcgame`` package in ``src``, and
+    their sums: ``code``, the lines holding a token of code, ``docs``, the
+    other lines of a docstring or a comment, and ``total``.  Docstrings
+    are the first string statements of modules, classes and functions, as
+    ``ast`` finds them; comments and code come from ``tokenize``."""
+    modules = {}
+    for path in sorted(glob.glob(os.path.join(src, "bcgame", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ) and ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.COMMENT:
+                docs.add(tok.start[0])
+            elif tok.type not in _LAYOUT_TOKENS and not (
+                tok.type == tokenize.STRING and tok.start[0] in docs
+            ):
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        modules[os.path.basename(path)] = {
+            "code": len(code),
+            "docs": len(docs - code),
+            "total": text.count("\n"),
+        }
+    sums = {key: sum(m[key] for m in modules.values()) for key in ("code", "docs", "total")}
+    return {**sums, "modules": modules}
+
+
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -358,6 +407,7 @@ def main() -> None:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "cpus": _cpu_count(),
+                "lines": _line_counts(src),
                 "cases": {
                     name: {
                         "runs": got,
