@@ -860,11 +860,30 @@ def test_simulate_memory_is_the_budget_and_a_block(monkeypatch, horizon):
 
 
 @pytest.mark.parametrize("horizon", [2, 10, 60, 400])
+def test_simulate_memory_is_one_stage_major_buffer(monkeypatch, horizon):
+    # one thread holds 2 MB of stage-major uniforms, a tile of a quarter
+    # of that and a block of stops, about as much again (3.9-4.9 MB); with
+    # the draws kept row-major beside their stage-major copy it took
+    # 5.3 MB at N = 2 and 6.1-6.4 MB at the others
+    _use_cpus(monkeypatch, 1)
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+    sim = SimConfig(samples=1 << 17, seed=3)
+    simulate(tables.config, tables, SimConfig(samples=1))  # loads the pool's modules
+    tracemalloc.start()
+    try:
+        simulate(tables.config, tables, sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2**20
+
+
+@pytest.mark.parametrize("horizon", [2, 10, 60, 400])
 def test_simulate_scores_stops_in_the_tile(monkeypatch, horizon):
     # after a warm-up call, one thread holds its share of the draw budget
     # and the scratch buffer, stop marks and block of ``_play_batch``
-    # (3.1-3.6 MiB); the bound is below the 5.5 MiB of one stage-major
-    # buffer, a tile and a block, so it checks that bound too
+    # (3.1-3.6 MiB), below the 5.5 MiB of one stage-major buffer, a tile
+    # and a block
     _use_cpus(monkeypatch, 1)
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
     simulate(tables.config, tables, SimConfig(samples=1))  # loads the pool's modules
