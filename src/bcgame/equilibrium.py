@@ -167,7 +167,7 @@ def _check_margin_state(n: int, x: float, horizon: int) -> None:
         raise DomainError("w2 is not evaluated at x = 0 before the last stage")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameTables:
     """What follows from a game's (N, p), immutable and read by every game
     operation: the thresholds, the rank margins w1_1..w1_N and both
@@ -176,7 +176,7 @@ class GameTables:
     from ``_horner_lists``.  Only the first four are passed in; the others
     are set once on construction, ``ntilde`` last, as ``shifted_cutoff``
     of the rest.  No tv1 is kept; finding ntilde evaluates tv1 only at
-    n = nstar..min(ntilde, N - 1)."""
+    n = nstar..min(ntilde, N - 1).  Compared and hashed by identity."""
 
     config: ProblemConfig
     xthresholds: ThresholdVector
@@ -184,8 +184,8 @@ class GameTables:
     ntilde: int = field(init=False)
     w1: np.ndarray
     joint: float = field(init=False)
-    inverses: tuple = field(init=False, repr=False, compare=False)
-    harmonics: tuple = field(init=False, repr=False, compare=False)
+    inverses: tuple = field(init=False, repr=False)
+    harmonics: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.w1.setflags(write=False)
@@ -394,10 +394,10 @@ def classify_state(n: int, x: float, tables: GameTables) -> EquilibriumKind:
     return _KIND_OF[bool(stop1)][bool(stop2)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionGrid:
     """Classification of every (index, value) grid point; the data behind
-    the strategy-region picture."""
+    the strategy-region picture.  Compared and hashed by identity."""
 
     ns: np.ndarray
     xs: np.ndarray

@@ -38,9 +38,9 @@ class ProblemConfig:
 
     def __post_init__(self) -> None:
         if self.horizon < 2:
-            raise ValueError(f"horizon must be >= 2, got {self.horizon}")
+            raise DomainError(f"horizon must be >= 2, got {self.horizon}")
         if not 0.0 <= self.priority <= 1.0:
-            raise ValueError(f"priority must be in [0, 1], got {self.priority}")
+            raise DomainError(f"priority must be in [0, 1], got {self.priority}")
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,20 @@ class RecordState:
 
     def __post_init__(self) -> None:
         if self.index < 1:
-            raise ValueError(f"index must be >= 1, got {self.index}")
+            raise DomainError(f"index must be >= 1, got {self.index}")
         if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"value must be in [0, 1], got {self.value}")
+            raise DomainError(f"value must be in [0, 1], got {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdVector:
-    """Indifference thresholds x_1..x_N of the value player, immutable."""
+    """Indifference thresholds x_1..x_N of the value player, immutable;
+    compared and hashed by identity."""
 
     horizon: int
     values: np.ndarray
     # scalar lookups give Python floats, so per-state comparisons stay cheap
-    _floats: tuple = field(init=False, repr=False, compare=False)
+    _floats: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)

@@ -5,9 +5,11 @@ Everything here recomputes quantities by a route disjoint from the solver
 path it certifies: rank-side win probabilities by exhaustive permutation
 enumeration, which scores every rank cutoff in one pass over the orders of
 a horizon and checks the solver's closed form at the cutoff, the
-value-side rule by exact piecewise-polynomial recursion and by Monte
-Carlo, and small-horizon game values by midpoint-rule integration over
-the full joint distribution of the observations.
+value-side rule by exact piecewise-polynomial recursion, one coefficient
+array a stage over all threshold segments (O(N^2) array operations, for
+any threshold table, monotone or not), and by Monte Carlo, and
+small-horizon game values by midpoint-rule integration over the full
+joint distribution of the observations.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from itertools import accumulate, permutations
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import equilibrium, models, valuation
 from ._rng import batch_generator
@@ -87,9 +88,9 @@ def secretary_exhaustive(horizon: int, cutoff: int) -> float:
     if horizon > 8:
         raise TooLarge(f"exhaustive enumeration capped at horizon 8, got {horizon}")
     if horizon < 2:
-        raise ValueError(f"horizon must be >= 2, got {horizon}")
+        raise DomainError(f"horizon must be >= 2, got {horizon}")
     if not 1 <= cutoff <= horizon:
-        raise ValueError(f"cutoff {cutoff} outside 1..{horizon}")
+        raise DomainError(f"cutoff {cutoff} outside 1..{horizon}")
     wins = _secretary_wins(horizon)[cutoff - 1]
     return float(Fraction(wins, math.factorial(horizon)))
 
@@ -110,37 +111,40 @@ def _rule_value_polys(horizon: int, thresholds: ThresholdVector) -> float:
     """Win probability of the value player's solo threshold rule, by exact
     piecewise-polynomial backward recursion on record states: U(n, .) is
     x^(N-n) above x_n and the sum over k > n of x^(k-n-1) times the
-    integral of U(k, .) from x to 1 below it, O(N^3) slice additions."""
+    integral of U(k, .) from x to 1 below it.
+
+    Stage n is one (segments x (N-n+1)) array of ascending coefficients,
+    a row for each segment between breakpoints.  Each later stage's "from
+    x to 1" table is added as a column slice shifted k - n - 1 places up,
+    k = n+1..N in turn, and the rows at or above x_n are then overwritten
+    by x^(N-n).  The antiderivative, the segment integrals and the next
+    table come from whole arrays with ``numpy.polynomial``'s operations,
+    so the bits are those of its per-segment ``polyint``, ``polyval`` and
+    ``polysub``.  O(N^2) array operations, O(N^3) flops, and the tables
+    of all later stages, about 4 N^3 bytes."""
     breaks = _breakpoints(thresholds.values)
-    segs = list(zip(breaks[:-1], breaks[1:]))
-    upper: dict[int, list[np.ndarray]] = {}  # int_x^{1} U(k, t) dt per segment
+    ends = np.stack((breaks[1:], breaks[:-1]))  # b and a of each segment
+    upper: dict[int, np.ndarray] = {}  # int_x^1 U(k, t) dt, one row a segment
     for n in range(horizon, 0, -1):
-        xn = thresholds.x(n)
-        stop = np.zeros(horizon - n + 1)
-        stop[-1] = 1.0  # x^(N-n)
-        stage: list[np.ndarray] = []  # U(n, .), one coefficient array a segment
-        for seg_idx, (a, b) in enumerate(segs):
-            if a >= xn:
-                stage.append(stop)
-                continue
-            # each term x^(k-n-1) int_x^1 U(k) is that integral's
-            # coefficients shifted k - n - 1 places up
-            acc = np.zeros(horizon - n + 1)
-            for k in range(n + 1, horizon + 1):
-                term = upper[k][seg_idx]
-                acc[k - n - 1 : k - n - 1 + len(term)] += term
-            stage.append(acc)
-        # integral tables for the stage just built
-        anti = [P.polyint(c) for c in stage]
-        fulls = [
-            float(P.polyval(b, f) - P.polyval(a, f))
-            for (a, b), f in zip(segs, anti)
-        ]
-        tails = np.append(np.cumsum(fulls[::-1])[::-1], 0.0)  # int_{b_s}^1
-        upper[n] = [
-            P.polysub(np.array([tail + float(P.polyval(b, f))]), f)
-            for tail, (a, b), f in zip(tails[1:], segs, anti)
-        ]
+        width = horizon - n + 1
+        stage = np.zeros((ends.shape[1], width))
+        for k in range(n + 1, horizon + 1):
+            stage[:, k - n - 1 :] += upper[k]
+        above = ends[1] >= thresholds.x(n)
+        stage[above] = 0.0
+        stage[above, -1] = 1.0
+        # polyint: c_j / (j + 1) above a zero constant term
+        anti = np.zeros((ends.shape[1], width + 1))
+        np.divide(stage, np.arange(1, width + 1), out=anti[:, 1:])
+        # polyval's Horner loop at both ends of every segment
+        at = anti[:, -1] + ends * 0
+        for j in range(width - 1, -1, -1):
+            at = anti[:, j] + at * ends
+        fulls = at[0] - at[1]
+        tails = np.cumsum(fulls[::-1])[::-1]  # int_a^1 U(n, t) dt
+        # polysub: (int_b^1 + F(b)) - F
+        upper[n] = -anti
+        upper[n][:, 0] += np.append(tails[1:], 0.0) + at[0]
     # the segment integrals of U(1, .)
     return math.fsum(fulls)
 
@@ -173,7 +177,7 @@ def fullinfo_mc_check(
     the win count is an exact integer.
     """
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
     SimConfig(samples=samples, seed=seed)  # refuses them as ``simulate`` would
     if thresholds is None:
         thr_values = np.array(
@@ -260,7 +264,7 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
     if horizon > 3:
         raise TooLarge(f"joint-grid oracle capped at horizon 3, got {horizon}")
     if horizon < 2:
-        raise ValueError(f"horizon must be >= 2, got {horizon}")
+        raise DomainError(f"horizon must be >= 2, got {horizon}")
     cfg = ProblemConfig(horizon=horizon, priority=priority)
     tables = equilibrium.build_game_tables(cfg)
     mid = (np.arange(_MESH) + 0.5) / _MESH
@@ -302,8 +306,7 @@ def run_verification_suite(
     tolerance.  ``tamper_thresholds`` lets tests corrupt the threshold
     table that the threshold-sensitive checks consume (negative control).
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    SimConfig(samples=samples)  # refuses a count as ``simulate`` would
     if not 0 <= seed < (1 << 64) - 2:  # it also plays seed + 1 and seed + 2
         raise DomainError(f"seed must be in [0, 2**64 - 2), got {seed}")
     reports: list[OracleReport] = []

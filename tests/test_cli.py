@@ -714,3 +714,13 @@ def test_cold_start_loads_only_what_the_command_runs():
         "backward_induce(build_game_tables(ProblemConfig(horizon=20, priority=0.25)))"
     )
     assert "numpy.ma" not in _modules_after(induce)
+
+
+def test_verify_loads_no_numpy_polynomial():
+    # the oracle's exact rule value works on whole coefficient arrays
+    verify = (
+        "import os\n"
+        "from bcgame.cli import main\n"
+        "main(['verify', '--samples', '1000', '--out', os.devnull])"
+    )
+    assert _modules_after(verify) == {"bcgame.oracle", "fractions"}

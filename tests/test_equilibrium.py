@@ -647,3 +647,22 @@ def test_game_tables_carry_the_game_constants():
     assert len(tables.inverses) == len(tables.harmonics) == 50
     assert tables.inverses[:3] == (0.0, 1.0, 0.5)
     assert tables.harmonics[3] == 1.0 + 0.5 + 1 / 3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_game_tables(ProblemConfig(horizon=10, priority=0.25)),
+        lambda: build_game_tables(ProblemConfig(horizon=10)).xthresholds,
+        lambda: region_map(build_game_tables(ProblemConfig(horizon=10)), 0.01),
+    ],
+    ids=["GameTables", "ThresholdVector", "RegionGrid"],
+)
+def test_array_holding_types_compare_and_hash_by_identity(build):
+    # comparing their arrays field by field raised ValueError, and they
+    # had no hash
+    first, second = build(), build()
+    assert first is not second
+    assert first == first and first != second
+    assert hash(first) == hash(first) != hash(second)
+    assert len({first, second, first}) == 2

@@ -12,6 +12,7 @@ from bcgame.equilibrium import build_game_tables
 from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
     ProblemConfig,
+    RecordState,
     ThresholdVector,
     fullinfo_threshold,
     fullinfo_thresholds,
@@ -186,6 +187,31 @@ def test_rule_value_polys_matches_polymul_recursion(horizon):
         thresholds = ThresholdVector(horizon=horizon, values=values)
         got = oracle._rule_value_polys(horizon, thresholds)
         assert repr(got) == repr(_rule_value_polys_polymul(horizon, thresholds))
+
+
+def _rule_value_closed_form(x):
+    """Reference for thresholds that do not increase, where the density of
+    the rule's first stop at (n, y) has a closed form and a stop there
+    wins with probability y^(N-n): with m = n - 1,
+    P = (1 - x_1^N)/N + sum_{n>=2} (1/m) sum_{j<n} [(x_j^N - x_n^N)/N
+    + x_j^m (1 - x_j^(N-n+1))/(N-n+1)]."""
+    big_n = len(x)
+    terms = [(1.0 - x[0] ** big_n) / big_n]
+    for n in range(2, big_n + 1):
+        m, d = n - 1, big_n - n + 1
+        xn = x[n - 1]
+        terms += [
+            ((xj**big_n - xn**big_n) / big_n + xj**m * (1.0 - xj**d) / d) / m
+            for xj in x[: n - 1]
+        ]
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("horizon", [100, 200])
+def test_rule_value_polys_matches_closed_form_at_large_horizon(horizon):
+    thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
+    want = _rule_value_closed_form(thresholds.values.tolist())
+    assert oracle._rule_value_polys(horizon, thresholds) == pytest.approx(want, abs=1e-14)
 
 
 def _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed):
@@ -393,6 +419,32 @@ def test_seeds_outside_the_stream_keys_are_refused_before_computing(monkeypatch)
         with pytest.raises(DomainError) as caught:
             fullinfo_mc_check(10, seed=seed)
         assert str(caught.value) == f"seed must be in [0, 2**64), got {seed}"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ProblemConfig(horizon=1), "horizon must be >= 2, got 1"),
+        (lambda: ProblemConfig(horizon=5, priority=1.5), "priority must be in [0, 1], got 1.5"),
+        (lambda: RecordState(index=0, value=0.5), "index must be >= 1, got 0"),
+        (lambda: RecordState(index=1, value=-0.1), "value must be in [0, 1], got -0.1"),
+        (lambda: secretary_exhaustive(1, 1), "horizon must be >= 2, got 1"),
+        (lambda: secretary_exhaustive(5, 6), "cutoff 6 outside 1..5"),
+        (lambda: game_exhaustive_small(1, 0.25), "horizon must be >= 2, got 1"),
+        (lambda: fullinfo_mc_check(0), "horizon must be >= 1, got 0"),
+        (lambda: run_verification_suite(samples=0), "samples must be >= 1, got 0"),
+    ],
+    ids=[
+        "config-horizon", "config-priority", "state-index", "state-value",
+        "secretary-horizon", "secretary-cutoff", "joint-grid-horizon",
+        "fullinfo-horizon", "suite-samples",
+    ],
+)
+def test_out_of_domain_input_is_a_domain_error(call, message):
+    # a BcgameError, and a ValueError too, so callers catching that still do
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_report_consistency():

@@ -40,6 +40,10 @@ Cases:
 * ``regions-N`` for N = 10, 50, 150 and 400: ``region_map()`` at
   p = 0.25 and xstep 1e-3 with the tables already built.  Reports the
   fastest of five calls and the child's max RSS.
+* ``rule-N`` for N = 10, 50 and 100: ``oracle._rule_value_polys()`` on
+  the solved thresholds, the exact value of the value player's solo rule
+  that the suite checks by Monte Carlo.  Reports the fastest of five
+  calls and the child's max RSS.
 * ``suite``: one ``run_verification_suite()`` call at its defaults,
   200,000 samples and seed 42.  Reports its wall time, the
   ``tracemalloc`` peak of a second, traced call, and the child's max RSS.
@@ -94,6 +98,7 @@ import tokenize
 import numpy as np
 
 HORIZONS = (10, 50, 150, 400)
+RULE_HORIZONS = (10, 50, 100)
 REPEATS = 5
 SEQUENCES = 1 << 18
 AUDIT_STATES = 2000
@@ -212,6 +217,19 @@ walls = []
 for _ in range(count):
     start = time.perf_counter()
     region_map(tables, 1e-3)
+    walls.append(time.perf_counter() - start)
+print(json.dumps({"wall_s": min(walls)}))
+"""
+
+_RULE_CHILD = """
+import json, sys, time
+from bcgame import ProblemConfig, fullinfo_thresholds, oracle
+horizon, count = int(sys.argv[1]), int(sys.argv[2])
+thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
+walls = []
+for _ in range(count):
+    start = time.perf_counter()
+    oracle._rule_value_polys(horizon, thresholds)
     walls.append(time.perf_counter() - start)
 print(json.dumps({"wall_s": min(walls)}))
 """
@@ -380,6 +398,8 @@ def main() -> None:
     ):
         for n in HORIZONS:
             cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
+    for n in RULE_HORIZONS:
+        cases[f"rule-{n}"] = lambda src, n=n: _layer_case(src, _RULE_CHILD, n, REPEATS)
     cases["suite"] = lambda src: _layer_case(src, _SUITE_CHILD)
     for name, argv in CLI_CASES.items():
         cases[name] = lambda src, a=argv: _cli_case(src, a)
