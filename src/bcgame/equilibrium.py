@@ -173,10 +173,12 @@ class GameTables:
     operation: the thresholds, the rank margins w1_1..w1_N and both
     cutoffs, the simultaneous-claim weight ``joint`` = 2p - 1, and the w2
     Horner lists ``inverses`` (1/m) and ``harmonics`` (H_m) for m < N,
-    from ``_horner_lists``.  Only the first four are passed in; the others
-    are set once on construction, ``ntilde`` last, as ``shifted_cutoff``
-    of the rest.  No tv1 is kept; finding ntilde evaluates tv1 only at
-    n = nstar..min(ntilde, N - 1).  Compared and hashed by identity."""
+    from ``_horner_lists``, which ``_w2_scalar``, ``backward_induce`` and
+    ``game_value`` read.  Only the first four are passed in, ``w1`` kept
+    as a read-only copy; the others are set once on construction,
+    ``ntilde`` last, as ``shifted_cutoff`` of the rest.  No tv1 is kept;
+    finding ntilde evaluates tv1 only at n = nstar..min(ntilde, N - 1).
+    Compared and hashed by identity."""
 
     config: ProblemConfig
     xthresholds: ThresholdVector
@@ -188,7 +190,9 @@ class GameTables:
     harmonics: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.w1.setflags(write=False)
+        w1 = np.array(self.w1)
+        w1.setflags(write=False)
+        object.__setattr__(self, "w1", w1)
         inverses, harmonics = _horner_lists(self.config.horizon - 1)
         object.__setattr__(self, "joint", 2.0 * self.config.priority - 1.0)
         object.__setattr__(self, "inverses", inverses)
@@ -397,16 +401,19 @@ def classify_state(n: int, x: float, tables: GameTables) -> EquilibriumKind:
 @dataclass(frozen=True, eq=False)
 class RegionGrid:
     """Classification of every (index, value) grid point; the data behind
-    the strategy-region picture.  Compared and hashed by identity."""
+    the strategy-region picture.  It holds read-only views of the arrays
+    passed in, not copies, since a grid can be large.  Compared and hashed
+    by identity."""
 
     ns: np.ndarray
     xs: np.ndarray
     kinds: np.ndarray  # shape (len(ns), len(xs)), dtype '<U2'
 
     def __post_init__(self) -> None:
-        self.ns.setflags(write=False)
-        self.xs.setflags(write=False)
-        self.kinds.setflags(write=False)
+        for name in ("ns", "xs", "kinds"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
 
 #: Peak bytes per (index, value) cell of ``region_map``: 26 by tracemalloc

@@ -63,8 +63,10 @@ class RecordState:
 
 @dataclass(frozen=True, eq=False)
 class ThresholdVector:
-    """Indifference thresholds x_1..x_N of the value player, immutable;
-    compared and hashed by identity."""
+    """Indifference thresholds x_1..x_N of the value player, immutable: it
+    holds a read-only copy of ``values``, which must hold ``horizon``
+    thresholds (``DomainError`` otherwise).  Compared and hashed by
+    identity."""
 
     horizon: int
     values: np.ndarray
@@ -72,8 +74,12 @@ class ThresholdVector:
     _floats: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-        object.__setattr__(self, "_floats", tuple(self.values.tolist()))
+        values = np.array(self.values)
+        if len(values) != self.horizon:
+            raise DomainError(f"{len(values)} thresholds for horizon {self.horizon}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_floats", tuple(values.tolist()))
 
     def x(self, n):
         """Threshold at index n (1-based) as a float; an array of indices

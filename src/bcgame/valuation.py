@@ -31,7 +31,9 @@ operators,
 
 a segment's integral is 2h times its P_0 coefficient, and the stopped
 cells come from two running series, x**d = x x**(d-1) and
-S_d = x S_{d-1} + 1/d.  A stage costs O(S (N - n)) for S segments, the
+S_d = x S_{d-1} + 1/d, carried together on the stopped segments only:
+at stage n those whose left break is at least the bar b_n, a suffix that
+shrinks as n falls.  A stage costs O(S (N - n)) for S segments, the
 induction O(N**3).  Stage n holds only its N - n + 1 coefficients a
 segment, so the tables take 8 (N+1)(N (N+2) + 2) bytes with the S = N
 segments of the game, about 8 (N+1)**3, 0.52 GB at N = 400; a horizon
@@ -297,29 +299,33 @@ def backward_induce(tables: GameTables) -> tuple[ValueFunction, ValuePair]:
     Descends from the last index: stopped cells are scored by the stage
     rule, forgo-forgo cells come from the continuation table; the game
     value averages the first-stage values over a uniform first observation
-    (index 1 is always a record).
+    (index 1 is always a record).  The w2 series x**d and S_d are one
+    array carried on the stopped segments alone, the suffix from b_n,
+    sliced as it shrinks, with 1/d and H_d read from ``tables``; V(n) is
+    the forgo prefix of C(n) beside the stopped cells.
     """
     big_n = tables.config.horizon
     vf = ValueFunction(tables)
-    power = np.ones((vf.n_segments, 1))  # x**0 on every segment
-    series = np.zeros((vf.n_segments, 1))  # S_0 = 0
-    harmonic = 0.0  # w2 = x**d (1 + H_d) - S_d with d = N - n
+    segments = vf.n_segments
+    # x**d and S_d, w2 = x**d (1 + H_d) - S_d with d = N - n, on the
+    # stopped segments: from x**0 = 1 and S_0 = 0 on every segment
+    carry = np.zeros((2, segments, 1))
+    carry[0] = 1.0
     for n in range(big_n, 0, -1):
         d = big_n - n
-        if d:
-            power = _times_x(power, vf.breaks)
-            series = _times_x(series, vf.breaks)
-            series[:, 0] += 1.0 / d
-            harmonic += 1.0 / d
-        # each segment takes the actions at its left break
+        # each segment takes the actions at its left break; some player
+        # stops from the bar b_n on, a suffix that shrinks as n falls
         stop1, stop2 = stage_actions(n, vf.breaks[:-1], tables)
-        stop = stop1 | stop2
-        coefficients = vf.cont[n].copy()
-        w2s = power[stop] * (1.0 + harmonic) - series[stop]
-        cells = stage_cells(n, stop1[stop, None], stop2[stop, None], w2s, tables)
+        stopped = np.count_nonzero(stop1 | stop2)
+        first = segments - stopped
+        carry = carry[:, carry.shape[1] - stopped :]
+        if d:
+            carry = _times_x(carry, vf.breaks[first:])
+            carry[1, :, 0] += tables.inverses[d]
+        w2s = carry[0] * (1.0 + tables.harmonics[d]) - carry[1]
+        cells = stage_cells(n, stop1[first:, None], stop2[first:, None], w2s, tables)
         cells[0, :, 1:] = 0.0  # the rank player's cell is constant in x
-        coefficients[:, stop] = cells
-        vf.finalize_stage(n, coefficients)
+        vf.finalize_stage(n, np.concatenate((vf.cont[n][:, :first], cells), axis=1))
     pair = ValuePair(val1=vf.stage_average(1, 1), val2=vf.stage_average(1, 2))
     return vf, pair
 
@@ -363,24 +369,23 @@ def game_value(tables: GameTables) -> ValuePair:
     top = y**big_n
     power = np.ones_like(y)  # y**d
     g, s, r = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
-    harmonic = 0.0
     terms1: list[float] = []
     terms2: list[float] = []
     for n in range(big_n, 0, -1):
         d, k = big_n - n, n + 1
         head = y[:k]
         if d:
-            harmonic += 1.0 / d
             yn = head**n
             g[:k] += yn / (d * n)
             power[:k] *= head
             s[:k] += power[:k] / d
-            r[:k] += 1.0 / d
+            r[:k] += tables.inverses[d]
             r[:k] *= head
         else:
             yn = top
-        a = (1.0 + harmonic) / big_n * top[:k] - g[:k]
-        b = ((1.0 + harmonic) * power[:k] * head - s[:k] - r[:k]) / (d + 1)
+        scale = 1.0 + tables.harmonics[d]
+        a = scale / big_n * top[:k] - g[:k]
+        b = (scale * power[:k] * head - s[:k] - r[:k]) / (d + 1)
         if n == 1:
             up1, up2 = 1.0 - y[1], b[0] - b[1]
             lo1, lo2 = y[1], b[1]

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from bcgame.equilibrium import (
     Bimatrix,
+    GameTables,
+    RegionGrid,
     _cell,
     _horner_lists,
     _w2_array,
@@ -666,3 +668,28 @@ def test_array_holding_types_compare_and_hash_by_identity(build):
     assert first == first and first != second
     assert hash(first) == hash(first) != hash(second)
     assert len({first, second, first}) == 2
+
+
+def test_game_tables_hold_a_read_only_copy_of_w1():
+    # it froze the caller's own array
+    built = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+    w1s = built.w1.copy()
+    tables = GameTables(
+        config=built.config, xthresholds=built.xthresholds, nstar=built.nstar, w1=w1s
+    )
+    w1s[0] = 0.9  # the caller's array stays the caller's
+    assert tables.w1.tobytes() == built.w1.tobytes()
+    assert not tables.w1.flags.writeable
+    assert tables.ntilde == built.ntilde
+
+
+def test_region_grid_holds_read_only_views():
+    # it froze the caller's own arrays; a grid can be large, so it keeps
+    # views of them, not copies
+    ns, xs = np.arange(1, 4), np.linspace(0.0, 1.0, 5)
+    kinds = np.full((3, 5), "FF")
+    grid = RegionGrid(ns=ns, xs=xs, kinds=kinds)
+    for mine, held in ((ns, grid.ns), (xs, grid.xs), (kinds, grid.kinds)):
+        assert np.shares_memory(mine, held) and not held.flags.writeable
+    ns[0], xs[0], kinds[0, 0] = 7, 0.5, "SS"  # the caller's arrays stay writable
+    assert (grid.ns[0], grid.xs[0], grid.kinds[0, 0]) == (7, 0.5, "SS")

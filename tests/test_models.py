@@ -11,6 +11,7 @@ from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
     ProblemConfig,
     RecordState,
+    ThresholdVector,
     fullinfo_continue_reward,
     fullinfo_stop_reward,
     fullinfo_threshold,
@@ -278,3 +279,17 @@ def test_large_horizon_thresholds_property(big_n, fractions):
         assert abs(residual) <= 1e-12
         # two units in the last place below 1
         assert abs(x - _bisect_threshold(d)) <= 2.0**-52
+
+
+def test_threshold_vector_holds_a_read_only_copy_of_its_horizon():
+    # it froze the caller's own array, and took a horizon other than the
+    # number of values
+    values = np.array([0.5, 0.25, 0.0])
+    tv = ThresholdVector(horizon=3, values=values)
+    values[0] = 0.9  # the caller's array stays the caller's
+    assert tv.values.tolist() == [0.5, 0.25, 0.0] and tv.x(1) == 0.5
+    assert not tv.values.flags.writeable
+    with pytest.raises(DomainError, match="5 thresholds for horizon 3"):
+        ThresholdVector(horizon=3, values=np.zeros(5))
+    with pytest.raises(DomainError, match="2 thresholds for horizon 3"):
+        ThresholdVector(horizon=3, values=np.zeros(2))

@@ -120,6 +120,67 @@ def test_game_value_matches_induction(horizon):
         assert abs(got.val2 - want.val2) <= 1e-12, (horizon, priority)
 
 
+def _backward_induce_before(tables):
+    """Reference: the induction as it was before the w2 carry ran on the
+    stopped segments alone: x**d and S_d as two arrays on every segment, a
+    running H_d and 1/d, and each stage copied whole before its stopped
+    cells were overwritten."""
+    big_n = tables.config.horizon
+    vf = ValueFunction(tables)
+    power = np.ones((vf.n_segments, 1))  # x**0 on every segment
+    series = np.zeros((vf.n_segments, 1))  # S_0 = 0
+    harmonic = 0.0  # w2 = x**d (1 + H_d) - S_d with d = N - n
+    for n in range(big_n, 0, -1):
+        d = big_n - n
+        if d:
+            power = valuation._times_x(power, vf.breaks)
+            series = valuation._times_x(series, vf.breaks)
+            series[:, 0] += 1.0 / d
+            harmonic += 1.0 / d
+        stop1, stop2 = stage_actions(n, vf.breaks[:-1], tables)
+        stop = stop1 | stop2
+        coefficients = vf.cont[n].copy()
+        w2s = power[stop] * (1.0 + harmonic) - series[stop]
+        cells = stage_cells(n, stop1[stop, None], stop2[stop, None], w2s, tables)
+        cells[0, :, 1:] = 0.0
+        coefficients[:, stop] = cells
+        vf.finalize_stage(n, coefficients)
+    return vf, ValuePair(val1=vf.stage_average(1, 1), val2=vf.stage_average(1, 2))
+
+
+#: Horizons of the induction's bit-for-bit checks, each at the seven
+#: first-stop priorities.
+INDUCTION_HORIZONS = (2, 3, 4, 10, 37, 50, 150)
+
+
+@pytest.mark.parametrize("horizon", INDUCTION_HORIZONS)
+def test_backward_induce_matches_every_segment_carry(horizon):
+    for priority in FIRST_STOP_PRIORITIES:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        vf, pair = backward_induce(tables)
+        ref, ref_pair = _backward_induce_before(tables)
+        assert vf._buffer.tobytes() == ref._buffer.tobytes(), priority
+        assert vf.averages.tobytes() == ref.averages.tobytes(), priority
+        assert repr(pair) == repr(ref_pair), priority
+
+
+@pytest.mark.parametrize("horizon", INDUCTION_HORIZONS)
+def test_stopped_segments_are_a_suffix_that_shrinks(horizon):
+    # the induction carries w2 on the last segments alone, and slices the
+    # carry as n falls
+    for priority in FIRST_STOP_PRIORITIES:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        lefts = ValueFunction(tables).breaks[:-1]
+        before = 0  # the first stopped segment of stage n + 1
+        for n in range(horizon, 0, -1):
+            stop1, stop2 = stage_actions(n, lefts, tables)
+            stop = stop1 | stop2
+            first = len(stop) - np.count_nonzero(stop)
+            assert stop[first:].all(), (priority, n)
+            assert first >= before, (priority, n)
+            before = first
+
+
 def test_game_value_rejects_high_priority():
     tables = build_game_tables(ProblemConfig(horizon=5, priority=0.7))
     with pytest.raises(UnsupportedPriority):

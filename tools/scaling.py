@@ -7,8 +7,10 @@ file.
         [--tree parent=/path/to/parent/src] > BENCH.json
 
 Each ``--tree LABEL=DIR`` names a directory holding the ``bcgame`` package.
-Every case runs in a fresh interpreter, so its ``ru_maxrss`` is its own;
-the five repeats interleave the trees and alternate which goes first.
+Every case runs in a fresh interpreter, so its ``ru_maxrss`` is its own,
+and a case that reports the fastest of several calls makes them all in
+that one child; the five repeats interleave the trees and alternate
+which goes first.
 Cases:
 
 * ``simulate-N`` for N = 10, 50, 150 and 400: ``valuation.simulate()``
@@ -33,10 +35,11 @@ Cases:
   at p = 0.25 with the tables already built.  Reports the fastest of five
   calls and the child's max RSS.  A tree without ``game_value`` records
   no runs.
-* ``induce-N`` for N = 10, 50, 150 and 400: one
-  ``valuation.backward_induce()`` call at p = 0.25 with the tables
-  already built.  Reports its wall time and the child's max RSS, which
-  the induction's tables set.
+* ``induce-N`` for N = 10, 50, 150 and 400:
+  ``valuation.backward_induce()`` at p = 0.25 with the tables already
+  built.  Reports the fastest of five calls, of two at N = 400, where a
+  call holds 537 MB, and the child's max RSS, which the induction's
+  tables set; each call's tables are freed before the next.
 * ``regions-N`` for N = 10, 50, 150 and 400: ``region_map()`` at
   p = 0.25 and xstep 1e-3 with the tables already built.  Reports the
   fastest of five calls and the child's max RSS.
@@ -44,9 +47,10 @@ Cases:
   the solved thresholds, the exact value of the value player's solo rule
   that the suite checks by Monte Carlo.  Reports the fastest of five
   calls and the child's max RSS.
-* ``suite``: one ``run_verification_suite()`` call at its defaults,
-  200,000 samples and seed 42.  Reports its wall time, the
-  ``tracemalloc`` peak of a second, traced call, and the child's max RSS.
+* ``suite``: ``run_verification_suite()`` at its defaults, 200,000
+  samples and seed 42.  Reports the fastest of five calls (the first one
+  solves the thresholds, the others find them cached), the
+  ``tracemalloc`` peak of a sixth, traced call, and the child's max RSS.
 * ``cli-simulate-35`` and ``cli-simulate-10``: ``bcgame simulate
   --horizon N --priority 0.25 --samples 2000000`` end to end; N = 10 sets
   perfbench mc-play's peak RSS.
@@ -201,11 +205,14 @@ print(json.dumps({"wall_s": min(walls)} if walls else None))
 _INDUCE_CHILD = """
 import json, sys, time
 from bcgame import ProblemConfig, backward_induce, build_game_tables
-horizon = int(sys.argv[1])
+horizon, count = int(sys.argv[1]), int(sys.argv[2])
 tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-start = time.perf_counter()
-backward_induce(tables)
-print(json.dumps({"wall_s": time.perf_counter() - start}))
+walls = []
+for _ in range(count):
+    start = time.perf_counter()
+    backward_induce(tables)
+    walls.append(time.perf_counter() - start)
+print(json.dumps({"wall_s": min(walls)}))
 """
 
 _REGIONS_CHILD = """
@@ -235,16 +242,18 @@ print(json.dumps({"wall_s": min(walls)}))
 """
 
 _SUITE_CHILD = """
-import json, time, tracemalloc
+import json, sys, time, tracemalloc
 from bcgame import run_verification_suite
-start = time.perf_counter()
-run_verification_suite()
-wall = time.perf_counter() - start
+walls = []
+for _ in range(int(sys.argv[1])):
+    start = time.perf_counter()
+    run_verification_suite()
+    walls.append(time.perf_counter() - start)
 tracemalloc.start()
 run_verification_suite()
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-print(json.dumps({"wall_s": wall, "tracemalloc_mb": peak / 2**20}))
+print(json.dumps({"wall_s": min(walls), "tracemalloc_mb": peak / 2**20}))
 """
 
 _CLI_CHILD = "import sys; from bcgame.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -393,14 +402,16 @@ def main() -> None:
         ("thresholds", _THRESHOLDS_CHILD, 1),
         ("tables", _TABLES_CHILD, REPEATS),
         ("value", _VALUE_CHILD, REPEATS),
-        ("induce", _INDUCE_CHILD, 1),
+        ("induce", _INDUCE_CHILD, REPEATS),
         ("regions", _REGIONS_CHILD, REPEATS),
     ):
         for n in HORIZONS:
             cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
+    # a call at N = 400 holds 537 MB: the fastest of two
+    cases["induce-400"] = lambda src: _layer_case(src, _INDUCE_CHILD, 400, 2)
     for n in RULE_HORIZONS:
         cases[f"rule-{n}"] = lambda src, n=n: _layer_case(src, _RULE_CHILD, n, REPEATS)
-    cases["suite"] = lambda src: _layer_case(src, _SUITE_CHILD)
+    cases["suite"] = lambda src: _layer_case(src, _SUITE_CHILD, REPEATS)
     for name, argv in CLI_CASES.items():
         cases[name] = lambda src, a=argv: _cli_case(src, a)
     cases["tier1"] = _tier1_case
