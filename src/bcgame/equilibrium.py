@@ -39,8 +39,7 @@ def w1(n: int, cfg: ProblemConfig) -> float:
     (n/N)(1 - sum_{j=n+1}^{N} 1/(j-1)); negative before the cutoff index,
     nonnegative from it on.
     """
-    if not 1 <= n <= cfg.horizon:
-        raise DomainError(f"index {n} outside 1..{cfg.horizon}")
+    models._check_index(n, cfg.horizon)
     return (n / cfg.horizon) * (1.0 - models._harmonic_suffix(n, cfg.horizon))
 
 
@@ -217,8 +216,7 @@ def tv1(n: int, tables: GameTables) -> float:
     integrate exactly over [0, x_k] and [x_k, x_n].
     """
     cfg = tables.config
-    if not 1 <= n <= cfg.horizon:
-        raise DomainError(f"index {n} outside 1..{cfg.horizon}")
+    models._check_index(n, cfg.horizon)
     xn = tables.xthresholds.x(n)
     if xn <= 0.0:
         return 0.0
@@ -277,11 +275,10 @@ def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:
     keeps the sign of the test and leaves only nonnegative powers of x, so
     nothing overflows at large d or small x.
     """
+    models._check_index(n, cfg.horizon)
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     d = cfg.horizon - n
-    if d < 0:
-        raise DomainError(f"index {n} beyond horizon {cfg.horizon}")
     p = cfg.priority
     xp = x ** np.arange(0, d + 1, dtype=float)  # xp[i] = x**i
     lhs = 2.0 * p * math.fsum((xp[d - k] - xp[d]) / k for k in range(1, d + 1))
@@ -439,11 +436,13 @@ def _check_region_size(horizon: int, xstep: float) -> None:
 
 
 def region_map(tables: GameTables, xstep: float) -> RegionGrid:
-    """Classify all indices against a uniform value mesh of step ``xstep``."""
+    """Classify all indices against a uniform value mesh of step ``xstep``,
+    its points clamped at 1."""
     big_n = tables.config.horizon
     _check_region_size(big_n, xstep)
     count = int(math.floor(1.0 / xstep + 1e-9))
-    xs = np.arange(count + 1) * xstep
+    # the slack in the count can put the last point just above 1
+    xs = np.minimum(np.arange(count + 1) * xstep, 1.0)
     ns = np.arange(1, big_n + 1)
     stop1, stop2 = stage_actions(ns[:, None], xs[None, :], tables)
     names = np.array([[kind.value for kind in row] for row in _KIND_OF])

@@ -123,8 +123,15 @@ def rank_transition(n: int, m: int) -> float:
     return n / (m * (m - 1))
 
 
+def _check_index(n: int, horizon: int) -> None:
+    """``DomainError`` for an index outside 1..horizon."""
+    if not 1 <= n <= horizon:
+        raise DomainError(f"index {n} outside 1..{horizon}")
+
+
 def secretary_stop_reward(n: int, cfg: ProblemConfig) -> float:
     """Probability that a rank-1 object at index n is the overall best."""
+    _check_index(n, cfg.horizon)
     return n / cfg.horizon
 
 
@@ -138,6 +145,7 @@ def secretary_continue_reward(n: int, cfg: ProblemConfig) -> float:
 
     (n/N) * sum_{k=n+1}^{N} 1/(k-1); the sum is empty at n = N.
     """
+    _check_index(n, cfg.horizon)
     return (n / cfg.horizon) * _harmonic_suffix(n, cfg.horizon)
 
 
@@ -157,6 +165,7 @@ def secretary_cutoff(cfg: ProblemConfig) -> int:
 
 def fullinfo_stop_reward(state: RecordState, cfg: ProblemConfig) -> float:
     """Probability that no later value exceeds x: x**(N-n)."""
+    _check_index(state.index, cfg.horizon)
     return float(state.value) ** (cfg.horizon - state.index)
 
 
@@ -169,6 +178,7 @@ def fullinfo_continue_reward(state: RecordState, cfg: ProblemConfig) -> float:
     """
     n, x = state.index, float(state.value)
     big_n = cfg.horizon
+    _check_index(n, big_n)
     return math.fsum(
         x ** (k - n - 1) * (1.0 - x ** (big_n - k + 1)) / (big_n - k + 1)
         for k in range(n + 1, big_n + 1)

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import equilibrium, models, valuation
+from ._memory import _physical_memory, refuse_beyond
 from ._rng import batch_generator
 from .errors import DomainError, TooLarge
 from .models import ProblemConfig, ThresholdVector
@@ -121,7 +122,7 @@ def _rule_value_polys(horizon: int, thresholds: ThresholdVector) -> float:
     table come from whole arrays with ``numpy.polynomial``'s operations,
     so the bits are those of its per-segment ``polyint``, ``polyval`` and
     ``polysub``.  O(N^2) array operations, O(N^3) flops, and the tables
-    of all later stages, about 4 N^3 bytes."""
+    of all later stages, about 4 N^3 bytes (``_rule_value_bytes``)."""
     breaks = _breakpoints(thresholds.values)
     ends = np.stack((breaks[1:], breaks[:-1]))  # b and a of each segment
     upper: dict[int, np.ndarray] = {}  # int_x^1 U(k, t) dt, one row a segment
@@ -149,6 +150,14 @@ def _rule_value_polys(horizon: int, thresholds: ThresholdVector) -> float:
     return math.fsum(fulls)
 
 
+def _rule_value_bytes(horizon: int) -> int:
+    """Bytes that ``_rule_value_polys`` holds at its peak, with the N + 1
+    segments at most that N thresholds, 0 and 1 bound: the "from x to 1"
+    tables of every stage, N - k + 2 doubles a segment at stage k, and
+    three stages of scratch; about 4 N**3."""
+    return 8 * (horizon + 1) * (horizon * (horizon + 3) // 2 + 3 * (horizon + 1))
+
+
 def _threshold_residual(x: float, remaining: int) -> float:
     """sum_{k=1}^{d} (x**-k - 1)/k - 1 by ``math.fsum``, straight from the
     threshold equation; inf where x**-k is not a finite double."""
@@ -174,11 +183,15 @@ def fullinfo_mc_check(
     a call: the draws, their running maximum and the record and stop
     masks.  The Monte Carlo part thus holds O(``_MC_BUDGET``) memory
     whatever N and ``samples`` (one row when N exceeds the budget), and
-    the win count is an exact integer.
+    the win count is an exact integer.  The exact recursion's tables,
+    ``_rule_value_bytes``, are refused with ``TooLarge`` before the
+    threshold solve when they would exceed physical memory.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     SimConfig(samples=samples, seed=seed)  # refuses them as ``simulate`` would
+    need = _rule_value_bytes(horizon)
+    refuse_beyond(need, _physical_memory(), f"rule value tables at horizon {horizon}")
     if thresholds is None:
         thr_values = np.array(
             [models.fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]

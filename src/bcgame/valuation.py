@@ -23,29 +23,28 @@ with C(N, x) = 0.  Values V_i(n, .) are piecewise polynomials in x whose
 only breakpoints are the thresholds, of degree at most N - n on each
 segment, and so is C(n, .).  Each segment maps to t in [-1, 1] by
 x = c + h t, and each function is held, exact up to rounding, by its
-Legendre coefficients in t.  The recurrence then takes two banded
-operators,
+monomial coefficients in t.  The recurrence then takes two operators
+that move each coefficient one place up,
 
-    t P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1),
-    int_t^1 P_k = (P_{k-1} - P_{k+1}) / (2k+1),   1 - t for k = 0,
+    x t**k = c t**k + h t**(k+1),   int_t^1 u**k du = (1 - t**(k+1)) / (k+1),
 
-a segment's integral is 2h times its P_0 coefficient, and the stopped
-cells come from two running series, x**d = x x**(d-1) and
-S_d = x S_{d-1} + 1/d, carried together on the stopped segments only:
-at stage n those whose left break is at least the bar b_n, a suffix that
-shrinks as n falls.  A stage costs O(S (N - n)) for S segments, the
-induction O(N**3).  Stage n holds only its N - n + 1 coefficients a
-segment, so the tables take 8 (N+1)(N (N+2) + 2) bytes with the S = N
-segments of the game, about 8 (N+1)**3, 0.52 GB at N = 400; a horizon
-whose tables would not fit in physical memory is refused before anything
-is allocated.
+a segment's integral is h times the sum of 2 a_k / (k+1) over even k,
+and the stopped cells come from two running series, x**d = x x**(d-1)
+and S_d = x S_{d-1} + 1/d, carried together on the stopped segments
+only: at stage n those whose left break is at least the bar b_n, a
+suffix that shrinks as n falls.  A stage costs O(S (N - n)) for S
+segments, the induction O(N**3).  Stage n holds only its N - n + 1
+coefficients a segment, so the tables take 8 (N+1)(N (N+2) + 2) bytes
+with the S = N segments of the game, about 8 (N+1)**3, 0.52 GB at
+N = 400; a horizon whose tables would not fit in physical memory is
+refused before anything is allocated.
 
 Point queries (``continuation``, ``ValueFunction.value_at``) take a
 scalar read path in Python floats: the segment by ``bisect`` on a list of
 the breakpoints, the reference coordinate t, the stopped cells, and one
-Clenshaw loop over the stage's N - n + 1 coefficients that runs both
-players' series side by side, each by the operations of a loop of its
-own.  The pair of the last state read is kept as one tuple, replaced
+Horner loop over the stage's N - n + 1 coefficients that runs both
+players' polynomials side by side, each by the operations of a loop of
+its own.  The pair of the last state read is kept as one tuple, replaced
 whole, so threads may share a value function: auditing a state asks for
 both players at the same (n, x) and reads its coefficients once, while
 one player alone at a new state costs the whole pair.
@@ -150,26 +149,22 @@ def _check_player(player: int) -> None:
 
 
 def _integral_to_one(a: np.ndarray) -> np.ndarray:
-    """Legendre coefficients (last axis) of int_t^1 f(u) du, one degree up:
-    int_t^1 P_k = (P_{k-1} - P_{k+1}) / (2k+1), and 1 - t for k = 0."""
-    q = a / (2 * np.arange(a.shape[-1]) + 1)
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-    out[..., :-2] = q[..., 1:]
-    out[..., 0] += q[..., 0]
-    out[..., 1:] -= q
+    """Monomial coefficients (last axis) of int_t^1 f(u) du, one degree up:
+    int_t^1 u**k du = (1 - t**(k+1)) / (k+1)."""
+    q = a / np.arange(1, a.shape[-1] + 1)
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
+    out[..., 0] = q.sum(axis=-1)
+    np.negative(q, out=out[..., 1:])
     return out
 
 
 def _times_x(a: np.ndarray, breaks: np.ndarray) -> np.ndarray:
-    """Legendre coefficients (last axis) of x f on every segment between
+    """Monomial coefficients (last axis) of x f on every segment between
     consecutive ``breaks`` (second-last axis), one degree up: x f = c f
-    + h t f, with t P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1)."""
-    k = np.arange(a.shape[-1])
+    + h t f, so a_k adds c a_k to t**k and h a_k to t**(k+1)."""
     lo, hi = breaks[:-1, None], breaks[1:, None]
-    out = np.zeros(a.shape[:-1] + (len(k) + 1,))
-    out[..., 1:] = a * ((k + 1) / (2 * k + 1))
-    out[..., :-2] += a[..., 1:] * (k[1:] / (2 * k[1:] + 1))
-    out *= 0.5 * (hi - lo)
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    np.multiply(a, 0.5 * (hi - lo), out=out[..., 1:])
     out[..., :-1] += 0.5 * (hi + lo) * a
     return out
 
@@ -178,10 +173,10 @@ class ValueFunction:
     """Piecewise-polynomial per-index values of both players.
 
     On each segment between consecutive breakpoints, x = c + h t with t in
-    [-1, 1], and ``cont[n][i, s, k]``, k = 0..N - n, is the k-th Legendre
-    coefficient in t of the continuation C_i(n, .) on segment s: exact,
-    since C(n, .) has degree at most N - n there.  The stages are views of
-    shape (2, S, N - n + 1) into one buffer.
+    [-1, 1], and ``cont[n][i, s, k]``, k = 0..N - n, is the coefficient of
+    t**k of the continuation C_i(n, .) on segment s: exact, since C(n, .)
+    has degree at most N - n there, and read at a point by Horner's rule.
+    The stages are views of shape (2, S, N - n + 1) into one buffer.
     ``averages[i, n]`` is int_0^1 V_i(n, x) dx.
     Raises ``TooLarge`` before any table is built when the tables would
     exceed physical memory.
@@ -209,19 +204,17 @@ class ValueFunction:
         self._break_list = self.breaks.tolist()
         self._mid_list = (0.5 * (hi + lo)).tolist()
         self._half_list = (0.5 * (hi - lo)).tolist()
-        # Clenshaw's recurrence for sum a_k P_k(t): b_k = a_k
-        # + (2k+1)/(k+1) t b_{k+1} - (k+1)/(k+2) b_{k+2}, the sum is b_0
-        self._rise = [(2 * k + 1) / (k + 1) for k in range(big_n + 1)]
-        self._fall = [(k + 1) / (k + 2) for k in range(big_n + 1)]
         # (n, x, C_1(n, x), C_2(n, x)) of the last pair read; NaN matches no x
         self._last = (0, math.nan, 0.0, 0.0)
 
     def finalize_stage(self, n: int, coefficients: np.ndarray) -> None:
-        """Fill the average of stage n from the Legendre coefficients of
+        """Fill the average of stage n from the monomial coefficients of
         V(n, .), shape (2, S, N - n + 1), and the continuation table of
         stage n - 1 by C(n-1) = U(n) + x C(n)."""
         half = 0.5 * np.diff(self.breaks)
-        seg_int = 2.0 * half * coefficients[..., 0]
+        # int_{-1}^1 t**k dt is 2 / (k+1) for even k and 0 for odd k
+        even = 2.0 / np.arange(1, coefficients.shape[-1] + 1, 2)
+        seg_int = half * (coefficients[..., ::2] @ even)
         tail = np.zeros((2, self.n_segments + 1))  # int_{b_s}^1 V(n, x) dx
         tail[:, :-1] = np.cumsum(seg_int[:, ::-1], axis=1)[:, ::-1]
         self.averages[:, n] = tail[:, 0]
@@ -235,21 +228,19 @@ class ValueFunction:
         last pair read: the segment by ``bisect`` (the side of
         ``searchsorted(side="right")``; callers pass 0 <= x < 1, and a NaN
         falls in the last segment), the reference coordinate t, and
-        Clenshaw's recurrence over the stage's N - n + 1 coefficients, one
-        loop for both players.  Each player's series takes the operations
-        of a loop of its own, in the same order."""
+        Horner's rule over the stage's N - n + 1 monomial coefficients, from
+        the highest, one loop for both players.  Each player's polynomial
+        takes the operations of a loop of its own, in the same order."""
         s = bisect_right(self._break_list, x) - 1
         if s == self.n_segments:
             s -= 1
         t = (x - self._mid_list[s]) / self._half_list[s]
         coef1, coef2 = self.cont[n][:, s].tolist()
-        rise, fall = self._rise, self._fall
-        b1 = b2 = c1 = c2 = 0.0  # b_{k+1}, b_{k+2} of players 1 and 2
+        v1 = v2 = 0.0
         for k in range(self._horizon - n, -1, -1):
-            r, f = rise[k] * t, fall[k]
-            b1, b2 = coef1[k] + r * b1 - f * b2, b1
-            c1, c2 = coef2[k] + r * c1 - f * c2, c1
-        last = self._last = (n, x, b1, c1)
+            v1 = v1 * t + coef1[k]
+            v2 = v2 * t + coef2[k]
+        last = self._last = (n, x, v1, v2)
         return last
 
     def value_at(self, n: int, x: float, player: int) -> float:
@@ -275,8 +266,8 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     """Expected payoff to ``player`` when nobody stops at record (n, x):
     the record kernel applied to next-stage values, absorption worth 0.
 
-    It is the Legendre series of x's segment, exact because C(n, .) has
-    degree at most N - n there.  Both players' values come from one pair
+    It is the polynomial of x's segment, exact because C(n, .) has degree
+    at most N - n there.  Both players' values come from one pair
     read and are kept for the last state asked, so the other player's
     value at the same (n, x) costs a tuple lookup.
     """

@@ -70,9 +70,10 @@ def _margin_dp_variant(tables, cells):
     """Backward induction with pluggable stop cells (diagnostic only).
 
     The cells are evaluated at N + 8 Gauss-Legendre nodes of each segment
-    and projected onto the Legendre coefficients of degree <= N - n that
-    the value function holds; the alternate continue series has degree
-    2 (N - n) - 1, and its terms above N - n move its pairs by < 1e-6."""
+    and projected onto the polynomials of degree <= N - n, written in the
+    monomial coefficients in t that the value function holds; the
+    alternate continue series has degree 2 (N - n) - 1, and its terms
+    above N - n move its pairs by < 1e-6."""
     vf = ValueFunction(tables)
     big_n = tables.config.horizon
     p = tables.config.priority
@@ -83,9 +84,14 @@ def _margin_dp_variant(tables, cells):
         xn = tables.xthresholds.x(n)
         w1n = float(tables.w1[n - 1])
         width = big_n - n + 1
-        # a_k = (2k + 1)/2 int_{-1}^{1} f P_k dt, by the Gauss rule
+        # a_k = (2k + 1)/2 int_{-1}^{1} f P_k dt, by the Gauss rule, then
+        # each P_k in powers of t, one row a degree
         project = np.polynomial.legendre.legvander(t, width - 1) * w[:, None]
         project *= (2 * np.arange(width) + 1) / 2
+        powers = np.zeros((width, width))
+        for k in range(width):
+            powers[k, : k + 1] = np.polynomial.legendre.leg2poly(np.eye(k + 1)[k])
+        project = project @ powers
         coefficients = vf.cont[n].copy()
         for s in range(vf.n_segments):
             xs = grid_x[s]

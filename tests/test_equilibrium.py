@@ -447,6 +447,23 @@ def test_region_map_step_validation(tables10):
         region_map(tables10, 0.0)
 
 
+@pytest.mark.parametrize("xstep", [1 / (11 - 5e-10), 0.1, 0.03, 0.01, 1e-3])
+def test_region_map_points_stay_in_the_unit_interval(tables10, xstep):
+    # the count's slack takes 1 / (11 - 5e-10) to 12 points, the last of
+    # them 11 steps, just above 1: it is clamped to 1, which
+    # classify_state accepts; every other point keeps its step multiple
+    grid = region_map(tables10, xstep)
+    steps = np.arange(len(grid.xs)) * xstep
+    assert grid.xs[-1] <= 1.0
+    assert np.array_equal(grid.xs[:-1], steps[:-1])
+    assert grid.xs[-1] == min(steps[-1], 1.0)
+    if xstep == 1 / (11 - 5e-10):
+        assert len(grid.xs) == 12 and grid.xs[-1] == 1.0
+    for n in (1, 10):
+        kind = classify_state(n, float(grid.xs[-1]), tables10)
+        assert kind.value == grid.kinds[n - 1, -1]
+
+
 def test_region_map_rejects_high_priority():
     hot = build_game_tables(ProblemConfig(horizon=5, priority=0.9))
     with pytest.raises(UnsupportedPriority):

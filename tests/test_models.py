@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcgame import models
+from bcgame.equilibrium import fs_condition
 from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
     ProblemConfig,
@@ -40,6 +41,32 @@ def test_record_state_validation():
         RecordState(index=0, value=0.5)
     with pytest.raises(ValueError):
         RecordState(index=1, value=1.5)
+
+
+@pytest.mark.parametrize(
+    "call,index",
+    [
+        (lambda c: secretary_stop_reward(9, c), 9),
+        (lambda c: secretary_stop_reward(0, c), 0),
+        (lambda c: secretary_continue_reward(0, c), 0),
+        (lambda c: secretary_continue_reward(6, c), 6),
+        (lambda c: fullinfo_stop_reward(RecordState(9, 0.5), c), 9),
+        (lambda c: fullinfo_stop_reward(RecordState(9, 0.0), c), 9),
+        (lambda c: fullinfo_continue_reward(RecordState(9, 0.5), c), 9),
+        (lambda c: fs_condition(0, 0.5, c), 0),
+        (lambda c: fs_condition(6, 0.5, c), 6),
+    ],
+    ids=[
+        "secretary-stop-9", "secretary-stop-0", "secretary-continue-0",
+        "secretary-continue-6", "fullinfo-stop-9", "fullinfo-stop-9-at-0",
+        "fullinfo-continue-9", "fs-condition-0", "fs-condition-6",
+    ],
+)
+def test_rewards_refuse_an_index_outside_the_horizon(call, index):
+    # at N = 5 these returned 1.8, 16.0 or 0.0, or raised ZeroDivisionError
+    with pytest.raises(DomainError) as caught:
+        call(cfg(5))
+    assert str(caught.value) == f"index {index} outside 1..5"
 
 
 def test_record_density_first_step_convention():

@@ -214,6 +214,44 @@ def test_rule_value_polys_matches_closed_form_at_large_horizon(horizon):
     assert oracle._rule_value_polys(horizon, thresholds) == pytest.approx(want, abs=1e-14)
 
 
+@pytest.mark.parametrize("horizon", [100, 200])
+def test_rule_value_byte_model_covers_its_peak(horizon):
+    # the model counts N + 1 segments where the solved thresholds give N,
+    # and stays within a tenth of the traced peak
+    thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
+    tracemalloc.start()
+    try:
+        oracle._rule_value_polys(horizon, thresholds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= oracle._rule_value_bytes(horizon) <= 1.1 * peak
+
+
+def test_fullinfo_check_refuses_rule_tables_beyond_physical_memory(monkeypatch):
+    # the recursion's tables take 7.9 GB at N = 1250; against a memory
+    # figure one byte short the call is refused before the threshold
+    # solve, and against the tables' own size it goes on to the solve.
+    # Nothing of the size is allocated: the solve and the recursion are
+    # stubbed out
+    def never_called(*args, **kwargs):
+        raise AssertionError("computed past the memory check")
+
+    need = oracle._rule_value_bytes(1250)
+    monkeypatch.setattr(oracle.models, "fullinfo_threshold", never_called)
+    monkeypatch.setattr(oracle, "_rule_value_polys", never_called)
+    monkeypatch.setattr(oracle, "_physical_memory", lambda: need - 1)
+    with pytest.raises(TooLarge) as caught:
+        fullinfo_mc_check(1250, samples=100)
+    assert str(caught.value) == (
+        "rule value tables at horizon 1250 need 7.9 GB, "
+        "more than the 7.9 GB of physical memory"
+    )
+    monkeypatch.setattr(oracle, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="past the memory check"):
+        fullinfo_mc_check(1250, samples=100)
+
+
 def _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed):
     """Reference: the check drawing each batch whole, as (rows, N) arrays."""
     dp_value = 1.0 if horizon == 1 else oracle._rule_value_polys(horizon, thresholds)

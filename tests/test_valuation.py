@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import legval
+from numpy.polynomial.polynomial import polyval
 
 from bcgame import valuation
 from bcgame._rng import batch_generator
@@ -372,8 +372,8 @@ PARITY_PRIORITIES = (0.0, 0.1, 0.25, 1 / 3, math.exp(-1), 0.5)
 PARITY_HORIZONS = (2, 5, 10, 30, 60, 150)
 
 
-def _legval_reference(vf, n, x, player):
-    """C_player(n, x) by numpy's ``legval`` on the stored coefficients of
+def _polyval_reference(vf, n, x, player):
+    """C_player(n, x) by numpy's ``polyval`` on the stored coefficients of
     the segment that ``searchsorted(side="right")`` finds."""
     if x >= 1.0:
         return 0.0
@@ -381,11 +381,11 @@ def _legval_reference(vf, n, x, player):
     s = min(max(s, 0), vf.n_segments - 1)
     lo, hi = vf.breaks[s], vf.breaks[s + 1]
     t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    return float(legval(t, vf.cont[n][player - 1, s]))
+    return float(polyval(t, vf.cont[n][player - 1, s]))
 
 
 def _check_point_queries(vf, n, x):
-    """``continuation`` is a Python float within 1e-15 of ``legval`` on the
+    """``continuation`` is a Python float within 1e-15 of ``polyval`` on the
     stored coefficients; from n = 1 on, ``value_at`` is that continuation
     at forgo-forgo states and the array stage cell elsewhere.  Returns the
     state's kind, or None at n = 0."""
@@ -393,7 +393,7 @@ def _check_point_queries(vf, n, x):
     for player in (1, 2):
         got = continuation(n, x, vf, player)
         assert type(got) is float
-        want = _legval_reference(vf, n, x, player)
+        want = _polyval_reference(vf, n, x, player)
         assert abs(got - want) <= 1e-15, (tables.config, n, x, player)
     if n == 0:
         return None
@@ -435,7 +435,7 @@ def _parity_values(vf, seed, interior=0):
     ],
 )
 def test_scalar_read_path_matches_array_path(induced, horizon, priorities, interior):
-    # continuation's Clenshaw loop in Python floats against numpy's legval,
+    # continuation's Horner loop in Python floats against numpy's polyval,
     # and value_at against the array stage cells, at stage 0, 1, N/2, N - 1
     # and N
     stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
@@ -450,30 +450,33 @@ def test_scalar_read_path_matches_array_path(induced, horizon, priorities, inter
         assert EquilibriumKind.FF in kinds or horizon < 5
 
 
-def _clenshaw_reference(vf, n, x, player):
-    """C_player(n, x) by a Clenshaw loop of its own for one player, the read
-    path before one loop served both players: the same segment, t and
-    operations in the same order."""
+def _horner_reference(vf, n, x, player):
+    """C_player(n, x) by a Horner loop of its own for one player, without
+    the pair read's shared loop: the same segment, t and operations in the
+    same order."""
     if x >= 1.0:
         return 0.0
     s = int(np.searchsorted(vf.breaks, x, side="right")) - 1
     s = min(max(s, 0), vf.n_segments - 1)
     lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
     t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    coef = vf.cont[n][player - 1, s].tolist()
-    b1 = b2 = 0.0
-    for k in range(vf.tables.config.horizon - n, -1, -1):
-        rise, fall = (2 * k + 1) / (k + 1), (k + 1) / (k + 2)
-        b1, b2 = coef[k] + rise * t * b1 - fall * b2, b1
-    return b1
+    return _horner(vf.cont[n][player - 1, s].tolist(), t)
+
+
+def _horner(coef, t):
+    """sum_k coef[k] t**k by Horner's rule from the highest k."""
+    value = 0.0
+    for k in range(len(coef) - 1, -1, -1):
+        value = value * t + coef[k]
+    return value
 
 
 def _value_reference(vf, n, x, player):
-    """V_player(n, x) from ``_clenshaw_reference`` and the array stage cells."""
+    """V_player(n, x) from ``_horner_reference`` and the array stage cells."""
     tables = vf.tables
     kind = classify_state(n, x, tables)
     if kind is EquilibriumKind.FF:
-        return _clenshaw_reference(vf, n, x, player)
+        return _horner_reference(vf, n, x, player)
     w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
     stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
     return float(stage_cells(n, stop1, stop2, w2n, tables)[player - 1])
@@ -481,7 +484,7 @@ def _value_reference(vf, n, x, player):
 
 @pytest.mark.parametrize("horizon", PARITY_HORIZONS)
 def test_pair_read_matches_one_loop_per_player(induced, horizon):
-    # both players from one Clenshaw loop, then the other player from the
+    # both players from one Horner loop, then the other player from the
     # memo, bit for bit the loop of each player on its own, at stage 0, 1,
     # N/2, N - 1 and N
     stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
@@ -491,7 +494,7 @@ def test_pair_read_matches_one_loop_per_player(induced, horizon):
             for n in stages:
                 for player in (1, 2):
                     got = continuation(n, x, vf, player)
-                    assert got == _clenshaw_reference(vf, n, x, player), (n, x, player)
+                    assert got == _horner_reference(vf, n, x, player), (n, x, player)
                 if n == 0:
                     continue
                 for player in (2, 1):
@@ -499,13 +502,126 @@ def test_pair_read_matches_one_loop_per_player(induced, horizon):
                     assert got == _value_reference(vf, n, x, player), (n, x, player)
 
 
+def _legendre_integral_to_one(a):
+    """Legendre coefficients (last axis) of int_t^1 f(u) du, one degree up:
+    int_t^1 P_k = (P_{k-1} - P_{k+1}) / (2k+1), and 1 - t for k = 0."""
+    q = a / (2 * np.arange(a.shape[-1]) + 1)
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    out[..., :-2] = q[..., 1:]
+    out[..., 0] += q[..., 0]
+    out[..., 1:] -= q
+    return out
+
+
+def _legendre_times_x(a, breaks):
+    """Legendre coefficients (last axis) of x f on every segment between
+    consecutive ``breaks``, one degree up: x f = c f + h t f, with
+    t P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1)."""
+    k = np.arange(a.shape[-1])
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    out = np.zeros(a.shape[:-1] + (len(k) + 1,))
+    out[..., 1:] = a * ((k + 1) / (2 * k + 1))
+    out[..., :-2] += a[..., 1:] * (k[1:] / (2 * k[1:] + 1))
+    out *= 0.5 * (hi - lo)
+    out[..., :-1] += 0.5 * (hi + lo) * a
+    return out
+
+
+def _legendre_induce(tables, breaks):
+    """Reference: the induction with the value tables in Legendre
+    coefficients in t, as they were held before the monomial basis, on the
+    segments between ``breaks``.  Returns C(0..N), each (2, S, N - n + 1),
+    and the averages int_0^1 V_i(n, x) dx, (2, N + 1)."""
+    big_n = tables.config.horizon
+    segments = len(breaks) - 1
+    half = 0.5 * np.diff(breaks)
+    cont = [np.zeros((2, segments, big_n - n + 1)) for n in range(big_n + 1)]
+    averages = np.zeros((2, big_n + 1))
+    carry = np.zeros((2, segments, 1))  # x**d and S_d on the stopped segments
+    carry[0] = 1.0
+    for n in range(big_n, 0, -1):
+        d = big_n - n
+        stop1, stop2 = stage_actions(n, breaks[:-1], tables)
+        stopped = np.count_nonzero(stop1 | stop2)
+        first = segments - stopped
+        carry = carry[:, carry.shape[1] - stopped :]
+        if d:
+            carry = _legendre_times_x(carry, breaks[first:])
+            carry[1, :, 0] += tables.inverses[d]
+        w2s = carry[0] * (1.0 + tables.harmonics[d]) - carry[1]
+        cells = stage_cells(n, stop1[first:, None], stop2[first:, None], w2s, tables)
+        cells[0, :, 1:] = 0.0
+        values = np.concatenate((cont[n][:, :first], cells), axis=1)
+        tail = np.zeros((2, segments + 1))  # int_{b_s}^1 V(n, x) dx
+        seg_int = 2.0 * half * values[..., 0]
+        tail[:, :-1] = np.cumsum(seg_int[:, ::-1], axis=1)[:, ::-1]
+        averages[:, n] = tail[:, 0]
+        upper = half[:, None] * _legendre_integral_to_one(values)
+        upper[..., 0] += tail[:, 1:]
+        cont[n - 1] = upper + _legendre_times_x(cont[n], breaks)
+    return cont, averages
+
+
+def _clenshaw_read(stage, breaks, xs):
+    """(C_1, C_2) at every x of ``xs`` from a Legendre stage table by
+    Clenshaw's recurrence, b_k = a_k + (2k+1)/(k+1) t b_{k+1}
+    - (k+1)/(k+2) b_{k+2}, the read path before the monomial basis;
+    0 at x = 1."""
+    s = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, len(breaks) - 2)
+    lo, hi = breaks[s], breaks[s + 1]
+    t = (xs - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+    coef = stage[:, s]
+    b1 = b2 = np.zeros(coef.shape[:-1])
+    for k in range(coef.shape[-1] - 1, -1, -1):
+        rise, fall = (2 * k + 1) / (k + 1), (k + 1) / (k + 2)
+        b1, b2 = coef[..., k] + rise * t * b1 - fall * b2, b1
+    return np.where(xs >= 1.0, 0.0, b1)
+
+
+@pytest.mark.parametrize("horizon", [*range(2, 61), 150])
+def test_value_tables_match_legendre_induction(horizon):
+    # continuation, value_at, stage_average and the induction pair within
+    # 1e-13 of the induction in the Legendre basis, at stage 0, 1, N/2,
+    # N - 1 and N, over the first-stop priorities
+    stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
+    for priority in FIRST_STOP_PRIORITIES:
+        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        vf, pair = backward_induce(tables)
+        cont, averages = _legendre_induce(tables, vf.breaks)
+        for n in range(1, horizon + 1):
+            for player in (1, 2):
+                got = vf.stage_average(n, player)
+                assert abs(got - averages[player - 1, n]) <= 1e-13, (priority, n)
+        assert abs(pair.val1 - averages[0, 1]) <= 1e-13, priority
+        assert abs(pair.val2 - averages[1, 1]) <= 1e-13, priority
+        xs = _parity_values(vf, seed=horizon)
+        for n in stages:
+            want = _clenshaw_read(cont[n], vf.breaks, np.array(xs)).T.tolist()
+            for x, pair_want in zip(xs, want):
+                for player in (1, 2):
+                    got = continuation(n, x, vf, player)
+                    assert abs(got - pair_want[player - 1]) <= 1e-13, (priority, n, x)
+                if n == 0:
+                    continue
+                kind = classify_state(n, x, tables)
+                if kind is EquilibriumKind.FF:
+                    values = pair_want
+                else:
+                    w1n = tables.w1.item(n - 1)
+                    w2n = _w2_scalar(horizon - n, x, tables.inverses, tables.harmonics)
+                    values = _cell(kind.stop1, kind.stop2, tables.joint, w1n, w2n)
+                for player in (1, 2):
+                    got = vf.value_at(n, x, player)
+                    assert abs(got - values[player - 1]) <= 1e-13, (priority, n, x)
+
+
 AUDIT_HORIZONS = (2, 5, 10, 30, 40, 50, 60, 150)
 
 
 def _pair_before(vf, n, x):
     """(C_1(n, x), C_2(n, x)) by the pair read as it was before the cached
-    horizon: the segment clamped into range both ways, N read from the
-    config."""
+    horizon: the segment clamped into range both ways, each player by a
+    Horner loop of its own."""
     if x >= 1.0:
         return 0.0, 0.0
     s = bisect_right(vf.breaks.tolist(), x) - 1
@@ -513,12 +629,7 @@ def _pair_before(vf, n, x):
     lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
     t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
     coef1, coef2 = vf.cont[n][:, s].tolist()
-    b1 = b2 = c1 = c2 = 0.0
-    for k in range(vf.tables.config.horizon - n, -1, -1):
-        r, f = (2 * k + 1) / (k + 1) * t, (k + 1) / (k + 2)
-        b1, b2 = coef1[k] + r * b1 - f * b2, b1
-        c1, c2 = coef2[k] + r * c1 - f * c2, c1
-    return b1, c1
+    return _horner(coef1, t), _horner(coef2, t)
 
 
 def _is_pure_nash_before(cells, kind):
@@ -648,13 +759,13 @@ def test_pair_memo_interleavings():
         (4, 0.0, 2), (4, 0.0, 1), (4, -0.0, 2),  # x = 0 and -0 share a segment
     ]
     for n, x, player in queries:
-        assert continuation(n, x, vf, player) == _clenshaw_reference(vf, n, x, player)
+        assert continuation(n, x, vf, player) == _horner_reference(vf, n, x, player)
     # value_at reads the memo at forgo-forgo states and passes it by at
     # stopped ones
     for n, x in ((3, 0.2), (3, 0.2), (9, 0.99), (3, 0.2), (9, 0.2)):
         for player in (2, 1):
             assert vf.value_at(n, x, player) == _value_reference(vf, n, x, player)
-            assert continuation(n, x, vf, player) == _clenshaw_reference(vf, n, x, player)
+            assert continuation(n, x, vf, player) == _horner_reference(vf, n, x, player)
 
 
 class _YieldingTable:
@@ -710,7 +821,7 @@ def test_pair_memo_shared_by_two_threads():
     data=st.data(),
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_point_queries_match_legval_property(horizon, priority, data):
+def test_point_queries_match_polyval_property(horizon, priority, data):
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
     vf, _ = backward_induce(tables)
     states = st.tuples(st.integers(0, horizon), st.floats(0.0, 1.0))
