@@ -70,15 +70,16 @@ def _w1_values(cfg: ProblemConfig) -> list[float]:
     return values
 
 
-def _w2_array(n, xs, horizon: int, out=None) -> np.ndarray:
-    """Value-player margin at the indices n and values xs, stable down to
-    x = 0; ``n`` may be an array broadcast against ``xs``.  With ``out``,
-    a C-contiguous float array of the broadcast shape, the margins are
-    written there.
+def _w2_array(n, xs, tables: GameTables, out=None) -> np.ndarray:
+    """Value-player margin at the indices n and values xs of the game of
+    ``tables``, stable down to x = 0; ``n`` may be an array broadcast
+    against ``xs``.  With ``out``, a C-contiguous float array of the
+    broadcast shape, the margins are written there.
 
     x**d (1 + H_d) - sum_{j=1}^{d} x**(d-j)/j with d = N - n and H_d the
-    d-th harmonic number.  The sum has coefficient 1/(d-k) at x**k and is
-    taken by Horner's rule in d multiply-adds, with no negative power.
+    d-th harmonic number, 1/m and H_m read from ``tables``.  The sum has
+    coefficient 1/(d-k) at x**k and is taken by Horner's rule in d
+    multiply-adds, with no negative power.
     The entries are sorted stably by degree d, highest first (a radix sort
     on the small unsigned key top - d), so step t of the Horner loop,
     acc = acc x + 1/t, runs on the prefix of entries with d >= t only.
@@ -86,6 +87,7 @@ def _w2_array(n, xs, horizon: int, out=None) -> np.ndarray:
     the order of the entries; the first term follows, its power taken in
     place on the degrees as floats, so beside ``out`` at most two arrays
     of its size are held at a time."""
+    horizon, inverses = tables.config.horizon, tables.inverses
     xs, n = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(n))
     low = int(np.min(n, initial=horizon))
     top = horizon - low
@@ -101,10 +103,10 @@ def _w2_array(n, xs, horizon: int, out=None) -> np.ndarray:
     for t in range(1, top + 1):
         head = acc[: live[t]]
         head *= flat[: live[t]]
-        head += 1.0 / t
+        head += inverses[t]
     flat[order] = acc
     del acc, head, order  # freed before the first term's two arrays
-    harmonic = np.cumsum(np.concatenate(([0.0], 1.0 / np.arange(1, top + 1))))
+    harmonic = np.array(tables.harmonics[: top + 1])
     scale = (1.0 + harmonic)[::-1].take(key).reshape(xs.shape)  # 1 + H_d
     power = n.astype(float)
     np.subtract(horizon, power, out=power)
@@ -158,10 +160,8 @@ def w2(state: RecordState, cfg: ProblemConfig) -> float:
 
 def _check_margin_state(n: int, x: float, horizon: int) -> None:
     """Raise ``DomainError`` unless w2 is defined at the record (n, x)."""
-    if not 1 <= n <= horizon:
-        raise DomainError(f"index {n} outside 1..{horizon}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"value must be in [0, 1], got {x}")
+    models._check_index(n, horizon)
+    models._check_value(x)
     if x == 0.0 and n < horizon:
         raise DomainError("w2 is not evaluated at x = 0 before the last stage")
 
@@ -169,31 +169,38 @@ def _check_margin_state(n: int, x: float, horizon: int) -> None:
 @dataclass(frozen=True, eq=False)
 class GameTables:
     """What follows from a game's (N, p), immutable and read by every game
-    operation: the thresholds, the rank margins w1_1..w1_N and both
-    cutoffs, the simultaneous-claim weight ``joint`` = 2p - 1, and the w2
-    Horner lists ``inverses`` (1/m) and ``harmonics`` (H_m) for m < N,
-    from ``_horner_lists``, which ``_w2_scalar``, ``backward_induce`` and
-    ``game_value`` read.  Only the first four are passed in, ``w1`` kept
-    as a read-only copy; the others are set once on construction,
-    ``ntilde`` last, as ``shifted_cutoff`` of the rest.  No tv1 is kept;
-    finding ntilde evaluates tv1 only at n = nstar..min(ntilde, N - 1).
-    Compared and hashed by identity."""
+    operation: the thresholds, the rank margins w1_1..w1_N (read-only)
+    and both cutoffs, the simultaneous-claim weight ``joint`` = 2p - 1,
+    and the w2 Horner lists ``inverses`` (1/m) and ``harmonics`` (H_m)
+    for m < N, from ``_horner_lists``, which ``_w2_scalar``,
+    ``_w2_array``, ``backward_induce`` and ``game_value`` read.  Only the
+    game is passed in; the rest is derived from it on construction, in
+    this order: the thresholds from ``models.fullinfo_thresholds``
+    (solved once per horizon, to floating-point resolution, and refused
+    with ``TooLarge`` before any other table is built), nstar, w1 (by
+    ``_w1_values``), the constants, and ``ntilde`` last, as
+    ``shifted_cutoff`` of the rest.  No tv1 is kept; finding ntilde
+    evaluates tv1 only at n = nstar..min(ntilde, N - 1).  Compared and
+    hashed by identity."""
 
     config: ProblemConfig
-    xthresholds: ThresholdVector
-    nstar: int
+    xthresholds: ThresholdVector = field(init=False)
+    nstar: int = field(init=False)
     ntilde: int = field(init=False)
-    w1: np.ndarray
+    w1: np.ndarray = field(init=False)
     joint: float = field(init=False)
     inverses: tuple = field(init=False, repr=False)
     harmonics: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        w1 = np.array(self.w1)
+        cfg = self.config
+        object.__setattr__(self, "xthresholds", models.fullinfo_thresholds(cfg))
+        object.__setattr__(self, "nstar", models.secretary_cutoff(cfg))
+        w1 = np.array(_w1_values(cfg))
         w1.setflags(write=False)
         object.__setattr__(self, "w1", w1)
-        inverses, harmonics = _horner_lists(self.config.horizon - 1)
-        object.__setattr__(self, "joint", 2.0 * self.config.priority - 1.0)
+        inverses, harmonics = _horner_lists(cfg.horizon - 1)
+        object.__setattr__(self, "joint", 2.0 * cfg.priority - 1.0)
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "harmonics", harmonics)
         object.__setattr__(self, "ntilde", shifted_cutoff(self))
@@ -245,20 +252,9 @@ def shifted_cutoff(tables: GameTables) -> int:
 
 
 def build_game_tables(cfg: ProblemConfig) -> GameTables:
-    """Compute the thresholds, the rank margins w1 and both cutoffs.
-
-    The thresholds come from ``models.fullinfo_thresholds`` (solved once
-    per horizon, to floating-point resolution); everything else is closed
-    form.  tv1 is evaluated only where ``shifted_cutoff`` scans it, at
-    n = nstar..min(ntilde, N - 1).
-    """
-    thresholds = models.fullinfo_thresholds(cfg)
-    return GameTables(
-        config=cfg,
-        xthresholds=thresholds,
-        nstar=models.secretary_cutoff(cfg),
-        w1=np.array(_w1_values(cfg)),
-    )
+    """The thresholds, the rank margins w1, both cutoffs and the w2
+    constants of the game ``cfg``: ``GameTables(cfg)``."""
+    return GameTables(cfg)
 
 
 def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:
@@ -386,11 +382,8 @@ def classify_state(n: int, x: float, tables: GameTables) -> EquilibriumKind:
 
     Boundaries resolve to the stop side (x = x_n) and to SF (n = ntilde).
     """
-    cfg = tables.config
-    if not 1 <= n <= cfg.horizon:
-        raise DomainError(f"index {n} outside 1..{cfg.horizon}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"value must be in [0, 1], got {x}")
+    models._check_index(n, tables.config.horizon)
+    models._check_value(x)
     stop1, stop2 = stage_actions(n, x, tables)
     return _KIND_OF[bool(stop1)][bool(stop2)]
 

@@ -57,28 +57,25 @@ class RecordState:
     def __post_init__(self) -> None:
         if self.index < 1:
             raise DomainError(f"index must be >= 1, got {self.index}")
-        if not 0.0 <= self.value <= 1.0:
-            raise DomainError(f"value must be in [0, 1], got {self.value}")
+        _check_value(self.value)
 
 
 @dataclass(frozen=True, eq=False)
 class ThresholdVector:
     """Indifference thresholds x_1..x_N of the value player, immutable: it
-    holds a read-only copy of ``values``, which must hold ``horizon``
-    thresholds (``DomainError`` otherwise).  Compared and hashed by
-    identity."""
+    holds a read-only copy of ``values``, and its horizon N is their
+    count.  Compared and hashed by identity."""
 
-    horizon: int
     values: np.ndarray
+    horizon: int = field(init=False)
     # scalar lookups give Python floats, so per-state comparisons stay cheap
     _floats: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         values = np.array(self.values)
-        if len(values) != self.horizon:
-            raise DomainError(f"{len(values)} thresholds for horizon {self.horizon}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "horizon", len(values))
         object.__setattr__(self, "_floats", tuple(values.tolist()))
 
     def x(self, n):
@@ -127,6 +124,12 @@ def _check_index(n: int, horizon: int) -> None:
     """``DomainError`` for an index outside 1..horizon."""
     if not 1 <= n <= horizon:
         raise DomainError(f"index {n} outside 1..{horizon}")
+
+
+def _check_value(x: float) -> None:
+    """``DomainError`` for a record value outside [0, 1], NaN included."""
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"value must be in [0, 1], got {x}")
 
 
 def secretary_stop_reward(n: int, cfg: ProblemConfig) -> float:
@@ -225,12 +228,13 @@ def _thresholds_upto(count: int) -> np.ndarray:
     whose arrays would exceed physical memory is refused with
     ``TooLarge`` before any is allocated."""
     global _solved
-    if len(_solved) < count:
+    solved = _solved  # read once: another thread may replace it meanwhile
+    if len(solved) < count:
         refuse_beyond(
             64 * count, _physical_memory(), f"thresholds at horizon {count + 1}"
         )
-        _solved = _solve_thresholds(count)
-    return _solved[:count]
+        _solved = solved = _solve_thresholds(count)
+    return solved[:count]
 
 
 def fullinfo_threshold(remaining: int) -> float:
@@ -254,4 +258,4 @@ def fullinfo_thresholds(cfg: ProblemConfig) -> ThresholdVector:
     Strictly decreasing in n, reaching 0 at n = N.
     """
     vals = np.append(_thresholds_upto(cfg.horizon - 1)[::-1], 0.0)
-    return ThresholdVector(horizon=cfg.horizon, values=vals)
+    return ThresholdVector(vals)

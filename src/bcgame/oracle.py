@@ -15,7 +15,7 @@ joint distribution of the observations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, permutations
 from typing import Callable
@@ -43,30 +43,24 @@ _MESH = 1000
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Outcome of one oracle-versus-solver comparison."""
+    """Outcome of one oracle-versus-solver comparison: ``abs_diff``, the
+    absolute difference of the two values as passed in, and ``passed``,
+    whether it is within ``tolerance``, are computed on construction."""
 
     quantity: str
     oracle_value: float
     solver_value: float
-    abs_diff: float
+    abs_diff: float = field(init=False)
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     method: str
 
-    @staticmethod
-    def compare(
-        quantity: str, oracle_value: float, solver_value: float, tolerance: float, method: str
-    ) -> "OracleReport":
-        diff = abs(oracle_value - solver_value)
-        return OracleReport(
-            quantity=quantity,
-            oracle_value=float(oracle_value),
-            solver_value=float(solver_value),
-            abs_diff=float(diff),
-            tolerance=float(tolerance),
-            passed=bool(diff <= tolerance),
-            method=method,
-        )
+    def __post_init__(self) -> None:
+        diff = abs(self.oracle_value - self.solver_value)
+        object.__setattr__(self, "passed", bool(diff <= self.tolerance))
+        object.__setattr__(self, "abs_diff", float(diff))
+        for name in ("oracle_value", "solver_value", "tolerance"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def _secretary_wins(horizon: int) -> list[int]:
@@ -189,6 +183,8 @@ def fullinfo_mc_check(
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
+    if thresholds is not None and len(thresholds) != horizon:
+        raise DomainError(f"{len(thresholds)} thresholds for horizon {horizon}")
     SimConfig(samples=samples, seed=seed)  # refuses them as ``simulate`` would
     need = _rule_value_bytes(horizon)
     refuse_beyond(need, _physical_memory(), f"rule value tables at horizon {horizon}")
@@ -196,7 +192,7 @@ def fullinfo_mc_check(
         thr_values = np.array(
             [models.fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]
         )
-        thresholds = ThresholdVector(horizon=horizon, values=thr_values)
+        thresholds = ThresholdVector(thr_values)
     dp_value = 1.0 if horizon == 1 else _rule_value_polys(horizon, thresholds)
     thr = thresholds.values
     chunk = max(1, _MC_BUDGET // horizon)
@@ -222,7 +218,7 @@ def fullinfo_mc_check(
             wins += int(np.count_nonzero(picked == run[hit, -1]))
     rate = wins / samples
     se = math.sqrt(max(rate * (1.0 - rate), 1e-300) / samples)
-    return OracleReport.compare(
+    return OracleReport(
         quantity=f"fullinfo.rule_win_rate.N{horizon}",
         oracle_value=rate,
         solver_value=dp_value,
@@ -331,21 +327,19 @@ def run_verification_suite(
             ("val1", "val2"), oracle.as_tuple(), solver.as_tuple(), tols
         ):
             reports.append(
-                OracleReport.compare(f"{prefix}.{comp}", oracle_v, solver_v, tol, method)
+                OracleReport(f"{prefix}.{comp}", oracle_v, solver_v, tol, method)
             )
 
     def tampered(horizon: int) -> ThresholdVector:
         base = models.fullinfo_thresholds(ProblemConfig(horizon=horizon))
         if tamper_thresholds is None:
             return base
-        return ThresholdVector(
-            horizon=horizon, values=tamper_thresholds(base.values.copy())
-        )
+        return ThresholdVector(tamper_thresholds(base.values.copy()))
 
     # rank-side exhaustive enumeration, one pass per horizon
     wins = {big_n: _secretary_wins(big_n) for big_n in (5, 6, 7, 8)}
     reports.append(
-        OracleReport.compare(
+        OracleReport(
             "secretary.exhaustive.N5.r3",
             oracle_value=float(Fraction(13, 30)),
             solver_value=float(Fraction(wins[5][2], math.factorial(5))),
@@ -361,7 +355,7 @@ def run_verification_suite(
         # the rule passes the candidate at cutoff - 1 (>= 1 at these
         # horizons) and takes the next: the solver's continue reward there
         reports.append(
-            OracleReport.compare(
+            OracleReport(
                 f"secretary.formula.N{big_n}",
                 oracle_value=float(Fraction(counts[cutoff - 1], math.factorial(big_n))),
                 solver_value=models.secretary_continue_reward(cutoff - 1, cfg),
@@ -370,7 +364,7 @@ def run_verification_suite(
             )
         )
     reports.append(
-        OracleReport.compare(
+        OracleReport(
             "secretary.cutoff.optimality.N5-8",
             oracle_value=1.0,
             solver_value=1.0 if optimal else 0.0,
@@ -381,7 +375,7 @@ def run_verification_suite(
 
     # value-side rule: exact recursion vs hand integral and Monte Carlo
     reports.append(
-        OracleReport.compare(
+        OracleReport(
             "fullinfo.rule_value.N2",
             oracle_value=0.75,
             solver_value=_rule_value_polys(
@@ -414,7 +408,7 @@ def run_verification_suite(
         ) + n / big_n
         worst_rank = max(worst_rank, abs(rank_mass - 1.0))
     reports.append(
-        OracleReport.compare(
+        OracleReport(
             "kernel.record.normalization.N100",
             oracle_value=0.0,
             solver_value=worst_record,
@@ -423,7 +417,7 @@ def run_verification_suite(
         )
     )
     reports.append(
-        OracleReport.compare(
+        OracleReport(
             "kernel.rank.normalization.N100",
             oracle_value=0.0,
             solver_value=worst_rank,
@@ -438,7 +432,7 @@ def run_verification_suite(
         abs(_threshold_residual(thr50.x(n), 50 - n)) for n in range(1, 50)
     )
     reports.append(
-        OracleReport.compare(
+        OracleReport(
             "thresholds.residual.N50",
             oracle_value=0.0,
             solver_value=worst_residual,
@@ -454,7 +448,7 @@ def run_verification_suite(
         for n in range(1, 50)
     )
     reports.append(
-        OracleReport.compare(
+        OracleReport(
             "margins.value.indifference.N50",
             oracle_value=0.0,
             solver_value=worst_indiff,
@@ -465,16 +459,16 @@ def run_verification_suite(
     cfg200 = ProblemConfig(horizon=200)
     worst_w1 = max(
         abs(
-            equilibrium.w1(n, cfg200)
+            w1n
             - (
                 models.secretary_stop_reward(n, cfg200)
                 - models.secretary_continue_reward(n, cfg200)
             )
         )
-        for n in range(1, 201)
+        for n, w1n in enumerate(equilibrium._w1_values(cfg200), start=1)
     )
     reports.append(
-        OracleReport.compare(
+        OracleReport(
             "margins.rank.identity.N200",
             oracle_value=0.0,
             solver_value=worst_w1,
@@ -527,7 +521,7 @@ def run_verification_suite(
         for p, want in expected_row.items()
     )
     reports.append(
-        OracleReport.compare(
+        OracleReport(
             "shifted_cutoff.row.N10",
             oracle_value=1.0,
             solver_value=1.0 if row_ok else 0.0,

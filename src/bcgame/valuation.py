@@ -87,7 +87,7 @@ from .equilibrium import (
     stop_bars,
 )
 from .errors import DomainError
-from .models import ProblemConfig
+from .models import ProblemConfig, _check_index, _check_value
 
 _PLAYERS = (1, 2)
 
@@ -257,8 +257,7 @@ class ValueFunction:
     def stage_average(self, n: int, player: int) -> float:
         """int_0^1 V_player(n, x) dx, for n in 1..N."""
         _check_player(player)
-        if not 1 <= n <= self.tables.config.horizon:
-            raise DomainError(f"index {n} outside 1..{self.tables.config.horizon}")
+        _check_index(n, self._horizon)
         return float(self.averages[player - 1, n])
 
 
@@ -274,8 +273,7 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     _check_player(player)
     if not 0 <= n <= V._horizon:
         raise DomainError(f"index {n} outside 0..{V._horizon}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"value must be in [0, 1], got {x}")
+    _check_value(x)
     if x >= 1.0:  # no later value beats a record at 1
         return 0.0
     last = V._last
@@ -428,7 +426,7 @@ def _score_stops(
     count = len(stage)
     cells = scratch[: 2 * count].reshape(2, count)
     square = scratch[2 * count : 3 * count]
-    _w2_array(stage, value, tables.config.horizon, out=cells[1])
+    _w2_array(stage, value, tables, out=cells[1])
     stop1, stop2 = stage_actions(stage, value, tables)
     # where both stop, the coin gives the rank player the record
     wins = coin < tables.config.priority

@@ -95,7 +95,7 @@ def _margin_dp_variant(tables, cells):
         coefficients = vf.cont[n].copy()
         for s in range(vf.n_segments):
             xs = grid_x[s]
-            w2s = eq._w2_array(n, xs, big_n)
+            w2s = eq._w2_array(n, xs, tables)
             if vf.breaks[s] >= xn:
                 kind = "SS" if n >= tables.nstar else "FS"
                 v1, v2 = cells(kind, p, w1n, w2s, xs, n, big_n)

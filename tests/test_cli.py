@@ -373,7 +373,7 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     from bcgame.oracle import OracleReport
 
     def fake_suite(samples, seed):
-        return [OracleReport.compare("forced", 0.0, 1.0, 1e-9, "negative control")]
+        return [OracleReport("forced", 0.0, 1.0, 1e-9, "negative control")]
 
     # verify imports the oracle module when it runs and calls the suite
     # through it, so a patch of the module reaches it

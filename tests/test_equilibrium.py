@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +120,16 @@ def test_w2_rejects_zero_before_last_stage(tables10):
     assert w2(RecordState(10, 0.0), tables10.config) == 1.0
 
 
+def _w2_tables(horizon):
+    """The tables ``_w2_array`` reads at ``horizon``; at N = 1, below any
+    game's horizon, a stand-in with the Horner lists ``GameTables`` holds."""
+    if horizon >= 2:
+        return build_game_tables(ProblemConfig(horizon=horizon))
+    inverses, harmonics = _horner_lists(horizon - 1)
+    config = SimpleNamespace(horizon=horizon)
+    return SimpleNamespace(config=config, inverses=inverses, harmonics=harmonics)
+
+
 def _w2_reference(n, x, horizon):
     """x**d - sum_{j=1}^{d} (x**(d-j) - x**d)/j, summed exactly by fsum."""
     d = horizon - n
@@ -138,11 +150,12 @@ def test_w2_horner_matches_fsum_reference(horizon, data):
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5)
     )
     want = np.array([[_w2_reference(n, x, horizon) for x in xs] for n in ns])
+    tables = _w2_tables(horizon)
     for row, n in enumerate(ns):  # one index, many values (the induction)
-        got = _w2_array(n, np.array(xs), horizon)
+        got = _w2_array(n, np.array(xs), tables)
         assert np.max(np.abs(got - want[row])) <= 1e-12
     # one index per entry (the simulator)
-    got = _w2_array(np.array(ns)[:, None], np.array(xs)[None, :], horizon)
+    got = _w2_array(np.array(ns)[:, None], np.array(xs)[None, :], tables)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -159,10 +172,11 @@ def test_w2_scalar_path_matches_array_path(horizon, data):
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8)
     )
     lists = _horner_lists(horizon - n)
+    tables = _w2_tables(horizon)
     for x in xs:
         got = _w2_scalar(horizon - n, x, *lists)
         assert type(got) is float
-        assert got == float(_w2_array(np.asarray(n), np.asarray(x), horizon))
+        assert got == float(_w2_array(np.asarray(n), np.asarray(x), tables))
 
 
 @pytest.mark.parametrize("horizon", [60, 400])
@@ -172,7 +186,7 @@ def test_w2_scalar_path_within_rounding_of_long_array_path(horizon):
     rng = np.random.default_rng(horizon)
     ns = rng.integers(1, horizon + 1, 20_000)
     xs = rng.random(20_000)
-    array = _w2_array(ns, xs, horizon)
+    array = _w2_array(ns, xs, _w2_tables(horizon))
     lists = _horner_lists(horizon - 1)
     scalar = np.array(
         [_w2_scalar(horizon - n, x, *lists) for n, x in zip(ns.tolist(), xs.tolist())]
@@ -375,18 +389,19 @@ def test_w2_array_matches_fixed_order_horner(horizon):
     ns[:3] = (horizon, 1, horizon)
     xs = np.concatenate(([0.0, 1e-300, 1.0], rng.random(297)))
     rng.shuffle(xs)
-    got, want = _w2_array(ns, xs, horizon), _w2_fixed_order(ns, xs, horizon)
+    tables = _w2_tables(horizon)
+    got, want = _w2_array(ns, xs, tables), _w2_fixed_order(ns, xs, horizon)
     assert got.shape == want.shape == (300,)
     assert np.array_equal(got, want)
     # one index per row against a row of values, broadcast (N, 1) x (1, M)
     col = np.arange(1, horizon + 1)[:, None]
     row = np.concatenate(([0.0, 1e-300, 1.0], rng.random(20)))[None, :]
-    got, want = _w2_array(col, row, horizon), _w2_fixed_order(col, row, horizon)
+    got, want = _w2_array(col, row, tables), _w2_fixed_order(col, row, horizon)
     assert got.shape == want.shape == (horizon, 23)
     assert np.array_equal(got, want)
     # one index, many values; and nothing at all
-    assert np.array_equal(_w2_array(1, xs, horizon), _w2_fixed_order(1, xs, horizon))
-    assert _w2_array(np.array([], dtype=int), np.array([]), horizon).shape == (0,)
+    assert np.array_equal(_w2_array(1, xs, tables), _w2_fixed_order(1, xs, horizon))
+    assert _w2_array(np.array([], dtype=int), np.array([]), tables).shape == (0,)
 
 
 @pytest.mark.parametrize("horizon", [2, 10, 60])
@@ -687,17 +702,25 @@ def test_array_holding_types_compare_and_hash_by_identity(build):
     assert len({first, second, first}) == 2
 
 
-def test_game_tables_hold_a_read_only_copy_of_w1():
-    # it froze the caller's own array
-    built = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
-    w1s = built.w1.copy()
-    tables = GameTables(
-        config=built.config, xthresholds=built.xthresholds, nstar=built.nstar, w1=w1s
-    )
-    w1s[0] = 0.9  # the caller's array stays the caller's
-    assert tables.w1.tobytes() == built.w1.tobytes()
+@pytest.mark.parametrize("horizon", [2, 10, 400])
+def test_game_tables_derive_every_table_from_the_game(horizon):
+    # they took the thresholds, nstar and w1 from the caller, and took
+    # another game's without complaint: at N = 10, p = 0.25, nstar = 1
+    # moved the game value from (-0.00927, 0.27395) to (-0.02839, 0.21906)
+    cfg = ProblemConfig(horizon=horizon, priority=0.25)
+    built = build_game_tables(cfg)
+    with pytest.raises(TypeError):
+        GameTables(config=cfg, xthresholds=built.xthresholds, nstar=1, w1=built.w1)
+    tables = GameTables(cfg)
+    for name in (f.name for f in fields(GameTables)):
+        mine, want = getattr(tables, name), getattr(built, name)
+        if name == "xthresholds":
+            mine, want = mine.values, want.values
+        if isinstance(mine, np.ndarray):
+            assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes(), name
+        else:
+            assert type(mine) is type(want) and mine == want, name
     assert not tables.w1.flags.writeable
-    assert tables.ntilde == built.ntilde
 
 
 def test_region_grid_holds_read_only_views():

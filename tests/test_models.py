@@ -1,4 +1,7 @@
+import inspect
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +247,63 @@ def test_thresholds_beyond_physical_memory_refused_before_the_solve():
     assert np.array_equal(models._thresholds_upto(5), solved)
 
 
+def test_thresholds_of_a_call_are_its_own_solve(monkeypatch):
+    # a call read the shared cache again after storing its solve, so a
+    # shorter solve stored in between by another thread came back in its
+    # place: 19 thresholds where 99 were asked for
+    solve = models._solve_thresholds
+    short_solving, long_paused, short_done = (threading.Event() for _ in range(3))
+    lines, start = inspect.getsourcelines(models._thresholds_upto)
+    (return_line,) = [
+        start + i for i, line in enumerate(lines) if line.strip().startswith("return ")
+    ]
+
+    def slow_short_solve(count):
+        solved = solve(count)
+        if count < 50:  # stored only after the long call's store
+            short_solving.set()
+            assert long_paused.wait(10)
+        return solved
+
+    def pause_at_return(frame, event, arg):
+        if frame.f_code is not models._thresholds_upto.__code__:
+            return None
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == return_line:
+                long_paused.set()
+                assert short_done.wait(10)
+            return local
+
+        return local
+
+    got = {}
+
+    def run(name, horizon, trace=None):
+        sys.settrace(trace)
+        try:
+            got[name] = fullinfo_thresholds(cfg(horizon))
+        except Exception as exc:
+            got[name] = exc
+        finally:
+            sys.settrace(None)
+
+    monkeypatch.setattr(models, "_solved", np.zeros(0))
+    monkeypatch.setattr(models, "_solve_thresholds", slow_short_solve)
+    short = threading.Thread(target=run, args=("short", 20))
+    long = threading.Thread(target=run, args=("long", 100, pause_at_return))
+    short.start()
+    assert short_solving.wait(10)
+    long.start()
+    short.join(10)
+    short_done.set()
+    long.join(10)
+    assert not short.is_alive() and not long.is_alive()
+    assert len(got["short"]) == 20
+    assert isinstance(got["long"], ThresholdVector), got["long"]
+    assert got["long"].values.tolist() == np.append(solve(99)[::-1], 0.0).tolist()
+
+
 def test_threshold_vector_immutable():
     tv = fullinfo_thresholds(cfg(5))
     with pytest.raises(ValueError):
@@ -309,14 +369,10 @@ def test_large_horizon_thresholds_property(big_n, fractions):
 
 
 def test_threshold_vector_holds_a_read_only_copy_of_its_horizon():
-    # it froze the caller's own array, and took a horizon other than the
-    # number of values
+    # it froze the caller's own array; its horizon is the number of values
     values = np.array([0.5, 0.25, 0.0])
-    tv = ThresholdVector(horizon=3, values=values)
+    tv = ThresholdVector(values)
     values[0] = 0.9  # the caller's array stays the caller's
     assert tv.values.tolist() == [0.5, 0.25, 0.0] and tv.x(1) == 0.5
     assert not tv.values.flags.writeable
-    with pytest.raises(DomainError, match="5 thresholds for horizon 3"):
-        ThresholdVector(horizon=3, values=np.zeros(5))
-    with pytest.raises(DomainError, match="2 thresholds for horizon 3"):
-        ThresholdVector(horizon=3, values=np.zeros(2))
+    assert tv.horizon == len(tv) == 3

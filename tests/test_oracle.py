@@ -120,9 +120,7 @@ def test_bent_thresholds_lower_the_rule_value():
     from bcgame.oracle import _rule_value_polys
 
     base = fullinfo_thresholds(ProblemConfig(horizon=10))
-    bent = ThresholdVector(
-        horizon=10, values=np.clip(base.values + 0.2, 0.0, 0.999)
-    )
+    bent = ThresholdVector(np.clip(base.values + 0.2, 0.0, 0.999))
     assert _rule_value_polys(10, bent) < _rule_value_polys(10, base) - 1e-3
     # the Monte Carlo check still agrees with the recursion for the bent
     # rule: both sides evaluate the same (suboptimal) rule
@@ -184,7 +182,7 @@ def test_rule_value_polys_matches_polymul_recursion(horizon):
         np.zeros(horizon),
     )
     for values in families:
-        thresholds = ThresholdVector(horizon=horizon, values=values)
+        thresholds = ThresholdVector(values)
         got = oracle._rule_value_polys(horizon, thresholds)
         assert repr(got) == repr(_rule_value_polys_polymul(horizon, thresholds))
 
@@ -274,7 +272,7 @@ def _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed):
         batch_index += 1
     rate = wins / samples
     se = math.sqrt(max(rate * (1.0 - rate), 1e-300) / samples)
-    return OracleReport.compare(
+    return OracleReport(
         quantity=f"fullinfo.rule_win_rate.N{horizon}",
         oracle_value=rate,
         solver_value=dp_value,
@@ -301,18 +299,31 @@ def test_fullinfo_check_chunks_match_one_shot_draw(monkeypatch, horizon):
     chunk = max(1, oracle._MC_BUDGET // horizon)
     counts = {1, 7, chunk - 1, chunk, chunk + 1, 131_073, 200_000}
     values = [fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]
-    thresholds = ThresholdVector(horizon=horizon, values=np.array(values))
+    thresholds = ThresholdVector(np.array(values))
     for samples in sorted(counts):
         for seed in (42, 7):
             want = _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed)
             assert fullinfo_mc_check(horizon, samples=samples, seed=seed) == want
 
 
+@pytest.mark.parametrize("horizon", [5, 12])
+def test_fullinfo_check_refuses_thresholds_of_another_horizon(monkeypatch, horizon):
+    # it ran the rule recursion first, then failed in numpy's broadcasting
+    def reached(*args):
+        raise AssertionError("reached past the entry checks")
+
+    monkeypatch.setattr(oracle, "_rule_value_polys", reached)
+    monkeypatch.setattr(oracle, "batch_generator", reached)
+    thresholds = fullinfo_thresholds(ProblemConfig(horizon=10))
+    with pytest.raises(DomainError, match=f"^10 thresholds for horizon {horizon}$"):
+        fullinfo_mc_check(horizon, thresholds=thresholds, samples=1000)
+
+
 def test_fullinfo_check_chunks_match_one_shot_draw_tampered():
     base = fullinfo_thresholds(ProblemConfig(horizon=10)).values
     rng = np.random.default_rng(5)
     for values in (np.clip(base + 0.2, 0.0, 0.999), rng.random(10), np.zeros(10)):
-        bent = ThresholdVector(horizon=10, values=values)
+        bent = ThresholdVector(values)
         for samples in (6_553, 131_073):
             want = _fullinfo_mc_check_one_shot(10, bent, samples, 3)
             assert fullinfo_mc_check(10, thresholds=bent, samples=samples, seed=3) == want
@@ -486,9 +497,9 @@ def test_out_of_domain_input_is_a_domain_error(call, message):
 
 
 def test_report_consistency():
-    r = OracleReport.compare("x", 1.0, 1.0 + 5e-13, 1e-12, "m")
+    r = OracleReport("x", 1.0, 1.0 + 5e-13, 1e-12, "m")
     assert r.passed and r.abs_diff <= r.tolerance
-    r2 = OracleReport.compare("x", 1.0, 2.0, 1e-12, "m")
+    r2 = OracleReport("x", 1.0, 2.0, 1e-12, "m")
     assert not r2.passed
 
 

@@ -740,7 +740,7 @@ def test_game_constants_on_the_tables_change_no_bit(horizon):
         stop1, stop2 = stage_actions(ns, xs, tables)
         stop = stop1 | stop2
         n, s1, s2 = ns[stop], stop1[stop], stop2[stop]
-        w2s = _w2_array(n, xs[stop], horizon)
+        w2s = _w2_array(n, xs[stop], tables)
         s = np.where(s1, np.where(s2, joint, 1.0), -1.0)
         want = np.stack([s * tables.w1[n - 1], -(s * w2s)])
         assert stage_cells(n, s1, s2, w2s, tables).tobytes() == want.tobytes()
@@ -940,7 +940,7 @@ def _serial_simulate(cfg, tables, sim):
         wins = coin[rows][both] < p
         s1[both], s2[both] = wins, ~wins
         pay = np.zeros((nb, 2))
-        w2s = _w2_array(j + 1, x[rows, j], big_n)
+        w2s = _w2_array(j + 1, x[rows, j], tables)
         pay[rows] = stage_cells(j + 1, s1, s2, w2s, tables).T
         sums += pay.sum(axis=0)
         sq_sums += (pay**2).sum(axis=0)
@@ -1148,7 +1148,7 @@ def test_play_batch_first_stop_edge_rows(monkeypatch, horizon):
     # record, w1_N = 1 and w2_N = 1; the stage-1 row: the value player alone
     last = _cell(True, False, -0.5, tables.w1[-1], 1.0)
     assert last == (1.0, -1.0)
-    w2 = _w2_array(np.array([1]), np.array([x1]), horizon)[0]
+    w2 = _w2_array(np.array([1]), np.array([x1]), tables)[0]
     first = _cell(False, True, -0.5, tables.w1[0], w2)
     assert sums.tolist() == [last[0] + first[0], last[1] + first[1]]
     assert squares.tolist() == [1.0 + first[0] ** 2, 1.0 + first[1] ** 2]
