@@ -139,12 +139,11 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     rows = []
     for horizon in _TABLE1_HORIZONS:
-        nstar = models.secretary_cutoff(ProblemConfig(horizon=horizon))
         for p in _TABLE1_PRIORITIES:
             tables = equilibrium.build_game_tables(
                 ProblemConfig(horizon=horizon, priority=p)
             )
-            rows.append([horizon, nstar, p, tables.ntilde])
+            rows.append([horizon, tables.nstar, p, tables.ntilde])
     _emit_rows(args, ["N", "nstar", "p", "ntilde"], rows)
     return 0
 

@@ -45,29 +45,15 @@ def w1(n: int, cfg: ProblemConfig) -> float:
 
 def _w1_values(cfg: ProblemConfig) -> list[float]:
     """``w1(n, cfg)`` for n = 1..N, bit for bit, in O(N) instead of one
-    ``math.fsum`` of N - n terms per n.  As n falls, 1/n joins a running
-    list of Shewchuk partials (the algorithm behind ``math.fsum``), whose
-    exact sum is the exact sum of the terms so far; ``math.fsum`` of the
-    partials, a few floats, is then the correctly rounded harmonic suffix,
-    as ``math.fsum`` of the terms is."""
+    ``math.fsum`` of N - n terms per n: each margin reads the correctly
+    rounded suffix of ``models._rank_suffixes``, the sum ``secretary_cutoff``
+    reads, so w1_n >= 0 exactly from n = nstar on."""
     big_n = cfg.horizon
-    partials: list[float] = []
-    values = [0.0] * big_n
-    for n in range(big_n, 0, -1):
-        if n < big_n:
-            term, i = 1.0 / n, 0
-            for partial in partials:  # Two-Sum of term and each partial
-                if abs(term) < abs(partial):
-                    term, partial = partial, term
-                high = term + partial
-                low = partial - (high - term)
-                if low:
-                    partials[i] = low
-                    i += 1
-                term = high
-            partials[i:] = [term]
-        values[n - 1] = (n / big_n) * (1.0 - math.fsum(partials))
-    return values
+    margins = [
+        (n / big_n) * (1.0 - suffix)
+        for n, suffix in zip(range(big_n, 0, -1), models._rank_suffixes(big_n))
+    ]
+    return margins[::-1]
 
 
 def _w2_array(n, xs, tables: GameTables, out=None) -> np.ndarray:
@@ -178,10 +164,11 @@ class GameTables:
     this order: the thresholds from ``models.fullinfo_thresholds``
     (solved once per horizon, to floating-point resolution, and refused
     with ``TooLarge`` before any other table is built), nstar, w1 (by
-    ``_w1_values``), the constants, and ``ntilde`` last, as
-    ``shifted_cutoff`` of the rest.  No tv1 is kept; finding ntilde
-    evaluates tv1 only at n = nstar..min(ntilde, N - 1).  Compared and
-    hashed by identity."""
+    ``_w1_values``; both read one correctly rounded rank suffix, so nstar
+    is where it drops to 1 and w1 turns nonnegative), the constants, and
+    ``ntilde`` last, as ``shifted_cutoff`` of the rest.  No tv1 is kept;
+    finding ntilde evaluates tv1 only at n = nstar..min(ntilde, N - 1).
+    Compared and hashed by identity."""
 
     config: ProblemConfig
     xthresholds: ThresholdVector = field(init=False)

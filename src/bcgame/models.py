@@ -16,6 +16,7 @@ stage is always taken).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,16 +153,29 @@ def secretary_continue_reward(n: int, cfg: ProblemConfig) -> float:
     return (n / cfg.horizon) * _harmonic_suffix(n, cfg.horizon)
 
 
+def _rank_suffixes(horizon: int):
+    """S_n = sum_{k=n+1}^{N} 1/(k-1) for n = N, N-1, .., 1, each the
+    correctly rounded sum of the float terms 1.0/j, the bits ``math.fsum``
+    of those terms gives.  The terms are summed exactly, as an integer in
+    units of 2**-scale, of which every 1.0/j with j < N is a whole number;
+    only the conversion of each suffix back to a float rounds."""
+    scale = 54 + horizon.bit_length()  # 1/j >= 2**-bit_length, 53 bits each
+    exact = 0
+    yield 0.0
+    for j in range(horizon - 1, 0, -1):
+        exact += int(math.ldexp(1.0 / j, scale))
+        yield math.ldexp(float(exact), -scale)
+
+
 def secretary_cutoff(cfg: ProblemConfig) -> int:
     """First index at which stopping on a candidate is optimal.
 
-    Smallest n with sum_{k=n+1}^{N} 1/(k-1) <= 1.  For N = 10 this is 4;
-    n/N tends to 1/e as N grows.
+    Smallest n whose correctly rounded suffix sum_{k=n+1}^{N} 1/(k-1)
+    (``_rank_suffixes``) is <= 1, which is where ``w1`` turns
+    nonnegative.  For N = 10 this is 4; n/N tends to 1/e as N grows.
     """
-    acc = 0.0
-    for n in range(cfg.horizon - 1, 0, -1):
-        acc += 1.0 / n  # suffix sum for index n grows as n decreases
-        if acc > 1.0:
+    for n, suffix in zip(range(cfg.horizon, 0, -1), _rank_suffixes(cfg.horizon)):
+        if suffix > 1.0:
             return n + 1
     return 1
 
@@ -220,20 +234,25 @@ def _solve_thresholds(count: int) -> np.ndarray:
 
 #: x_1, x_2, ... for as many remaining counts as any call has needed
 _solved = np.zeros(0)
+_storing = threading.Lock()
 
 
 def _thresholds_upto(count: int) -> np.ndarray:
     """x_d for d = 1..count, solved once: a longer request re-solves every
-    lane and keeps the result, a shorter one takes a prefix.  A solve
-    whose arrays would exceed physical memory is refused with
-    ``TooLarge`` before any is allocated."""
+    lane and keeps the result unless another thread stored a longer one
+    meanwhile, a shorter one takes a prefix.  A solve whose arrays would
+    exceed physical memory is refused with ``TooLarge`` before any is
+    allocated."""
     global _solved
     solved = _solved  # read once: another thread may replace it meanwhile
     if len(solved) < count:
         refuse_beyond(
             64 * count, _physical_memory(), f"thresholds at horizon {count + 1}"
         )
-        _solved = solved = _solve_thresholds(count)
+        solved = _solve_thresholds(count)
+        with _storing:
+            if len(solved) > len(_solved):
+                _solved = solved
     return solved[:count]
 
 

@@ -110,7 +110,7 @@ class ValuePair:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.val1) and math.isfinite(self.val2)):
-            raise ValueError(f"values must be finite, got ({self.val1}, {self.val2})")
+            raise DomainError(f"values must be finite, got ({self.val1}, {self.val2})")
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.val1, self.val2)

@@ -39,6 +39,7 @@ from bcgame.models import (
     fullinfo_continue_reward,
     fullinfo_stop_reward,
     secretary_continue_reward,
+    secretary_cutoff,
     secretary_stop_reward,
 )
 
@@ -657,8 +658,8 @@ def test_equilibrium_kind_round_trips_and_carries_its_stop_flags():
 
 @pytest.mark.parametrize("horizon", (2, 3, 10, 50, 400, 1000))
 def test_w1_values_match_scalar_w1(horizon):
-    # the running Shewchuk partials give math.fsum's correctly rounded
-    # suffix, so every entry is the scalar margin bit for bit
+    # the exact rank suffix gives math.fsum's correctly rounded sum, so
+    # every entry is the scalar margin bit for bit
     cfg = ProblemConfig(horizon=horizon)
     got = equilibrium._w1_values(cfg)
     assert all(type(v) is float for v in got)
@@ -671,6 +672,27 @@ def test_w1_values_match_scalar_w1_at_5000():
     got = equilibrium._w1_values(cfg)
     for n in [*range(1, 5001, 37), 4999, 5000]:
         assert got[n - 1] == w1(n, cfg), n
+
+
+def _running_sum_cutoff(horizon):
+    """The cutoff by one running float sum of 1/n from n = N - 1 down."""
+    acc = 0.0
+    for n in range(horizon - 1, 0, -1):
+        acc += 1.0 / n
+        if acc > 1.0:
+            return n + 1
+    return 1
+
+
+def test_cutoff_is_where_w1_turns_nonnegative():
+    # nstar and w1 read one correctly rounded suffix, so the sign of w1
+    # switches exactly at nstar; the cutoff is still the running sum's
+    for horizon in [*range(2, 1001), 2000, 5000, 10**4]:
+        cfg = ProblemConfig(horizon=horizon)
+        nstar = secretary_cutoff(cfg)
+        assert nstar == _running_sum_cutoff(horizon), horizon
+        margins = equilibrium._w1_values(cfg)
+        assert all((w >= 0) == (n >= nstar) for n, w in enumerate(margins, 1)), horizon
 
 
 def test_game_tables_carry_the_game_constants():

@@ -304,6 +304,31 @@ def test_thresholds_of_a_call_are_its_own_solve(monkeypatch):
     assert got["long"].values.tolist() == np.append(solve(99)[::-1], 0.0).tolist()
 
 
+def test_threshold_cache_never_shrinks(monkeypatch):
+    # a shorter solve stored after a longer one replaced it in the shared
+    # cache, so the next long call solved every lane again
+    solve = models._solve_thresholds
+    short_solving, long_stored = threading.Event(), threading.Event()
+
+    def held_short_solve(count):
+        solved = solve(count)
+        if count < 50:  # stored only after the long call has stored
+            short_solving.set()
+            assert long_stored.wait(10)
+        return solved
+
+    monkeypatch.setattr(models, "_solved", np.zeros(0))
+    monkeypatch.setattr(models, "_solve_thresholds", held_short_solve)
+    short = threading.Thread(target=fullinfo_thresholds, args=(cfg(20),))
+    short.start()
+    assert short_solving.wait(10)
+    fullinfo_thresholds(cfg(100))
+    long_stored.set()
+    short.join(10)
+    assert not short.is_alive()
+    assert len(models._solved) == 99
+
+
 def test_threshold_vector_immutable():
     tv = fullinfo_thresholds(cfg(5))
     with pytest.raises(ValueError):

@@ -48,8 +48,11 @@ def game10(induced):
 
 
 def test_value_pair_finite():
-    with pytest.raises(ValueError):
-        ValuePair(val1=float("nan"), val2=0.0)
+    for bad in (float("nan"), math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ValuePair(val1=bad, val2=0.0)
+        with pytest.raises(DomainError):
+            ValuePair(val1=0.0, val2=bad)
 
 
 def test_sim_config_validation():
