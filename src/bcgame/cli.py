@@ -127,9 +127,9 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(horizon=args.horizon)
     thresholds = models.fullinfo_thresholds(cfg)
-    nstar = models.secretary_cutoff(cfg)
+    # w1 turns nonnegative exactly at the cutoff nstar
     rows = [
-        [n, thresholds.x(n), w1n, n >= nstar]
+        [n, thresholds.x(n), w1n, w1n >= 0.0]
         for n, w1n in enumerate(equilibrium._w1_values(cfg), start=1)
     ]
     _emit_rows(args, ["n", "x_n", "w1", "is_at_or_after_nstar"], rows)

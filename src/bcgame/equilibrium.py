@@ -163,10 +163,12 @@ class GameTables:
     game is passed in; the rest is derived from it on construction, in
     this order: the thresholds from ``models.fullinfo_thresholds``
     (solved once per horizon, to floating-point resolution, and refused
-    with ``TooLarge`` before any other table is built), nstar, w1 (by
-    ``_w1_values``; both read one correctly rounded rank suffix, so nstar
-    is where it drops to 1 and w1 turns nonnegative), the constants, and
-    ``ntilde`` last, as ``shifted_cutoff`` of the rest.  No tv1 is kept;
+    with ``TooLarge`` before any other table is built), w1 (by
+    ``_w1_values``), nstar as the first index where w1 is nonnegative (w1
+    reads the correctly rounded rank suffix that
+    ``models.secretary_cutoff`` reads, so this is that cutoff, found with
+    no second walk of the suffixes), the constants, and ``ntilde`` last,
+    as ``shifted_cutoff`` of the rest.  No tv1 is kept;
     finding ntilde evaluates tv1 only at n = nstar..min(ntilde, N - 1).
     Compared and hashed by identity."""
 
@@ -182,10 +184,11 @@ class GameTables:
     def __post_init__(self) -> None:
         cfg = self.config
         object.__setattr__(self, "xthresholds", models.fullinfo_thresholds(cfg))
-        object.__setattr__(self, "nstar", models.secretary_cutoff(cfg))
         w1 = np.array(_w1_values(cfg))
         w1.setflags(write=False)
         object.__setattr__(self, "w1", w1)
+        # w1_N = 1, so some margin is nonnegative
+        object.__setattr__(self, "nstar", int(np.argmax(w1 >= 0.0)) + 1)
         inverses, harmonics = _horner_lists(cfg.horizon - 1)
         object.__setattr__(self, "joint", 2.0 * cfg.priority - 1.0)
         object.__setattr__(self, "inverses", inverses)
@@ -200,14 +203,14 @@ def tv1(n: int, tables: GameTables) -> float:
     payoff after the record (n, x).  Zero at n = N.
 
     That payoff, from stopping at the next candidate k against the (stop
-    if above threshold) opponent there, is a sum over k > n of terms that,
-    with e = k - n - 1 and t = ``tables.joint``, are
-    w1_k x**e ((x_k - x) + (1 - x_k) t) below x_k and
-    w1_k x**e (1 - x) t above it: the interval below the
-    threshold pays w1_k alone, the interval above pays the
-    simultaneous-claim weight t w1_k, both under the record-chain kernel
-    x**e.  The thresholds strictly decrease, so x_k < x_n, and both pieces
-    integrate exactly over [0, x_k] and [x_k, x_n].
+    if above threshold) opponent there, is a sum over k > n of
+    w1_k x**(k-n-1) ((1 - t)(x_k - x)+ + t (1 - x)), t = ``tables.joint``:
+    below x_k the claim is the rank player's alone, worth w1_k, and above
+    it a simultaneous claim, worth t w1_k; both read as a claim at weight
+    t everywhere, the tilt t (1 - x), plus the weight 1 - t below x_k.
+    The thresholds strictly decrease, so x_k < x_n, and with e = k - n the
+    two terms integrate over [0, x_n] to
+    ((1 - t) x_k**(e+1) + t x_n**e (1 + e (1 - x_n))) / (e (e + 1)).
     """
     cfg = tables.config
     models._check_index(n, cfg.horizon)
@@ -215,11 +218,10 @@ def tv1(n: int, tables: GameTables) -> float:
     if xn <= 0.0:
         return 0.0
     t = tables.joint
-    e1 = np.arange(1, cfg.horizon - n + 1, dtype=float)  # e + 1
+    e = np.arange(1, cfg.horizon - n + 1, dtype=float)
     xk = tables.xthresholds.values[n:]
-    below = xk ** (e1 + 1) / (e1 * (e1 + 1)) + t * (1.0 - xk) * xk**e1 / e1
-    above = t * ((xn**e1 - xk**e1) / e1 - (xn ** (e1 + 1) - xk ** (e1 + 1)) / (e1 + 1))
-    return math.fsum(tables.w1[n:] * (below + above)) / xn
+    terms = (1.0 - t) * xk ** (e + 1.0) + t * xn**e * (1.0 + e * (1.0 - xn))
+    return math.fsum(tables.w1[n:] * terms / (e * (e + 1.0))) / xn
 
 
 def shifted_cutoff(tables: GameTables) -> int:
@@ -256,20 +258,26 @@ def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:
     condition holds everywhere; the operation exists as a verification
     hook for that claim.  Both sides are evaluated times x**d > 0, which
     keeps the sign of the test and leaves only nonnegative powers of x, so
-    nothing overflows at large d or small x.
+    nothing overflows at large d or small x.  So scaled, the left sum is
+    the value player's continue reward at (n, x),
+    ``models.fullinfo_continue_reward``, and the double sum is single:
+    the sum over j < k of j is k(k-1)/2, and its x**(d-j)/(k-j) terms
+    gather by i = d - j into H_i x**i, H_i the i-th harmonic number, so
+
+        sum_{k=1}^{d} (x**(d-k) (k-1)/2 + x**d (k-1)/k)
+            - sum_{i=1}^{d-1} H_i x**i.
     """
     models._check_index(n, cfg.horizon)
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     d = cfg.horizon - n
     p = cfg.priority
+    lhs = 2.0 * p * models.fullinfo_continue_reward(RecordState(n, x), cfg)
     xp = x ** np.arange(0, d + 1, dtype=float)  # xp[i] = x**i
-    lhs = 2.0 * p * math.fsum((xp[d - k] - xp[d]) / k for k in range(1, d + 1))
-    inner = math.fsum(
-        (j / k) * xp[d - k] - xp[d - j] / (k - j) + xp[d] / k
-        for k in range(1, d + 1)
-        for j in range(1, k)
-    )
+    k = np.arange(1, d + 1)
+    harmonics = np.array(_horner_lists(d - 1)[1][1:])  # H_1..H_{d-1}
+    terms = (xp[d - k] * (k - 1) / 2, xp[d] * (k - 1) / k, -harmonics * xp[1:d])
+    inner = math.fsum(np.concatenate(terms).tolist())
     rhs = -(1.0 - 2.0 * p) * inner
     return bool(lhs >= rhs)
 

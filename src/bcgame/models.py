@@ -16,6 +16,7 @@ stage is always taken).
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -29,7 +30,8 @@ from .errors import DomainError
 class ProblemConfig:
     """Horizon and priority parameter; the root of every computation.
 
-    ``horizon`` is the number of sequentially observed objects.
+    ``horizon`` is the number of sequentially observed objects, an
+    integer, stored as a plain ``int`` (``_integer``).
     ``priority`` is the probability that a simultaneously claimed object
     is assigned to the rank-only player (player 1).
     """
@@ -38,6 +40,7 @@ class ProblemConfig:
     priority: float = 0.5
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
         if self.horizon < 2:
             raise DomainError(f"horizon must be >= 2, got {self.horizon}")
         if not 0.0 <= self.priority <= 1.0:
@@ -56,6 +59,7 @@ class RecordState:
     value: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "index", _integer(self.index, "index"))
         if self.index < 1:
             raise DomainError(f"index must be >= 1, got {self.index}")
         _check_value(self.value)
@@ -119,6 +123,16 @@ def rank_transition(n: int, m: int) -> float:
     if m <= n:
         return 0.0
     return n / (m * (m - 1))
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a plain ``int``, by ``operator.index``, so numpy integers
+    pass and come out as Python ints; ``DomainError`` for anything that is
+    not an integer, an integral float such as 10.0 included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value}") from None
 
 
 def _check_index(n: int, horizon: int) -> None:
@@ -262,8 +276,9 @@ def fullinfo_threshold(remaining: int) -> float:
     The unique root in (0, 1) of sum_{k=1}^{d} (x**-k - 1)/k = 1 for d >= 1
     (0.5 at d = 1, ~0.689898 at d = 2, increasing toward 1), and 0 at
     d = 0, to floating-point resolution.  Depends only on d, so results
-    are cached.
+    are cached.  ``DomainError`` for a negative or non-integer count.
     """
+    remaining = _integer(remaining, "remaining")
     if remaining < 0:
         raise DomainError(f"remaining must be >= 0, got {remaining}")
     if remaining == 0:

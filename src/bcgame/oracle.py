@@ -193,7 +193,7 @@ def fullinfo_mc_check(
             [models.fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]
         )
         thresholds = ThresholdVector(thr_values)
-    dp_value = 1.0 if horizon == 1 else _rule_value_polys(horizon, thresholds)
+    dp_value = _rule_value_polys(horizon, thresholds)
     thr = thresholds.values
     chunk = max(1, _MC_BUDGET // horizon)
     draws = np.empty((chunk, horizon))

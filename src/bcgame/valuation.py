@@ -87,7 +87,7 @@ from .equilibrium import (
     stop_bars,
 )
 from .errors import DomainError
-from .models import ProblemConfig, _check_index, _check_value
+from .models import ProblemConfig, _check_index, _check_value, _integer
 
 _PLAYERS = (1, 2)
 
@@ -123,13 +123,15 @@ class SimConfig:
     Identical (samples, seed) on the same game give bit-identical
     estimates, whatever the core count (``simulate``).  The seed must lie
     in [0, 2**64): the stream keys read it modulo 2**64; ``DomainError``
-    for a seed outside it or fewer than one sample.
+    for a seed outside it, fewer than one sample, or either not an integer.
     """
 
     samples: int
     seed: int = 42
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "samples", _integer(self.samples, "samples"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 1 << 64:

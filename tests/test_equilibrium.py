@@ -289,6 +289,73 @@ def test_tables_evaluate_tv1_only_up_to_the_crossing(horizon, priority, monkeypa
     assert seen == list(range(t.nstar, min(t.ntilde, horizon - 1) + 1))
 
 
+def _tv1_split(n, tables):
+    """``tv1`` with its kernel integrated in four pieces split at each x_k:
+    the pieces below x_k, w1_k x**e ((x_k - x) + (1 - x_k) t), and above
+    it, w1_k x**e (1 - x) t, with e = k - n - 1 and t = 2p - 1: the
+    reference for the closed form, which does not split."""
+    xn = tables.xthresholds.x(n)
+    if xn <= 0.0:
+        return 0.0
+    t = tables.joint
+    e1 = np.arange(1, tables.config.horizon - n + 1, dtype=float)  # e + 1
+    xk = tables.xthresholds.values[n:]
+    below = xk ** (e1 + 1) / (e1 * (e1 + 1)) + t * (1.0 - xk) * xk**e1 / e1
+    above = t * ((xn**e1 - xk**e1) / e1 - (xn ** (e1 + 1) - xk ** (e1 + 1)) / (e1 + 1))
+    return math.fsum(tables.w1[n:] * (below + above)) / xn
+
+
+SCAN_PRIORITIES = (0.0, 0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.45, 0.5, 0.75, 1.0)
+
+
+def test_ntilde_matches_the_split_tv1_scan(monkeypatch):
+    # the tables evaluate tv1 at nstar..min(ntilde, N - 1), each checked
+    # against the split form here; the split scan must cross at ntilde
+    splits = {}
+
+    def checked_tv1(n, tables):
+        got, splits[n] = tv1(n, tables), _tv1_split(n, tables)
+        assert abs(got - splits[n]) <= 4e-15 * abs(splits[n]), (tables.config, n)
+        return got
+
+    monkeypatch.setattr(equilibrium, "tv1", checked_tv1)
+    games = [(big_n, p) for p in SCAN_PRIORITIES for big_n in range(2, 151)]
+    games += [(big_n, p) for big_n in (400, 1000) for p in (0.25, 0.5)]
+    for big_n, p in games:
+        splits.clear()
+        tables = build_game_tables(ProblemConfig(horizon=big_n, priority=p))
+        crossed = [splits[n] <= tables.w1[n - 1] for n in sorted(splits)]
+        assert crossed == [False] * (tables.ntilde - tables.nstar) + [True] * (
+            tables.ntilde < big_n
+        ), (big_n, p)
+
+
+def _fs_condition_double_sum(n, x, cfg):
+    """``fs_condition`` by the paper's double sum, times x**d, term by term."""
+    d, p = cfg.horizon - n, cfg.priority
+    xp = x ** np.arange(0, d + 1, dtype=float)
+    lhs = 2.0 * p * math.fsum((xp[d - k] - xp[d]) / k for k in range(1, d + 1))
+    inner = math.fsum(
+        (j / k) * xp[d - k] - xp[d - j] / (k - j) + xp[d] / k
+        for k in range(1, d + 1)
+        for j in range(1, k)
+    )
+    return bool(lhs >= -(1.0 - 2.0 * p) * inner)
+
+
+def test_fs_condition_matches_the_double_sum():
+    rng = np.random.default_rng(33)
+    priorities = (0.0, 0.25, 0.5, 0.5 + 1e-9, 0.6, 1.0)
+    ends = (1e-9, 1e-4, 0.999, 1.0 - 1e-15)
+    for _ in range(60):
+        big_n = int(rng.integers(2, 81))
+        cfg = ProblemConfig(horizon=big_n, priority=float(rng.choice(priorities)))
+        for n in {1, big_n, *rng.integers(1, big_n + 1, size=2).tolist()}:
+            for x in (*ends, *rng.random(2).tolist()):
+                want = _fs_condition_double_sum(n, x, cfg)
+                assert fs_condition(n, x, cfg) is want, (big_n, cfg.priority, n, x)
+
+
 @pytest.mark.parametrize(
     "horizon,priority,want",
     [(10, 0.25, 5), (5, 0.1, 3), (5, 0.5, 3), (50, 0.5, 31)],
@@ -686,13 +753,16 @@ def _running_sum_cutoff(horizon):
 
 def test_cutoff_is_where_w1_turns_nonnegative():
     # nstar and w1 read one correctly rounded suffix, so the sign of w1
-    # switches exactly at nstar; the cutoff is still the running sum's
+    # switches exactly at nstar, where GameTables reads its nstar; the
+    # cutoff is still the running sum's
     for horizon in [*range(2, 1001), 2000, 5000, 10**4]:
         cfg = ProblemConfig(horizon=horizon)
         nstar = secretary_cutoff(cfg)
         assert nstar == _running_sum_cutoff(horizon), horizon
         margins = equilibrium._w1_values(cfg)
         assert all((w >= 0) == (n >= nstar) for n, w in enumerate(margins, 1)), horizon
+        if horizon <= 150:  # the tables' thresholds and ntilde scan cost more
+            assert GameTables(cfg).nstar == nstar, horizon
 
 
 def test_game_tables_carry_the_game_constants():

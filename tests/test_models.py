@@ -37,6 +37,12 @@ def test_config_validation():
         ProblemConfig(horizon=1)
     with pytest.raises(ValueError):
         ProblemConfig(horizon=5, priority=1.2)
+    # an integral float is refused too: the threshold solve needs an int
+    for bad in (10.0, 2.5, "10"):
+        with pytest.raises(DomainError, match="horizon must be an integer"):
+            ProblemConfig(horizon=bad)
+    cfg = ProblemConfig(horizon=np.int64(10))
+    assert type(cfg.horizon) is int and cfg == ProblemConfig(horizon=10)
 
 
 def test_record_state_validation():
@@ -44,6 +50,10 @@ def test_record_state_validation():
         RecordState(index=0, value=0.5)
     with pytest.raises(ValueError):
         RecordState(index=1, value=1.5)
+    for bad in (2.5, 2.0):
+        with pytest.raises(DomainError, match="index must be an integer"):
+            RecordState(index=bad, value=0.5)
+    assert type(RecordState(index=np.int32(2), value=0.5).index) is int
 
 
 @pytest.mark.parametrize(
@@ -205,6 +215,9 @@ def test_fullinfo_threshold_values():
     assert fullinfo_threshold(2) == pytest.approx(0.689898, abs=1e-5)
     with pytest.raises(DomainError):
         fullinfo_threshold(-1)
+    with pytest.raises(DomainError, match="remaining must be an integer"):
+        fullinfo_threshold(2.0)
+    assert fullinfo_threshold(np.int64(1)) == 0.5
 
 
 def test_fullinfo_threshold_residuals():

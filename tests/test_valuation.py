@@ -58,6 +58,22 @@ def test_value_pair_finite():
 def test_sim_config_validation():
     with pytest.raises(BcgameError):
         SimConfig(samples=0)
+    with pytest.raises(DomainError, match="samples must be an integer"):
+        SimConfig(samples=1.5)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        SimConfig(samples=10, seed=1.0)
+    sim = SimConfig(samples=np.int64(10), seed=np.uint64(2**64 - 1))
+    assert (type(sim.samples), type(sim.seed)) == (int, int)
+    assert sim.seed == 2**64 - 1
+
+
+def test_numpy_integer_horizon_builds_the_int_game():
+    # the rank suffixes call int.bit_length, which numpy integers lack
+    want = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+    got = build_game_tables(ProblemConfig(horizon=np.int64(10), priority=0.25))
+    assert (got.nstar, got.ntilde) == (want.nstar, want.ntilde) == (4, 5)
+    assert got.w1.tobytes() == want.w1.tobytes()
+    assert game_value(got) == game_value(want)
 
 
 def test_terminal_stage_matches_cell(game10):

@@ -33,8 +33,7 @@ Cases:
   fastest of five calls and the child's max RSS.
 * ``value-N`` for N = 10, 50, 150 and 400: ``valuation.game_value()``
   at p = 0.25 with the tables already built.  Reports the fastest of five
-  calls and the child's max RSS.  A tree without ``game_value`` records
-  no runs.
+  calls and the child's max RSS.
 * ``induce-N`` for N = 10, 50, 150 and 400:
   ``valuation.backward_induce()`` at p = 0.25 with the tables already
   built.  Reports the fastest of five calls, of two at N = 400, where a
@@ -190,16 +189,15 @@ print(json.dumps({"wall_s": min(walls)}))
 
 _VALUE_CHILD = """
 import json, sys, time
-from bcgame import ProblemConfig, build_game_tables, valuation
+from bcgame import ProblemConfig, build_game_tables, game_value
 horizon, count = int(sys.argv[1]), int(sys.argv[2])
 tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-game_value = getattr(valuation, "game_value", None)
 walls = []
-for _ in range(count if game_value else 0):
+for _ in range(count):
     start = time.perf_counter()
     game_value(tables)
     walls.append(time.perf_counter() - start)
-print(json.dumps({"wall_s": min(walls)} if walls else None))
+print(json.dumps({"wall_s": min(walls)}))
 """
 
 _INDUCE_CHILD = """
@@ -290,16 +288,12 @@ def _child(
     return wall, out, usage
 
 
-def _layer_case(src: str, child: str, *args: int) -> dict | None:
+def _layer_case(src: str, child: str, *args: int) -> dict:
     """One run of an in-process ``child`` with ``args``, such as a horizon
     and a count of sequences, states or calls: the JSON it prints, plus
-    its max RSS; None when the child prints null, for a layer the tree
-    does not have."""
+    its max RSS."""
     _, out, usage = _child(src, ["-c", child, *map(str, args)])
-    run = json.loads(out)
-    if run is not None:
-        run["maxrss_mb"] = usage.ru_maxrss / 1024
-    return run
+    return {**json.loads(out), "maxrss_mb": usage.ru_maxrss / 1024}
 
 
 def _process_row(wall: float, usage: os.rusage) -> dict:
@@ -424,8 +418,7 @@ def main() -> None:
             for label in order if rep % 2 == 0 else order[::-1]:
                 run = case(trees[label])
                 print(label, name, run, file=sys.stderr, flush=True)
-                if run is not None:
-                    runs[label][name].append(run)
+                runs[label][name].append(run)
     rows = []
     for label, src in trees.items():
         commit, dirty = _commit(src)
@@ -442,9 +435,7 @@ def main() -> None:
                 "cases": {
                     name: {
                         "runs": got,
-                        "median": {k: statistics.median(r[k] for r in got) for k in got[0]}
-                        if got
-                        else None,
+                        "median": {k: statistics.median(r[k] for r in got) for k in got[0]},
                     }
                     for name, got in runs[label].items()
                 },
