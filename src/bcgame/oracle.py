@@ -116,7 +116,11 @@ def _rule_value_polys(horizon: int, thresholds: ThresholdVector) -> float:
     table come from whole arrays with ``numpy.polynomial``'s operations,
     so the bits are those of its per-segment ``polyint``, ``polyval`` and
     ``polysub``.  O(N^2) array operations, O(N^3) flops, and the tables
-    of all later stages, about 4 N^3 bytes (``_rule_value_bytes``)."""
+    of all later stages, about 4 N^3 bytes (``_rule_value_bytes``),
+    refused with ``TooLarge`` before anything is allocated when they
+    would exceed physical memory."""
+    need = _rule_value_bytes(horizon)
+    refuse_beyond(need, _physical_memory(), f"rule value tables at horizon {horizon}")
     breaks = _breakpoints(thresholds.values)
     ends = np.stack((breaks[1:], breaks[:-1]))  # b and a of each segment
     upper: dict[int, np.ndarray] = {}  # int_x^1 U(k, t) dt, one row a segment
@@ -162,13 +166,12 @@ def _threshold_residual(x: float, remaining: int) -> float:
 
 
 def fullinfo_mc_check(
-    horizon: int,
-    thresholds: ThresholdVector | None = None,
-    samples: int = 200_000,
-    seed: int = 42,
+    thresholds: ThresholdVector, samples: int = 200_000, seed: int = 42
 ) -> OracleReport:
-    """Monte Carlo win rate of the solo threshold rule against its exact
-    recursion value; passes within 4 standard errors.
+    """Monte Carlo win rate of the solo threshold rule with ``thresholds``
+    against its exact recursion value; passes within 4 standard errors.
+    The horizon N is the table's length, and anything but a non-empty
+    ``ThresholdVector`` is refused with ``DomainError`` before a draw.
 
     The samples come in batches of ``_MC_BATCH`` sequences, each batch on
     its own stream, and each batch is drawn in chunks of max(1,
@@ -177,22 +180,15 @@ def fullinfo_mc_check(
     a call: the draws, their running maximum and the record and stop
     masks.  The Monte Carlo part thus holds O(``_MC_BUDGET``) memory
     whatever N and ``samples`` (one row when N exceeds the budget), and
-    the win count is an exact integer.  The exact recursion's tables,
-    ``_rule_value_bytes``, are refused with ``TooLarge`` before the
-    threshold solve when they would exceed physical memory.
+    the win count is an exact integer.  The exact recursion refuses its
+    own tables (``_rule_value_polys``) before any sample is drawn.
     """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if thresholds is not None and len(thresholds) != horizon:
-        raise DomainError(f"{len(thresholds)} thresholds for horizon {horizon}")
-    SimConfig(samples=samples, seed=seed)  # refuses them as ``simulate`` would
-    need = _rule_value_bytes(horizon)
-    refuse_beyond(need, _physical_memory(), f"rule value tables at horizon {horizon}")
-    if thresholds is None:
-        thr_values = np.array(
-            [models.fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]
+    if not isinstance(thresholds, ThresholdVector) or len(thresholds) == 0:
+        raise DomainError(
+            f"thresholds must be a non-empty ThresholdVector, got {thresholds!r}"
         )
-        thresholds = ThresholdVector(thr_values)
+    SimConfig(samples=samples, seed=seed)  # refuses them as ``simulate`` would
+    horizon = len(thresholds)
     dp_value = _rule_value_polys(horizon, thresholds)
     thr = thresholds.values
     chunk = max(1, _MC_BUDGET // horizon)
@@ -314,6 +310,11 @@ def run_verification_suite(
     """Full oracle suite and invariant checks; every report carries its own
     tolerance.  ``tamper_thresholds`` lets tests corrupt the threshold
     table that the threshold-sensitive checks consume (negative control).
+    A bent table fails ``thresholds.residual.N50`` and
+    ``margins.value.indifference.N50``, which hold it to the threshold
+    equation.  ``fullinfo.rule_win_rate.N10`` reads it too but cannot
+    fail for it: its Monte Carlo rate and its exact recursion both
+    evaluate the same bent rule.
     """
     SimConfig(samples=samples)  # refuses a count as ``simulate`` would
     if not 0 <= seed < (1 << 64) - 2:  # it also plays seed + 1 and seed + 2
@@ -374,21 +375,18 @@ def run_verification_suite(
     )
 
     # value-side rule: exact recursion vs hand integral and Monte Carlo
+    thr2 = models.fullinfo_thresholds(ProblemConfig(horizon=2))
     reports.append(
         OracleReport(
             "fullinfo.rule_value.N2",
             oracle_value=0.75,
-            solver_value=_rule_value_polys(
-                2, models.fullinfo_thresholds(ProblemConfig(horizon=2))
-            ),
+            solver_value=_rule_value_polys(2, thr2),
             tolerance=1e-12,
             method="hand two-stage integral vs piecewise-polynomial recursion",
         )
     )
-    reports.append(fullinfo_mc_check(2, samples=samples, seed=seed))
-    reports.append(
-        fullinfo_mc_check(10, thresholds=tampered(10), samples=samples, seed=seed + 1)
-    )
+    reports.append(fullinfo_mc_check(thr2, samples=samples, seed=seed))
+    reports.append(fullinfo_mc_check(tampered(10), samples=samples, seed=seed + 1))
 
     # kernel normalizations
     rng = batch_generator(seed, 10_000)

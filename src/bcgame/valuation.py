@@ -228,14 +228,12 @@ class ValueFunction:
     def _pair_at(self, n: int, x: float) -> tuple[int, float, float, float]:
         """(n, x, C_1(n, x), C_2(n, x)) in Python floats, also kept as the
         last pair read: the segment by ``bisect`` (the side of
-        ``searchsorted(side="right")``; callers pass 0 <= x < 1, and a NaN
-        falls in the last segment), the reference coordinate t, and
-        Horner's rule over the stage's N - n + 1 monomial coefficients, from
-        the highest, one loop for both players.  Each player's polynomial
-        takes the operations of a loop of its own, in the same order."""
+        ``searchsorted(side="right")``; callers pass 0 <= x < 1), the
+        reference coordinate t, and Horner's rule over the stage's N - n + 1
+        monomial coefficients, from the highest, one loop for both players.
+        Each player's polynomial takes the operations of a loop of its own,
+        in the same order."""
         s = bisect_right(self._break_list, x) - 1
-        if s == self.n_segments:
-            s -= 1
         t = (x - self._mid_list[s]) / self._half_list[s]
         coef1, coef2 = self.cont[n][:, s].tolist()
         v1 = v2 = 0.0

@@ -97,20 +97,22 @@ def test_suite_enumerates_each_horizon_once(monkeypatch):
 
 
 def test_fullinfo_check_two_stage_value():
-    report = fullinfo_mc_check(2, samples=50_000, seed=21)
+    thresholds = fullinfo_thresholds(ProblemConfig(horizon=2))
+    report = fullinfo_mc_check(thresholds, samples=50_000, seed=21)
     assert report.solver_value == pytest.approx(0.75, abs=1e-12)
     assert report.passed
 
 
 def test_fullinfo_check_single_object():
-    report = fullinfo_mc_check(1, samples=10_000, seed=2)
+    report = fullinfo_mc_check(ThresholdVector(np.array([0.0])), samples=10_000, seed=2)
     assert report.solver_value == 1.0
     assert report.oracle_value == 1.0
     assert report.passed
 
 
 def test_fullinfo_check_ten_stage():
-    report = fullinfo_mc_check(10, samples=100_000, seed=4)
+    thresholds = fullinfo_thresholds(ProblemConfig(horizon=10))
+    report = fullinfo_mc_check(thresholds, samples=100_000, seed=4)
     # classical full-information solo value at this horizon
     assert report.solver_value == pytest.approx(0.608699, abs=1e-6)
     assert report.passed
@@ -124,7 +126,7 @@ def test_bent_thresholds_lower_the_rule_value():
     assert _rule_value_polys(10, bent) < _rule_value_polys(10, base) - 1e-3
     # the Monte Carlo check still agrees with the recursion for the bent
     # rule: both sides evaluate the same (suboptimal) rule
-    report = fullinfo_mc_check(10, thresholds=bent, samples=100_000, seed=4)
+    report = fullinfo_mc_check(bent, samples=100_000, seed=4)
     assert report.passed
 
 
@@ -228,26 +230,43 @@ def test_rule_value_byte_model_covers_its_peak(horizon):
 
 def test_fullinfo_check_refuses_rule_tables_beyond_physical_memory(monkeypatch):
     # the recursion's tables take 7.9 GB at N = 1250; against a memory
-    # figure one byte short the call is refused before the threshold
-    # solve, and against the tables' own size it goes on to the solve.
-    # Nothing of the size is allocated: the solve and the recursion are
-    # stubbed out
+    # figure one byte short ``_rule_value_polys`` refuses them before it
+    # reads the thresholds, and against the tables' own size it goes on.
+    # Nothing of the size is allocated: the breakpoints are stubbed out
     def never_called(*args, **kwargs):
         raise AssertionError("computed past the memory check")
 
     need = oracle._rule_value_bytes(1250)
-    monkeypatch.setattr(oracle.models, "fullinfo_threshold", never_called)
-    monkeypatch.setattr(oracle, "_rule_value_polys", never_called)
+    thresholds = ThresholdVector(np.zeros(1250))
+    monkeypatch.setattr(oracle, "_breakpoints", never_called)
     monkeypatch.setattr(oracle, "_physical_memory", lambda: need - 1)
     with pytest.raises(TooLarge) as caught:
-        fullinfo_mc_check(1250, samples=100)
+        oracle._rule_value_polys(1250, thresholds)
     assert str(caught.value) == (
         "rule value tables at horizon 1250 need 7.9 GB, "
         "more than the 7.9 GB of physical memory"
     )
     monkeypatch.setattr(oracle, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="past the memory check"):
-        fullinfo_mc_check(1250, samples=100)
+        oracle._rule_value_polys(1250, thresholds)
+
+
+@pytest.mark.parametrize(
+    "thresholds", [10, ThresholdVector(np.array([]))], ids=["int", "empty"]
+)
+def test_fullinfo_check_refuses_anything_but_a_table(monkeypatch, thresholds):
+    # a horizon where the table goes, or a table of no thresholds, is
+    # refused before the recursion runs or a stream is drawn
+    def reached(*args):
+        raise AssertionError("reached past the entry check")
+
+    monkeypatch.setattr(oracle, "_rule_value_polys", reached)
+    monkeypatch.setattr(oracle, "batch_generator", reached)
+    with pytest.raises(DomainError) as caught:
+        fullinfo_mc_check(thresholds, samples=1000)
+    assert str(caught.value) == (
+        f"thresholds must be a non-empty ThresholdVector, got {thresholds!r}"
+    )
 
 
 def _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed):
@@ -303,20 +322,7 @@ def test_fullinfo_check_chunks_match_one_shot_draw(monkeypatch, horizon):
     for samples in sorted(counts):
         for seed in (42, 7):
             want = _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed)
-            assert fullinfo_mc_check(horizon, samples=samples, seed=seed) == want
-
-
-@pytest.mark.parametrize("horizon", [5, 12])
-def test_fullinfo_check_refuses_thresholds_of_another_horizon(monkeypatch, horizon):
-    # it ran the rule recursion first, then failed in numpy's broadcasting
-    def reached(*args):
-        raise AssertionError("reached past the entry checks")
-
-    monkeypatch.setattr(oracle, "_rule_value_polys", reached)
-    monkeypatch.setattr(oracle, "batch_generator", reached)
-    thresholds = fullinfo_thresholds(ProblemConfig(horizon=10))
-    with pytest.raises(DomainError, match=f"^10 thresholds for horizon {horizon}$"):
-        fullinfo_mc_check(horizon, thresholds=thresholds, samples=1000)
+            assert fullinfo_mc_check(thresholds, samples=samples, seed=seed) == want
 
 
 def test_fullinfo_check_chunks_match_one_shot_draw_tampered():
@@ -326,7 +332,7 @@ def test_fullinfo_check_chunks_match_one_shot_draw_tampered():
         bent = ThresholdVector(values)
         for samples in (6_553, 131_073):
             want = _fullinfo_mc_check_one_shot(10, bent, samples, 3)
-            assert fullinfo_mc_check(10, thresholds=bent, samples=samples, seed=3) == want
+            assert fullinfo_mc_check(bent, samples=samples, seed=3) == want
 
 
 def test_fullinfo_check_memory_independent_of_horizon(monkeypatch):
@@ -335,12 +341,13 @@ def test_fullinfo_check_memory_independent_of_horizon(monkeypatch):
     # hold one budget of 65536 draws, 1.2 MB whatever N (the recursion is
     # stubbed out: its memory is not the Monte Carlo's)
     monkeypatch.setattr(oracle, "_rule_value_polys", lambda n, t: 0.5)
-    fullinfo_mc_check(10, samples=100)  # first-call imports
+    first = fullinfo_thresholds(ProblemConfig(horizon=10))
+    fullinfo_mc_check(first, samples=100)  # first-call imports
     for horizon in (10, 60):
         thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
         tracemalloc.start()
         try:
-            fullinfo_mc_check(horizon, thresholds=thresholds, samples=200_000)
+            fullinfo_mc_check(thresholds, samples=200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -444,12 +451,13 @@ def test_samples_below_one_are_refused_before_computing(monkeypatch):
 
     monkeypatch.setattr(oracle, "_secretary_wins", never_called)
     monkeypatch.setattr(oracle, "_rule_value_polys", never_called)
+    thresholds = fullinfo_thresholds(ProblemConfig(horizon=10))
     for samples in (0, -5):
         message = f"samples must be >= 1, got {samples}"
         with pytest.raises(DomainError, match=message):
             run_verification_suite(samples=samples)
         with pytest.raises(DomainError, match=message):
-            fullinfo_mc_check(10, samples=samples)
+            fullinfo_mc_check(thresholds, samples=samples)
 
 
 def test_seeds_outside_the_stream_keys_are_refused_before_computing(monkeypatch):
@@ -460,13 +468,14 @@ def test_seeds_outside_the_stream_keys_are_refused_before_computing(monkeypatch)
 
     monkeypatch.setattr(oracle, "_secretary_wins", never_called)
     monkeypatch.setattr(oracle, "_rule_value_polys", never_called)
+    thresholds = fullinfo_thresholds(ProblemConfig(horizon=10))
     for seed in (-1, (1 << 64) - 2, 1 << 64):
         with pytest.raises(DomainError) as caught:
             run_verification_suite(seed=seed)
         assert str(caught.value) == f"seed must be in [0, 2**64 - 2), got {seed}"
     for seed in (-1, 1 << 64):
         with pytest.raises(DomainError) as caught:
-            fullinfo_mc_check(10, seed=seed)
+            fullinfo_mc_check(thresholds, seed=seed)
         assert str(caught.value) == f"seed must be in [0, 2**64), got {seed}"
 
 
@@ -480,7 +489,10 @@ def test_seeds_outside_the_stream_keys_are_refused_before_computing(monkeypatch)
         (lambda: secretary_exhaustive(1, 1), "horizon must be >= 2, got 1"),
         (lambda: secretary_exhaustive(5, 6), "cutoff 6 outside 1..5"),
         (lambda: game_exhaustive_small(1, 0.25), "horizon must be >= 2, got 1"),
-        (lambda: fullinfo_mc_check(0), "horizon must be >= 1, got 0"),
+        (
+            lambda: fullinfo_mc_check(0),
+            "thresholds must be a non-empty ThresholdVector, got 0",
+        ),
         (lambda: run_verification_suite(samples=0), "samples must be >= 1, got 0"),
     ],
     ids=[
@@ -519,3 +531,7 @@ def test_suite_catches_tampered_thresholds():
         samples=60_000, seed=42, tamper_thresholds=bend
     )
     assert any(not r.passed for r in reports)
+    # the rows that hold the table to the threshold equation; the rule
+    # rows evaluate the bent rule on both sides and cannot catch it
+    failed = {r.quantity for r in reports if not r.passed}
+    assert failed == {"thresholds.residual.N50", "margins.value.indifference.N50"}

@@ -280,7 +280,10 @@ def test_continuation_matches_kernel_sum(induced, horizon, priority):
 
 def test_continuation_rejects_state_outside_domain(game10):
     _, vf, _ = game10
-    for n, x in ((-1, 0.5), (11, 0.5), (3, -0.5), (3, 1.5)):
+    outside = (
+        (-1, 0.5), (11, 0.5), (3, -0.5), (3, 1.5), (3, float("nan")), (3, math.inf)
+    )
+    for n, x in outside:
         with pytest.raises(DomainError):
             continuation(n, x, vf, 1)
 
