@@ -5,7 +5,7 @@ The rank-only observer sees relative ranks of an i.i.d. uniform sequence
 values (the classical full-information setting).  This module provides
 both Markov transition kernels on "record" states, the stop/continue
 rewards, the rank-side cutoff index, and the value-side indifference
-thresholds, all solved at once by one monotone Newton iteration.
+thresholds, each solved by a monotone Newton iteration of its own.
 
 Conventions: 0**0 = 1 throughout (a record at value 0, or a transition to
 the immediately next index, needs no intermediate observation), and the
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,58 +215,61 @@ def fullinfo_continue_reward(state: RecordState, cfg: ProblemConfig) -> float:
     )
 
 
-def _solve_thresholds(count: int) -> np.ndarray:
-    """x_1..x_count by Newton's method in y = 1/x, every d in one lane.
+#: nodes u_j and weights w_j of the 12-point Gauss-Legendre rule on
+#: [0, 1], correctly rounded, so the threshold bits are the same on any host
+_NODES = np.array([
+    0.009219682876640375, 0.04794137181476257, 0.11504866290284765,
+    0.2063410228566913, 0.3160842505009099, 0.43738329574426554,
+    0.5626167042557345, 0.6839157494990901, 0.7936589771433087,
+    0.8849513370971523, 0.9520586281852375, 0.9907803171233597,
+])
+_WEIGHTS = np.array([
+    0.023587668193255914, 0.05346966299765921, 0.08003916427167311,
+    0.10158371336153296, 0.1167462682691774, 0.12457352290670139,
+    0.12457352290670139, 0.1167462682691774, 0.10158371336153296,
+    0.08003916427167311, 0.05346966299765921, 0.023587668193255914,
+])
+_LANES = 4096  # lanes a block
 
-    Lane d solves f_d(y) = sum_{k=1}^{d} (y**k - 1)/k - 1 = 0 from
-    y = 1 + 1/d, where f_d >= 0 (0 at d = 1, at least 0.125 for d >= 2).
-    f_d is increasing and convex, so the iterates fall monotonically onto
-    the root and y**k stays below e; a lane stops when a step no longer
-    lowers y, at floating-point resolution.  Lanes never mix, so lane d
-    gives the same bits for every ``count`` >= d.  Each sweep runs k over
-    the lanes d >= k, a suffix: O(count**2) flops and O(count) memory, at
-    most eight doubles a lane: y, f, the slope, the power and the step,
-    two temporaries, and the result (58 bytes by tracemalloc).
+
+def _solve_thresholds(counts: range) -> np.ndarray:
+    """x_d for each d in ``counts``, a range of counts >= 1 that starts at
+    its largest, by Newton's method in y = 1/x, every d in one lane.
+
+    Lane d solves f_d(y) = int_1^y (t**d - 1)/(t - 1) dt - 1 = 0, which
+    is sum_{k=1}^{d} (y**k - 1)/k - 1, from y = 1 + 1/d, where f_d >= 0.
+    With h = y - 1 and t = 1 + h u the integral is the 12-point rule's
+    sum_j (w_j / u_j) expm1(d log1p(h u_j)), exact up to rounding for
+    d <= 24, and the slope f_d'(y) is expm1(d log1p(h)) / h: O(1) a lane
+    a sweep.  f_d is increasing and convex, so the iterates fall
+    monotonically onto the root; a lane stops when a step no longer
+    lowers y, at floating-point resolution.  A lane sums its 12 terms in
+    one order and lanes never mix, so lane d has the same bits alone, in
+    any block and at any horizon.  The lanes run in blocks of ``_LANES``,
+    so the scratch is bounded and the result, eight bytes a lane, grows
+    with the count.  A solve whose table at horizon counts[0] + 1, at 64
+    bytes a lane, would exceed physical memory is refused with
+    ``TooLarge`` before anything is allocated.
     """
-    y = 1.0 + 1.0 / np.arange(1, count + 1)
-    live = np.ones(count, dtype=bool)
-    while live.any():
-        f = np.full(count, -1.0)
-        slope = np.zeros(count)
-        power = np.ones(count)  # y**(k-1)
-        for k in range(1, count + 1):
-            lanes = slice(k - 1, None)  # d >= k
-            slope[lanes] += power[lanes]
-            power[lanes] *= y[lanes]
-            f[lanes] += (power[lanes] - 1.0) / k
-        step = y - f / slope
-        live &= step < y
-        y = np.where(live, step, y)
-    return 1.0 / y
-
-
-#: x_1, x_2, ... for as many remaining counts as any call has needed
-_solved = np.zeros(0)
-_storing = threading.Lock()
-
-
-def _thresholds_upto(count: int) -> np.ndarray:
-    """x_d for d = 1..count, solved once: a longer request re-solves every
-    lane and keeps the result unless another thread stored a longer one
-    meanwhile, a shorter one takes a prefix.  A solve whose arrays would
-    exceed physical memory is refused with ``TooLarge`` before any is
-    allocated."""
-    global _solved
-    solved = _solved  # read once: another thread may replace it meanwhile
-    if len(solved) < count:
-        refuse_beyond(
-            64 * count, _physical_memory(), f"thresholds at horizon {count + 1}"
-        )
-        solved = _solve_thresholds(count)
-        with _storing:
-            if len(solved) > len(_solved):
-                _solved = solved
-    return solved[:count]
+    refuse_beyond(
+        64 * counts[0], _physical_memory(), f"thresholds at horizon {counts[0] + 1}"
+    )
+    ratios = _WEIGHTS / _NODES
+    x = np.empty(len(counts))
+    for start in range(0, len(counts), _LANES):
+        block = counts[start : start + _LANES]
+        d = np.arange(block.start, block.stop, block.step, dtype=float)
+        y = 1.0 + 1.0 / d
+        live = np.ones(len(d), dtype=bool)
+        while live.any():
+            h = y - 1.0
+            terms = np.expm1(d[:, None] * np.log1p(h[:, None] * _NODES))
+            f = (terms * ratios).sum(axis=1) - 1.0
+            step = y - f / (np.expm1(d * np.log1p(h)) / h)
+            live &= step < y
+            y = np.where(live, step, y)
+        x[start : start + _LANES] = 1.0 / y
+    return x
 
 
 def fullinfo_threshold(remaining: int) -> float:
@@ -275,15 +277,17 @@ def fullinfo_threshold(remaining: int) -> float:
 
     The unique root in (0, 1) of sum_{k=1}^{d} (x**-k - 1)/k = 1 for d >= 1
     (0.5 at d = 1, ~0.689898 at d = 2, increasing toward 1), and 0 at
-    d = 0, to floating-point resolution.  Depends only on d, so results
-    are cached.  ``DomainError`` for a negative or non-integer count.
+    d = 0, to floating-point resolution.  Solves lane d alone, with the
+    bits of the same lane in ``fullinfo_thresholds``, and refuses a count
+    whose table, at horizon d + 1, would exceed physical memory, as that
+    does.  ``DomainError`` for a negative or non-integer count.
     """
     remaining = _integer(remaining, "remaining")
     if remaining < 0:
         raise DomainError(f"remaining must be >= 0, got {remaining}")
     if remaining == 0:
         return 0.0
-    return float(_thresholds_upto(remaining)[remaining - 1])
+    return float(_solve_thresholds(range(remaining, remaining + 1))[0])
 
 
 def fullinfo_thresholds(cfg: ProblemConfig) -> ThresholdVector:
@@ -291,5 +295,5 @@ def fullinfo_thresholds(cfg: ProblemConfig) -> ThresholdVector:
 
     Strictly decreasing in n, reaching 0 at n = N.
     """
-    vals = np.append(_thresholds_upto(cfg.horizon - 1)[::-1], 0.0)
+    vals = np.append(_solve_thresholds(range(cfg.horizon - 1, 0, -1)), 0.0)
     return ThresholdVector(vals)

@@ -308,13 +308,10 @@ def run_verification_suite(
     tamper_thresholds: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[OracleReport]:
     """Full oracle suite and invariant checks; every report carries its own
-    tolerance.  ``tamper_thresholds`` lets tests corrupt the threshold
-    table that the threshold-sensitive checks consume (negative control).
-    A bent table fails ``thresholds.residual.N50`` and
-    ``margins.value.indifference.N50``, which hold it to the threshold
-    equation.  ``fullinfo.rule_win_rate.N10`` reads it too but cannot
-    fail for it: its Monte Carlo rate and its exact recursion both
-    evaluate the same bent rule.
+    tolerance.  ``tamper_thresholds`` lets tests corrupt the N = 50
+    threshold table (negative control): a bent table fails
+    ``thresholds.residual.N50`` and ``margins.value.indifference.N50``,
+    which hold it to the threshold equation.
     """
     SimConfig(samples=samples)  # refuses a count as ``simulate`` would
     if not 0 <= seed < (1 << 64) - 2:  # it also plays seed + 1 and seed + 2
@@ -330,12 +327,6 @@ def run_verification_suite(
             reports.append(
                 OracleReport(f"{prefix}.{comp}", oracle_v, solver_v, tol, method)
             )
-
-    def tampered(horizon: int) -> ThresholdVector:
-        base = models.fullinfo_thresholds(ProblemConfig(horizon=horizon))
-        if tamper_thresholds is None:
-            return base
-        return ThresholdVector(tamper_thresholds(base.values.copy()))
 
     # rank-side exhaustive enumeration, one pass per horizon
     wins = {big_n: _secretary_wins(big_n) for big_n in (5, 6, 7, 8)}
@@ -386,7 +377,8 @@ def run_verification_suite(
         )
     )
     reports.append(fullinfo_mc_check(thr2, samples=samples, seed=seed))
-    reports.append(fullinfo_mc_check(tampered(10), samples=samples, seed=seed + 1))
+    thr10 = models.fullinfo_thresholds(ProblemConfig(horizon=10))
+    reports.append(fullinfo_mc_check(thr10, samples=samples, seed=seed + 1))
 
     # kernel normalizations
     rng = batch_generator(seed, 10_000)
@@ -425,7 +417,9 @@ def run_verification_suite(
     )
 
     # threshold fidelity and margin identities
-    thr50 = tampered(50)
+    thr50 = models.fullinfo_thresholds(ProblemConfig(horizon=50))
+    if tamper_thresholds is not None:
+        thr50 = ThresholdVector(tamper_thresholds(thr50.values.copy()))
     worst_residual = max(
         abs(_threshold_residual(thr50.x(n), 50 - n)) for n in range(1, 50)
     )

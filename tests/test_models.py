@@ -1,7 +1,5 @@
-import inspect
 import math
-import sys
-import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -248,98 +246,85 @@ def test_threshold_vector_index_outside_horizon():
     assert tv.x(np.array([1, 5])).tolist() == [tv.x(1), tv.x(5)]
 
 
-def test_thresholds_beyond_physical_memory_refused_before_the_solve():
+def test_thresholds_beyond_physical_memory_refused_before_the_solve(monkeypatch):
     # 10**12 lanes of 64 bytes: refused with TooLarge by arithmetic alone,
-    # where numpy's MemoryError used to report the first array; the solved
-    # cache is kept
-    solved = models._thresholds_upto(5)
+    # where numpy's MemoryError used to report the first array
     with pytest.raises(TooLarge, match="thresholds at horizon 1000000000000 need 64000.0 GB"):
         fullinfo_thresholds(cfg(10**12))
     with pytest.raises(TooLarge, match="thresholds at horizon 1000000000000 need"):
         fullinfo_threshold(10**12 - 1)
-    assert np.array_equal(models._thresholds_upto(5), solved)
+    # the bound is 64 bytes a lane; a refused call allocates nothing
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before the refusal")
+
+    monkeypatch.setattr(models, "_physical_memory", lambda: 64 * 999 - 1)
+    with monkeypatch.context() as patched:
+        patched.setattr(models.np, "empty", never)
+        with pytest.raises(TooLarge, match="thresholds at horizon 1000 need"):
+            fullinfo_thresholds(cfg(1000))
+        with pytest.raises(TooLarge, match="thresholds at horizon 1000 need"):
+            fullinfo_threshold(999)
+    assert fullinfo_threshold(998) == fullinfo_thresholds(cfg(999)).x(1)
 
 
-def test_thresholds_of_a_call_are_its_own_solve(monkeypatch):
-    # a call read the shared cache again after storing its solve, so a
-    # shorter solve stored in between by another thread came back in its
-    # place: 19 thresholds where 99 were asked for
-    solve = models._solve_thresholds
-    short_solving, long_paused, short_done = (threading.Event() for _ in range(3))
-    lines, start = inspect.getsourcelines(models._thresholds_upto)
-    (return_line,) = [
-        start + i for i, line in enumerate(lines) if line.strip().startswith("return ")
-    ]
-
-    def slow_short_solve(count):
-        solved = solve(count)
-        if count < 50:  # stored only after the long call's store
-            short_solving.set()
-            assert long_paused.wait(10)
-        return solved
-
-    def pause_at_return(frame, event, arg):
-        if frame.f_code is not models._thresholds_upto.__code__:
-            return None
-
-        def local(frame, event, arg):
-            if event == "line" and frame.f_lineno == return_line:
-                long_paused.set()
-                assert short_done.wait(10)
-            return local
-
-        return local
-
-    got = {}
-
-    def run(name, horizon, trace=None):
-        sys.settrace(trace)
-        try:
-            got[name] = fullinfo_thresholds(cfg(horizon))
-        except Exception as exc:
-            got[name] = exc
-        finally:
-            sys.settrace(None)
-
-    monkeypatch.setattr(models, "_solved", np.zeros(0))
-    monkeypatch.setattr(models, "_solve_thresholds", slow_short_solve)
-    short = threading.Thread(target=run, args=("short", 20))
-    long = threading.Thread(target=run, args=("long", 100, pause_at_return))
-    short.start()
-    assert short_solving.wait(10)
-    long.start()
-    short.join(10)
-    short_done.set()
-    long.join(10)
-    assert not short.is_alive() and not long.is_alive()
-    assert len(got["short"]) == 20
-    assert isinstance(got["long"], ThresholdVector), got["long"]
-    assert got["long"].values.tolist() == np.append(solve(99)[::-1], 0.0).tolist()
+def _power_sum_thresholds(count):
+    """Reference x_1..x_count: the power-sum Newton solve the rule replaced.
+    Lane d solves sum_{k=1}^{d} (y**k - 1)/k - 1 = 0 in y = 1/x from
+    y = 1 + 1/d, each sweep running k over the lanes d >= k, and stops
+    when a step no longer lowers y."""
+    y = 1.0 + 1.0 / np.arange(1, count + 1)
+    live = np.ones(count, dtype=bool)
+    while live.any():
+        f = np.full(count, -1.0)
+        slope = np.zeros(count)
+        power = np.ones(count)  # y**(k-1)
+        for k in range(1, count + 1):
+            lanes = slice(k - 1, None)  # d >= k
+            slope[lanes] += power[lanes]
+            power[lanes] *= y[lanes]
+            f[lanes] += (power[lanes] - 1.0) / k
+        step = y - f / slope
+        live &= step < y
+        y = np.where(live, step, y)
+    return 1.0 / y
 
 
-def test_threshold_cache_never_shrinks(monkeypatch):
-    # a shorter solve stored after a longer one replaced it in the shared
-    # cache, so the next long call solved every lane again
-    solve = models._solve_thresholds
-    short_solving, long_stored = threading.Event(), threading.Event()
+def test_thresholds_within_two_ulps_of_the_power_sums():
+    # the 12-point rule moves the last bits of a few lanes, from d = 4 on
+    want = np.append(_power_sum_thresholds(10**4 - 1)[::-1], 0.0)
+    for horizon in (*range(2, 2001), 10**4):
+        got = fullinfo_thresholds(cfg(horizon)).values
+        ref = want[-horizon:]
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref)), horizon
 
-    def held_short_solve(count):
-        solved = solve(count)
-        if count < 50:  # stored only after the long call has stored
-            short_solving.set()
-            assert long_stored.wait(10)
-        return solved
 
-    monkeypatch.setattr(models, "_solved", np.zeros(0))
-    monkeypatch.setattr(models, "_solve_thresholds", held_short_solve)
-    short = threading.Thread(target=fullinfo_thresholds, args=(cfg(20),))
-    short.start()
-    assert short_solving.wait(10)
-    fullinfo_thresholds(cfg(100))
-    long_stored.set()
-    short.join(10)
-    assert not short.is_alive()
-    assert len(models._solved) == 99
+def test_threshold_lane_bits_are_the_lanes_own(monkeypatch):
+    # alone, in a block of the solve, across a block boundary and at any
+    # horizon: lanes never mix and each sums its terms in one order
+    wide = fullinfo_thresholds(cfg(10**4))
+    short = fullinfo_thresholds(cfg(6000))
+    # the blocks of 4096 lanes end at d = 5904 and 1808 at N = 10**4,
+    # at d = 1904 at N = 6000
+    for d in (1, 2, 4, 15, 56, 1807, 1808, 1903, 1904, 5903, 5904, 5999):
+        alone = fullinfo_threshold(d)
+        assert alone == wide.x(10**4 - d) == short.x(6000 - d), d
+        assert alone == fullinfo_thresholds(cfg(d + 1)).x(1), d
+    monkeypatch.setattr(models, "_LANES", 7)
+    assert np.array_equal(fullinfo_thresholds(cfg(10**4)).values, wide.values)
+
+
+def test_threshold_solve_memory_is_64_bytes_a_lane():
+    # the lanes run in fixed blocks, so the scratch is bounded and the
+    # 64-byte-a-lane refusal model holds for the whole call
+    fullinfo_thresholds(cfg(10))
+    horizon = 10**5
+    tracemalloc.start()
+    try:
+        fullinfo_thresholds(cfg(horizon))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * (horizon - 1)
 
 
 def test_threshold_vector_immutable():

@@ -531,7 +531,13 @@ def test_suite_catches_tampered_thresholds():
         samples=60_000, seed=42, tamper_thresholds=bend
     )
     assert any(not r.passed for r in reports)
-    # the rows that hold the table to the threshold equation; the rule
-    # rows evaluate the bent rule on both sides and cannot catch it
+    # the rows that hold the table to the threshold equation
     failed = {r.quantity for r in reports if not r.passed}
     assert failed == {"thresholds.residual.N50", "margins.value.indifference.N50"}
+    # the rule rows evaluate their table's rule on both sides and could not
+    # catch a bend, so they play the solver's own table, bent or not
+    plain = run_verification_suite(samples=60_000, seed=42)
+    rule = "fullinfo.rule_win_rate.N10"
+    assert [r for r in reports if r.quantity == rule] == [
+        r for r in plain if r.quantity == rule
+    ]

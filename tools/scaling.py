@@ -24,13 +24,12 @@ Cases:
   untimed.  Reports microseconds per state and states per second, from
   the fastest of five passes over the list, and the child's max RSS,
   which the induction's tables set.
-* ``thresholds-N`` for N = 10, 50, 150 and 400: one
-  ``models.fullinfo_thresholds()`` call at horizon N with its cache cold,
-  the first call of the interpreter.  Reports its wall time and the
-  child's max RSS.
-* ``tables-N`` for N = 10, 50, 150 and 400: ``build_game_tables()`` at
-  p = 0.25 with the thresholds already solved and cached.  Reports the
-  fastest of five calls and the child's max RSS.
+* ``thresholds-N`` for N = 10, 50, 150, 400 and 10,000: one
+  ``models.fullinfo_thresholds()`` call at horizon N, the first call of
+  the interpreter.  Reports its wall time and the child's max RSS.
+* ``tables-N`` for N = 10, 50, 150, 400 and 10,000:
+  ``build_game_tables()`` at p = 0.25, the game's own threshold solve
+  included.  Reports the fastest of five calls and the child's max RSS.
 * ``value-N`` for N = 10, 50, 150 and 400: ``valuation.game_value()``
   at p = 0.25 with the tables already built.  Reports the fastest of five
   calls and the child's max RSS.
@@ -47,8 +46,7 @@ Cases:
   that the suite checks by Monte Carlo.  Reports the fastest of five
   calls and the child's max RSS.
 * ``suite``: ``run_verification_suite()`` at its defaults, 200,000
-  samples and seed 42.  Reports the fastest of five calls (the first one
-  solves the thresholds, the others find them cached), the
+  samples and seed 42.  Reports the fastest of five calls, the
   ``tracemalloc`` peak of a sixth, traced call, and the child's max RSS.
 * ``cli-simulate-35`` and ``cli-simulate-10``: ``bcgame simulate
   --horizon N --priority 0.25 --samples 2000000`` end to end; N = 10 sets
@@ -101,6 +99,9 @@ import tokenize
 import numpy as np
 
 HORIZONS = (10, 50, 150, 400)
+#: the thresholds and the game tables also at N = 10,000, where their
+#: exponent in N shows
+SOLVE_HORIZONS = (*HORIZONS, 10_000)
 RULE_HORIZONS = (10, 50, 100)
 REPEATS = 5
 SEQUENCES = 1 << 18
@@ -175,10 +176,9 @@ print(json.dumps({"wall_s": time.perf_counter() - start}))
 
 _TABLES_CHILD = """
 import json, sys, time
-from bcgame import ProblemConfig, build_game_tables, fullinfo_thresholds
+from bcgame import ProblemConfig, build_game_tables
 horizon, count = int(sys.argv[1]), int(sys.argv[2])
 cfg = ProblemConfig(horizon=horizon, priority=0.25)
-fullinfo_thresholds(cfg)
 walls = []
 for _ in range(count):
     start = time.perf_counter()
@@ -390,16 +390,16 @@ def main() -> None:
         label, src = item.split("=", 1)
         trees[label] = os.path.abspath(src)
     cases = {}
-    for name, child, count in (
-        ("simulate", _SIMULATE_CHILD, SEQUENCES),
-        ("audit", _AUDIT_CHILD, AUDIT_STATES),
-        ("thresholds", _THRESHOLDS_CHILD, 1),
-        ("tables", _TABLES_CHILD, REPEATS),
-        ("value", _VALUE_CHILD, REPEATS),
-        ("induce", _INDUCE_CHILD, REPEATS),
-        ("regions", _REGIONS_CHILD, REPEATS),
+    for name, child, count, horizons in (
+        ("simulate", _SIMULATE_CHILD, SEQUENCES, HORIZONS),
+        ("audit", _AUDIT_CHILD, AUDIT_STATES, HORIZONS),
+        ("thresholds", _THRESHOLDS_CHILD, 1, SOLVE_HORIZONS),
+        ("tables", _TABLES_CHILD, REPEATS, SOLVE_HORIZONS),
+        ("value", _VALUE_CHILD, REPEATS, HORIZONS),
+        ("induce", _INDUCE_CHILD, REPEATS, HORIZONS),
+        ("regions", _REGIONS_CHILD, REPEATS, HORIZONS),
     ):
-        for n in HORIZONS:
+        for n in horizons:
             cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
     # a call at N = 400 holds 537 MB: the fastest of two
     cases["induce-400"] = lambda src: _layer_case(src, _INDUCE_CHILD, 400, 2)
