@@ -5,11 +5,11 @@ Everything here recomputes quantities by a route disjoint from the solver
 path it certifies: rank-side win probabilities by exhaustive permutation
 enumeration, which scores every rank cutoff in one pass over the orders of
 a horizon and checks the solver's closed form at the cutoff, the
-value-side rule by exact piecewise-polynomial recursion, one coefficient
-array a stage over all threshold segments (O(N^2) array operations, for
-any threshold table, monotone or not), and by Monte Carlo, and
-small-horizon game values by midpoint-rule integration over the full
-joint distribution of the observations.
+value-side rule by its exact first-stop closed form, O(N^2) terms in
+O(N) memory for a threshold table that does not increase (a table that
+rises is outside its domain), and by Monte Carlo, and small-horizon game
+values by midpoint-rule integration over the full joint distribution of
+the observations.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, chain, permutations
 from typing import Callable
 
 import numpy as np
 
 from . import equilibrium, models, valuation
-from ._memory import _physical_memory, refuse_beyond
 from ._rng import batch_generator
 from .errors import DomainError, TooLarge
 from .models import ProblemConfig, ThresholdVector
@@ -90,70 +89,69 @@ def secretary_exhaustive(horizon: int, cutoff: int) -> float:
     return float(Fraction(wins, math.factorial(horizon)))
 
 
-def _breakpoints(thresholds: np.ndarray) -> np.ndarray:
-    """The distinct values among 0, 1 and ``thresholds``, ascending, as
-    ``np.unique`` gives them (a sort and an adjacent-difference mask),
-    without its ``numpy.ma`` import.  Tampered thresholds may repeat or
-    rise, so they are sorted and deduplicated here."""
-    points = np.sort(np.concatenate(([0.0, 1.0], thresholds)))
-    keep = np.empty(len(points), dtype=bool)
-    keep[0] = True
-    np.not_equal(points[1:], points[:-1], out=keep[1:])
-    return points[keep]
+def _stop_terms(xj, xn, n, horizon: int) -> tuple:
+    """The two addends of ``_rule_value`` for a first stop at stage n after
+    a last earlier record at j < n: (x_j^N - x_n^N) / (N m) and
+    x_j^m (1 - x_j^d) / (d m), with m = n - 1 and d = N - n + 1.  Takes
+    arrays for x_j, or for x_n with n, and broadcasts them."""
+    m, d = n - 1, horizon - n + 1
+    return (xj**horizon - xn**horizon) / (horizon * m), xj**m * (1.0 - xj**d) / (d * m)
 
 
-def _rule_value_polys(horizon: int, thresholds: ThresholdVector) -> float:
-    """Win probability of the value player's solo threshold rule, by exact
-    piecewise-polynomial backward recursion on record states: U(n, .) is
-    x^(N-n) above x_n and the sum over k > n of x^(k-n-1) times the
-    integral of U(k, .) from x to 1 below it.
+def _rule_value(thresholds: ThresholdVector) -> float:
+    """Win probability of the value player's solo threshold rule by its
+    first-stop closed form, for a table that does not increase; a table
+    that rises is outside its domain and refused with ``DomainError``.
 
-    Stage n is one (segments x (N-n+1)) array of ascending coefficients,
-    a row for each segment between breakpoints.  Each later stage's "from
-    x to 1" table is added as a column slice shifted k - n - 1 places up,
-    k = n+1..N in turn, and the rows at or above x_n are then overwritten
-    by x^(N-n).  The antiderivative, the segment integrals and the next
-    table come from whole arrays with ``numpy.polynomial``'s operations,
-    so the bits are those of its per-segment ``polyint``, ``polyval`` and
-    ``polysub``.  O(N^2) array operations, O(N^3) flops, and the tables
-    of all later stages, about 4 N^3 bytes (``_rule_value_bytes``),
-    refused with ``TooLarge`` before anything is allocated when they
-    would exceed physical memory."""
-    need = _rule_value_bytes(horizon)
-    refuse_beyond(need, _physical_memory(), f"rule value tables at horizon {horizon}")
-    breaks = _breakpoints(thresholds.values)
-    ends = np.stack((breaks[1:], breaks[:-1]))  # b and a of each segment
-    upper: dict[int, np.ndarray] = {}  # int_x^1 U(k, t) dt, one row a segment
-    for n in range(horizon, 0, -1):
-        width = horizon - n + 1
-        stage = np.zeros((ends.shape[1], width))
-        for k in range(n + 1, horizon + 1):
-            stage[:, k - n - 1 :] += upper[k]
-        above = ends[1] >= thresholds.x(n)
-        stage[above] = 0.0
-        stage[above, -1] = 1.0
-        # polyint: c_j / (j + 1) above a zero constant term
-        anti = np.zeros((ends.shape[1], width + 1))
-        np.divide(stage, np.arange(1, width + 1), out=anti[:, 1:])
-        # polyval's Horner loop at both ends of every segment
-        at = anti[:, -1] + ends * 0
-        for j in range(width - 1, -1, -1):
-            at = anti[:, j] + at * ends
-        fulls = at[0] - at[1]
-        tails = np.cumsum(fulls[::-1])[::-1]  # int_a^1 U(n, t) dt
-        # polysub: (int_b^1 + F(b)) - F
-        upper[n] = -anti
-        upper[n][:, 0] += np.append(tails[1:], 0.0) + at[0]
-    # the segment integrals of U(1, .)
-    return math.fsum(fulls)
+    The rule first stops at (n, y), y >= x_n, when y is a record and the
+    best of the first n - 1 values, at some j < n, lies below min(x_j, y):
+    density sum_{j<n} min(x_j, y)^m / m, m = n - 1.  The stop wins when
+    the N - n later values lie below y, with probability y^(N - n).  As
+    x_j >= x_n, each j's integral splits at x_j into the two addends of
+    ``_stop_terms``, and stage 1 adds (1 - x_1^N) / N.  The addends are
+    formed one stage row at a time, so the sum holds O(N) memory, and are
+    summed by ``math.fsum``."""
+    x, horizon = thresholds.values, len(thresholds)
+    rises = np.flatnonzero(x[1:] > x[:-1]) + 2
+    if rises.size:
+        raise DomainError(f"thresholds must not increase, got x_{rises[0]} > x_{rises[0] - 1}")
+    rows = (
+        part.tolist()
+        for n in range(2, horizon + 1)
+        for part in _stop_terms(x[: n - 1], x[n - 1], n, horizon)
+    )
+    first = (1.0 - x[0] ** horizon) / horizon
+    return math.fsum(chain([first], chain.from_iterable(rows)))
 
 
-def _rule_value_bytes(horizon: int) -> int:
-    """Bytes that ``_rule_value_polys`` holds at its peak, with the N + 1
-    segments at most that N thresholds, 0 and 1 bound: the "from x to 1"
-    tables of every stage, N - k + 2 doubles a segment at stage k, and
-    three stages of scratch; about 4 N**3."""
-    return 8 * (horizon + 1) * (horizon * (horizon + 3) // 2 + 3 * (horizon + 1))
+#: Bend of one threshold in the rule's optimality rows.
+_BEND = 1e-3
+
+
+def _rule_optimality(thresholds: ThresholdVector) -> OracleReport:
+    """Largest value gain over the table of any table with one threshold
+    bent by +-``_BEND``, clipped so that it still does not increase; passes
+    when no bend gains more than a few roundings.  A bend of x_i to y
+    changes the first stop at stage i by (x_i^N - y^N) / N and the addends
+    of ``_stop_terms`` that hold x_i as an x_j, so all 2N bends are the rows
+    of one (2, N, 2N - 1) array of changes, each row summed by
+    ``math.fsum``.  A table that rises is outside the closed form's domain
+    and fails."""
+    x, horizon = thresholds.values, len(thresholds)
+    quantity = f"fullinfo.rule_value.optimality.N{horizon}"
+    if np.any(x[1:] > x[:-1]):
+        return OracleReport(quantity, 0.0, math.inf, 1e-15, "the table rises")
+    stages = np.arange(2, horizon + 1)
+    lows = np.maximum(x - _BEND, np.append(x[1:], 0.0))
+    lanes = np.stack((x, lows, np.minimum(x + _BEND, np.append(1.0, x[:-1]))))[..., None]
+    # lane i as x_j of stages 2..N: only the stages after it, the upper triangle
+    held = (np.triu(t) for t in _stop_terms(lanes, x[1:], stages, horizon))
+    terms = np.concatenate((-(lanes**horizon) / horizon, *held), axis=-1)
+    changes = (terms[1:] - terms[0]).reshape(2 * horizon, -1)
+    gains = np.array([math.fsum(row) for row in changes.tolist()])
+    best = gains[(lanes[1:] != lanes[0]).ravel()].max()  # of the bends that move
+    method = f"closed form, each x_n bent +-{_BEND:g}; smallest loss {0.0 - best:.2g}"
+    return OracleReport(quantity, 0.0, max(best, 0.0), 1e-15, method)
 
 
 def _threshold_residual(x: float, remaining: int) -> float:
@@ -169,9 +167,11 @@ def fullinfo_mc_check(
     thresholds: ThresholdVector, samples: int = 200_000, seed: int = 42
 ) -> OracleReport:
     """Monte Carlo win rate of the solo threshold rule with ``thresholds``
-    against its exact recursion value; passes within 4 standard errors.
-    The horizon N is the table's length, and anything but a non-empty
-    ``ThresholdVector`` is refused with ``DomainError`` before a draw.
+    against its exact value by the first-stop closed form
+    (``_rule_value``); passes within 4 standard errors.  The horizon N is
+    the table's length.  Anything but a non-empty ``ThresholdVector``, and
+    a table that rises anywhere, outside the closed form's domain, are
+    refused with ``DomainError`` before a draw.
 
     The samples come in batches of ``_MC_BATCH`` sequences, each batch on
     its own stream, and each batch is drawn in chunks of max(1,
@@ -180,8 +180,7 @@ def fullinfo_mc_check(
     a call: the draws, their running maximum and the record and stop
     masks.  The Monte Carlo part thus holds O(``_MC_BUDGET``) memory
     whatever N and ``samples`` (one row when N exceeds the budget), and
-    the win count is an exact integer.  The exact recursion refuses its
-    own tables (``_rule_value_polys``) before any sample is drawn.
+    the win count is an exact integer.  The exact value holds O(N).
     """
     if not isinstance(thresholds, ThresholdVector) or len(thresholds) == 0:
         raise DomainError(
@@ -189,8 +188,7 @@ def fullinfo_mc_check(
         )
     SimConfig(samples=samples, seed=seed)  # refuses them as ``simulate`` would
     horizon = len(thresholds)
-    dp_value = _rule_value_polys(horizon, thresholds)
-    thr = thresholds.values
+    dp_value = _rule_value(thresholds)  # refuses a table that rises
     chunk = max(1, _MC_BUDGET // horizon)
     draws = np.empty((chunk, horizon))
     running = np.empty((chunk, horizon))
@@ -207,7 +205,7 @@ def fullinfo_mc_check(
             rng.random(out=x)
             np.maximum.accumulate(x, axis=1, out=run)
             np.greater(x[:, 1:], run[:, :-1], out=rec[:, 1:])
-            np.greater_equal(x, thr, out=stops)
+            np.greater_equal(x, thresholds.values, out=stops)
             stops &= rec
             hit = np.flatnonzero(stops.any(axis=1))
             picked = x[hit, stops.argmax(axis=1)[hit]]
@@ -219,7 +217,7 @@ def fullinfo_mc_check(
         oracle_value=rate,
         solver_value=dp_value,
         tolerance=4.0 * se,
-        method=f"monte carlo ({samples} samples, seed {seed}) vs exact recursion",
+        method=f"monte carlo ({samples} samples, seed {seed}) vs first-stop closed form",
     )
 
 
@@ -311,7 +309,9 @@ def run_verification_suite(
     tolerance.  ``tamper_thresholds`` lets tests corrupt the N = 50
     threshold table (negative control): a bent table fails
     ``thresholds.residual.N50`` and ``margins.value.indifference.N50``,
-    which hold it to the threshold equation.
+    which hold it to the threshold equation, and
+    ``fullinfo.rule_value.optimality.N50`` when a bend gains value or makes
+    the table rise.
     """
     SimConfig(samples=samples)  # refuses a count as ``simulate`` would
     if not 0 <= seed < (1 << 64) - 2:  # it also plays seed + 1 and seed + 2
@@ -365,20 +365,25 @@ def run_verification_suite(
         )
     )
 
-    # value-side rule: exact recursion vs hand integral and Monte Carlo
+    # value-side rule: exact closed form vs hand integral and Monte Carlo,
+    # and against its own tables with one threshold bent
     thr2 = models.fullinfo_thresholds(ProblemConfig(horizon=2))
     reports.append(
         OracleReport(
             "fullinfo.rule_value.N2",
             oracle_value=0.75,
-            solver_value=_rule_value_polys(2, thr2),
+            solver_value=_rule_value(thr2),
             tolerance=1e-12,
-            method="hand two-stage integral vs piecewise-polynomial recursion",
+            method="hand two-stage integral vs first-stop closed form",
         )
     )
     reports.append(fullinfo_mc_check(thr2, samples=samples, seed=seed))
     thr10 = models.fullinfo_thresholds(ProblemConfig(horizon=10))
     reports.append(fullinfo_mc_check(thr10, samples=samples, seed=seed + 1))
+    thr50 = models.fullinfo_thresholds(ProblemConfig(horizon=50))
+    if tamper_thresholds is not None:
+        thr50 = ThresholdVector(tamper_thresholds(thr50.values.copy()))
+    reports += [_rule_optimality(thr10), _rule_optimality(thr50)]
 
     # kernel normalizations
     rng = batch_generator(seed, 10_000)
@@ -417,9 +422,6 @@ def run_verification_suite(
     )
 
     # threshold fidelity and margin identities
-    thr50 = models.fullinfo_thresholds(ProblemConfig(horizon=50))
-    if tamper_thresholds is not None:
-        thr50 = ThresholdVector(tamper_thresholds(thr50.values.copy()))
     worst_residual = max(
         abs(_threshold_residual(thr50.x(n), 50 - n)) for n in range(1, 50)
     )

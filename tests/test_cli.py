@@ -342,8 +342,8 @@ def test_verify_passes_and_writes_reports(tmp_path):
 
 
 def test_verify_csv_rows_have_one_field_a_column(tmp_path):
-    # methods such as "monte carlo (40000 samples, seed 42) vs exact
-    # recursion" hold commas, so their cells are quoted
+    # methods such as "monte carlo (40000 samples, seed 42) vs first-stop
+    # closed form" hold commas, so their cells are quoted
     out = tmp_path / "verify.csv"
     assert main(["verify", "--samples", "40000", "--seed", "42", "--out", str(out)]) == 0
     rows = read_csv(out)
@@ -501,7 +501,7 @@ def test_verify_samples_below_one_exit_2_before_computing(samples, monkeypatch, 
     from bcgame import oracle
 
     monkeypatch.setattr(oracle, "_secretary_wins", _never_called)
-    monkeypatch.setattr(oracle, "_rule_value_polys", _never_called)
+    monkeypatch.setattr(oracle, "_rule_value", _never_called)
     monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
     assert main(["verify", "--samples", str(samples)]) == 2
     captured = capsys.readouterr()
@@ -535,7 +535,7 @@ def test_seed_outside_the_stream_keys_exits_2_before_computing(
     from bcgame import oracle
 
     monkeypatch.setattr(oracle, "_secretary_wins", _never_called)
-    monkeypatch.setattr(oracle, "_rule_value_polys", _never_called)
+    monkeypatch.setattr(oracle, "_rule_value", _never_called)
     monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
     argv = argv + ["--seed", str(seed)]
     if argv[0] != "verify":

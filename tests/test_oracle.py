@@ -119,136 +119,122 @@ def test_fullinfo_check_ten_stage():
 
 
 def test_bent_thresholds_lower_the_rule_value():
-    from bcgame.oracle import _rule_value_polys
-
     base = fullinfo_thresholds(ProblemConfig(horizon=10))
     bent = ThresholdVector(np.clip(base.values + 0.2, 0.0, 0.999))
-    assert _rule_value_polys(10, bent) < _rule_value_polys(10, base) - 1e-3
-    # the Monte Carlo check still agrees with the recursion for the bent
+    assert oracle._rule_value(bent) < oracle._rule_value(base) - 1e-3
+    # the Monte Carlo check still agrees with the closed form for the bent
     # rule: both sides evaluate the same (suboptimal) rule
     report = fullinfo_mc_check(bent, samples=100_000, seed=4)
     assert report.passed
 
 
-def _rule_value_polys_polymul(horizon, thresholds):
-    """Reference: the recursion with one ``polymul`` by a monomial and one
-    ``polyadd`` per later stage, every stage kept."""
-    P = np.polynomial.polynomial
-    breaks = oracle._breakpoints(thresholds.values)
-    segs = list(zip(breaks[:-1], breaks[1:]))
-
-    def monomial(k):
-        c = np.zeros(k + 1)
-        c[k] = 1.0
-        return c
-
-    u, upper = {}, {}
+def _rule_value_polys(horizon, thresholds):
+    """Reference: the rule's win probability by exact piecewise-polynomial
+    backward recursion on record states, for any table: U(n, .) is
+    x^(N-n) above x_n and the sum over k > n of x^(k-n-1) times the
+    integral of U(k, .) from x to 1 below it.  Stage n is one (segments x
+    (N-n+1)) array of ascending coefficients, a row for each segment
+    between breakpoints; O(N^3) memory."""
+    breaks = np.unique(np.concatenate(([0.0, 1.0], thresholds.values)))
+    ends = np.stack((breaks[1:], breaks[:-1]))  # b and a of each segment
+    upper = {}  # int_x^1 U(k, t) dt, one row a segment
     for n in range(horizon, 0, -1):
-        stage = []
-        for seg_idx, (a, b) in enumerate(segs):
-            if a >= thresholds.x(n):
-                stage.append(monomial(horizon - n))
-            else:
-                acc = np.zeros(1)
-                for k in range(n + 1, horizon + 1):
-                    term = P.polymul(monomial(k - n - 1), upper[k][seg_idx])
-                    acc = P.polyadd(acc, term)
-                stage.append(acc)
-        u[n] = stage
-        anti = [P.polyint(c) for c in stage]
-        fulls = [
-            float(P.polyval(b, f) - P.polyval(a, f)) for (a, b), f in zip(segs, anti)
-        ]
-        tails = np.concatenate((np.cumsum(fulls[::-1])[::-1], [0.0]))
-        upper[n] = [
-            P.polysub(np.array([tails[idx + 1] + float(P.polyval(b, f))]), f)
-            for idx, ((a, b), f) in enumerate(zip(segs, anti))
-        ]
-    anti1 = [P.polyint(c) for c in u[1]]
-    return math.fsum(
-        float(P.polyval(b, f) - P.polyval(a, f)) for (a, b), f in zip(segs, anti1)
-    )
+        width = horizon - n + 1
+        stage = np.zeros((ends.shape[1], width))
+        for k in range(n + 1, horizon + 1):
+            stage[:, k - n - 1 :] += upper[k]
+        above = ends[1] >= thresholds.x(n)
+        stage[above] = 0.0
+        stage[above, -1] = 1.0
+        anti = np.zeros((ends.shape[1], width + 1))
+        np.divide(stage, np.arange(1, width + 1), out=anti[:, 1:])
+        at = anti[:, -1] + ends * 0
+        for j in range(width - 1, -1, -1):
+            at = anti[:, j] + at * ends
+        fulls = at[0] - at[1]
+        tails = np.cumsum(fulls[::-1])[::-1]  # int_a^1 U(n, t) dt
+        upper[n] = -anti
+        upper[n][:, 0] += np.append(tails[1:], 0.0) + at[0]
+    return math.fsum(fulls)
 
 
-@pytest.mark.parametrize("horizon", [2, 3, 10, 25])
-def test_rule_value_polys_matches_polymul_recursion(horizon):
-    # shifted slice additions are the additions polyadd made, in its order:
-    # the same float for solved, raised, random (not monotone) and zero
-    # thresholds
+@pytest.mark.parametrize("horizon", [*range(2, 61), 100, 200])
+def test_rule_value_matches_array_recursion(horizon):
+    # solved, raised (clipped, so equal thresholds repeat) and zero tables
     base = fullinfo_thresholds(ProblemConfig(horizon=horizon)).values
-    rng = np.random.default_rng(horizon)
-    families = (
-        base,
-        np.clip(base + 0.2, 0.0, 0.999),
-        rng.random(horizon),
-        np.zeros(horizon),
-    )
-    for values in families:
+    for values in (base, np.clip(base + 0.2, 0.0, 0.999), np.zeros(horizon)):
         thresholds = ThresholdVector(values)
-        got = oracle._rule_value_polys(horizon, thresholds)
-        assert repr(got) == repr(_rule_value_polys_polymul(horizon, thresholds))
-
-
-def _rule_value_closed_form(x):
-    """Reference for thresholds that do not increase, where the density of
-    the rule's first stop at (n, y) has a closed form and a stop there
-    wins with probability y^(N-n): with m = n - 1,
-    P = (1 - x_1^N)/N + sum_{n>=2} (1/m) sum_{j<n} [(x_j^N - x_n^N)/N
-    + x_j^m (1 - x_j^(N-n+1))/(N-n+1)]."""
-    big_n = len(x)
-    terms = [(1.0 - x[0] ** big_n) / big_n]
-    for n in range(2, big_n + 1):
-        m, d = n - 1, big_n - n + 1
-        xn = x[n - 1]
-        terms += [
-            ((xj**big_n - xn**big_n) / big_n + xj**m * (1.0 - xj**d) / d) / m
-            for xj in x[: n - 1]
-        ]
-    return math.fsum(terms)
+        want = _rule_value_polys(horizon, thresholds)
+        assert oracle._rule_value(thresholds) == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("horizon", [100, 200])
-def test_rule_value_polys_matches_closed_form_at_large_horizon(horizon):
+def test_rule_value_memory_is_a_stage_row(horizon):
+    # one stage row of addends at a time, about 50 bytes a lane; all the
+    # N^2 addends at once would take 8 N^2 bytes or more
     thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
-    want = _rule_value_closed_form(thresholds.values.tolist())
-    assert oracle._rule_value_polys(horizon, thresholds) == pytest.approx(want, abs=1e-14)
-
-
-@pytest.mark.parametrize("horizon", [100, 200])
-def test_rule_value_byte_model_covers_its_peak(horizon):
-    # the model counts N + 1 segments where the solved thresholds give N,
-    # and stays within a tenth of the traced peak
-    thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
+    oracle._rule_value(thresholds)  # first-call imports
     tracemalloc.start()
     try:
-        oracle._rule_value_polys(horizon, thresholds)
+        oracle._rule_value(thresholds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= oracle._rule_value_bytes(horizon) <= 1.1 * peak
+    assert peak <= 128 * horizon + 4096
 
 
-def test_fullinfo_check_refuses_rule_tables_beyond_physical_memory(monkeypatch):
-    # the recursion's tables take 7.9 GB at N = 1250; against a memory
-    # figure one byte short ``_rule_value_polys`` refuses them before it
-    # reads the thresholds, and against the tables' own size it goes on.
-    # Nothing of the size is allocated: the breakpoints are stubbed out
-    def never_called(*args, **kwargs):
-        raise AssertionError("computed past the memory check")
+def _rule_value_fractions(x):
+    """Reference: the closed form's sum done exactly in rationals on the
+    same doubles, with m = n - 1: P = (1 - x_1^N)/N + sum_{n>=2} (1/m)
+    sum_{j<n} [(x_j^N - x_n^N)/N + x_j^m (1 - x_j^(N-n+1))/(N-n+1)]."""
+    x = [Fraction(v) for v in x]
+    big_n = len(x)
+    total = (1 - x[0] ** big_n) / big_n
+    for n in range(2, big_n + 1):
+        m, d = n - 1, big_n - n + 1
+        xn = x[n - 1] ** big_n
+        total += sum(((xj**big_n - xn) / big_n + xj**m * (1 - xj**d) / d) / m for xj in x[:m])
+    return total
 
-    need = oracle._rule_value_bytes(1250)
-    thresholds = ThresholdVector(np.zeros(1250))
-    monkeypatch.setattr(oracle, "_breakpoints", never_called)
-    monkeypatch.setattr(oracle, "_physical_memory", lambda: need - 1)
-    with pytest.raises(TooLarge) as caught:
-        oracle._rule_value_polys(1250, thresholds)
-    assert str(caught.value) == (
-        "rule value tables at horizon 1250 need 7.9 GB, "
-        "more than the 7.9 GB of physical memory"
-    )
-    monkeypatch.setattr(oracle, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="past the memory check"):
-        oracle._rule_value_polys(1250, thresholds)
+
+@pytest.mark.parametrize("horizon", [2, 3, 10, 25])
+def test_rule_value_within_rounding_of_fractions(horizon):
+    thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
+    want = _rule_value_fractions(thresholds.values.tolist())
+    assert abs(Fraction(oracle._rule_value(thresholds)) - want) <= 1e-15
+
+
+def _bend_gains(thresholds):
+    """Reference: every bend of the optimality row by two full calls."""
+    x = thresholds.values
+    value = oracle._rule_value(thresholds)
+    highs, lows = np.append(1.0, x[:-1]), np.append(x[1:], 0.0)
+    gains = []
+    for i, xi in enumerate(x):
+        for y in (max(xi - oracle._BEND, lows[i]), min(xi + oracle._BEND, highs[i])):
+            bent = x.copy()
+            bent[i] = y
+            gains.append(oracle._rule_value(ThresholdVector(bent)) - value)
+    return gains
+
+
+def test_rule_optimality_fails_a_bent_table_and_passes_the_solved_one():
+    # the +0.2 table does not increase, so the closed form takes it, and
+    # lowering its thresholds gains value; the change of the addends that
+    # hold the bent threshold matches the change of the whole sum
+    base = fullinfo_thresholds(ProblemConfig(horizon=10))
+    bent = ThresholdVector(np.clip(base.values + 0.2, 0.0, 0.999))
+    report = oracle._rule_optimality(bent)
+    assert not report.passed
+    assert report.quantity == "fullinfo.rule_value.optimality.N10"
+    assert report.solver_value == pytest.approx(max(_bend_gains(bent)), abs=1e-15)
+    assert report.solver_value > 9e-4
+    report = oracle._rule_optimality(base)
+    assert report.passed
+    assert max(_bend_gains(base)) <= 1e-15
+    # a table that rises fails without raising
+    rising = ThresholdVector(np.random.default_rng(5).random(10))
+    assert oracle._rule_optimality(rising).solver_value == math.inf
 
 
 @pytest.mark.parametrize(
@@ -256,11 +242,11 @@ def test_fullinfo_check_refuses_rule_tables_beyond_physical_memory(monkeypatch):
 )
 def test_fullinfo_check_refuses_anything_but_a_table(monkeypatch, thresholds):
     # a horizon where the table goes, or a table of no thresholds, is
-    # refused before the recursion runs or a stream is drawn
+    # refused before the exact value is computed or a stream is drawn
     def reached(*args):
         raise AssertionError("reached past the entry check")
 
-    monkeypatch.setattr(oracle, "_rule_value_polys", reached)
+    monkeypatch.setattr(oracle, "_rule_value", reached)
     monkeypatch.setattr(oracle, "batch_generator", reached)
     with pytest.raises(DomainError) as caught:
         fullinfo_mc_check(thresholds, samples=1000)
@@ -271,7 +257,7 @@ def test_fullinfo_check_refuses_anything_but_a_table(monkeypatch, thresholds):
 
 def _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed):
     """Reference: the check drawing each batch whole, as (rows, N) arrays."""
-    dp_value = 1.0 if horizon == 1 else oracle._rule_value_polys(horizon, thresholds)
+    dp_value = oracle._rule_value(thresholds)
     thr = thresholds.values
     wins = 0
     remaining = samples
@@ -296,25 +282,14 @@ def _fullinfo_mc_check_one_shot(horizon, thresholds, samples, seed):
         oracle_value=rate,
         solver_value=dp_value,
         tolerance=4.0 * se,
-        method=f"monte carlo ({samples} samples, seed {seed}) vs exact recursion",
+        method=f"monte carlo ({samples} samples, seed {seed}) vs first-stop closed form",
     )
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 10, 25])
-def test_fullinfo_check_chunks_match_one_shot_draw(monkeypatch, horizon):
+def test_fullinfo_check_chunks_match_one_shot_draw(horizon):
     # chunk boundaries inside and across the 131072-sequence batches
-    # change no sequence and no count; the recursion is computed once per
-    # threshold table
-    polys = oracle._rule_value_polys
-    cache = {}
-
-    def cached_polys(n, t):
-        key = t.values.tobytes()
-        if key not in cache:
-            cache[key] = polys(n, t)
-        return cache[key]
-
-    monkeypatch.setattr(oracle, "_rule_value_polys", cached_polys)
+    # change no sequence and no count
     chunk = max(1, oracle._MC_BUDGET // horizon)
     counts = {1, 7, chunk - 1, chunk, chunk + 1, 131_073, 200_000}
     values = [fullinfo_threshold(horizon - n) for n in range(1, horizon + 1)]
@@ -327,20 +302,33 @@ def test_fullinfo_check_chunks_match_one_shot_draw(monkeypatch, horizon):
 
 def test_fullinfo_check_chunks_match_one_shot_draw_tampered():
     base = fullinfo_thresholds(ProblemConfig(horizon=10)).values
-    rng = np.random.default_rng(5)
-    for values in (np.clip(base + 0.2, 0.0, 0.999), rng.random(10), np.zeros(10)):
+    descending = np.sort(np.random.default_rng(5).random(10))[::-1]
+    for values in (np.clip(base + 0.2, 0.0, 0.999), descending, np.zeros(10)):
         bent = ThresholdVector(values)
         for samples in (6_553, 131_073):
             want = _fullinfo_mc_check_one_shot(10, bent, samples, 3)
             assert fullinfo_mc_check(bent, samples=samples, seed=3) == want
 
 
-def test_fullinfo_check_memory_independent_of_horizon(monkeypatch):
+def test_fullinfo_check_refuses_a_rising_table(monkeypatch):
+    # a table that rises is outside the closed form's domain: the row
+    # refuses it before a stream is drawn, and never passes it
+    def never_called(*args):
+        raise AssertionError("drew for a rising table")
+
+    rising = ThresholdVector(np.random.default_rng(5).random(10))
+    assert rising.x(2) > rising.x(1)
+    monkeypatch.setattr(oracle, "batch_generator", never_called)
+    with pytest.raises(DomainError) as caught:
+        fullinfo_mc_check(rising, samples=1000)
+    assert str(caught.value) == "thresholds must not increase, got x_2 > x_1"
+
+
+def test_fullinfo_check_memory_independent_of_horizon():
     # drawn whole, a batch at N = 10 holds 131072 x 10 draws and their
     # running maximum (21 MB), at N = 60 six times that; the chunk buffers
-    # hold one budget of 65536 draws, 1.2 MB whatever N (the recursion is
-    # stubbed out: its memory is not the Monte Carlo's)
-    monkeypatch.setattr(oracle, "_rule_value_polys", lambda n, t: 0.5)
+    # hold one budget of 65536 draws, 1.2 MB whatever N, and the exact
+    # value one stage row of its sum
     first = fullinfo_thresholds(ProblemConfig(horizon=10))
     fullinfo_mc_check(first, samples=100)  # first-call imports
     for horizon in (10, 60):
@@ -450,7 +438,7 @@ def test_samples_below_one_are_refused_before_computing(monkeypatch):
         raise AssertionError("computed before the samples check")
 
     monkeypatch.setattr(oracle, "_secretary_wins", never_called)
-    monkeypatch.setattr(oracle, "_rule_value_polys", never_called)
+    monkeypatch.setattr(oracle, "_rule_value", never_called)
     thresholds = fullinfo_thresholds(ProblemConfig(horizon=10))
     for samples in (0, -5):
         message = f"samples must be >= 1, got {samples}"
@@ -467,7 +455,7 @@ def test_seeds_outside_the_stream_keys_are_refused_before_computing(monkeypatch)
         raise AssertionError("computed before the seed check")
 
     monkeypatch.setattr(oracle, "_secretary_wins", never_called)
-    monkeypatch.setattr(oracle, "_rule_value_polys", never_called)
+    monkeypatch.setattr(oracle, "_rule_value", never_called)
     thresholds = fullinfo_thresholds(ProblemConfig(horizon=10))
     for seed in (-1, (1 << 64) - 2, 1 << 64):
         with pytest.raises(DomainError) as caught:
@@ -531,9 +519,14 @@ def test_suite_catches_tampered_thresholds():
         samples=60_000, seed=42, tamper_thresholds=bend
     )
     assert any(not r.passed for r in reports)
-    # the rows that hold the table to the threshold equation
+    # the rows that hold the table to the threshold equation, and the
+    # optimality row: the bent table rises (x_5 = 0.999 > x_4 = 0.98273)
     failed = {r.quantity for r in reports if not r.passed}
-    assert failed == {"thresholds.residual.N50", "margins.value.indifference.N50"}
+    assert failed == {
+        "thresholds.residual.N50",
+        "margins.value.indifference.N50",
+        "fullinfo.rule_value.optimality.N50",
+    }
     # the rule rows evaluate their table's rule on both sides and could not
     # catch a bend, so they play the solver's own table, bent or not
     plain = run_verification_suite(samples=60_000, seed=42)

@@ -305,23 +305,15 @@ def test_value_at_and_stage_average_validate_player_and_index(game10):
             vf.value_at(n, 0.2, 1)
 
 
-@pytest.mark.parametrize("horizon", [1, 2, 10, 150])
+@pytest.mark.parametrize("horizon", [2, 10, 150])
 def test_breakpoints_match_np_unique(horizon):
-    # the solver's segments, read off the thresholds, and the oracle's
-    # breakpoints, which allow repeated thresholds, give np.unique's
+    # the solver's segments, read off the thresholds, give np.unique's
     # array, bit for bit
-    from bcgame import oracle
-
-    values = np.zeros(1)
-    got = []
-    if horizon > 1:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-        values = tables.xthresholds.values
-        got.append(valuation.ValueFunction(tables).breaks)
-    want = np.unique(np.concatenate(([0.0, 1.0], values)))
-    for breaks in got + [oracle._breakpoints(values)]:
-        assert breaks.dtype == want.dtype
-        assert breaks.tobytes() == want.tobytes()
+    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+    breaks = valuation.ValueFunction(tables).breaks
+    want = np.unique(np.concatenate(([0.0, 1.0], tables.xthresholds.values)))
+    assert breaks.dtype == want.dtype
+    assert breaks.tobytes() == want.tobytes()
 
 
 def test_table_cost_model_matches_allocation(game10):

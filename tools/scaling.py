@@ -41,10 +41,10 @@ Cases:
 * ``regions-N`` for N = 10, 50, 150 and 400: ``region_map()`` at
   p = 0.25 and xstep 1e-3 with the tables already built.  Reports the
   fastest of five calls and the child's max RSS.
-* ``rule-N`` for N = 10, 50 and 100: ``oracle._rule_value_polys()`` on
-  the solved thresholds, the exact value of the value player's solo rule
-  that the suite checks by Monte Carlo.  Reports the fastest of five
-  calls and the child's max RSS.
+* ``rule-N`` for N = 10, 50, 100, 400 and 1000: ``oracle._rule_value()``
+  on the solved thresholds, the first-stop closed form of the value
+  player's solo rule that the suite checks by Monte Carlo.  Reports the
+  fastest of five calls and the child's max RSS.
 * ``suite``: ``run_verification_suite()`` at its defaults, 200,000
   samples and seed 42.  Reports the fastest of five calls, the
   ``tracemalloc`` peak of a sixth, traced call, and the child's max RSS.
@@ -102,7 +102,7 @@ HORIZONS = (10, 50, 150, 400)
 #: the thresholds and the game tables also at N = 10,000, where their
 #: exponent in N shows
 SOLVE_HORIZONS = (*HORIZONS, 10_000)
-RULE_HORIZONS = (10, 50, 100)
+RULE_HORIZONS = (10, 50, 100, 400, 1000)
 REPEATS = 5
 SEQUENCES = 1 << 18
 AUDIT_STATES = 2000
@@ -234,7 +234,7 @@ thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
 walls = []
 for _ in range(count):
     start = time.perf_counter()
-    oracle._rule_value_polys(horizon, thresholds)
+    oracle._rule_value(thresholds)
     walls.append(time.perf_counter() - start)
 print(json.dumps({"wall_s": min(walls)}))
 """
