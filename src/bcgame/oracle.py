@@ -112,9 +112,9 @@ def _rule_value(thresholds: ThresholdVector) -> float:
     formed one stage row at a time, so the sum holds O(N) memory, and are
     summed by ``math.fsum``."""
     x, horizon = thresholds.values, len(thresholds)
-    rises = np.flatnonzero(x[1:] > x[:-1]) + 2
-    if rises.size:
-        raise DomainError(f"thresholds must not increase, got x_{rises[0]} > x_{rises[0] - 1}")
+    rise = np.flatnonzero(x[1:] > x[:-1]) + 1
+    if rise.size:
+        raise DomainError(f"thresholds must not increase, x_{rise[0] + 1} > x_{rise[0]}")
     rows = (
         part.tolist()
         for n in range(2, horizon + 1)
@@ -143,13 +143,14 @@ def _rule_optimality(thresholds: ThresholdVector) -> OracleReport:
         return OracleReport(quantity, 0.0, math.inf, 1e-15, "the table rises")
     stages = np.arange(2, horizon + 1)
     lows = np.maximum(x - _BEND, np.append(x[1:], 0.0))
-    lanes = np.stack((x, lows, np.minimum(x + _BEND, np.append(1.0, x[:-1]))))[..., None]
+    # each lane as it is, lowered and raised: a (3, N, 1) column stack
+    ys = np.stack((x, lows, np.minimum(x + _BEND, np.append(1.0, x[:-1]))))[..., None]
     # lane i as x_j of stages 2..N: only the stages after it, the upper triangle
-    held = (np.triu(t) for t in _stop_terms(lanes, x[1:], stages, horizon))
-    terms = np.concatenate((-(lanes**horizon) / horizon, *held), axis=-1)
+    held = (np.triu(t) for t in _stop_terms(ys, x[1:], stages, horizon))
+    terms = np.concatenate((-(ys**horizon) / horizon, *held), axis=-1)
     changes = (terms[1:] - terms[0]).reshape(2 * horizon, -1)
     gains = np.array([math.fsum(row) for row in changes.tolist()])
-    best = gains[(lanes[1:] != lanes[0]).ravel()].max()  # of the bends that move
+    best = gains[(ys[1:] != ys[0]).ravel()].max()  # of the bends that move
     method = f"closed form, each x_n bent +-{_BEND:g}; smallest loss {0.0 - best:.2g}"
     return OracleReport(quantity, 0.0, max(best, 0.0), 1e-15, method)
 
@@ -189,6 +190,7 @@ def fullinfo_mc_check(
     SimConfig(samples=samples, seed=seed)  # refuses them as ``simulate`` would
     horizon = len(thresholds)
     dp_value = _rule_value(thresholds)  # refuses a table that rises
+    thr = thresholds.values
     chunk = max(1, _MC_BUDGET // horizon)
     draws = np.empty((chunk, horizon))
     running = np.empty((chunk, horizon))
@@ -205,7 +207,7 @@ def fullinfo_mc_check(
             rng.random(out=x)
             np.maximum.accumulate(x, axis=1, out=run)
             np.greater(x[:, 1:], run[:, :-1], out=rec[:, 1:])
-            np.greater_equal(x, thresholds.values, out=stops)
+            np.greater_equal(x, thr, out=stops)
             stops &= rec
             hit = np.flatnonzero(stops.any(axis=1))
             picked = x[hit, stops.argmax(axis=1)[hit]]
