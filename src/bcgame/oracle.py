@@ -4,7 +4,7 @@ verification suite.
 Everything here recomputes quantities by a route disjoint from the solver
 path it certifies: rank-side win probabilities by exhaustive permutation
 enumeration, which scores every rank cutoff in one pass over the orders of
-a horizon and checks the solver's closed form at the cutoff, the
+a horizon, all held in one array, and checks the solver's closed form at the cutoff, the
 value-side rule by its exact first-stop closed form, O(N^2) terms in
 O(N) memory for a threshold table that does not increase (a table that
 rises is outside its domain), and by Monte Carlo, and small-horizon game
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, permutations
+from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
@@ -62,18 +62,31 @@ class OracleReport:
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
-def _secretary_wins(horizon: int) -> list[int]:
-    """Rank orders, of all horizon!, that each cutoff r = 1..N wins.  The
-    rule stops at the first record at an index >= r.  With m the position
-    of the maximum and q that of the maximum before it, the last record
-    (0 if none), r wins exactly when q < r <= m, so all r count at once."""
-    diff = [0] * (horizon + 2)
-    for perm in permutations(range(1, horizon + 1)):
-        m = perm.index(horizon) + 1
-        q = perm.index(max(perm[: m - 1])) + 1 if m > 1 else 0
-        diff[q + 1] += 1
-        diff[m + 1] -= 1
-    return list(accumulate(diff[1 : horizon + 1]))
+def _rank_orders(horizon: int):
+    """Yield, for n = 1..horizon, all n! orders of the ranks 1..n as the
+    rows of one int8 array: each from the one before, with rank n put at
+    every position of every row."""
+    orders = np.ones((1, 1), dtype=np.int8)
+    yield orders
+    for n in range(2, horizon + 1):
+        orders = np.concatenate([np.insert(orders, k, n, axis=1) for k in range(n)])
+        yield orders
+
+
+def _secretary_wins(orders: np.ndarray) -> list[int]:
+    """Rank orders, of the rows of ``orders`` (all N! orders of 1..N),
+    that each cutoff r = 1..N wins.  The rule stops at the first record at
+    an index >= r.  With m the position of the maximum and q that of the
+    maximum before it, the last record (0 if none), r wins exactly when
+    q < r <= m, so all r count at once."""
+    horizon = orders.shape[1]
+    m = orders.argmax(axis=1) + 1
+    before = np.where(np.arange(1, horizon + 1) < m[:, None], orders, 0)
+    q = np.where(m > 1, before.argmax(axis=1) + 1, 0)
+    diff = np.bincount(q + 1, minlength=horizon + 2) - np.bincount(
+        m + 1, minlength=horizon + 2
+    )
+    return np.cumsum(diff[1 : horizon + 1]).tolist()
 
 
 def secretary_exhaustive(horizon: int, cutoff: int) -> float:
@@ -85,7 +98,8 @@ def secretary_exhaustive(horizon: int, cutoff: int) -> float:
         raise DomainError(f"horizon must be >= 2, got {horizon}")
     if not 1 <= cutoff <= horizon:
         raise DomainError(f"cutoff {cutoff} outside 1..{horizon}")
-    wins = _secretary_wins(horizon)[cutoff - 1]
+    *_, orders = _rank_orders(horizon)
+    wins = _secretary_wins(orders)[cutoff - 1]
     return float(Fraction(wins, math.factorial(horizon)))
 
 
@@ -331,7 +345,10 @@ def run_verification_suite(
             )
 
     # rank-side exhaustive enumeration, one pass per horizon
-    wins = {big_n: _secretary_wins(big_n) for big_n in (5, 6, 7, 8)}
+    wins = {
+        orders.shape[1]: _secretary_wins(orders)
+        for orders in islice(_rank_orders(8), 4, None)
+    }
     reports.append(
         OracleReport(
             "secretary.exhaustive.N5.r3",

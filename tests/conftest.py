@@ -1,4 +1,5 @@
 import functools
+import gc
 
 import pytest
 
@@ -20,3 +21,13 @@ def induced():
         )
 
     return induce
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_the_collector():
+    """``cli.main`` freezes the heap it finds (``gc.freeze``) and leaves it
+    frozen, as the one call of a process should; thaw it after each test
+    that calls ``main`` in process, so that the garbage of one test's
+    session is not kept from the collector for the rest of the run."""
+    yield
+    gc.unfreeze()

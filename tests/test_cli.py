@@ -606,9 +606,12 @@ def test_values_beyond_the_table_horizon_limit_completes(monkeypatch, capsys):
 
 
 #: Modules a cold start must not load: the oracle module and what it
-#: imports, which only ``verify`` runs, and numpy.ma, which the first
-#: ``np.unique`` of a process loads and no command needs.
-_COLD_PATH_SKIPS = ("bcgame.oracle", "fractions", "numpy.polynomial", "numpy.ma")
+#: imports, which only ``verify`` runs, numpy.ma, which the first
+#: ``np.unique`` of a process loads and no command needs, and json, which
+#: only JSON output needs.
+_COLD_PATH_SKIPS = (
+    "bcgame.oracle", "fractions", "numpy.polynomial", "numpy.ma", "json"
+)
 
 
 def _modules_after(code: str) -> set[str]:
@@ -714,6 +717,46 @@ def test_cold_start_loads_only_what_the_command_runs():
         "backward_induce(build_game_tables(ProblemConfig(horizon=20, priority=0.25)))"
     )
     assert "numpy.ma" not in _modules_after(induce)
+
+
+def test_only_json_output_loads_json():
+    values = (
+        "from bcgame.cli import main\n"
+        "main(['values', '--horizon', '10', '--priority', '0.25'{}])"
+    )
+    assert _modules_after(values.format("")) == set()
+    assert _modules_after(values.format(", '--format', 'json'")) == {"json"}
+    table1 = "from bcgame.cli import main\nmain(['table1', '--format', 'json'])"
+    assert _modules_after(table1) == {"json"}
+
+
+def test_main_freezes_the_heap_it_was_imported_with():
+    # the exit collections then skip numpy's and bcgame's import-time objects
+    done = _run_fresh(
+        "import gc, os\n"
+        "from bcgame.cli import main\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "main(['table1', '--out', os.devnull])\n"
+        "print(gc.get_freeze_count())"
+    )
+    assert int(done.stdout) > 0
+
+
+def test_api_leaves_the_collector_alone():
+    done = _run_fresh(
+        "import gc\n"
+        "import bcgame\n"
+        "from bcgame import (\n"
+        "    ProblemConfig, backward_induce, build_game_tables, run_verification_suite\n"
+        ")\n"
+        "from bcgame.valuation import SimConfig, simulate\n"
+        "tables = build_game_tables(ProblemConfig(horizon=10, priority=0.25))\n"
+        "backward_induce(tables)\n"
+        "simulate(tables.config, tables, SimConfig(samples=1000))\n"
+        "run_verification_suite(samples=1000)\n"
+        "print(gc.get_freeze_count())"
+    )
+    assert done.stdout.split() == ["0"]
 
 
 def test_verify_loads_no_numpy_polynomial():

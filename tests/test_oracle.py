@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
@@ -77,23 +77,56 @@ def _wins_by_cutoff_loop(horizon, cutoff):
     return wins
 
 
+def _secretary_wins_loop(horizon):
+    # the one-pass count as a Python loop over the permutations
+    diff = [0] * (horizon + 2)
+    for perm in permutations(range(1, horizon + 1)):
+        m = perm.index(horizon) + 1
+        q = perm.index(max(perm[: m - 1])) + 1 if m > 1 else 0
+        diff[q + 1] += 1
+        diff[m + 1] -= 1
+    return list(accumulate(diff[1 : horizon + 1]))
+
+
+def _orders(horizon):
+    *_, orders = oracle._rank_orders(horizon)
+    return orders
+
+
 @pytest.mark.parametrize("horizon", range(2, 8))
 def test_secretary_wins_match_per_cutoff_enumeration(horizon):
-    wins = _secretary_wins(horizon)
+    wins = _secretary_wins(_orders(horizon))
     assert all(type(w) is int for w in wins)
     assert wins == [_wins_by_cutoff_loop(horizon, r) for r in range(1, horizon + 1)]
 
 
+@pytest.mark.parametrize("horizon", range(2, 9))
+def test_secretary_wins_match_the_permutation_loop(horizon):
+    orders = _orders(horizon)
+    assert orders.dtype == np.int8
+    assert sorted(map(tuple, orders.tolist())) == list(
+        permutations(range(1, horizon + 1))
+    )
+    assert _secretary_wins(orders) == _secretary_wins_loop(horizon)
+
+
 def test_suite_enumerates_each_horizon_once(monkeypatch):
-    calls = []
+    built, scored = [], []
+    rank_orders, secretary_wins = oracle._rank_orders, oracle._secretary_wins
 
-    def counting(*args):
-        calls.append(args)
-        return permutations(*args)
+    def counting_orders(horizon):
+        built.append(horizon)
+        return rank_orders(horizon)
 
-    monkeypatch.setattr(oracle, "permutations", counting)
+    def counting_wins(orders):
+        scored.append(orders.shape[1])
+        return secretary_wins(orders)
+
+    monkeypatch.setattr(oracle, "_rank_orders", counting_orders)
+    monkeypatch.setattr(oracle, "_secretary_wins", counting_wins)
     run_verification_suite(samples=2_000, seed=42)
-    assert len(calls) == 4
+    assert built == [8]
+    assert scored == [5, 6, 7, 8]
 
 
 def test_fullinfo_check_two_stage_value():

@@ -62,9 +62,15 @@ Cases:
   check.
 * ``cli-table1``: ``bcgame table1``, the shifted cutoffs of 30 games at
   N = 5 to 50.
+* ``cli-thresholds-10``: ``bcgame thresholds --horizon 10``, a request
+  that is nearly all start-up and exit.
 
 The ``cli-*`` cases report the wall time, the child's CPU time and its
-max RSS; their output goes to /dev/null.
+max RSS; their output goes to /dev/null.  They also split the wall time
+at stamps the child takes: ``startup_s``, the interpreter's start-up
+before the child's script runs; ``import_s``, ``import bcgame.cli``;
+``command_s``, ``main``; and ``exit_s``, from ``main``'s return to the
+child's end, the interpreter's finalization included.
 
 * ``tier1``: the tier-1 command, ``python -m pytest -q
   --continue-on-collection-errors`` with DIR on the path, run from DIR's
@@ -123,6 +129,7 @@ CLI_CASES = {
         "--samples", "1000000",
     ),
     "cli-table1": ("table1",),
+    "cli-thresholds-10": ("thresholds", "--horizon", "10"),
 }
 
 _SIMULATE_CHILD = """
@@ -254,7 +261,20 @@ tracemalloc.stop()
 print(json.dumps({"wall_s": min(walls), "tracemalloc_mb": peak / 2**20}))
 """
 
-_CLI_CHILD = "import sys; from bcgame.cli import main; sys.exit(main(sys.argv[1:]))"
+#: A CLI request as ``python -m bcgame.cli`` makes it, which writes three
+#: ``time.monotonic()`` stamps as the last line of its stderr: when the
+#: script starts, once ``bcgame.cli`` is imported (perfbench's
+#: ``launch.py`` stamps its ready time there too) and once ``main`` has
+#: returned; the interpreter's exit comes after the last.
+_CLI_CHILD = """
+import sys, time
+script = time.monotonic()
+import bcgame.cli
+imported = time.monotonic()
+code = bcgame.cli.main(sys.argv[1:])
+sys.stderr.write(f"{script!r} {imported!r} {time.monotonic()!r}\\n")
+sys.exit(code)
+"""
 
 #: The tier-1 command's arguments to the interpreter; pytest exits 1 when
 #: a test fails, and acceptance criteria 2 and 8 fail by design.
@@ -263,36 +283,40 @@ TIER1_REPEATS = 3
 
 
 def _child(
-    src: str, argv: list[str], keep: bool = True, cwd: str | None = None, ok=(0,)
-) -> tuple[float, bytes, os.rusage]:
+    src: str, argv: list[str], keep: str = "stdout", cwd: str | None = None, ok=(0,)
+) -> tuple[float, float, bytes, os.rusage]:
     """Run ``python ARGV`` with ``src`` first on the path, in ``cwd``;
-    return its wall time, its stdout (empty unless ``keep``) and its
-    resource usage.  An exit code outside ``ok`` stops the script.
+    return its start and end on ``time.monotonic()``'s clock, the stream
+    named by ``keep`` and its resource usage.  With ``keep="stderr"`` its
+    stdout goes to /dev/null, else its stderr is this script's.  An exit
+    code outside ``ok`` stops the script.
 
     Linux carries a process's peak RSS over ``exec``, so a child's
     ``ru_maxrss`` is at least this script's own peak when it was started:
     output that is not kept goes to /dev/null, never into this process."""
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    start = time.perf_counter()
-    sink = subprocess.PIPE if keep else subprocess.DEVNULL
-    proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=sink, cwd=cwd)
-    out = b""
-    if keep:
-        out = proc.stdout.read()
-        proc.stdout.close()
+    pipes = {
+        "stdout": subprocess.DEVNULL if keep == "stderr" else subprocess.PIPE,
+        "stderr": subprocess.PIPE if keep == "stderr" else None,
+    }
+    start = time.monotonic()
+    proc = subprocess.Popen([sys.executable, *argv], env=env, cwd=cwd, **pipes)
+    stream = getattr(proc, keep)
+    out = stream.read()
+    stream.close()
     _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
+    end = time.monotonic()
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode not in ok:
         raise SystemExit(f"{argv[1:]} under {src} exited {proc.returncode}")
-    return wall, out, usage
+    return start, end, out, usage
 
 
 def _layer_case(src: str, child: str, *args: int) -> dict:
     """One run of an in-process ``child`` with ``args``, such as a horizon
     and a count of sequences, states or calls: the JSON it prints, plus
     its max RSS."""
-    _, out, usage = _child(src, ["-c", child, *map(str, args)])
+    *_, out, usage = _child(src, ["-c", child, *map(str, args)])
     return {**json.loads(out), "maxrss_mb": usage.ru_maxrss / 1024}
 
 
@@ -305,16 +329,26 @@ def _process_row(wall: float, usage: os.rusage) -> dict:
 
 
 def _cli_case(src: str, argv: tuple[str, ...]) -> dict:
-    wall, _, usage = _child(src, ["-c", _CLI_CHILD, *argv], keep=False)
-    return _process_row(wall, usage)
+    """One CLI request, its wall time split at ``_CLI_CHILD``'s stamps."""
+    start, end, err, usage = _child(src, ["-c", _CLI_CHILD, *argv], keep="stderr")
+    script, imported, returned = map(float, err.split()[-3:])
+    return {
+        **_process_row(end - start, usage),
+        "startup_s": script - start,
+        "import_s": imported - script,
+        "command_s": returned - imported,
+        "exit_s": end - returned,
+    }
 
 
 def _tier1_case(src: str) -> dict:
     """One run of the tier-1 command on the checkout holding ``src``."""
-    wall, out, usage = _child(src, _TIER1_ARGV, cwd=os.path.dirname(src), ok=(0, 1))
+    start, end, out, usage = _child(
+        src, _TIER1_ARGV, cwd=os.path.dirname(src), ok=(0, 1)
+    )
     summary = out.decode().strip().splitlines()[-1]
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed)", summary)}
-    return {**_process_row(wall, usage), "passed": 0, "failed": 0, **counts}
+    return {**_process_row(end - start, usage), "passed": 0, "failed": 0, **counts}
 
 
 def _commit(src: str) -> tuple[str | None, bool]:
