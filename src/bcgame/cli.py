@@ -304,10 +304,11 @@ def main(argv: list[str] | None = None) -> int:
     ~21,700 that importing numpy and bcgame made, into the collector's
     permanent generation: a short request otherwise spends 20-30 ms (2
     vCPUs, Python 3.11) after returning on the interpreter's exit
-    collections over that heap, which the OS reclaims anyway.  Objects made after this are collected as
-    before.  Like ``_keep_openssl_out`` it is process-wide, so only
-    ``main`` does it, and it is not undone here, since the saving comes
-    after ``main`` returns; the API leaves the collector alone."""
+    collections over that heap, which the OS reclaims anyway.  Objects
+    made after this are collected as before.  Like ``_keep_openssl_out``
+    it is process-wide, so only ``main`` does it, and it is not undone
+    here, since the saving comes after ``main`` returns; the API leaves
+    the collector alone."""
     gc.freeze()
     _keep_openssl_out()
     parser = _build_parser()

@@ -4,8 +4,8 @@ verification suite.
 Everything here recomputes quantities by a route disjoint from the solver
 path it certifies: rank-side win probabilities by exhaustive permutation
 enumeration, which scores every rank cutoff in one pass over the orders of
-a horizon, all held in one array, and checks the solver's closed form at the cutoff, the
-value-side rule by its exact first-stop closed form, O(N^2) terms in
+a horizon, all held in one array, and checks the solver's closed form at
+the cutoff, the value-side rule by its exact first-stop closed form, O(N^2) terms in
 O(N) memory for a threshold table that does not increase (a table that
 rises is outside its domain), and by Monte Carlo, and small-horizon game
 values by midpoint-rule integration over the full joint distribution of
