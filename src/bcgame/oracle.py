@@ -80,13 +80,13 @@ def _secretary_wins(orders: np.ndarray) -> list[int]:
     maximum before it, the last record (0 if none), r wins exactly when
     q < r <= m, so all r count at once."""
     horizon = orders.shape[1]
-    m = orders.argmax(axis=1) + 1
-    before = np.where(np.arange(1, horizon + 1) < m[:, None], orders, 0)
-    q = np.where(m > 1, before.argmax(axis=1) + 1, 0)
-    diff = np.bincount(q + 1, minlength=horizon + 2) - np.bincount(
-        m + 1, minlength=horizon + 2
-    )
-    return np.cumsum(diff[1 : horizon + 1]).tolist()
+    ranks = np.pad(orders, ((0, 0), (1, 0)))  # position 0 holds rank 0, no record
+    m = ranks.argmax(axis=1)
+    q = np.where(np.arange(horizon + 1) < m[:, None], ranks, 0).argmax(axis=1)
+    # wins at r: the orders with q < r less those with m < r
+    size = horizon + 1
+    below = np.bincount(q, minlength=size) - np.bincount(m, minlength=size)
+    return np.cumsum(below[:horizon]).tolist()
 
 
 def secretary_exhaustive(horizon: int, cutoff: int) -> float:
@@ -345,10 +345,7 @@ def run_verification_suite(
             )
 
     # rank-side exhaustive enumeration, one pass per horizon
-    wins = {
-        orders.shape[1]: _secretary_wins(orders)
-        for orders in islice(_rank_orders(8), 4, None)
-    }
+    wins = {o.shape[1]: _secretary_wins(o) for o in islice(_rank_orders(8), 4, None)}
     reports.append(
         OracleReport(
             "secretary.exhaustive.N5.r3",

@@ -26,8 +26,9 @@ def induced():
 @pytest.fixture(autouse=True)
 def _unfreeze_the_collector():
     """``cli.main`` freezes the heap it finds (``gc.freeze``) and leaves it
-    frozen, as the one call of a process should; thaw it after each test
-    that calls ``main`` in process, so that the garbage of one test's
-    session is not kept from the collector for the rest of the run."""
+    frozen, as a process's one call should; thaw it after each test, so
+    that a test calling ``main`` in process does not keep its own cycles,
+    and those of the tests before it, from the collector for the rest of
+    the run."""
     yield
     gc.unfreeze()
