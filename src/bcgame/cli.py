@@ -155,9 +155,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_values(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(horizon=args.horizon, priority=args.priority)
-    sim = None
-    if args.method in ("mc", "both"):  # refuse its samples and seed up front
-        sim = valuation.SimConfig(samples=args.samples, seed=args.seed)
+    # every method refuses invalid samples and seeds up front
+    sim = valuation.SimConfig(samples=args.samples, seed=args.seed)
     tables = equilibrium.build_game_tables(cfg)
     pair = valuation.game_value(tables)
     payload: dict = {
@@ -168,7 +167,7 @@ def _cmd_values(args: argparse.Namespace) -> int:
         "val2": pair.val2,
     }
     header, row = ["val1", "val2"], [pair.val1, pair.val2]
-    if sim is not None:
+    if args.method != "dp":
         mc_pair, ses = valuation.simulate(cfg, tables, sim)
         payload["mc"] = {
             "val1": mc_pair.val1,

@@ -84,13 +84,12 @@ class ThresholdVector:
 
     def x(self, n):
         """Threshold at index n (1-based) as a float; an array of indices
-        gives an array.  ``DomainError`` for any index outside 1..N."""
-        try:
-            if 0 < n <= self.horizon:
-                return self._floats[n - 1]
-        except (TypeError, ValueError):  # an array of indices
-            if n.size == 0 or 0 < n.min() and n.max() <= self.horizon:
-                return self.values[n - 1]
+        gives an array.  ``DomainError`` for a scalar that is not an
+        integer (``_check_index``) and for any index outside 1..N."""
+        if not isinstance(n, np.ndarray):
+            return self._floats[_check_index(n, self.horizon) - 1]
+        if n.size == 0 or 0 < n.min() and n.max() <= self.horizon:
+            return self.values[n - 1]
         raise DomainError(f"index {n} outside 1..{self.horizon}")
 
     def __len__(self) -> int:
@@ -104,7 +103,7 @@ def record_transition_density(state: RecordState, to_index: int) -> float:
     Returns 0 for m <= n.  The remaining mass x**(N-n) is absorption:
     no further record before the horizon.
     """
-    gap = to_index - state.index - 1
+    gap = _integer(to_index, "index") - state.index - 1
     if gap < 0:
         return 0.0
     return float(state.value) ** gap
@@ -117,9 +116,9 @@ def rank_transition(n: int, m: int) -> float:
     n / N is the probability that no further candidate appears, i.e. the
     candidate at n is the overall best.
     """
-    if n < 1:
+    if _integer(n, "candidate index") < 1:
         raise DomainError(f"candidate index must be >= 1, got {n}")
-    if m <= n:
+    if _integer(m, "index") <= n:
         return 0.0
     return n / (m * (m - 1))
 
@@ -134,10 +133,13 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value}") from None
 
 
-def _check_index(n: int, horizon: int) -> None:
-    """``DomainError`` for an index outside 1..horizon."""
-    if not 1 <= n <= horizon:
-        raise DomainError(f"index {n} outside 1..{horizon}")
+def _check_index(n: int, horizon: int, first: int = 1) -> int:
+    """``n`` as a plain ``int`` (``_integer``); ``DomainError`` for an index
+    that is not an integer or lies outside first..horizon."""
+    n = _integer(n, "index")
+    if not first <= n <= horizon:
+        raise DomainError(f"index {n} outside {first}..{horizon}")
+    return n
 
 
 def _check_value(x: float) -> None:

@@ -279,6 +279,8 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
     Ground truth for the backward induction at horizons 2 and 3.  At
     horizon 3 each player's integrand fills one reused mesh-by-mesh buffer
     under one mask, the record at stage 2: 9 MB whatever the priority.
+    ``UnsupportedPriority`` for p > 0.5, as the solver, before the mesh
+    is built: the classified profile is established for p <= 0.5 only.
     """
     if horizon > 3:
         raise TooLarge(f"joint-grid oracle capped at horizon 3, got {horizon}")
@@ -286,6 +288,7 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
         raise DomainError(f"horizon must be >= 2, got {horizon}")
     cfg = ProblemConfig(horizon=horizon, priority=priority)
     tables = equilibrium.build_game_tables(cfg)
+    equilibrium._check_priority(tables)
     mid = (np.arange(_MESH) + 0.5) / _MESH
     # last stage always stops on a record; both margins there equal 1
     last1 = 2.0 * priority - 1.0

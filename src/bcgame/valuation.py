@@ -52,7 +52,7 @@ one player alone at a new state costs the whole pair.
 Payoff accounting: both the induction and the simulator classify and
 score record states by the one stage rule of ``equilibrium``
 (``stage_actions`` and ``stage_cells``).  When player i stops and receives
-the record, player i scores his own stop margin (w1_n or w2_n(x)) and the
+the record, player i scores its own stop margin (w1_n or w2_n(x)) and the
 opponent scores minus the opponent's own margin; the induction scores a
 simultaneous claim at the coin's mean, the simulator draws the coin;
 absorption with no stop scores (0, 0).
@@ -271,8 +271,7 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     value at the same (n, x) costs a tuple lookup.
     """
     _check_player(player)
-    if not 0 <= n <= V._horizon:
-        raise DomainError(f"index {n} outside 0..{V._horizon}")
+    _check_index(n, V._horizon, first=0)
     _check_value(x)
     if x >= 1.0:  # no later value beats a record at 1
         return 0.0

@@ -509,9 +509,10 @@ def test_verify_samples_below_one_exit_2_before_computing(samples, monkeypatch, 
     assert captured.out == ""
 
 
-def test_mc_samples_below_one_exit_2_before_computing(monkeypatch, capsys):
+@pytest.mark.parametrize("method", ["mc", "dp"])
+def test_mc_samples_below_one_exit_2_before_computing(method, monkeypatch, capsys):
     monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
-    argv = ["values", "--method", "mc", "--samples", "0", "--horizon", "10"]
+    argv = ["values", "--method", method, "--samples", "0", "--horizon", "10"]
     assert main(argv + ["--priority", "0.25"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "bcgame: error: samples must be >= 1, got 0\n"
@@ -523,9 +524,10 @@ def test_mc_samples_below_one_exit_2_before_computing(monkeypatch, capsys):
     [
         (["simulate"], "[0, 2**64)", -1),
         (["values", "--method", "both"], "[0, 2**64)", 1 << 64),
+        (["values", "--method", "dp"], "[0, 2**64)", -1),
         (["verify"], "[0, 2**64 - 2)", (1 << 64) - 2),
     ],
-    ids=["simulate", "values-both", "verify"],
+    ids=["simulate", "values-both", "values-dp", "verify"],
 )
 def test_seed_outside_the_stream_keys_exits_2_before_computing(
     argv, bounds, seed, monkeypatch, capsys

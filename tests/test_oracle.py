@@ -8,7 +8,7 @@ import pytest
 
 from bcgame import oracle
 from bcgame._rng import batch_generator
-from bcgame.equilibrium import build_game_tables
+from bcgame.equilibrium import bimatrix, build_game_tables, classify_state, tv1, w1
 from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
     ProblemConfig,
@@ -16,6 +16,9 @@ from bcgame.models import (
     ThresholdVector,
     fullinfo_threshold,
     fullinfo_thresholds,
+    rank_transition,
+    record_transition_density,
+    secretary_stop_reward,
 )
 from bcgame.oracle import (
     OracleReport,
@@ -25,7 +28,7 @@ from bcgame.oracle import (
     run_verification_suite,
     secretary_exhaustive,
 )
-from bcgame.valuation import backward_induce
+from bcgame.valuation import backward_induce, continuation
 
 
 def test_secretary_exhaustive_examples():
@@ -502,6 +505,14 @@ def test_seeds_outside_the_stream_keys_are_refused_before_computing(monkeypatch)
         assert str(caught.value) == f"seed must be in [0, 2**64), got {seed}"
 
 
+def _tables10():
+    return build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+
+
+def _induced10():
+    return backward_induce(_tables10())[0]
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -517,11 +528,49 @@ def test_seeds_outside_the_stream_keys_are_refused_before_computing(monkeypatch)
             "thresholds must be a non-empty ThresholdVector, got 0",
         ),
         (lambda: run_verification_suite(samples=0), "samples must be >= 1, got 0"),
+        (
+            lambda: continuation(2.0, 0.5, _induced10(), 1),
+            "index must be an integer, got 2.0",
+        ),
+        (
+            lambda: classify_state(2.0, 0.5, _tables10()),
+            "index must be an integer, got 2.0",
+        ),
+        (
+            lambda: _induced10().value_at(2.0, 0.5, 1),
+            "index must be an integer, got 2.0",
+        ),
+        (lambda: tv1(2.0, _tables10()), "index must be an integer, got 2.0"),
+        (
+            lambda: _tables10().xthresholds.x(2.0),
+            "index must be an integer, got 2.0",
+        ),
+        (
+            lambda: _induced10().stage_average(2.0, 1),
+            "index must be an integer, got 2.0",
+        ),
+        (
+            lambda: bimatrix(2.5, 0.5, _tables10(), (0.0, 0.0)),
+            "index must be an integer, got 2.5",
+        ),
+        (lambda: w1(2.5, ProblemConfig(horizon=10)), "index must be an integer, got 2.5"),
+        (
+            lambda: secretary_stop_reward(2.5, ProblemConfig(horizon=10)),
+            "index must be an integer, got 2.5",
+        ),
+        (lambda: rank_transition(2.5, 4), "candidate index must be an integer, got 2.5"),
+        (
+            lambda: record_transition_density(RecordState(2, 0.5), 4.5),
+            "index must be an integer, got 4.5",
+        ),
     ],
     ids=[
         "config-horizon", "config-priority", "state-index", "state-value",
         "secretary-horizon", "secretary-cutoff", "joint-grid-horizon",
-        "fullinfo-horizon", "suite-samples",
+        "fullinfo-horizon", "suite-samples", "continuation-index",
+        "classify-index", "value-at-index", "tv1-index", "threshold-index",
+        "stage-average-index", "bimatrix-index", "w1-index",
+        "secretary-stop-index", "rank-transition-index", "record-density-index",
     ],
 )
 def test_out_of_domain_input_is_a_domain_error(call, message):

@@ -207,6 +207,17 @@ def test_game_value_rejects_high_priority():
         game_value(tables)
 
 
+def test_joint_grid_rejects_high_priority():
+    # the grid plays the classified profile, established for p <= 0.5 only
+    from bcgame.oracle import game_exhaustive_small
+
+    for horizon in (2, 3):
+        with pytest.raises(UnsupportedPriority) as caught:
+            game_exhaustive_small(horizon, 0.7)
+        message = "classification established for p <= 0.5 only, got 0.7"
+        assert str(caught.value) == message
+
+
 def test_game_value_memory_is_linear_in_horizon():
     # a handful of (N + 1)-vectors: 16 KB each at N = 2000, where the
     # induction's tables would take 128 GB

@@ -11,73 +11,33 @@ Every case runs in a fresh interpreter, so its ``ru_maxrss`` is its own,
 and a case that reports the fastest of several calls makes them all in
 that one child; the five repeats interleave the trees and alternate
 which goes first.
-Cases:
 
-* ``simulate-N`` for N = 10, 50, 150 and 400: ``valuation.simulate()``
-  on 2**18 sequences at p = 0.25, its thresholds and tables built first
-  and untimed.  Reports the wall time, sequences per second, the
-  ``tracemalloc`` peak of a second, traced call, and the child's max RSS.
-* ``audit-N`` for N = 10, 50, 150 and 400: one audit of each of a fixed,
-  seeded list of 2,000 record states at p = 0.25, as an API session makes
-  it: ``classify_state``, ``continuation`` for both players, ``bimatrix``
-  and ``is_pure_nash``.  The tables and the induction come first and are
-  untimed.  Reports microseconds per state and states per second, from
-  the fastest of five passes over the list, and the child's max RSS,
-  which the induction's tables set.
-* ``thresholds-N`` for N = 10, 50, 150, 400 and 10,000: one
-  ``models.fullinfo_thresholds()`` call at horizon N, the first call of
-  the interpreter.  Reports its wall time and the child's max RSS.
-* ``tables-N`` for N = 10, 50, 150, 400 and 10,000:
-  ``build_game_tables()`` at p = 0.25, the game's own threshold solve
-  included.  Reports the fastest of five calls and the child's max RSS.
-* ``value-N`` for N = 10, 50, 150 and 400: ``valuation.game_value()``
-  at p = 0.25 with the tables already built.  Reports the fastest of five
-  calls and the child's max RSS.
-* ``induce-N`` for N = 10, 50, 150 and 400:
-  ``valuation.backward_induce()`` at p = 0.25 with the tables already
-  built.  Reports the fastest of five calls, of two at N = 400, where a
-  call holds 537 MB, and the child's max RSS, which the induction's
-  tables set; each call's tables are freed before the next.
-* ``regions-N`` for N = 10, 50, 150 and 400: ``region_map()`` at
-  p = 0.25 and xstep 1e-3 with the tables already built.  Reports the
-  fastest of five calls and the child's max RSS.
-* ``rule-N`` for N = 10, 50, 100, 400 and 1000: ``oracle._rule_value()``
-  on the solved thresholds, the first-stop closed form of the value
-  player's solo rule that the suite checks by Monte Carlo.  Reports the
-  fastest of five calls and the child's max RSS.
-* ``suite``: ``run_verification_suite()`` at its defaults, 200,000
-  samples and seed 42.  Reports the fastest of five calls, the
-  ``tracemalloc`` peak of a sixth, traced call, and the child's max RSS.
-* ``cli-simulate-35`` and ``cli-simulate-10``: ``bcgame simulate
-  --horizon N --priority 0.25 --samples 2000000`` end to end; N = 10 sets
-  perfbench mc-play's peak RSS.
-* ``cli-regions-50-csv`` and ``cli-regions-50-json``: ``bcgame regions
-  --horizon 50 --priority 0.25 --xstep 1e-4``, 500,050 rows, in each
-  format.
-* ``cli-verify``: ``bcgame verify``, the oracle suite at its default
-  200,000 samples.
-* ``cli-values-400``: ``bcgame values --horizon 400 --priority 0.25``.
-* ``cli-values-both-10``: ``bcgame values --horizon 10 --priority 0.25
-  --method both --samples 1000000``, the game value and its Monte Carlo
-  check.
-* ``cli-table1``: ``bcgame table1``, the shifted cutoffs of 30 games at
-  N = 5 to 50.
-* ``cli-thresholds-10``: ``bcgame thresholds --horizon 10``, a request
-  that is nearly all start-up and exit.
+The in-process cases come from the case table, ``LAYERS``.  Its entry
+``name`` gives one case ``name-N`` for each horizon N it lists
+(``suite`` has none): a child, ``_LAYER_CHILD`` filled in, runs the
+entry's setup untimed, then times the calls of one statement.  It
+reports ``wall_s``, the fastest call, and ``maxrss_mb``, the child's max
+RSS; a traced entry adds the ``tracemalloc`` peak of one more call,
+``tracemalloc_mb``. ``simulate-N`` (``SEQUENCES`` sequences a call) adds
+``seq_per_s``, and ``audit-N`` (``AUDIT_STATES`` seeded record states a
+call) reports ``us_per_state`` and ``states_per_s`` in place of
+``wall_s``.
 
-The ``cli-*`` cases report the wall time, the child's CPU time and its
-max RSS; their output goes to /dev/null.  They also split the wall time
-at stamps the child takes: ``startup_s``, the interpreter's start-up
-before the child's script runs; ``import_s``, ``import bcgame.cli``;
-``command_s``, ``main``; and ``exit_s``, from ``main``'s return to the
-child's end, the interpreter's finalization included.
+The ``cli-*`` cases run the commands of ``CLI_CASES`` end to end, their
+output to /dev/null.  They report the wall time, the child's CPU time
+and its max RSS, and split the wall time at stamps the child takes:
+``startup_s``, the interpreter's start-up before the child's script
+runs; ``import_s``, ``import bcgame.cli``; ``command_s``, ``main``; and
+``exit_s``, from ``main``'s return to the child's end, the interpreter's
+finalization included.
 
-* ``tier1``: the tier-1 command, ``python -m pytest -q
-  --continue-on-collection-errors`` with DIR on the path, run from DIR's
-  parent, the checkout that holds the tests; three runs a tree, not five.
-  Reports the wall time, the CPU time and max RSS of the pytest process,
-  and the passed and failed counts of its summary line.  Failing tests
-  do not stop the script; a run that pytest itself aborts does.
+``tier1`` is the tier-1 command, ``python -m pytest -q
+--continue-on-collection-errors`` with DIR on the path, run from DIR's
+parent, the checkout that holds the tests; three runs a tree, not five.
+It reports the wall time, the CPU time and max RSS of the pytest
+process, and the passed, failed and error counts of its summary line.
+Failing tests do not stop the script; a run that pytest itself aborts
+does.
 
 A row records the tree's commit (``dirty`` when it has uncommitted
 changes), the Python and numpy versions, the CPUs this process may run
@@ -99,6 +59,7 @@ import re
 import statistics
 import subprocess
 import sys
+import textwrap
 import time
 import tokenize
 
@@ -132,134 +93,112 @@ CLI_CASES = {
     "cli-thresholds-10": ("thresholds", "--horizon", "10"),
 }
 
-_SIMULATE_CHILD = """
-import json, sys, time, tracemalloc
-from bcgame import ProblemConfig, SimConfig, build_game_tables, simulate
-horizon, samples = int(sys.argv[1]), int(sys.argv[2])
-tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-sim = SimConfig(samples=samples, seed=1)
-start = time.perf_counter()
-simulate(tables.config, tables, sim)
-wall = time.perf_counter() - start
-tracemalloc.start()
-simulate(tables.config, tables, sim)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(json.dumps({"wall_s": wall, "seq_per_s": samples / wall, "tracemalloc_mb": peak / 2**20}))
-"""
 
-_AUDIT_CHILD = """
-import json, random, sys, time
-from bcgame import (
-    ProblemConfig, backward_induce, bimatrix, build_game_tables, classify_state,
-    continuation,
-)
-horizon, count = int(sys.argv[1]), int(sys.argv[2])
-tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+def _game(*names: str) -> str:
+    """Setup importing ``names`` that builds the game at p = 0.25."""
+    return (
+        f"from bcgame import ProblemConfig, build_game_tables, {', '.join(names)}\n"
+        "tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))"
+    )
+
+
+#: The case table: name -> (setup, the statement timed, {horizon: calls
+#: a child times}, whether one more call runs under ``tracemalloc``).
+LAYERS = {
+    "simulate": (
+        f"""{_game('SimConfig', 'simulate')}
+sim = SimConfig(samples={SEQUENCES}, seed=1)""",
+        "simulate(tables.config, tables, sim)",
+        dict.fromkeys(HORIZONS, 1), True,
+    ),
+    "audit": (
+        f"""import random
+{_game('backward_induce', 'bimatrix', 'classify_state', 'continuation')}
 vf, _ = backward_induce(tables)
 rng = random.Random(1)
-states = [(rng.randint(1, horizon), 1.0 - rng.random()) for _ in range(count)]
-walls = []
-for _ in range(5):
-    start = time.perf_counter()
-    for n, x in states:
-        kind = classify_state(n, x, tables)
-        ff = (continuation(n, x, vf, 1), continuation(n, x, vf, 2))
-        bimatrix(n, x, tables, ff).is_pure_nash(kind)
-    walls.append(time.perf_counter() - start)
-wall = min(walls)
-print(json.dumps({"us_per_state": wall / count * 1e6, "states_per_s": count / wall}))
-"""
+states = [
+    (rng.randint(1, horizon), 1.0 - rng.random()) for _ in range({AUDIT_STATES})
+]""",
+        """for n, x in states:
+    kind = classify_state(n, x, tables)
+    ff = (continuation(n, x, vf, 1), continuation(n, x, vf, 2))
+    bimatrix(n, x, tables, ff).is_pure_nash(kind)""",
+        dict.fromkeys(HORIZONS, REPEATS), False,
+    ),
+    # the first call of the interpreter
+    "thresholds": (
+        """from bcgame import ProblemConfig, fullinfo_thresholds
+cfg = ProblemConfig(horizon=horizon)""",
+        "fullinfo_thresholds(cfg)",
+        dict.fromkeys(SOLVE_HORIZONS, 1), False,
+    ),
+    # the game's own threshold solve included
+    "tables": (
+        """from bcgame import ProblemConfig, build_game_tables
+cfg = ProblemConfig(horizon=horizon, priority=0.25)""",
+        "build_game_tables(cfg)",
+        dict.fromkeys(SOLVE_HORIZONS, REPEATS), False,
+    ),
+    "value": (
+        _game("game_value"), "game_value(tables)",
+        dict.fromkeys(HORIZONS, REPEATS), False,
+    ),
+    # each call's tables are freed before the next; one call at N = 400
+    # holds 537 MB, so there the fastest of two
+    "induce": (
+        _game("backward_induce"), "backward_induce(tables)",
+        {**dict.fromkeys(HORIZONS, REPEATS), 400: 2}, False,
+    ),
+    "regions": (
+        _game("region_map"), "region_map(tables, 1e-3)",
+        dict.fromkeys(HORIZONS, REPEATS), False,
+    ),
+    # the first-stop closed form of the value player's solo rule
+    "rule": (
+        """from bcgame import ProblemConfig, fullinfo_thresholds, oracle
+thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))""",
+        "oracle._rule_value(thresholds)",
+        dict.fromkeys(RULE_HORIZONS, REPEATS), False,
+    ),
+    # at its defaults, 200,000 samples and seed 42; no horizon
+    "suite": (
+        "from bcgame import run_verification_suite",
+        "run_verification_suite()",
+        {None: REPEATS}, True,
+    ),
+}
 
-_THRESHOLDS_CHILD = """
-import json, sys, time
-from bcgame import ProblemConfig, fullinfo_thresholds
-horizon = int(sys.argv[1])
-cfg = ProblemConfig(horizon=horizon)
-start = time.perf_counter()
-fullinfo_thresholds(cfg)
-print(json.dumps({"wall_s": time.perf_counter() - start}))
-"""
-
-_TABLES_CHILD = """
-import json, sys, time
-from bcgame import ProblemConfig, build_game_tables
-horizon, count = int(sys.argv[1]), int(sys.argv[2])
-cfg = ProblemConfig(horizon=horizon, priority=0.25)
+_LAYER_CHILD = """
+import json, time{traced}
+horizon = {horizon}
+{setup}
 walls = []
-for _ in range(count):
+for _ in range({calls}):
     start = time.perf_counter()
-    build_game_tables(cfg)
+{timed}
     walls.append(time.perf_counter() - start)
-print(json.dumps({"wall_s": min(walls)}))
+row = {{"wall_s": min(walls)}}
+{trace}print(json.dumps(row))
 """
-
-_VALUE_CHILD = """
-import json, sys, time
-from bcgame import ProblemConfig, build_game_tables, game_value
-horizon, count = int(sys.argv[1]), int(sys.argv[2])
-tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-walls = []
-for _ in range(count):
-    start = time.perf_counter()
-    game_value(tables)
-    walls.append(time.perf_counter() - start)
-print(json.dumps({"wall_s": min(walls)}))
-"""
-
-_INDUCE_CHILD = """
-import json, sys, time
-from bcgame import ProblemConfig, backward_induce, build_game_tables
-horizon, count = int(sys.argv[1]), int(sys.argv[2])
-tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-walls = []
-for _ in range(count):
-    start = time.perf_counter()
-    backward_induce(tables)
-    walls.append(time.perf_counter() - start)
-print(json.dumps({"wall_s": min(walls)}))
-"""
-
-_REGIONS_CHILD = """
-import json, sys, time
-from bcgame import ProblemConfig, build_game_tables, region_map
-horizon, count = int(sys.argv[1]), int(sys.argv[2])
-tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-walls = []
-for _ in range(count):
-    start = time.perf_counter()
-    region_map(tables, 1e-3)
-    walls.append(time.perf_counter() - start)
-print(json.dumps({"wall_s": min(walls)}))
-"""
-
-_RULE_CHILD = """
-import json, sys, time
-from bcgame import ProblemConfig, fullinfo_thresholds, oracle
-horizon, count = int(sys.argv[1]), int(sys.argv[2])
-thresholds = fullinfo_thresholds(ProblemConfig(horizon=horizon))
-walls = []
-for _ in range(count):
-    start = time.perf_counter()
-    oracle._rule_value(thresholds)
-    walls.append(time.perf_counter() - start)
-print(json.dumps({"wall_s": min(walls)}))
-"""
-
-_SUITE_CHILD = """
-import json, sys, time, tracemalloc
-from bcgame import run_verification_suite
-walls = []
-for _ in range(int(sys.argv[1])):
-    start = time.perf_counter()
-    run_verification_suite()
-    walls.append(time.perf_counter() - start)
-tracemalloc.start()
-run_verification_suite()
-peak = tracemalloc.get_traced_memory()[1]
+_TRACE = """tracemalloc.start()
+{call}
+row["tracemalloc_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
 tracemalloc.stop()
-print(json.dumps({"wall_s": min(walls), "tracemalloc_mb": peak / 2**20}))
 """
+
+
+def _layer_script(name: str, horizon: int | None, calls: int) -> str:
+    """The child of entry ``name``, timing ``calls`` calls at ``horizon``."""
+    setup, call, _, traced = LAYERS[name]
+    return _LAYER_CHILD.format(
+        traced=", tracemalloc" if traced else "",
+        horizon=horizon,
+        setup=setup,
+        calls=calls,
+        timed=textwrap.indent(call, "    "),
+        trace=_TRACE.format(call=call) if traced else "",
+    )
+
 
 #: A CLI request as ``python -m bcgame.cli`` makes it, which writes three
 #: ``time.monotonic()`` stamps as the last line of its stderr: when the
@@ -312,12 +251,21 @@ def _child(
     return start, end, out, usage
 
 
-def _layer_case(src: str, child: str, *args: int) -> dict:
-    """One run of an in-process ``child`` with ``args``, such as a horizon
-    and a count of sequences, states or calls: the JSON it prints, plus
-    its max RSS."""
-    *_, out, usage = _child(src, ["-c", child, *map(str, args)])
-    return {**json.loads(out), "maxrss_mb": usage.ru_maxrss / 1024}
+def _layer_case(src: str, name: str, script: str) -> dict:
+    """One run of the child ``script`` of the case table's entry ``name``:
+    the row it prints, with the rates of ``simulate`` and ``audit`` in
+    place of or beside its wall time, plus its max RSS."""
+    *_, out, usage = _child(src, ["-c", script])
+    row = json.loads(out)
+    wall = row["wall_s"]
+    if name == "simulate":
+        row = {"wall_s": wall, "seq_per_s": SEQUENCES / wall, **row}
+    elif name == "audit":
+        row = {
+            "us_per_state": wall / AUDIT_STATES * 1e6,
+            "states_per_s": AUDIT_STATES / wall,
+        }
+    return {**row, "maxrss_mb": usage.ru_maxrss / 1024}
 
 
 def _process_row(wall: float, usage: os.rusage) -> dict:
@@ -347,8 +295,11 @@ def _tier1_case(src: str) -> dict:
         src, _TIER1_ARGV, cwd=os.path.dirname(src), ok=(0, 1)
     )
     summary = out.decode().strip().splitlines()[-1]
-    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed)", summary)}
-    return {**_process_row(end - start, usage), "passed": 0, "failed": 0, **counts}
+    counts = {"passed": 0, "failed": 0, "errors": 0}
+    # pytest writes "1 error" and "2 errors"
+    for n, kind in re.findall(r"(\d+) (passed|failed|error)", summary):
+        counts["errors" if kind == "error" else kind] = int(n)
+    return {**_process_row(end - start, usage), **counts}
 
 
 def _commit(src: str) -> tuple[str | None, bool]:
@@ -424,22 +375,11 @@ def main() -> None:
         label, src = item.split("=", 1)
         trees[label] = os.path.abspath(src)
     cases = {}
-    for name, child, count, horizons in (
-        ("simulate", _SIMULATE_CHILD, SEQUENCES, HORIZONS),
-        ("audit", _AUDIT_CHILD, AUDIT_STATES, HORIZONS),
-        ("thresholds", _THRESHOLDS_CHILD, 1, SOLVE_HORIZONS),
-        ("tables", _TABLES_CHILD, REPEATS, SOLVE_HORIZONS),
-        ("value", _VALUE_CHILD, REPEATS, HORIZONS),
-        ("induce", _INDUCE_CHILD, REPEATS, HORIZONS),
-        ("regions", _REGIONS_CHILD, REPEATS, HORIZONS),
-    ):
-        for n in horizons:
-            cases[f"{name}-{n}"] = lambda src, c=child, n=n, k=count: _layer_case(src, c, n, k)
-    # a call at N = 400 holds 537 MB: the fastest of two
-    cases["induce-400"] = lambda src: _layer_case(src, _INDUCE_CHILD, 400, 2)
-    for n in RULE_HORIZONS:
-        cases[f"rule-{n}"] = lambda src, n=n: _layer_case(src, _RULE_CHILD, n, REPEATS)
-    cases["suite"] = lambda src: _layer_case(src, _SUITE_CHILD, REPEATS)
+    for name, (_, _, horizons, _) in LAYERS.items():
+        for n, calls in horizons.items():
+            script = _layer_script(name, n, calls)
+            case = name if n is None else f"{name}-{n}"
+            cases[case] = lambda src, n=name, s=script: _layer_case(src, n, s)
     for name, argv in CLI_CASES.items():
         cases[name] = lambda src, a=argv: _cli_case(src, a)
     cases["tier1"] = _tier1_case
