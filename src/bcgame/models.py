@@ -86,15 +86,14 @@ class ThresholdVector:
         """Threshold at index n (1-based) as a float; an array of indices
         gives an array.  ``DomainError`` for a scalar that is not an
         integer (``_integer``) and for any index outside 1..N."""
-        if isinstance(n, np.ndarray):
-            if n.size == 0 or 0 < n.min() and n.max() <= self.horizon:
-                return self.values[n - 1]
-        else:
-            try:
-                if 0 < n <= self.horizon:
-                    return self._floats[n - 1]
-            except TypeError:  # a tuple takes integer indices only
+        try:
+            if 0 < n <= self.horizon:
+                return self._floats[n - 1]  # a tuple takes integer indices only
+        except (TypeError, ValueError):
+            if not isinstance(n, np.ndarray):
                 _integer(n, "index")
+            elif n.size == 0 or 0 < n.min() and n.max() <= self.horizon:
+                return self.values[n - 1]
         raise DomainError(f"index {n} outside 1..{self.horizon}")
 
     def __len__(self) -> int:
@@ -138,14 +137,13 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value}") from None
 
 
-def _check_index(n: int, horizon: int, first: int = 1) -> int:
-    """``n`` as a plain ``int`` (``_integer``); ``DomainError`` for an index
-    that is not an integer or lies outside first..horizon."""
+def _check_index(n: int, horizon: int, first: int = 1) -> None:
+    """``DomainError`` for an index that is not an integer (``_integer``)
+    or lies outside first..horizon."""
     if type(n) is not int:  # a plain int, the per-state paths' case, needs no call
         n = _integer(n, "index")
     if not first <= n <= horizon:
         raise DomainError(f"index {n} outside {first}..{horizon}")
-    return n
 
 
 def _check_value(x: float) -> None:

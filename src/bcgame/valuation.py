@@ -271,7 +271,8 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     value at the same (n, x) costs a tuple lookup.
     """
     _check_player(player)
-    _check_index(n, V._horizon, first=0)
+    if type(n) is not int or not 0 <= n <= V._horizon:  # the call only when refused
+        _check_index(n, V._horizon, 0)
     _check_value(x)
     if x >= 1.0:  # no later value beats a record at 1
         return 0.0
