@@ -137,13 +137,13 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value}") from None
 
 
-def _check_index(n: int, horizon: int, first: int = 1) -> None:
+def _check_index(n: int, horizon: int) -> None:
     """``DomainError`` for an index that is not an integer (``_integer``)
-    or lies outside first..horizon."""
+    or lies outside 1..horizon."""
     if type(n) is not int:  # a plain int, the per-state paths' case, needs no call
         n = _integer(n, "index")
-    if not first <= n <= horizon:
-        raise DomainError(f"index {n} outside {first}..{horizon}")
+    if not 1 <= n <= horizon:
+        raise DomainError(f"index {n} outside 1..{horizon}")
 
 
 def _check_value(x: float) -> None:

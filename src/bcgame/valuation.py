@@ -271,8 +271,8 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     value at the same (n, x) costs a tuple lookup.
     """
     _check_player(player)
-    if type(n) is not int or not 0 <= n <= V._horizon:  # the call only when refused
-        _check_index(n, V._horizon, 0)
+    if not 0 <= _integer(n, "index") <= V._horizon:
+        raise DomainError(f"index {n} outside 0..{V._horizon}")
     _check_value(x)
     if x >= 1.0:  # no later value beats a record at 1
         return 0.0
