@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import models
-from ._memory import _physical_memory, refuse_beyond
-from .errors import DomainError, UnsupportedPriority
+from .errors import DomainError, UnsupportedPriority, refuse_beyond
 from .models import ProblemConfig, RecordState, ThresholdVector
 
 
@@ -418,9 +417,7 @@ def _check_region_size(horizon: int, xstep: float) -> None:
     if not 0.0 < xstep <= 0.1:
         raise DomainError(f"xstep must lie in (0, 0.1], got {xstep}")
     need = _GRID_CELL_BYTES * horizon * (1.0 / xstep + 1.0)
-    refuse_beyond(
-        need, _physical_memory(), f"regions at horizon {horizon} and xstep {xstep}"
-    )
+    refuse_beyond(need, f"regions at horizon {horizon} and xstep {xstep}")
 
 
 def region_map(tables: GameTables, xstep: float) -> RegionGrid:

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._memory import _physical_memory, refuse_beyond
-from .errors import DomainError
+from .errors import DomainError, refuse_beyond
 
 
 @dataclass(frozen=True)
@@ -257,9 +256,7 @@ def _solve_thresholds(counts: range) -> np.ndarray:
     bytes a lane, would exceed physical memory is refused with
     ``TooLarge`` before anything is allocated.
     """
-    refuse_beyond(
-        64 * counts[0], _physical_memory(), f"thresholds at horizon {counts[0] + 1}"
-    )
+    refuse_beyond(64 * counts[0], f"thresholds at horizon {counts[0] + 1}")
     ratios = _WEIGHTS / _NODES
     x = np.empty(len(counts))
     for start in range(0, len(counts), _LANES):

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Callable
 
 import numpy as np
 
@@ -92,6 +91,8 @@ def _secretary_wins(orders: np.ndarray) -> list[int]:
 def secretary_exhaustive(horizon: int, cutoff: int) -> float:
     """Win probability of "stop at the first candidate at index >= cutoff"
     over all horizon! rank orders, as an exact rational evaluated to float."""
+    horizon = models._integer(horizon, "horizon")
+    cutoff = models._integer(cutoff, "cutoff")
     if horizon > 8:
         raise TooLarge(f"exhaustive enumeration capped at horizon 8, got {horizon}")
     if horizon < 2:
@@ -319,14 +320,9 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
     return ValuePair(*means)
 
 
-def run_verification_suite(
-    samples: int = 200_000,
-    seed: int = 42,
-    tamper_thresholds: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[OracleReport]:
+def run_verification_suite(samples: int = 200_000, seed: int = 42) -> list[OracleReport]:
     """Full oracle suite and invariant checks; every report carries its own
-    tolerance.  ``tamper_thresholds`` lets tests corrupt the N = 50
-    threshold table (negative control): a bent table fails
+    tolerance.  A bent N = 50 threshold table fails
     ``thresholds.residual.N50`` and ``margins.value.indifference.N50``,
     which hold it to the threshold equation, and
     ``fullinfo.rule_value.optimality.N50`` when a bend gains value or makes
@@ -400,8 +396,6 @@ def run_verification_suite(
     thr10 = models.fullinfo_thresholds(ProblemConfig(horizon=10))
     reports.append(fullinfo_mc_check(thr10, samples=samples, seed=seed + 1))
     thr50 = models.fullinfo_thresholds(ProblemConfig(horizon=50))
-    if tamper_thresholds is not None:
-        thr50 = ThresholdVector(tamper_thresholds(thr50.values.copy()))
     reports += [_rule_optimality(thr10), _rule_optimality(thr50)]
 
     # kernel normalizations

@@ -73,7 +73,6 @@ from itertools import islice
 
 import numpy as np
 
-from ._memory import _physical_memory, refuse_beyond
 from ._rng import batch_generator
 from .equilibrium import (
     EquilibriumKind,
@@ -86,7 +85,7 @@ from .equilibrium import (
     stage_cells,
     stop_bars,
 )
-from .errors import DomainError
+from .errors import DomainError, refuse_beyond
 from .models import ProblemConfig, _check_index, _check_value, _integer
 
 _PLAYERS = (1, 2)
@@ -145,9 +144,14 @@ def _table_bytes(horizon: int) -> int:
     return 8 * (horizon + 1) * (horizon * (horizon + 2) + 2)
 
 
-def _check_player(player: int) -> None:
+def _check_player(player: int) -> int:
+    """``player`` as a plain int (``_integer``); ``DomainError`` unless it
+    is 1 or 2."""
+    if type(player) is not int:  # a plain int, the per-state paths' case, needs no call
+        player = _integer(player, "player")
     if player not in _PLAYERS:
         raise DomainError(f"player must be 1 or 2, got {player}")
+    return player
 
 
 def _integral_to_one(a: np.ndarray) -> np.ndarray:
@@ -188,9 +192,7 @@ class ValueFunction:
         self.tables = tables
         big_n = self._horizon = tables.config.horizon
         # the model needs N alone: refuse before any table is allocated
-        refuse_beyond(
-            _table_bytes(big_n), _physical_memory(), f"value tables at horizon {big_n}"
-        )
+        refuse_beyond(_table_bytes(big_n), f"value tables at horizon {big_n}")
         # the thresholds strictly decrease to x_N = 0: ascending, they and
         # 1 are the distinct breakpoints
         self.breaks = np.append(tables.xthresholds.values[::-1], 1.0)
@@ -245,7 +247,7 @@ class ValueFunction:
 
     def value_at(self, n: int, x: float, player: int) -> float:
         """V_player(n, x): the classified stage cell, or the continuation."""
-        _check_player(player)
+        player = _check_player(player)
         kind = classify_state(n, x, self.tables)
         if kind is EquilibriumKind.FF:
             return continuation(n, x, self, player)
@@ -256,7 +258,7 @@ class ValueFunction:
 
     def stage_average(self, n: int, player: int) -> float:
         """int_0^1 V_player(n, x) dx, for n in 1..N."""
-        _check_player(player)
+        player = _check_player(player)
         _check_index(n, self._horizon)
         return float(self.averages[player - 1, n])
 
@@ -270,7 +272,7 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     read and are kept for the last state asked, so the other player's
     value at the same (n, x) costs a tuple lookup.
     """
-    _check_player(player)
+    player = _check_player(player)
     if not 0 <= _integer(n, "index") <= V._horizon:
         raise DomainError(f"index {n} outside 0..{V._horizon}")
     _check_value(x)

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import bcgame
-from bcgame import cli, equilibrium, valuation
+from bcgame import cli, equilibrium, errors, valuation
 from bcgame.cli import main
 from bcgame.errors import DomainError
 from bcgame.models import ProblemConfig
@@ -251,7 +251,7 @@ def test_regions_invalid_step():
 def test_regions_over_memory_grid_exits_2(monkeypatch, capsys):
     # 5 x (1e9 + 1) cells of 48 bytes against 1 GiB, by arithmetic alone:
     # refused before the thresholds are solved or a value is built
-    monkeypatch.setattr(equilibrium, "_physical_memory", lambda: 1 << 30)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1 << 30)
     monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
     argv = ["regions", "--horizon", "5", "--priority", "0.25", "--xstep", "1e-9"]
     for fmt in ("csv", "json"):
@@ -582,7 +582,7 @@ def test_game_value_commands_build_no_value_tables(argv, monkeypatch, capsys):
     # memory belongs to the API (test_valuation's
     # test_value_function_refuses_tables_beyond_physical_memory)
     assert valuation._table_bytes(50) > 1 << 20
-    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1 << 20)
     monkeypatch.setattr(valuation, "ValueFunction", _never_called)
     monkeypatch.setattr(valuation, "backward_induce", _never_called)
     assert main(argv) == 0
@@ -597,7 +597,7 @@ def test_values_beyond_the_table_horizon_limit_completes(monkeypatch, capsys):
     # N = 1000 needs 8 GB of value tables, refused against 1 GiB; values
     # prints the game value without them
     assert valuation._table_bytes(1000) > 1 << 30
-    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 30)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1 << 30)
     monkeypatch.setattr(valuation, "ValueFunction", _never_called)
     assert main(["values", "--horizon", "1000", "--priority", "0.25"]) == 0
     header, row = capsys.readouterr().out.splitlines()

@@ -31,7 +31,7 @@ from bcgame.equilibrium import (
     w1,
     w2,
 )
-from bcgame import equilibrium
+from bcgame import equilibrium, errors
 from bcgame.errors import DomainError, TooLarge, UnsupportedPriority
 from bcgame.models import (
     ProblemConfig,
@@ -494,7 +494,7 @@ def test_stop_bars_match_stage_actions(horizon):
 def test_region_map_refuses_over_memory_grid(monkeypatch, tables10):
     # 10 indices x (1e9 + 1) values at 48 bytes a cell is 480 GB; against
     # 1 GiB the grid is refused before its values are built
-    monkeypatch.setattr(equilibrium, "_physical_memory", lambda: 1 << 30)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1 << 30)
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="regions at horizon 10 and xstep 1e-09 need 480.0 GB"):
@@ -512,7 +512,7 @@ def test_region_map_refuses_over_memory_grid(monkeypatch, tables10):
     # the step is checked first, and an unknown memory figure refuses nothing
     with pytest.raises(DomainError):
         equilibrium._check_region_size(10, 0.0)
-    monkeypatch.setattr(equilibrium, "_physical_memory", lambda: None)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: None)
     equilibrium._check_region_size(10, 1e-9)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcgame import models
+from bcgame import errors, models
 from bcgame.equilibrium import fs_condition
 from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
@@ -257,7 +257,7 @@ def test_thresholds_beyond_physical_memory_refused_before_the_solve(monkeypatch)
     def never(*args, **kwargs):
         raise AssertionError("allocated before the refusal")
 
-    monkeypatch.setattr(models, "_physical_memory", lambda: 64 * 999 - 1)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 64 * 999 - 1)
     with monkeypatch.context() as patched:
         patched.setattr(models.np, "empty", never)
         with pytest.raises(TooLarge, match="thresholds at horizon 1000 need"):

@@ -6,7 +6,7 @@ from itertools import accumulate, permutations
 import numpy as np
 import pytest
 
-from bcgame import oracle
+from bcgame import models, oracle
 from bcgame._rng import batch_generator
 from bcgame.equilibrium import bimatrix, build_game_tables, classify_state, tv1, w1
 from bcgame.errors import DomainError, TooLarge
@@ -563,6 +563,20 @@ def _induced10():
             lambda: record_transition_density(RecordState(2, 0.5), 4.5),
             "index must be an integer, got 4.5",
         ),
+        (
+            lambda: continuation(2, 0.5, _induced10(), 1.0),
+            "player must be an integer, got 1.0",
+        ),
+        (
+            lambda: _induced10().value_at(2, 0.5, 2.0),
+            "player must be an integer, got 2.0",
+        ),
+        (
+            lambda: _induced10().stage_average(1, 1.0),
+            "player must be an integer, got 1.0",
+        ),
+        (lambda: secretary_exhaustive(5.0, 3), "horizon must be an integer, got 5.0"),
+        (lambda: secretary_exhaustive(5, 3.0), "cutoff must be an integer, got 3.0"),
     ],
     ids=[
         "config-horizon", "config-priority", "state-index", "state-value",
@@ -571,6 +585,8 @@ def _induced10():
         "classify-index", "value-at-index", "tv1-index", "threshold-index",
         "stage-average-index", "bimatrix-index", "w1-index",
         "secretary-stop-index", "rank-transition-index", "record-density-index",
+        "continuation-player", "value-at-player", "stage-average-player",
+        "secretary-integer-horizon", "secretary-integer-cutoff",
     ],
 )
 def test_out_of_domain_input_is_a_domain_error(call, message):
@@ -594,14 +610,21 @@ def test_suite_passes_and_is_large_enough():
     assert failed == []
 
 
-def test_suite_catches_tampered_thresholds():
-    def bend(values):
-        values[4] = min(values[4] + 0.05, 0.999)
-        return values
+def test_suite_catches_tampered_thresholds(monkeypatch):
+    solve = models.fullinfo_thresholds
 
-    reports = run_verification_suite(
-        samples=60_000, seed=42, tamper_thresholds=bend
-    )
+    def bent(cfg):
+        tv = solve(cfg)
+        if cfg.horizon != 50:
+            return tv
+        values = tv.values.copy()
+        values[4] = min(values[4] + 0.05, 0.999)
+        return ThresholdVector(values)
+
+    plain = run_verification_suite(samples=60_000, seed=42)
+    # the suite fetches every table through the module attribute
+    monkeypatch.setattr(models, "fullinfo_thresholds", bent)
+    reports = run_verification_suite(samples=60_000, seed=42)
     assert any(not r.passed for r in reports)
     # the rows that hold the table to the threshold equation, and the
     # optimality row: the bent table rises (x_5 = 0.999 > x_4 = 0.98273)
@@ -613,7 +636,6 @@ def test_suite_catches_tampered_thresholds():
     }
     # the rule rows evaluate their table's rule on both sides and could not
     # catch a bend, so they play the solver's own table, bent or not
-    plain = run_verification_suite(samples=60_000, seed=42)
     rule = "fullinfo.rule_win_rate.N10"
     assert [r for r in reports if r.quantity == rule] == [
         r for r in plain if r.quantity == rule

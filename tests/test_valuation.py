@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from bcgame import valuation
+from bcgame import errors, valuation
 from bcgame._rng import batch_generator
 from bcgame.equilibrium import (
     Bimatrix,
@@ -25,12 +25,13 @@ from bcgame.equilibrium import (
     bimatrix,
     build_game_tables,
     classify_state,
+    region_map,
     stage_actions,
     stage_cells,
     w2,
 )
 from bcgame.errors import BcgameError, DomainError, TooLarge, UnsupportedPriority
-from bcgame.models import ProblemConfig, RecordState
+from bcgame.models import ProblemConfig, RecordState, fullinfo_thresholds
 from bcgame.valuation import (
     SimConfig,
     ValueFunction,
@@ -361,7 +362,7 @@ def test_packed_tables_fit_where_padded_ones_did_not(monkeypatch):
     tables = build_game_tables(ProblemConfig(horizon=40, priority=0.25))
     memory = 800_000
     assert valuation._table_bytes(40) < memory < 16 * 41 * (40 * 41 + 1)
-    monkeypatch.setattr(valuation, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: memory)
     _, pair = backward_induce(tables)
     want = game_value(tables)
     assert abs(pair.val1 - want.val1) <= 1e-12
@@ -375,7 +376,7 @@ def test_value_function_refuses_tables_beyond_physical_memory(monkeypatch):
     tables = build_game_tables(ProblemConfig(horizon=50, priority=0.25))
     need = valuation._table_bytes(50)
     assert need > 1 << 20
-    monkeypatch.setattr(valuation, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1 << 20)
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="physical memory"):
@@ -386,9 +387,22 @@ def test_value_function_refuses_tables_beyond_physical_memory(monkeypatch):
     assert peak < need / 10
 
 
+def test_one_memory_figure_gates_every_allocation(monkeypatch):
+    # thresholds (64 bytes a lane), value tables (1.06 MB at N = 50) and a
+    # region grid (48 bytes a cell) all read the one figure: 1 MiB here
+    tables = build_game_tables(ProblemConfig(horizon=50, priority=0.25))
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1 << 20)
+    with pytest.raises(TooLarge, match="thresholds at horizon 20000 need"):
+        fullinfo_thresholds(ProblemConfig(horizon=20_000))
+    with pytest.raises(TooLarge, match="value tables at horizon 50 need"):
+        ValueFunction(tables)
+    with pytest.raises(TooLarge, match="regions at horizon 50 and xstep 0.0001 need"):
+        region_map(tables, 1e-4)
+
+
 def test_value_function_unchecked_without_memory_figure(monkeypatch):
     monkeypatch.delattr(os, "sysconf", raising=False)
-    assert valuation._physical_memory() is None
+    assert errors._physical_memory() is None
     tables = build_game_tables(ProblemConfig(horizon=5, priority=0.25))
     _, pair = backward_induce(tables)
     assert math.isfinite(pair.val1)
