@@ -449,17 +449,28 @@ class Bimatrix(NamedTuple):
     ff: tuple[float, float]
 
     def cell(self, action1: str, action2: str) -> tuple[float, float]:
-        return self[_CELL_INDEX[action1, action2]]
+        """Cell of the action pair; ``DomainError`` unless each is "S" or "F"."""
+        try:
+            return self[_CELL_INDEX[action1, action2]]
+        except (KeyError, TypeError):  # TypeError: an action that does not hash
+            raise DomainError(
+                f'actions must be "S" or "F", got ({action1!r}, {action2!r})'
+            ) from None
 
     def is_pure_nash(self, kind: EquilibriumKind) -> bool:
         """True when neither unilateral deviation improves the deviator:
         the cell of ``kind`` against the cell where only player 1 switches
-        and the cell where only player 2 switches."""
+        and the cell where only player 2 switches.  ``DomainError`` for a
+        ``kind`` without the stop flags of an ``EquilibriumKind``."""
         ss, sf, fs, ff = self
-        if kind.stop1:
-            here, dev1, dev2 = (ss, fs, sf) if kind.stop2 else (sf, ff, ss)
+        try:
+            stop1, stop2 = kind.stop1, kind.stop2
+        except AttributeError:
+            raise DomainError(f"kind must be an EquilibriumKind, got {kind!r}") from None
+        if stop1:
+            here, dev1, dev2 = (ss, fs, sf) if stop2 else (sf, ff, ss)
         else:
-            here, dev1, dev2 = (fs, ss, ff) if kind.stop2 else (ff, sf, fs)
+            here, dev1, dev2 = (fs, ss, ff) if stop2 else (ff, sf, fs)
         return dev1[0] <= here[0] and dev2[1] <= here[1]
 
 

@@ -10,6 +10,12 @@ O(N) memory for a threshold table that does not increase (a table that
 rises is outside its domain), and by Monte Carlo, and small-horizon game
 values by midpoint-rule integration over the full joint distribution of
 the observations.
+
+``run_verification_suite`` is what ``verify`` prints: it builds the work
+its checks share once (the rank orders' wins, the threshold tables, the
+games at horizons 2, 3 and 10 with their inductions, the joint grids and
+one Monte Carlo run) and then reads one table of rows, each a tuple that becomes one
+``OracleReport`` or a report that a verifier here returns.
 """
 
 from __future__ import annotations
@@ -320,220 +326,136 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
     return ValuePair(*means)
 
 
+def _pair_rows(
+    prefix: str, oracle: ValuePair, solver: ValuePair, tols: tuple, method: str
+) -> list[tuple]:
+    """The suite's ``prefix.val1`` and ``prefix.val2`` rows of one pair."""
+    pairs = zip(oracle.as_tuple(), solver.as_tuple(), tols)
+    return [
+        (f"{prefix}.{comp}", *pair, method) for comp, pair in zip(("val1", "val2"), pairs)
+    ]
+
+
+def _worst(values) -> float:
+    """Largest absolute value of a non-empty iterable of numbers; NaN when
+    any is NaN, so that a row built on it fails."""
+    return float(np.abs(np.fromiter(values, dtype=float)).max())
+
+
 def run_verification_suite(samples: int = 200_000, seed: int = 42) -> list[OracleReport]:
-    """Full oracle suite and invariant checks; every report carries its own
-    tolerance.  A bent N = 50 threshold table fails
-    ``thresholds.residual.N50`` and ``margins.value.indifference.N50``,
-    which hold it to the threshold equation, and
-    ``fullinfo.rule_value.optimality.N50`` when a bend gains value or makes
-    the table rise.
+    """Full oracle suite and invariant checks, one report per row in a
+    fixed order; every report carries its own tolerance.  The samples
+    count and the seed are refused before anything is computed.
+
+    The shared work is built once, first: the rank orders' wins at N = 5..8
+    and each horizon's cutoff; the threshold tables at N = 2, 10 and 50,
+    each fetched through ``models.fullinfo_thresholds``; the seeded record
+    values of the kernel normalizations; the games at N = 2, 3 and 10 at
+    p = 0.25 with their inductions; the joint-grid values at N = 2 and 3;
+    and the N = 10 Monte Carlo game value.  Then comes the table ``rows``:
+    each entry is a report of ``fullinfo_mc_check`` or ``_rule_optimality``,
+    or a tuple (quantity, oracle value, solver value, tolerance, method)
+    that becomes one ``OracleReport``.  A check that holds or fails passes
+    its ``bool``, against ``True`` at tolerance 0.
+
+    A bent N = 50 threshold table fails ``thresholds.residual.N50`` and
+    ``margins.value.indifference.N50``, which hold it to the threshold
+    equation, and ``fullinfo.rule_value.optimality.N50`` when a bend gains
+    value or makes the table rise.
     """
     SimConfig(samples=samples)  # refuses a count as ``simulate`` would
     if not 0 <= seed < (1 << 64) - 2:  # it also plays seed + 1 and seed + 2
         raise DomainError(f"seed must be in [0, 2**64 - 2), got {seed}")
-    reports: list[OracleReport] = []
 
-    def pair_reports(
-        prefix: str, oracle: ValuePair, solver: ValuePair, tols: tuple, method: str
-    ) -> None:
-        for comp, oracle_v, solver_v, tol in zip(
-            ("val1", "val2"), oracle.as_tuple(), solver.as_tuple(), tols
-        ):
-            reports.append(
-                OracleReport(f"{prefix}.{comp}", oracle_v, solver_v, tol, method)
-            )
-
-    # rank-side exhaustive enumeration, one pass per horizon
+    # shared work: rank-side wins of every cutoff, one pass per horizon
     wins = {o.shape[1]: _secretary_wins(o) for o in islice(_rank_orders(8), 4, None)}
-    reports.append(
-        OracleReport(
-            "secretary.exhaustive.N5.r3",
-            oracle_value=float(Fraction(13, 30)),
-            solver_value=float(Fraction(wins[5][2], math.factorial(5))),
-            tolerance=0.0,
-            method="120-permutation enumeration vs exact rational",
-        )
+    cutoffs = {n: models.secretary_cutoff(ProblemConfig(horizon=n)) for n in wins}
+    thr2, thr10, thr50 = (
+        models.fullinfo_thresholds(ProblemConfig(horizon=n)) for n in (2, 10, 50)
     )
-    optimal = True
-    for big_n, counts in wins.items():
-        cfg = ProblemConfig(horizon=big_n)
-        cutoff = models.secretary_cutoff(cfg)
-        optimal &= counts[cutoff - 1] == max(counts)
-        # the rule passes the candidate at cutoff - 1 (>= 1 at these
-        # horizons) and takes the next: the solver's continue reward there
-        reports.append(
-            OracleReport(
-                f"secretary.formula.N{big_n}",
-                oracle_value=float(Fraction(counts[cutoff - 1], math.factorial(big_n))),
-                solver_value=models.secretary_continue_reward(cutoff - 1, cfg),
-                tolerance=1e-12,
-                method="permutation enumeration vs closed form at the cutoff",
-            )
-        )
-    reports.append(
-        OracleReport(
-            "secretary.cutoff.optimality.N5-8",
-            oracle_value=1.0,
-            solver_value=1.0 if optimal else 0.0,
-            tolerance=0.0,
-            method="cutoff rule dominates every other cutoff, exhaustively",
-        )
+    # each record state once, as its row reads them, with its value also
+    # kept as the numpy double drawn: numpy's x ** d can round apart from
+    # Python's, and the row prints it
+    kernel_xs = batch_generator(seed, 10_000).random((100, 8))
+    states = (
+        (models.RecordState(index=n, value=float(x)), x)
+        for n, row in enumerate(kernel_xs, start=1)
+        for x in row
     )
-
-    # value-side rule: exact closed form vs hand integral and Monte Carlo,
-    # and against its own tables with one threshold bent
-    thr2 = models.fullinfo_thresholds(ProblemConfig(horizon=2))
-    reports.append(
-        OracleReport(
-            "fullinfo.rule_value.N2",
-            oracle_value=0.75,
-            solver_value=_rule_value(thr2),
-            tolerance=1e-12,
-            method="hand two-stage integral vs first-stop closed form",
-        )
-    )
-    reports.append(fullinfo_mc_check(thr2, samples=samples, seed=seed))
-    thr10 = models.fullinfo_thresholds(ProblemConfig(horizon=10))
-    reports.append(fullinfo_mc_check(thr10, samples=samples, seed=seed + 1))
-    thr50 = models.fullinfo_thresholds(ProblemConfig(horizon=50))
-    reports += [_rule_optimality(thr10), _rule_optimality(thr50)]
-
-    # kernel normalizations
-    rng = batch_generator(seed, 10_000)
-    worst_record = 0.0
-    worst_rank = 0.0
-    big_n = 100
-    for n in range(1, big_n + 1):
-        for x in rng.random(8):
-            state = models.RecordState(index=n, value=float(x))
-            mass = math.fsum(
-                models.record_transition_density(state, m) * (1.0 - x)
-                for m in range(n + 1, big_n + 1)
-            ) + x ** (big_n - n)
-            worst_record = max(worst_record, abs(mass - 1.0))
-        rank_mass = math.fsum(
-            models.rank_transition(n, m) for m in range(n + 1, big_n + 1)
-        ) + n / big_n
-        worst_rank = max(worst_rank, abs(rank_mass - 1.0))
-    reports.append(
-        OracleReport(
-            "kernel.record.normalization.N100",
-            oracle_value=0.0,
-            solver_value=worst_record,
-            tolerance=1e-12,
-            method="geometric mass identity over random record values",
-        )
-    )
-    reports.append(
-        OracleReport(
-            "kernel.rank.normalization.N100",
-            oracle_value=0.0,
-            solver_value=worst_rank,
-            tolerance=1e-12,
-            method="telescoping mass identity, all indices",
-        )
-    )
-
-    # threshold fidelity and margin identities
-    worst_residual = max(
-        abs(_threshold_residual(thr50.x(n), 50 - n)) for n in range(1, 50)
-    )
-    reports.append(
-        OracleReport(
-            "thresholds.residual.N50",
-            oracle_value=0.0,
-            solver_value=worst_residual,
-            tolerance=1e-9,
-            method="defining-equation residual at every computed threshold",
-        )
-    )
-    cfg50 = ProblemConfig(horizon=50)
-    worst_indiff = max(
-        abs(
-            equilibrium.w2(models.RecordState(index=n, value=thr50.x(n)), cfg50)
-        )
-        for n in range(1, 50)
-    )
-    reports.append(
-        OracleReport(
-            "margins.value.indifference.N50",
-            oracle_value=0.0,
-            solver_value=worst_indiff,
-            tolerance=1e-9,
-            method="stop margin vanishes at each threshold",
-        )
-    )
-    cfg200 = ProblemConfig(horizon=200)
-    worst_w1 = max(
-        abs(
-            w1n
-            - (
-                models.secretary_stop_reward(n, cfg200)
-                - models.secretary_continue_reward(n, cfg200)
-            )
-        )
-        for n, w1n in enumerate(equilibrium._w1_values(cfg200), start=1)
-    )
-    reports.append(
-        OracleReport(
-            "margins.rank.identity.N200",
-            oracle_value=0.0,
-            solver_value=worst_w1,
-            tolerance=1e-12,
-            method="margin equals stop reward minus continue reward",
-        )
-    )
-
-    # game values: joint-grid oracle and Monte Carlo against the induction
     induced = {}  # horizon -> (tables, induction pair)
     for big_n in (2, 3, 10):
-        cfg = ProblemConfig(horizon=big_n, priority=0.25)
-        tables = equilibrium.build_game_tables(cfg)
+        tables = equilibrium.build_game_tables(ProblemConfig(horizon=big_n, priority=0.25))
         induced[big_n] = tables, valuation.backward_induce(tables)[1]
-    for big_n, tol in ((2, 1e-4), (3, 1e-3)):
-        pair_reports(
-            f"game.value.exhaustive.N{big_n}.p0.25",
-            game_exhaustive_small(big_n, 0.25),
-            induced[big_n][1],
-            (tol, tol),
-            "midpoint-rule joint integration vs backward induction",
-        )
+    # the joint grids before ``simulate``: run after it, their 8 MB buffers
+    # raised the peak RSS of ``verify`` by 3.5 MB, to 45 MB
+    grids = {n: game_exhaustive_small(n, 0.25) for n in (2, 3)}
     tables10, dp10 = induced[10]
     mc10, se10 = valuation.simulate(
         tables10.config, tables10, SimConfig(samples=samples, seed=seed + 2)
     )
-    pair_reports(
-        "game.value.dp_vs_mc.N10.p0.25",
-        mc10,
-        dp10,
-        (3.0 * se10[0], 3.0 * se10[1]),
-        f"monte carlo ({samples} samples) vs backward induction, 3 sigma",
-    )
+    cfg50, cfg200 = ProblemConfig(horizon=50), ProblemConfig(horizon=200)
+    shifted = {0.1: 4, 0.2: 5, 0.25: 5, 1 / 3: 5, math.exp(-1): 5, 0.5: 6}
 
-    # the first-stop game value, which the CLI prints, against the induction
-    for big_n, (tables, dp) in induced.items():
-        pair_reports(
-            f"game.value.first_stop_vs_induction.N{big_n}.p0.25",
-            dp,
-            valuation.game_value(tables),
-            (1e-12, 1e-12),
-            "first-stop closed form vs backward induction",
-        )
-
-    # shifted-cutoff row at horizon 10
-    expected_row = {0.1: 4, 0.2: 5, 0.25: 5, 1 / 3: 5, math.exp(-1): 5, 0.5: 6}
-    row_ok = all(
-        equilibrium.build_game_tables(ProblemConfig(horizon=10, priority=p)).ntilde
-        == want
-        for p, want in expected_row.items()
-    )
-    reports.append(
-        OracleReport(
-            "shifted_cutoff.row.N10",
-            oracle_value=1.0,
-            solver_value=1.0 if row_ok else 0.0,
-            tolerance=0.0,
-            method="reference shift row at horizon 10, all six priorities",
-        )
-    )
-    return reports
+    # (quantity, oracle value, solver value, tolerance, method), or a report
+    rows = [
+        ("secretary.exhaustive.N5.r3", Fraction(13, 30),
+            Fraction(wins[5][2], math.factorial(5)),
+            0.0, "120-permutation enumeration vs exact rational"),
+        # the rule passes the candidate at cutoff - 1 (>= 1 at these
+        # horizons) and takes the next: the solver's continue reward there
+        *((f"secretary.formula.N{n}", Fraction(wins[n][r - 1], math.factorial(n)),
+            models.secretary_continue_reward(r - 1, ProblemConfig(horizon=n)),
+            1e-12, "permutation enumeration vs closed form at the cutoff")
+          for n, r in cutoffs.items()),
+        ("secretary.cutoff.optimality.N5-8", True,
+            all(wins[n][r - 1] == max(wins[n]) for n, r in cutoffs.items()),
+            0.0, "cutoff rule dominates every other cutoff, exhaustively"),
+        # value-side rule: exact closed form vs hand integral and Monte
+        # Carlo, and against its own tables with one threshold bent
+        ("fullinfo.rule_value.N2", 0.75,
+            _rule_value(thr2),
+            1e-12, "hand two-stage integral vs first-stop closed form"),
+        fullinfo_mc_check(thr2, samples=samples, seed=seed),
+        fullinfo_mc_check(thr10, samples=samples, seed=seed + 1),
+        _rule_optimality(thr10),
+        _rule_optimality(thr50),
+        ("kernel.record.normalization.N100", 0.0,
+            _worst(math.fsum(models.record_transition_density(state, m) * (1.0 - x)
+                             for m in range(state.index + 1, 101))
+                   + x ** (100 - state.index) - 1.0 for state, x in states),
+            1e-12, "geometric mass identity over random record values"),
+        ("kernel.rank.normalization.N100", 0.0,
+            _worst(math.fsum(models.rank_transition(n, m) for m in range(n + 1, 101))
+                   + n / 100 - 1.0 for n in range(1, 101)),
+            1e-12, "telescoping mass identity, all indices"),
+        # threshold fidelity and margin identities
+        ("thresholds.residual.N50", 0.0,
+            _worst(_threshold_residual(thr50.x(n), 50 - n) for n in range(1, 50)),
+            1e-9, "defining-equation residual at every computed threshold"),
+        ("margins.value.indifference.N50", 0.0,
+            _worst(equilibrium.w2(models.RecordState(index=n, value=thr50.x(n)), cfg50)
+                   for n in range(1, 50)),
+            1e-9, "stop margin vanishes at each threshold"),
+        ("margins.rank.identity.N200", 0.0,
+            _worst(w1n - (models.secretary_stop_reward(n, cfg200)
+                          - models.secretary_continue_reward(n, cfg200))
+                   for n, w1n in enumerate(equilibrium._w1_values(cfg200), start=1)),
+            1e-12, "margin equals stop reward minus continue reward"),
+        # game values: joint-grid oracle and Monte Carlo against the induction
+        *(row for n, tol in ((2, 1e-4), (3, 1e-3)) for row in _pair_rows(
+            f"game.value.exhaustive.N{n}.p0.25", grids[n], induced[n][1], (tol, tol),
+            "midpoint-rule joint integration vs backward induction")),
+        *_pair_rows("game.value.dp_vs_mc.N10.p0.25", mc10, dp10,
+                    (3.0 * se10[0], 3.0 * se10[1]),
+                    f"monte carlo ({samples} samples) vs backward induction, 3 sigma"),
+        # the first-stop game value, which the CLI prints, against the induction
+        *(row for big_n, (tables, dp) in induced.items() for row in _pair_rows(
+            f"game.value.first_stop_vs_induction.N{big_n}.p0.25", dp,
+            valuation.game_value(tables), (1e-12, 1e-12),
+            "first-stop closed form vs backward induction")),
+        ("shifted_cutoff.row.N10", True,
+            all(equilibrium.build_game_tables(ProblemConfig(horizon=10, priority=p)).ntilde
+                == want for p, want in shifted.items()),
+            0.0, "reference shift row at horizon 10, all six priorities"),
+    ]
+    return [r if isinstance(r, OracleReport) else OracleReport(*r) for r in rows]

@@ -694,9 +694,10 @@ def test_bimatrix_cell_layout():
     assert bm.cell("S", "F") == bm.sf
     assert bm.cell("F", "S") == bm.fs
     assert bm.cell("F", "F") == bm.ff
-    with pytest.raises(KeyError):
+    # an action outside {S, F} is out of the domain, as README says
+    with pytest.raises(DomainError):
         bm.cell("S", "X")
-    with pytest.raises(KeyError):
+    with pytest.raises(DomainError):
         bm.cell("X", "F")
 
 

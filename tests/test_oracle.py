@@ -8,7 +8,14 @@ import pytest
 
 from bcgame import models, oracle
 from bcgame._rng import batch_generator
-from bcgame.equilibrium import bimatrix, build_game_tables, classify_state, tv1, w1
+from bcgame.equilibrium import (
+    Bimatrix,
+    bimatrix,
+    build_game_tables,
+    classify_state,
+    tv1,
+    w1,
+)
 from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
     ProblemConfig,
@@ -275,6 +282,14 @@ def test_rule_optimality_fails_a_bent_table_and_passes_the_solved_one():
     assert oracle._rule_optimality(rising).solver_value == math.inf
 
 
+def test_threshold_residual_is_inf_where_a_power_is_not_finite():
+    # 0.0 ** -1 divides by zero and 1e-300 ** -2 overflows: no threshold
+    # there, so the residual row fails; at the root of d = 1 it is exact
+    assert oracle._threshold_residual(0.0, 5) == math.inf
+    assert oracle._threshold_residual(1e-300, 5) == math.inf
+    assert oracle._threshold_residual(0.5, 1) == 0.0
+
+
 @pytest.mark.parametrize(
     "thresholds", [10, ThresholdVector(np.array([]))], ids=["int", "empty"]
 )
@@ -513,6 +528,10 @@ def _induced10():
     return backward_induce(_tables10())[0]
 
 
+def _bimatrix10():
+    return bimatrix(2, 0.5, _tables10(), (0.0, 0.0))
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -577,6 +596,22 @@ def _induced10():
         ),
         (lambda: secretary_exhaustive(5.0, 3), "horizon must be an integer, got 5.0"),
         (lambda: secretary_exhaustive(5, 3.0), "cutoff must be an integer, got 3.0"),
+        (
+            lambda: _bimatrix10().cell("X", "F"),
+            """actions must be "S" or "F", got ('X', 'F')""",
+        ),
+        (
+            lambda: _bimatrix10().cell("s", "f"),
+            """actions must be "S" or "F", got ('s', 'f')""",
+        ),
+        (
+            lambda: _bimatrix10().is_pure_nash("SS"),
+            "kind must be an EquilibriumKind, got 'SS'",
+        ),
+        (
+            lambda: _bimatrix10().is_pure_nash(None),
+            "kind must be an EquilibriumKind, got None",
+        ),
     ],
     ids=[
         "config-horizon", "config-priority", "state-index", "state-value",
@@ -587,6 +622,8 @@ def _induced10():
         "secretary-stop-index", "rank-transition-index", "record-density-index",
         "continuation-player", "value-at-player", "stage-average-player",
         "secretary-integer-horizon", "secretary-integer-cutoff",
+        "bimatrix-cell-action", "bimatrix-cell-lowercase",
+        "nash-kind-string", "nash-kind-none",
     ],
 )
 def test_out_of_domain_input_is_a_domain_error(call, message):
@@ -601,6 +638,18 @@ def test_report_consistency():
     assert r.passed and r.abs_diff <= r.tolerance
     r2 = OracleReport("x", 1.0, 2.0, 1e-12, "m")
     assert not r2.passed
+    # the suite passes fractions, bools and numpy doubles as they are; each
+    # report stores plain floats, and its difference and verdict are exact
+    r3 = OracleReport("q", Fraction(1, 3), True, 0.0, "m")
+    assert (r3.oracle_value, r3.solver_value, r3.tolerance) == (1 / 3, 1.0, 0.0)
+    assert r3.abs_diff == 2 / 3 and r3.passed is False
+    r4 = OracleReport("q", np.float64(0.5), np.float64(0.75), np.float64(0.25), "m")
+    assert (r4.oracle_value, r4.solver_value, r4.tolerance) == (0.5, 0.75, 0.25)
+    assert r4.abs_diff == 0.25 and r4.passed is True
+    for r in (r3, r4):
+        values = (r.oracle_value, r.solver_value, r.abs_diff, r.tolerance)
+        assert {type(v) for v in values} == {float}
+    assert type(r4.passed) is bool
 
 
 def test_suite_passes_and_is_large_enough():
