@@ -8,14 +8,7 @@ import pytest
 
 from bcgame import models, oracle
 from bcgame._rng import batch_generator
-from bcgame.equilibrium import (
-    Bimatrix,
-    bimatrix,
-    build_game_tables,
-    classify_state,
-    tv1,
-    w1,
-)
+from bcgame.equilibrium import bimatrix, build_game_tables, classify_state, tv1, w1
 from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
     ProblemConfig,
