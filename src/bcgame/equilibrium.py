@@ -14,7 +14,9 @@ the mean of the +-1 priority coin at (S,S)); the (F,F) cell is the
 continuation pair, supplied externally.  ``stage_actions`` (who stops),
 ``stop_bars`` (from which value on anyone stops) and ``stage_cells`` (what
 stopped cells pay; ``_cell`` for one, in floats) hold this rule for
-p <= 0.5.
+p <= 0.5.  An action pair has one position, 0..3 for SS, SF, FS and FF
+(``_position``), by which the kinds, the region names and a
+``Bimatrix``'s cells are read.
 """
 
 from __future__ import annotations
@@ -267,7 +269,11 @@ def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:
             - sum_{i=1}^{d-1} H_i x**i.
     """
     models._check_index(n, cfg.horizon)
-    if not 0.0 < x < 1.0:
+    try:
+        inside = 0.0 < x < 1.0
+    except TypeError:  # not a number, shown by its repr
+        inside, x = False, repr(x)
+    if not inside:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     d = cfg.horizon - n
     p = cfg.priority
@@ -281,11 +287,20 @@ def fs_condition(n: int, x: float, cfg: ProblemConfig) -> bool:
     return bool(lhs >= rhs)
 
 
+def _position(stop1, stop2):
+    """Position 0..3 of the action pair (SS, SF, FS, FF) with the stop flags
+    ``stop1`` and ``stop2``, bools or bool arrays: the order of the kinds
+    and of a ``Bimatrix``'s cells, where a player's switch flips one bit,
+    2 for the rank player and 1 for the value player."""
+    return 3 - 2 * stop1 - stop2
+
+
 class EquilibriumKind(Enum):
     """Pure Nash action pair at a record state; first letter is the rank
     player's action, second the value player's (S = stop, F = forgo).
     Each member carries its actions as plain attributes, ``action1`` and
-    ``action2``, and as stop flags, ``stop1`` and ``stop2``."""
+    ``action2``, as stop flags, ``stop1`` and ``stop2``, and as its
+    ``position``, the index of its cell in a ``Bimatrix``."""
 
     SS = "SS"
     SF = "SF"
@@ -295,13 +310,11 @@ class EquilibriumKind(Enum):
     def __init__(self, value: str) -> None:
         self.action1, self.action2 = value
         self.stop1, self.stop2 = self.action1 == "S", self.action2 == "S"
+        self.position = _position(self.stop1, self.stop2)
 
 
-# kind by (rank player stops, value player stops)
-_KIND_OF = (
-    (EquilibriumKind.FF, EquilibriumKind.FS),
-    (EquilibriumKind.SF, EquilibriumKind.SS),
-)
+# the kinds by position
+_KINDS = tuple(EquilibriumKind)
 
 
 def _check_priority(tables: GameTables) -> None:
@@ -378,8 +391,7 @@ def classify_state(n: int, x: float, tables: GameTables) -> EquilibriumKind:
     """
     models._check_index(n, tables.config.horizon)
     models._check_value(x)
-    stop1, stop2 = stage_actions(n, x, tables)
-    return _KIND_OF[bool(stop1)][bool(stop2)]
+    return _KINDS[_position(*stage_actions(n, x, tables))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,9 +412,10 @@ class RegionGrid:
             object.__setattr__(self, name, view)
 
 
-#: Peak bytes per (index, value) cell of ``region_map``: 26 by tracemalloc
-#: at N = 50, plus 16 per value, which this also covers at N = 1.  The CLI
-#: streams its rows from the grid, so the figure covers ``regions`` too.
+#: Peak bytes per (index, value) cell of ``region_map``, with room: 11.3
+#: by tracemalloc at N = 50, plus 16 per value, which this also covers at
+#: N = 1.  The CLI streams its rows from the grid, so the figure covers
+#: ``regions`` too.
 _GRID_CELL_BYTES = 48
 
 
@@ -414,7 +427,11 @@ def _check_region_size(horizon: int, xstep: float) -> None:
     checks for API callers, and the CLI before it solves the thresholds.
     The cell count is a float, so a step near 0 gives an infinite need,
     not an overflow."""
-    if not 0.0 < xstep <= 0.1:
+    try:
+        inside = 0.0 < xstep <= 0.1
+    except TypeError:  # not a number, shown by its repr
+        inside, xstep = False, repr(xstep)
+    if not inside:
         raise DomainError(f"xstep must lie in (0, 0.1], got {xstep}")
     need = _GRID_CELL_BYTES * horizon * (1.0 / xstep + 1.0)
     refuse_beyond(need, f"regions at horizon {horizon} and xstep {xstep}")
@@ -430,12 +447,8 @@ def region_map(tables: GameTables, xstep: float) -> RegionGrid:
     xs = np.minimum(np.arange(count + 1) * xstep, 1.0)
     ns = np.arange(1, big_n + 1)
     stop1, stop2 = stage_actions(ns[:, None], xs[None, :], tables)
-    names = np.array([[kind.value for kind in row] for row in _KIND_OF])
-    return RegionGrid(ns=ns, xs=xs, kinds=names[stop1.astype(int), stop2.astype(int)])
-
-
-# position of a cell in ``Bimatrix`` by its action pair
-_CELL_INDEX = {("S", "S"): 0, ("S", "F"): 1, ("F", "S"): 2, ("F", "F"): 3}
+    names = np.array([kind.value for kind in _KINDS])
+    return RegionGrid(ns=ns, xs=xs, kinds=names[_position(stop1.astype(np.int8), stop2)])
 
 
 class Bimatrix(NamedTuple):
@@ -451,27 +464,23 @@ class Bimatrix(NamedTuple):
     def cell(self, action1: str, action2: str) -> tuple[float, float]:
         """Cell of the action pair; ``DomainError`` unless each is "S" or "F"."""
         try:
-            return self[_CELL_INDEX[action1, action2]]
-        except (KeyError, TypeError):  # TypeError: an action that does not hash
-            raise DomainError(
-                f'actions must be "S" or "F", got ({action1!r}, {action2!r})'
-            ) from None
+            if action1 in {"S", "F"} and action2 in {"S", "F"}:
+                return self[EquilibriumKind(action1 + action2).position]
+        except TypeError:  # an action that does not hash
+            pass
+        raise DomainError(f'actions must be "S" or "F", got ({action1!r}, {action2!r})')
 
     def is_pure_nash(self, kind: EquilibriumKind) -> bool:
         """True when neither unilateral deviation improves the deviator:
         the cell of ``kind`` against the cell where only player 1 switches
-        and the cell where only player 2 switches.  ``DomainError`` for a
-        ``kind`` without the stop flags of an ``EquilibriumKind``."""
-        ss, sf, fs, ff = self
+        and the cell where only player 2 switches, a flip of bit 2 and of
+        bit 1 of its position.  ``DomainError`` for a ``kind`` without the
+        position of an ``EquilibriumKind``."""
         try:
-            stop1, stop2 = kind.stop1, kind.stop2
+            i = kind.position
         except AttributeError:
             raise DomainError(f"kind must be an EquilibriumKind, got {kind!r}") from None
-        if stop1:
-            here, dev1, dev2 = (ss, fs, sf) if stop2 else (sf, ff, ss)
-        else:
-            here, dev1, dev2 = (fs, ss, ff) if stop2 else (ff, sf, fs)
-        return dev1[0] <= here[0] and dev2[1] <= here[1]
+        return self[i ^ 2][0] <= self[i][0] and self[i ^ 1][1] <= self[i][1]
 
 
 def bimatrix(n: int, x: float, tables: GameTables, ff: tuple[float, float]) -> Bimatrix:

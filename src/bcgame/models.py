@@ -41,8 +41,7 @@ class ProblemConfig:
         object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
         if self.horizon < 2:
             raise DomainError(f"horizon must be >= 2, got {self.horizon}")
-        if not 0.0 <= self.priority <= 1.0:
-            raise DomainError(f"priority must be in [0, 1], got {self.priority}")
+        _check_value(self.priority, "priority")
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,9 @@ class RecordState:
 class ThresholdVector:
     """Indifference thresholds x_1..x_N of the value player, immutable: it
     holds a read-only copy of ``values``, and its horizon N is their
-    count.  Compared and hashed by identity."""
+    count.  ``DomainError`` for anything but one row of numbers in [0, 1],
+    checked by the row's ``min`` and ``max``, so that a NaN lane fails
+    too; an empty row is a table.  Compared and hashed by identity."""
 
     values: np.ndarray
     horizon: int = field(init=False)
@@ -76,6 +77,10 @@ class ThresholdVector:
 
     def __post_init__(self) -> None:
         values = np.array(self.values)
+        if values.ndim != 1 or values.dtype.kind not in "fiu" or not (
+            0.0 <= values.min(initial=0.0) and values.max(initial=1.0) <= 1.0
+        ):
+            raise DomainError(f"thresholds must be a row in [0, 1], got {self.values!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "horizon", len(values))
@@ -145,10 +150,15 @@ def _check_index(n: int, horizon: int) -> None:
         raise DomainError(f"index {n} outside 1..{horizon}")
 
 
-def _check_value(x: float) -> None:
-    """``DomainError`` for a record value outside [0, 1], NaN included."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"value must be in [0, 1], got {x}")
+def _check_value(x: float, name: str = "value") -> None:
+    """``DomainError`` for a record value, or the real ``name``, outside
+    [0, 1], NaN and anything that does not compare with numbers included."""
+    try:
+        if 0.0 <= x <= 1.0:
+            return
+    except TypeError:  # not a number, shown by its repr
+        x = repr(x)
+    raise DomainError(f"{name} must be in [0, 1], got {x}")
 
 
 def secretary_stop_reward(n: int, cfg: ProblemConfig) -> float:

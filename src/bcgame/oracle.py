@@ -157,7 +157,14 @@ def _rule_optimality(thresholds: ThresholdVector) -> OracleReport:
     of ``_stop_terms`` that hold x_i as an x_j, so all 2N bends are the rows
     of one (2, N, 2N - 1) array of changes, each row summed by
     ``math.fsum``.  A table that rises is outside the closed form's domain
-    and fails."""
+    and fails.
+
+    The bends test the second order only: near the optimum the value falls
+    as the square of a lane's error e, so a bend by ``_BEND`` toward the
+    optimum gains only when e exceeds about ``_BEND`` / 2, and a table off
+    by less passes.  The first order, dP/dx_i = -x_i^(i-1) w2_i(x_i), is
+    the threshold equation, which ``thresholds.residual`` and
+    ``margins.value.indifference`` hold."""
     x, horizon = thresholds.values, len(thresholds)
     quantity = f"fullinfo.rule_value.optimality.N{horizon}"
     if np.any(x[1:] > x[:-1]):
@@ -257,25 +264,18 @@ def _stop_payoffs(
     n: int, xs: np.ndarray, tables: equilibrium.GameTables
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell payoff pair at stopped record states (n, xs), plus a mask of
-    which entries actually stop (the rest are forgo-forgo)."""
-    cfg = tables.config
-    p = cfg.priority
-    thr = tables.xthresholds.x(n)
+    which entries actually stop (the rest are forgo-forgo, paid 0).  Where
+    the value player stops, the pair is (s1 w1_n, s2 w2) with the signs
+    (2p - 1, 1 - 2p) of a shared claim from nstar on and (-1, 1) before;
+    where the rank player stops alone, from ntilde on, it is (w1_n, -w2)."""
+    p = tables.config.priority
+    s1, s2 = (2.0 * p - 1.0, 1.0 - 2.0 * p) if n >= tables.nstar else (-1.0, 1.0)
     w1n = float(tables.w1[n - 1])
-    w2v = _w2_power_sum(n, xs, cfg.horizon)
-    above = xs >= thr
+    w2v = _w2_power_sum(n, xs, tables.config.horizon)
+    above = xs >= tables.xthresholds.x(n)
     stops = above | (n >= tables.ntilde)
-    pay1 = np.zeros_like(xs)
-    pay2 = np.zeros_like(xs)
-    if n >= tables.nstar:
-        pay1[above] = (2.0 * p - 1.0) * w1n
-        pay2[above] = (1.0 - 2.0 * p) * w2v[above]
-    else:
-        pay1[above] = -w1n
-        pay2[above] = w2v[above]
-    alone = stops & ~above
-    pay1[alone] = w1n
-    pay2[alone] = -w2v[alone]
+    pay1 = np.where(stops, np.where(above, s1 * w1n, w1n), 0.0)
+    pay2 = np.where(stops, np.where(above, s2 * w2v, -w2v), 0.0)
     return pay1, pay2, stops
 
 
@@ -298,8 +298,7 @@ def game_exhaustive_small(horizon: int, priority: float) -> ValuePair:
     equilibrium._check_priority(tables)
     mid = (np.arange(_MESH) + 0.5) / _MESH
     # last stage always stops on a record; both margins there equal 1
-    last1 = 2.0 * priority - 1.0
-    last2 = 1.0 - 2.0 * priority
+    last1, last2 = 2.0 * priority - 1.0, 1.0 - 2.0 * priority
 
     pay1_1, pay2_1, stop1 = _stop_payoffs(1, mid, tables)
     # P(a later value beats midpoint i) has exact midpoint count (_MESH - 1 - i)/_MESH

@@ -699,6 +699,14 @@ def test_bimatrix_cell_layout():
         bm.cell("S", "X")
     with pytest.raises(DomainError):
         bm.cell("X", "F")
+    # each action is checked on its own, not their concatenation, and an
+    # array or a list is no action, whatever it holds
+    odd = (("SS", ""), ("", "FF"), ("SF", ""), (np.array(["S"]), "F"))
+    for actions in (*odd, (np.array(["S", "F"]), "S"), (["S"], "F")):
+        with pytest.raises(DomainError):
+            bm.cell(*actions)
+    for kind in EquilibriumKind:
+        assert bm.cell(kind.action1, kind.action2) == bm[kind.position]
 
 
 def test_bimatrix_is_an_immutable_named_tuple():
@@ -721,6 +729,8 @@ def test_equilibrium_kind_round_trips_and_carries_its_stop_flags():
         assert kind.stop1 is (first == "S")
         assert kind.stop2 is (second == "S")
     assert [kind.value for kind in EquilibriumKind] == ["SS", "SF", "FS", "FF"]
+    # its position is the index of its cell in a Bimatrix
+    assert [kind.position for kind in EquilibriumKind] == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         EquilibriumKind("SX")
 

@@ -8,7 +8,15 @@ import pytest
 
 from bcgame import models, oracle
 from bcgame._rng import batch_generator
-from bcgame.equilibrium import bimatrix, build_game_tables, classify_state, tv1, w1
+from bcgame.equilibrium import (
+    bimatrix,
+    build_game_tables,
+    classify_state,
+    fs_condition,
+    region_map,
+    tv1,
+    w1,
+)
 from bcgame.errors import DomainError, TooLarge
 from bcgame.models import (
     ProblemConfig,
@@ -273,6 +281,29 @@ def test_rule_optimality_fails_a_bent_table_and_passes_the_solved_one():
     # a table that rises fails without raising
     rising = ThresholdVector(np.random.default_rng(5).random(10))
     assert oracle._rule_optimality(rising).solver_value == math.inf
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 10, 50])
+def test_rule_value_gradient_is_the_threshold_equation(horizon):
+    # dP/dx_i = -x_i^(i-1) w2_i(x_i), d = N - i: the first-order condition
+    # of the rule value is the indifference w2_i(x_i) = 0.  Checked by
+    # central differences on tables bent off the solved one by a power,
+    # which keeps them strictly decreasing; a difference quotient moves the
+    # N or so addends that hold x_i, each below 1, so its rounding is at
+    # most about N ulp over h, far above its h^2 term
+    h = 1e-6
+    bound = horizon * 2.0**-52 / h
+    base = fullinfo_thresholds(ProblemConfig(horizon=horizon)).values
+    for power in (0.9, 1.5):
+        x = base**power
+        for i in range(1, horizon):
+            up, down = x.copy(), x.copy()
+            up[i - 1] += h
+            down[i - 1] -= h
+            rise = oracle._rule_value(ThresholdVector(up))
+            fall = oracle._rule_value(ThresholdVector(down))
+            want = -(x[i - 1] ** (i - 1)) * oracle._w2_power_sum(i, x[i - 1], horizon)
+            assert abs((rise - fall) / (2 * h) - want) <= bound, (power, i)
 
 
 def test_threshold_residual_is_inf_where_a_power_is_not_finite():
@@ -541,6 +572,45 @@ def _bimatrix10():
         ),
         (lambda: run_verification_suite(samples=0), "samples must be >= 1, got 0"),
         (
+            lambda: ProblemConfig(horizon=10, priority="0.25"),
+            "priority must be in [0, 1], got '0.25'",
+        ),
+        (lambda: RecordState(1, "0.5"), "value must be in [0, 1], got '0.5'"),
+        (
+            lambda: classify_state(1, None, _tables10()),
+            "value must be in [0, 1], got None",
+        ),
+        (
+            lambda: continuation(1, None, _induced10(), 1),
+            "value must be in [0, 1], got None",
+        ),
+        (
+            lambda: region_map(_tables10(), "0.1"),
+            "xstep must lie in (0, 0.1], got '0.1'",
+        ),
+        (
+            lambda: fs_condition(1, "0.5", ProblemConfig(horizon=10, priority=0.25)),
+            "x must lie in (0, 1), got '0.5'",
+        ),
+        (lambda: ThresholdVector(0.5), "thresholds must be a row in [0, 1], got 0.5"),
+        (lambda: ThresholdVector("ab"), "thresholds must be a row in [0, 1], got 'ab'"),
+        (
+            lambda: ThresholdVector(np.zeros((2, 2))),
+            "thresholds must be a row in [0, 1], got " + repr(np.zeros((2, 2))),
+        ),
+        (
+            lambda: ThresholdVector([1.5, 0.2]),
+            "thresholds must be a row in [0, 1], got [1.5, 0.2]",
+        ),
+        (
+            lambda: ThresholdVector([0.7, -0.1]),
+            "thresholds must be a row in [0, 1], got [0.7, -0.1]",
+        ),
+        (
+            lambda: ThresholdVector([0.5, math.nan]),
+            "thresholds must be a row in [0, 1], got [0.5, nan]",
+        ),
+        (
             lambda: continuation(2.0, 0.5, _induced10(), 1),
             "index must be an integer, got 2.0",
         ),
@@ -609,7 +679,11 @@ def _bimatrix10():
     ids=[
         "config-horizon", "config-priority", "state-index", "state-value",
         "secretary-horizon", "secretary-cutoff", "joint-grid-horizon",
-        "fullinfo-horizon", "suite-samples", "continuation-index",
+        "fullinfo-horizon", "suite-samples", "config-priority-string",
+        "state-value-string", "classify-value-none", "continuation-value-none",
+        "region-xstep-string", "fs-value-string", "thresholds-scalar",
+        "thresholds-string", "thresholds-matrix", "thresholds-above-one",
+        "thresholds-below-zero", "thresholds-nan", "continuation-index",
         "classify-index", "value-at-index", "tv1-index", "threshold-index",
         "stage-average-index", "bimatrix-index", "w1-index",
         "secretary-stop-index", "rank-transition-index", "record-density-index",
