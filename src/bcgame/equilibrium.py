@@ -64,16 +64,17 @@ def _w2_array(n, xs, tables: GameTables, out=None) -> np.ndarray:
     broadcast shape, the margins are written there.
 
     x**d (1 + H_d) - sum_{j=1}^{d} x**(d-j)/j with d = N - n and H_d the
-    d-th harmonic number, 1/m and H_m read from ``tables``.  The sum has
-    coefficient 1/(d-k) at x**k and is taken by Horner's rule in d
-    multiply-adds, with no negative power.
+    d-th harmonic number, 1/m and H_m read from ``tables``, by one pass of
+    Horner's rule over the whole polynomial: from the leading coefficient
+    1 + H_d, d steps acc = acc x - 1/j for j = 1..d, with no power and no
+    negative power.  Only IEEE +, - and x are taken, so the bits follow
+    from the inputs alone, on every host and at every array length.
     The entries are sorted stably by degree d, highest first (a radix sort
-    on the small unsigned key top - d), so step t of the Horner loop,
-    acc = acc x + 1/t, runs on the prefix of entries with d >= t only.
-    The sorted values are held in ``out``, and the sums go back there in
-    the order of the entries; the first term follows, its power taken in
-    place on the degrees as floats, so beside ``out`` at most two arrays
-    of its size are held at a time."""
+    on the small unsigned key top - d), so step t of the loop runs on the
+    prefix of entries with d >= t only; an entry with d = 0 keeps its
+    leading coefficient 1, x = 0 included.  The sorted values are held in
+    ``out``, and the margins go back there in the order of the entries, so
+    beside ``out`` the sums and the order, two arrays of its size, are held."""
     horizon, inverses = tables.config.horizon, tables.inverses
     xs, n = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(n))
     low = int(np.min(n, initial=horizon))
@@ -86,20 +87,14 @@ def _w2_array(n, xs, tables: GameTables, out=None) -> np.ndarray:
         out = np.empty(xs.shape)
     flat = out.reshape(-1)
     np.take(xs.ravel(), order, out=flat)
-    acc = head = np.zeros(len(order))
+    # 1 + H_d of each entry, in the sorted order
+    acc = (1.0 + np.array(tables.harmonics[: top + 1]))[::-1].take(key[order])
     for t in range(1, top + 1):
         head = acc[: live[t]]
         head *= flat[: live[t]]
-        head += inverses[t]
+        head -= inverses[t]
     flat[order] = acc
-    del acc, head, order  # freed before the first term's two arrays
-    harmonic = np.array(tables.harmonics[: top + 1])
-    scale = (1.0 + harmonic)[::-1].take(key).reshape(xs.shape)  # 1 + H_d
-    power = n.astype(float)
-    np.subtract(horizon, power, out=power)
-    np.power(xs, power, out=power)
-    power *= scale
-    return np.subtract(power, out, out=out)
+    return out
 
 
 def _horner_lists(degree: int) -> tuple[tuple, tuple]:
@@ -114,22 +109,14 @@ def _w2_scalar(d: int, x: float, inverses: tuple, harmonics: tuple) -> float:
     """``_w2_array`` at one state of degree d = N - n in Python floats, by
     the same operations in the same order, with 1/m and H_m read from
     ``_horner_lists`` of degree d or more: a numpy step on a 0-d array
-    costs about 2.5 us.  The power is numpy's, because Python's ``x ** d``
-    and ``math.pow`` differ from it in the last bit: where numpy runs its
-    AVX-512 power kernel, in about 5 % of random (x, d).
-
-    The two forms agree to 1e-15, not bit for bit.  Numpy's power over a
-    long array can round differently from its call on one value, and
-    x**d (1 + H_d) nearly cancels the Horner sum, so a last-bit power
-    difference becomes up to 4.4e-16 in the margin: 16 of 50,000 random
-    (n, x) at N = 60 and 5 of 50,000 at N = 400 (numpy 2.4, AVX-512).
+    costs about 2.5 us.  Python's float +, - and x round as numpy's do,
+    so the two forms agree bit for bit, at any array length.
     ``w2``, ``bimatrix`` and ``ValueFunction.value_at`` take this form; the
-    Monte Carlo scoring takes the array form, so a stopped cell may differ
-    in its last bits between the two."""
-    acc = 0.0
+    Monte Carlo scoring takes the array form."""
+    acc = 1.0 + harmonics[d]
     for step in inverses[1 : d + 1]:
-        acc = acc * x + step
-    return float(np.power(x, d)) * (1.0 + harmonics[d]) - acc
+        acc = acc * x - step
+    return acc
 
 
 def w2(state: RecordState, cfg: ProblemConfig) -> float:

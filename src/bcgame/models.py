@@ -152,11 +152,18 @@ def _check_index(n: int, horizon: int) -> None:
 
 def _check_value(x: float, name: str = "value") -> None:
     """``DomainError`` for a record value, or the real ``name``, outside
-    [0, 1], NaN and anything that does not compare with numbers included."""
+    [0, 1], NaN, arrays of one or more dimensions and anything that does
+    not compare with numbers included."""
     try:
-        if 0.0 <= x <= 1.0:
+        inside = 0.0 <= x <= 1.0
+        if inside is True:  # a Python number inside, the per-state paths' case
             return
-    except TypeError:  # not a number, shown by its repr
+    except (TypeError, ValueError):  # no comparison, or an array of several values
+        inside = None
+    # a numpy scalar compares to a numpy bool, an array to an array
+    if type(inside) is np.bool_ and inside:
+        return
+    if not isinstance(inside, (bool, np.bool_)):  # not a number, shown by its repr
         x = repr(x)
     raise DomainError(f"{name} must be in [0, 1], got {x}")
 

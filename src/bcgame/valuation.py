@@ -273,7 +273,9 @@ def continuation(n: int, x: float, V: ValueFunction, player: int) -> float:
     value at the same (n, x) costs a tuple lookup.
     """
     player = _check_player(player)
-    if not 0 <= _integer(n, "index") <= V._horizon:
+    if type(n) is not int:  # a plain int, the per-state paths' case, needs no call
+        n = _integer(n, "index")
+    if not 0 <= n <= V._horizon:
         raise DomainError(f"index {n} outside 0..{V._horizon}")
     _check_value(x)
     if x >= 1.0:  # no later value beats a record at 1

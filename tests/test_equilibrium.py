@@ -1,5 +1,10 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from dataclasses import fields
 from fractions import Fraction
 from types import SimpleNamespace
@@ -193,6 +198,119 @@ def test_w2_scalar_path_within_rounding_of_long_array_path(horizon):
         [_w2_scalar(horizon - n, x, *lists) for n, x in zip(ns.tolist(), xs.tolist())]
     )
     assert np.max(np.abs(scalar - array)) <= 1e-15
+
+
+def _long_states(horizon, count=20_000):
+    """``count`` random states (n, x) at ``horizon``, with x = 0, 1e-300
+    and 1 among them, and d = 0 at each of those and at one more."""
+    rng = np.random.default_rng(horizon)
+    ns = rng.integers(1, horizon + 1, count)
+    xs = rng.random(count)
+    xs[:3] = (0.0, 1e-300, 1.0)
+    ns[:4] = horizon
+    return ns, xs
+
+
+@pytest.mark.parametrize("horizon", [60, 400, 2000])
+def test_w2_scalar_path_equals_long_array_path(horizon):
+    # both paths take only +, - and x, in the same order, so one state in
+    # Python floats equals its entry of a long array bit for bit
+    ns, xs = _long_states(horizon)
+    array = _w2_array(ns, xs, _w2_tables(horizon))
+    lists = _horner_lists(horizon - 1)
+    states = zip(ns.tolist(), xs.tolist())
+    scalar = [_w2_scalar(horizon - n, x, *lists) for n, x in states]
+    assert array.tobytes() == np.array(scalar).tobytes()
+
+
+def _w2_power_formula(d, x, inverses, harmonics):
+    """w2 by the former formula: numpy's power for the leading term times
+    1 + H_d, less the Horner sum sum_{j=1}^{d} x**(d-j)/j."""
+    acc = 0.0
+    for step in inverses[1 : d + 1]:
+        acc = acc * x + step
+    return float(np.power(x, d)) * (1.0 + harmonics[d]) - acc
+
+
+@pytest.mark.parametrize("horizon", [10, 60, 400, 2000])
+def test_w2_within_rounding_of_the_power_formula(horizon):
+    # the one Horner pass moves w2 from the former formula by rounding
+    # only: 1.3e-15 at N = 10 up to 2.7e-14 at N = 2000 (200,000 states)
+    ns, xs = _long_states(horizon, count=5_000)
+    got = _w2_array(ns, xs, _w2_tables(horizon))
+    lists = _horner_lists(horizon - 1)
+    states = zip(ns.tolist(), xs.tolist())
+    old = [_w2_power_formula(horizon - n, x, *lists) for n, x in states]
+    assert np.max(np.abs(got - old)) <= 1e-13
+
+
+def _w2_decimal(d, x):
+    """w2 at degree d and value x by Horner's rule in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(x)
+        inverses = [1 / Decimal(j) for j in range(1, d + 1)]
+        acc = 1 + sum(inverses, Decimal(0))
+        for step in inverses:
+            acc = acc * x - step
+        return float(acc)
+
+
+@pytest.mark.parametrize("degree", [1, 10, 60, 400, 2000])
+def test_w2_within_1e13_of_a_high_precision_reference(degree):
+    # random values and values within 3/d of 1, where the terms are
+    # largest; over 300 such states at d <= 2000 the worst case measured
+    # was 9.1e-15, near x = 1 (2.5e-14 by the power formula)
+    horizon = degree + 1
+    rng = np.random.default_rng(degree)
+    near = 1.0 - min(3.0 / degree, 1.0) * rng.random(8)
+    xs = np.concatenate((rng.random(8), near, [1.0]))
+    ns = np.concatenate(([1] * len(xs), rng.integers(1, horizon + 1, 8)))
+    xs = np.concatenate((xs, rng.random(8)))
+    states = list(zip(ns.tolist(), xs.tolist()))
+    want = np.array([_w2_decimal(horizon - n, x) for n, x in states])
+    tables = _w2_tables(horizon)
+    lists = _horner_lists(degree)
+    scalar = [_w2_scalar(horizon - n, x, *lists) for n, x in states]
+    assert np.max(np.abs(np.array(scalar) - want)) <= 1e-13
+    assert np.max(np.abs(_w2_array(ns, xs, tables) - want)) <= 1e-13
+
+
+def test_w2_array_bits_do_not_follow_the_cpu_dispatch():
+    # a fresh interpreter with numpy's dispatched kernels this host has
+    # switched off (the variable acts on that child only) gives the same
+    # bytes as one with the default dispatch
+    from numpy._core import _multiarray_umath as umath
+
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    code = (
+        "import hashlib, numpy as np\n"
+        "from bcgame.equilibrium import _w2_array, build_game_tables\n"
+        "from bcgame.models import ProblemConfig\n"
+        "rng = np.random.default_rng(400)\n"
+        "ns, xs = rng.integers(1, 401, 20_000), rng.random(20_000)\n"
+        "tables = build_game_tables(ProblemConfig(horizon=400))\n"
+        "print(hashlib.sha256(_w2_array(ns, xs, tables).tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(equilibrium.__file__))
+    digests = []
+    for disabled in (None, " ".join(features)):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.append(done.stdout.strip())
+    rng = np.random.default_rng(400)
+    ns, xs = rng.integers(1, 401, 20_000), rng.random(20_000)
+    here = _w2_array(ns, xs, _w2_tables(400)).tobytes()
+    assert digests == [hashlib.sha256(here).hexdigest()] * 2
 
 
 def test_margin_sign_structure(tables10):
@@ -435,17 +553,31 @@ def test_classify_guards(tables10):
         classify_state(2, 0.5, hot)
 
 
+def test_classify_takes_python_and_numpy_scalars(tables10):
+    # a record value may be a Python float or int or a numpy double, as
+    # the suite's record states hold; only arrays of one or more
+    # dimensions are refused (test_oracle's table of refusals)
+    for x in (0.3, 1):
+        kind = classify_state(3, x, tables10)
+        assert classify_state(3, np.float64(x), tables10) is kind
+        assert classify_state(3, np.array(x, dtype=float), tables10) is kind
+        assert RecordState(3, np.float64(x)).value == x
+
 def _w2_fixed_order(n, xs, horizon):
     """The Horner loop that ran max d steps over every entry, with a gather
-    of each entry's coefficient per step (0 until its degree starts)."""
+    of each entry's coefficient per step: 0 until its degree starts, then
+    1 + H_d and -1/j for j = 1..d."""
     xs = np.asarray(xs, dtype=float)
     d = horizon - np.asarray(n)
     top = int(np.max(d, initial=0))
-    coef = np.concatenate((np.zeros(top + 1), 1.0 / np.arange(1, top + 1)))
+    inverse = 1.0 / np.arange(1, top + 1)
+    lead = 1.0 + np.cumsum(np.concatenate(([0.0], inverse)))[d]  # 1 + H_d
+    tail = np.concatenate((np.zeros(top + 1), -inverse))  # at top + j: -1/j, j > 0
     acc = np.zeros(np.broadcast_shapes(xs.shape, d.shape))
-    for k in range(top - 1, -1, -1):
-        acc = acc * xs + coef[top + d - k]
-    return xs**d * (1.0 + np.cumsum(coef)[top + d]) - acc
+    for k in range(top + 1):
+        j = k - top + d  # the entry's own step, from 0 at its leading coefficient
+        acc = acc * xs + np.where(j == 0, lead, tail[top + j])
+    return acc
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 10, 60, 150, 400])

@@ -675,6 +675,14 @@ def _bimatrix10():
             lambda: _bimatrix10().is_pure_nash(None),
             "kind must be an EquilibriumKind, got None",
         ),
+        (
+            lambda: classify_state(3, np.array([0.5]), _tables10()),
+            "value must be in [0, 1], got array([0.5])",
+        ),
+        (
+            lambda: classify_state(3, np.array([0.5, 0.6]), _tables10()),
+            "value must be in [0, 1], got array([0.5, 0.6])",
+        ),
     ],
     ids=[
         "config-horizon", "config-priority", "state-index", "state-value",
@@ -690,7 +698,8 @@ def _bimatrix10():
         "continuation-player", "value-at-player", "stage-average-player",
         "secretary-integer-horizon", "secretary-integer-cutoff",
         "bimatrix-cell-action", "bimatrix-cell-lowercase",
-        "nash-kind-string", "nash-kind-none",
+        "nash-kind-string", "nash-kind-none", "classify-value-one-element-array",
+        "classify-value-two-element-array",
     ],
 )
 def test_out_of_domain_input_is_a_domain_error(call, message):

@@ -737,15 +737,15 @@ def test_audit_rows_match_code_before_tuple_bimatrix(induced, horizon):
 
 def _w2_before(n, x, horizon):
     """w2 as computed before the game tables carried its lists: 1/m and
-    H_m built to degree d = N - n by the same operations, then the Horner
-    loop and numpy's power."""
+    H_m built to degree d = N - n by the same operations, then one Horner
+    pass from the leading coefficient 1 + H_d."""
     d = horizon - n
     inverse = [0.0] + [1.0 / m for m in range(1, d + 1)]
     harmonic = list(accumulate(inverse))
-    acc = 0.0
+    acc = 1.0 + harmonic[d]
     for step in inverse[1 : d + 1]:
-        acc = acc * x + step
-    return float(np.power(x, d)) * (1.0 + harmonic[d]) - acc
+        acc = acc * x - step
+    return acc
 
 
 @pytest.mark.parametrize("horizon", [2, 10, 60, 400])
