@@ -156,12 +156,11 @@ def _check_value(x: float, name: str = "value") -> None:
     not compare with numbers included."""
     try:
         inside = 0.0 <= x <= 1.0
-        if inside is True:  # a Python number inside, the per-state paths' case
-            return
     except (TypeError, ValueError):  # no comparison, or an array of several values
         inside = None
-    # a numpy scalar compares to a numpy bool, an array to an array
-    if type(inside) is np.bool_ and inside:
+    # a Python number compares to a bool, a numpy scalar to a numpy bool and
+    # an array to an array
+    if inside is True or type(inside) is np.bool_ and inside:
         return
     if not isinstance(inside, (bool, np.bool_)):  # not a number, shown by its repr
         x = repr(x)
