@@ -238,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("values", "game value by the first-stop density and optionally Monte Carlo"),
-        ("simulate", "game value by Monte Carlo (alias of values --method mc)"),
+        ("simulate", "game value and Monte Carlo (alias of values --method both)"),
     ):
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--horizon", type=int, required=True)
@@ -249,11 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="priority of the rank player; accepts decimals, 1/3 and e^-1",
         )
         if name == "values":
-            sub.add_argument(
-                "--method", choices=("dp", "mc", "both"), default="dp"
-            )
+            sub.add_argument("--method", choices=("dp", "both"), default="dp")
         else:  # on the values parser this would override --method's default
-            sub.set_defaults(method="mc")
+            sub.set_defaults(method="both")
         sub.add_argument("--samples", type=int, default=100_000)
         sub.add_argument("--seed", type=int, default=42)
         _add_output_flags(sub)

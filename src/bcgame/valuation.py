@@ -481,7 +481,9 @@ def _play_batch(
     the stages: it is 0 where a row never stops, else N - n + 1 at its
     first stop n, where x is its value.
 
-    Only the rows that stop are scored.  They fill the block in row order,
+    Only the rows that stop are scored.  A chunk's stops are found in
+    windows of at most B rows, so their row indices take at most B
+    entries; they fill the block in row order across windows and chunks,
     and each full block, and the last, is scored by ``_score_stops``, with
     the running sums carried from block to block, so the sums are the
     same bit for bit at any chunk, tile and block size.  B is a sixteenth
@@ -534,25 +536,28 @@ def _play_batch(
         mark[1:scanned] &= rise
         np.greater(x[scanned:], before, out=mark[scanned:])
         first = np.multiply(mark, weights, out=weighted).max(axis=0)
-        hit = np.flatnonzero(first)
-        done = 0
-        while done < len(hit):  # into the block, split where it fills
-            take = min(block - count, len(hit) - done)
-            r = hit[done : done + take]
-            at = slice(count, count + take)
-            # the first stops' places in xt, held in the drawn chunk's tile
-            place = scratch[:take].view(np.intp)
-            np.subtract(big_n, first[r], out=place, dtype=np.intp)  # x rows
-            np.add(place, 1, out=stage[at])
-            place *= width
-            place += r
-            xt.ravel().take(place, out=value[at])
-            xt[big_n].take(r, out=coin[at])
-            count += take
-            done += take
-            if count == block:
-                _score_stops(tables, stage, value, coin, totals, scratch)
-                count = 0
+        for w in range(0, rows, block):  # the stops of at most a block of rows
+            window = first[w : w + block]
+            hit = np.flatnonzero(window)
+            done = 0
+            while done < len(hit):  # into the block, split where it fills
+                take = min(block - count, len(hit) - done)
+                r = hit[done : done + take]  # rows w + r of the chunk
+                at = slice(count, count + take)
+                # the first stops' places in xt from column w on, held in
+                # the drawn chunk's tile
+                place = scratch[:take].view(np.intp)
+                np.subtract(big_n, window[r], out=place, dtype=np.intp)  # x rows
+                np.add(place, 1, out=stage[at])
+                place *= width
+                place += r
+                xt.ravel()[w:].take(place, out=value[at])
+                xt[big_n, w:].take(r, out=coin[at])
+                count += take
+                done += take
+                if count == block:
+                    _score_stops(tables, stage, value, coin, totals, scratch)
+                    count = 0
     if count:
         _score_stops(
             tables, stage[:count], value[:count], coin[:count], totals, scratch

@@ -13,7 +13,6 @@ import pytest
 
 import bcgame as bc
 from bcgame import equilibrium as eq
-from bcgame.equilibrium import EquilibriumKind
 from bcgame.models import ProblemConfig, RecordState
 from bcgame.valuation import ValueFunction
 
@@ -120,9 +119,7 @@ def _w2_printed_series(n, xs, big_n):
     return stop - cont
 
 
-def _alternative_accountings(p):
-    tables = bc.build_game_tables(ProblemConfig(horizon=10, priority=p))
-
+def _alternative_accountings():
     def declared(kind, p, w1n, w2s, xs, n, big_n):
         m = np.full_like(w2s, w1n)
         if kind == "SS":
@@ -149,19 +146,18 @@ def _alternative_accountings(p):
             return m, z
         return z, w2s
 
-    return tables, {
+    return {
         "declared (stage cells; opponent scores minus own margin)": declared,
         "alternate continue-series margins (constant exponent)": printed_series,
         "priority-coin split, zero to the non-taker": zero_to_loser,
     }
 
 
-def test_criterion_2_reference_values():
+def test_criterion_2_reference_values(induced):
     tol = 5e-3
     results = {}
     for p, want in REFERENCE_VALUES_N10.items():
-        tables = bc.build_game_tables(ProblemConfig(horizon=10, priority=p))
-        _, pair = bc.backward_induce(tables)
+        _, pair = induced(10, p)
         results[p] = (pair, want)
     worst = max(
         max(abs(pair.val1 - want[0]), abs(pair.val2 - want[1]))
@@ -175,9 +171,9 @@ def test_criterion_2_reference_values():
         print("  (joint-grid oracle at N<=3, Monte Carlo at N=10, hand integral at N=2);")
         print("  accountings tried against the reference pairs:")
         for p, want in REFERENCE_VALUES_N10.items():
-            tables, variants = _alternative_accountings(p)
+            tables = induced(10, p)[0].tables
             print(f"  p={p:.6f}: reference=({want[0]:+.5f}, {want[1]:+.5f})")
-            for name, cells in variants.items():
+            for name, cells in _alternative_accountings().items():
                 v1, v2 = _margin_dp_variant(tables, cells)
                 print(
                     f"    {name}: ({v1:+.5f}, {v2:+.5f})"
@@ -292,12 +288,11 @@ def test_criterion_7_kernel_normalizations():
     assert worst < 1e-12
 
 
-def test_criterion_8_best_response_grid():
+def test_criterion_8_best_response_grid(induced):
     violations = []
     for p in (0.1, 0.25, 0.5):
-        cfg = ProblemConfig(horizon=10, priority=p)
-        tables = bc.build_game_tables(cfg)
-        vf, _ = bc.backward_induce(tables)
+        vf, _ = induced(10, p)
+        tables = vf.tables
         for n in range(1, 11):
             for i in range(50):
                 x = (i + 0.5) / 50

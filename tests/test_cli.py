@@ -16,7 +16,6 @@ import bcgame
 from bcgame import cli, equilibrium, errors, valuation
 from bcgame.cli import main
 from bcgame.errors import DomainError
-from bcgame.models import ProblemConfig
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -160,7 +159,7 @@ def test_mc_outputs_reproducible_bytes(tmp_path):
         "--priority",
         "0.25",
         "--method",
-        "mc",
+        "both",
         "--samples",
         "20000",
         "--seed",
@@ -188,7 +187,7 @@ def test_simulate_alias_matches_values_mc(tmp_path):
     ]
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert main(["values", "--method", "mc"] + common + ["--out", str(a)]) == 0
+    assert main(["values", "--method", "both"] + common + ["--out", str(a)]) == 0
     assert main(["simulate"] + common + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -509,7 +508,7 @@ def test_verify_samples_below_one_exit_2_before_computing(samples, monkeypatch, 
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("method", ["mc", "dp"])
+@pytest.mark.parametrize("method", ["both", "dp"])
 def test_mc_samples_below_one_exit_2_before_computing(method, monkeypatch, capsys):
     monkeypatch.setattr(equilibrium, "build_game_tables", _never_called)
     argv = ["values", "--method", method, "--samples", "0", "--horizon", "10"]
@@ -576,7 +575,9 @@ def test_failed_command_leaves_no_out_file(tmp_path, monkeypatch, capsys):
     ],
     ids=["values", "simulate"],
 )
-def test_game_value_commands_build_no_value_tables(argv, monkeypatch, capsys):
+def test_game_value_commands_build_no_value_tables(
+    argv, monkeypatch, capsys, game_tables
+):
     # the value tables at N = 50 (1.06 MB) exceed 1 MiB of memory, yet the
     # printed game value needs none of them: the refusal of tables beyond
     # memory belongs to the API (test_valuation's
@@ -588,8 +589,7 @@ def test_game_value_commands_build_no_value_tables(argv, monkeypatch, capsys):
     assert main(argv) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert header.split(",")[:2] == ["val1", "val2"]
-    tables = equilibrium.build_game_tables(ProblemConfig(horizon=50, priority=0.25))
-    pair = valuation.game_value(tables)
+    pair = valuation.game_value(game_tables(50, 0.25))
     assert [float(v) for v in row.split(",")[:2]] == [pair.val1, pair.val2]
 
 

@@ -51,8 +51,8 @@ TABLE_PRIORITIES = (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
 
 
 @pytest.fixture(scope="module")
-def tables10():
-    return build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+def tables10(game_tables):
+    return game_tables(10, 0.25)
 
 
 def _tv1_given_x_array(n, xs, tables):
@@ -125,11 +125,12 @@ def test_w2_rejects_zero_before_last_stage(tables10):
     assert w2(RecordState(10, 0.0), tables10.config) == 1.0
 
 
-def _w2_tables(horizon):
-    """The tables ``_w2_array`` reads at ``horizon``; at N = 1, below any
-    game's horizon, a stand-in with the Horner lists ``GameTables`` holds."""
+def _w2_tables(game_tables, horizon):
+    """The tables ``_w2_array`` reads at ``horizon``, those of the game at
+    the default priority 0.5; at N = 1, below any game's horizon, a
+    stand-in with the Horner lists ``GameTables`` holds."""
     if horizon >= 2:
-        return build_game_tables(ProblemConfig(horizon=horizon))
+        return game_tables(horizon, 0.5)
     inverses, harmonics = _horner_lists(horizon - 1)
     config = SimpleNamespace(horizon=horizon)
     return SimpleNamespace(config=config, inverses=inverses, harmonics=harmonics)
@@ -147,7 +148,7 @@ def _w2_reference(n, x, horizon):
     horizon=st.integers(min_value=2, max_value=400),
     data=st.data(),
 )
-def test_w2_horner_matches_fsum_reference(horizon, data):
+def test_w2_horner_matches_fsum_reference(game_tables, horizon, data):
     ns = data.draw(
         st.lists(st.integers(min_value=1, max_value=horizon), min_size=1, max_size=6)
     )
@@ -155,7 +156,7 @@ def test_w2_horner_matches_fsum_reference(horizon, data):
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5)
     )
     want = np.array([[_w2_reference(n, x, horizon) for x in xs] for n in ns])
-    tables = _w2_tables(horizon)
+    tables = _w2_tables(game_tables, horizon)
     for row, n in enumerate(ns):  # one index, many values (the induction)
         got = _w2_array(n, np.array(xs), tables)
         assert np.max(np.abs(got - want[row])) <= 1e-12
@@ -169,7 +170,7 @@ def test_w2_horner_matches_fsum_reference(horizon, data):
     horizon=st.integers(min_value=1, max_value=400),
     data=st.data(),
 )
-def test_w2_scalar_path_matches_array_path(horizon, data):
+def test_w2_scalar_path_matches_array_path(game_tables, horizon, data):
     # one state in Python floats must equal the array path on the same
     # state bit for bit
     n = data.draw(st.integers(min_value=1, max_value=horizon))
@@ -177,26 +178,11 @@ def test_w2_scalar_path_matches_array_path(horizon, data):
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8)
     )
     lists = _horner_lists(horizon - n)
-    tables = _w2_tables(horizon)
+    tables = _w2_tables(game_tables, horizon)
     for x in xs:
         got = _w2_scalar(horizon - n, x, *lists)
         assert type(got) is float
         assert got == float(_w2_array(np.asarray(n), np.asarray(x), tables))
-
-
-@pytest.mark.parametrize("horizon", [60, 400])
-def test_w2_scalar_path_within_rounding_of_long_array_path(horizon):
-    # over a long array numpy's power may round differently from its call
-    # on one value, so the two forms agree to rounding, not bit for bit
-    rng = np.random.default_rng(horizon)
-    ns = rng.integers(1, horizon + 1, 20_000)
-    xs = rng.random(20_000)
-    array = _w2_array(ns, xs, _w2_tables(horizon))
-    lists = _horner_lists(horizon - 1)
-    scalar = np.array(
-        [_w2_scalar(horizon - n, x, *lists) for n, x in zip(ns.tolist(), xs.tolist())]
-    )
-    assert np.max(np.abs(scalar - array)) <= 1e-15
 
 
 def _long_states(horizon, count=20_000):
@@ -211,11 +197,16 @@ def _long_states(horizon, count=20_000):
 
 
 @pytest.mark.parametrize("horizon", [60, 400, 2000])
-def test_w2_scalar_path_equals_long_array_path(horizon):
+def test_w2_scalar_path_equals_long_array_path(game_tables, horizon):
     # both paths take only +, - and x, in the same order, so one state in
-    # Python floats equals its entry of a long array bit for bit
+    # Python floats equals its entry of a long array bit for bit; after
+    # the states of ``_long_states`` come the four draws its edge cases
+    # replace, so that every state of default_rng(N) is checked
     ns, xs = _long_states(horizon)
-    array = _w2_array(ns, xs, _w2_tables(horizon))
+    rng = np.random.default_rng(horizon)
+    drawn_ns, drawn_xs = rng.integers(1, horizon + 1, 20_000), rng.random(20_000)
+    ns, xs = np.concatenate((ns, drawn_ns[:4])), np.concatenate((xs, drawn_xs[:4]))
+    array = _w2_array(ns, xs, _w2_tables(game_tables, horizon))
     lists = _horner_lists(horizon - 1)
     states = zip(ns.tolist(), xs.tolist())
     scalar = [_w2_scalar(horizon - n, x, *lists) for n, x in states]
@@ -232,11 +223,11 @@ def _w2_power_formula(d, x, inverses, harmonics):
 
 
 @pytest.mark.parametrize("horizon", [10, 60, 400, 2000])
-def test_w2_within_rounding_of_the_power_formula(horizon):
+def test_w2_within_rounding_of_the_power_formula(game_tables, horizon):
     # the one Horner pass moves w2 from the former formula by rounding
     # only: 1.3e-15 at N = 10 up to 2.7e-14 at N = 2000 (200,000 states)
     ns, xs = _long_states(horizon, count=5_000)
-    got = _w2_array(ns, xs, _w2_tables(horizon))
+    got = _w2_array(ns, xs, _w2_tables(game_tables, horizon))
     lists = _horner_lists(horizon - 1)
     states = zip(ns.tolist(), xs.tolist())
     old = [_w2_power_formula(horizon - n, x, *lists) for n, x in states]
@@ -256,7 +247,7 @@ def _w2_decimal(d, x):
 
 
 @pytest.mark.parametrize("degree", [1, 10, 60, 400, 2000])
-def test_w2_within_1e13_of_a_high_precision_reference(degree):
+def test_w2_within_1e13_of_a_high_precision_reference(game_tables, degree):
     # random values and values within 3/d of 1, where the terms are
     # largest; over 300 such states at d <= 2000 the worst case measured
     # was 9.1e-15, near x = 1 (2.5e-14 by the power formula)
@@ -268,7 +259,7 @@ def test_w2_within_1e13_of_a_high_precision_reference(degree):
     xs = np.concatenate((xs, rng.random(8)))
     states = list(zip(ns.tolist(), xs.tolist()))
     want = np.array([_w2_decimal(horizon - n, x) for n, x in states])
-    tables = _w2_tables(horizon)
+    tables = _w2_tables(game_tables, horizon)
     lists = _horner_lists(degree)
     scalar = [_w2_scalar(horizon - n, x, *lists) for n, x in states]
     assert np.max(np.abs(np.array(scalar) - want)) <= 1e-13
@@ -329,8 +320,8 @@ def test_tv1_given_x_terminal_and_single_term(tables10):
         assert tv1_given_x(9, x, tables10) == pytest.approx(want, abs=1e-12)
 
 
-def test_tv1_given_x_half_priority_collapses_tilt():
-    t = build_game_tables(ProblemConfig(horizon=8, priority=0.5))
+def test_tv1_given_x_half_priority_collapses_tilt(game_tables):
+    t = game_tables(8, 0.5)
     for n in (4, 6):
         for x in (0.2, 0.5):
             manual = sum(
@@ -365,9 +356,9 @@ def _tv1_by_quadrature(n, tables):
 
 
 @pytest.mark.parametrize("horizon", [5, 10, 30, 50, 150])
-def test_tv1_closed_form_matches_quadrature(horizon):
+def test_tv1_closed_form_matches_quadrature(game_tables, horizon):
     for p in (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5):
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=p))
+        tables = game_tables(horizon, p)
         ns = range(1, horizon + 1)
         if horizon > 50:  # the ends and the shift; every index takes seconds
             ns = (1, 2, horizon // 2, tables.ntilde - 1, tables.ntilde, horizon)
@@ -377,11 +368,11 @@ def test_tv1_closed_form_matches_quadrature(horizon):
             )
 
 
-def test_tv1_crossing_matches_reference_shift():
-    t25 = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+def test_tv1_crossing_matches_reference_shift(game_tables):
+    t25 = game_tables(10, 0.25)
     first = next(n for n in range(t25.nstar, 11) if tv1(n, t25) <= t25.w1[n - 1])
     assert first == 5
-    t50 = build_game_tables(ProblemConfig(horizon=10, priority=0.5))
+    t50 = game_tables(10, 0.5)
     first = next(n for n in range(t50.nstar, 11) if tv1(n, t50) <= t50.w1[n - 1])
     assert first == 6
 
@@ -475,20 +466,17 @@ def test_fs_condition_matches_the_double_sum():
     "horizon,priority,want",
     [(10, 0.25, 5), (5, 0.1, 3), (5, 0.5, 3), (50, 0.5, 31)],
 )
-def test_shifted_cutoff_spot_values(horizon, priority, want):
-    t = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+def test_shifted_cutoff_spot_values(game_tables, horizon, priority, want):
+    t = game_tables(horizon, priority)
     assert shifted_cutoff(t) == want
     assert t.ntilde == want
 
 
-def test_shifted_cutoff_monotone_in_priority():
+def test_shifted_cutoff_monotone_in_priority(game_tables):
     for horizon in (5, 10, 20):
-        shifts = [
-            build_game_tables(ProblemConfig(horizon=horizon, priority=p)).ntilde
-            for p in TABLE_PRIORITIES
-        ]
+        shifts = [game_tables(horizon, p).ntilde for p in TABLE_PRIORITIES]
         assert shifts == sorted(shifts)
-        nstar = build_game_tables(ProblemConfig(horizon=horizon, priority=0.1)).nstar
+        nstar = game_tables(horizon, 0.1).nstar
         assert all(s >= nstar for s in shifts)
 
 
@@ -539,12 +527,12 @@ def test_classify_boundaries(tables10):
     assert classify_state(tables10.ntilde - 1, 0.1, tables10) is EquilibriumKind.FF
 
 
-def test_classify_guards(tables10):
+def test_classify_guards(game_tables, tables10):
     with pytest.raises(DomainError):
         classify_state(3, 1.5, tables10)
     with pytest.raises(DomainError):
         classify_state(0, 0.5, tables10)
-    hot = build_game_tables(ProblemConfig(horizon=6, priority=0.75))
+    hot = game_tables(6, 0.75)
     with pytest.raises(UnsupportedPriority):
         classify_state(2, 0.5, hot)
 
@@ -578,7 +566,7 @@ def _w2_fixed_order(n, xs, horizon):
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 10, 60, 150, 400])
-def test_w2_array_matches_fixed_order_horner(horizon):
+def test_w2_array_matches_fixed_order_horner(game_tables, horizon):
     # the degree-sorted loop does each entry's multiply-adds in the same
     # order as the fixed-order loop, so the two agree bit for bit: mixed
     # degrees with d = 0 among them, unsorted and repeated
@@ -587,7 +575,7 @@ def test_w2_array_matches_fixed_order_horner(horizon):
     ns[:3] = (horizon, 1, horizon)
     xs = np.concatenate(([0.0, 1e-300, 1.0], rng.random(297)))
     rng.shuffle(xs)
-    tables = _w2_tables(horizon)
+    tables = _w2_tables(game_tables, horizon)
     got, want = _w2_array(ns, xs, tables), _w2_fixed_order(ns, xs, horizon)
     assert got.shape == want.shape == (300,)
     assert np.array_equal(got, want)
@@ -603,11 +591,11 @@ def test_w2_array_matches_fixed_order_horner(horizon):
 
 
 @pytest.mark.parametrize("horizon", [2, 10, 60])
-def test_stop_bars_match_stage_actions(horizon):
+def test_stop_bars_match_stage_actions(game_tables, horizon):
     # some player stops at (n, x) exactly when x >= b_n, on a region grid
     # and at every threshold, for the six priorities of Table 1
     for p in TABLE_PRIORITIES:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=p))
+        tables = game_tables(horizon, p)
         bars = stop_bars(tables)
         assert bars.shape == (horizon,)
         grid = region_map(tables, 0.01)
@@ -615,7 +603,7 @@ def test_stop_bars_match_stage_actions(horizon):
         xs = np.concatenate((grid.xs, tables.xthresholds.values))
         stop1, stop2 = stage_actions(grid.ns[:, None], xs[None, :], tables)
         assert np.array_equal(stop1 | stop2, xs[None, :] >= bars[:, None])
-    hot = build_game_tables(ProblemConfig(horizon=5, priority=0.9))
+    hot = game_tables(5, 0.9)
     with pytest.raises(UnsupportedPriority):
         stop_bars(hot)
 
@@ -677,8 +665,8 @@ def test_region_map_points_stay_in_the_unit_interval(tables10, xstep):
         assert kind.value == grid.kinds[n - 1, -1]
 
 
-def test_region_map_rejects_high_priority():
-    hot = build_game_tables(ProblemConfig(horizon=5, priority=0.9))
+def test_region_map_rejects_high_priority(game_tables):
+    hot = game_tables(5, 0.9)
     with pytest.raises(UnsupportedPriority):
         region_map(hot, 0.1)
 
@@ -698,9 +686,9 @@ def test_region_map_shift_boundary(tables10):
     assert all(k == "SS" for k in grid.kinds[9])
 
 
-def test_region_map_small_horizon_shift_start():
+def test_region_map_small_horizon_shift_start(game_tables):
     for p in TABLE_PRIORITIES:
-        t = build_game_tables(ProblemConfig(horizon=5, priority=p))
+        t = game_tables(5, p)
         grid = region_map(t, 0.05)
         below_kinds = [grid.kinds[n - 1][0] for n in range(1, 6)]
         # last index has threshold 0, so its whole row is on the stop side
@@ -773,13 +761,13 @@ def _is_pure_nash_reference(bm, kind):
 
 
 @pytest.mark.parametrize("horizon", PARITY_HORIZONS)
-def test_stage_cells_scalar_path_matches_array_path(horizon):
+def test_stage_cells_scalar_path_matches_array_path(game_tables, horizon):
     # ``_cell`` scores one cell in two Python floats, bit for bit the
     # array path's
     rng = np.random.default_rng(horizon)
     margins = [0.0, -0.0, 1e-300, -1e-300, 1.0] + rng.uniform(-1, 1, 5).tolist()
     for priority in PARITY_PRIORITIES:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        tables = game_tables(horizon, priority)
         joint = 2.0 * priority - 1.0
         for n in range(1, horizon + 1):
             w1n = tables.w1.item(n - 1)
@@ -793,13 +781,13 @@ def test_stage_cells_scalar_path_matches_array_path(horizon):
 
 
 @pytest.mark.parametrize("horizon", PARITY_HORIZONS)
-def test_bimatrix_matches_array_path(horizon):
+def test_bimatrix_matches_array_path(game_tables, horizon):
     # cells equal the array path bit for bit, the (F,F) cell is passed
     # through as floats, and every Nash verdict is the one of a table keyed
     # by action pairs, ties included
     rng = np.random.default_rng(horizon)
     for priority in PARITY_PRIORITIES:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        tables = game_tables(horizon, priority)
         xs = tables.xthresholds.values.tolist() + [1.0, 1e-300]
         xs += rng.random(50).tolist()
         for n in sorted({1, horizon // 2, horizon - 1, horizon}):
@@ -892,7 +880,7 @@ def _running_sum_cutoff(horizon):
     return 1
 
 
-def test_cutoff_is_where_w1_turns_nonnegative():
+def test_cutoff_is_where_w1_turns_nonnegative(game_tables):
     # nstar and w1 read one correctly rounded suffix, so the sign of w1
     # switches exactly at nstar, where GameTables reads its nstar; the
     # cutoff is still the running sum's
@@ -903,13 +891,13 @@ def test_cutoff_is_where_w1_turns_nonnegative():
         margins = equilibrium._w1_values(cfg)
         assert all((w >= 0) == (n >= nstar) for n, w in enumerate(margins, 1)), horizon
         if horizon <= 150:  # the tables' thresholds and ntilde scan cost more
-            assert GameTables(cfg).nstar == nstar, horizon
+            assert game_tables(horizon, cfg.priority).nstar == nstar, horizon
 
 
-def test_game_tables_carry_the_game_constants():
+def test_game_tables_carry_the_game_constants(game_tables):
     # 2p - 1 and the w2 lists of every degree d = N - n of the game, built
     # once with the tables; w2 builds the lists of its own degree
-    tables = build_game_tables(ProblemConfig(horizon=50, priority=1 / 3))
+    tables = game_tables(50, 1 / 3)
     assert tables.joint == 2.0 * (1 / 3) - 1.0
     assert len(tables.inverses) == len(tables.harmonics) == 50
     assert tables.inverses[:3] == (0.0, 1.0, 0.5)
@@ -936,12 +924,12 @@ def test_array_holding_types_compare_and_hash_by_identity(build):
 
 
 @pytest.mark.parametrize("horizon", [2, 10, 400])
-def test_game_tables_derive_every_table_from_the_game(horizon):
+def test_game_tables_derive_every_table_from_the_game(game_tables, horizon):
     # they took the thresholds, nstar and w1 from the caller, and took
     # another game's without complaint: at N = 10, p = 0.25, nstar = 1
     # moved the game value from (-0.00927, 0.27395) to (-0.02839, 0.21906)
-    cfg = ProblemConfig(horizon=horizon, priority=0.25)
-    built = build_game_tables(cfg)
+    built = game_tables(horizon, 0.25)
+    cfg = built.config
     with pytest.raises(TypeError):
         GameTables(config=cfg, xthresholds=built.xthresholds, nstar=1, w1=built.w1)
     tables = GameTables(cfg)

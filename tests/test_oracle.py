@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from bcgame import models, oracle
 from bcgame._rng import batch_generator
 from bcgame.equilibrium import (
     bimatrix,
-    build_game_tables,
     classify_state,
     fs_condition,
     region_map,
@@ -36,7 +36,7 @@ from bcgame.oracle import (
     run_verification_suite,
     secretary_exhaustive,
 )
-from bcgame.valuation import backward_induce, continuation
+from bcgame.valuation import continuation
 
 
 def test_secretary_exhaustive_examples():
@@ -419,9 +419,10 @@ def test_fullinfo_check_memory_independent_of_horizon():
         assert peak < 3 * 2**20, horizon
 
 
-def _game_exhaustive_small_whole_arrays(horizon, priority):
-    """Reference: the joint-grid value from whole-array temporaries."""
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+def _game_exhaustive_small_whole_arrays(tables):
+    """Reference: the joint-grid value of the game of ``tables`` from
+    whole-array temporaries."""
+    horizon, priority = tables.config.horizon, tables.config.priority
     mesh = oracle._MESH
     mid = (np.arange(mesh) + 0.5) / mesh
     last1 = 2.0 * priority - 1.0
@@ -451,10 +452,10 @@ def _game_exhaustive_small_whole_arrays(horizon, priority):
 
 
 @pytest.mark.parametrize("horizon", [2, 3])
-def test_game_exhaustive_matches_whole_array_reference(horizon):
+def test_game_exhaustive_matches_whole_array_reference(game_tables, horizon):
     for priority in (0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5):
         got = game_exhaustive_small(horizon, priority)
-        want = _game_exhaustive_small_whole_arrays(horizon, priority)
+        want = _game_exhaustive_small_whole_arrays(game_tables(horizon, priority))
         assert repr(got.as_tuple()) == repr(tuple(float(v) for v in want)), priority
 
 
@@ -477,17 +478,15 @@ def test_game_exhaustive_guards():
 
 
 @pytest.mark.parametrize("priority", [0.0, 0.25, 0.5])
-def test_game_exhaustive_matches_induction_two_stage(priority):
-    tables = build_game_tables(ProblemConfig(horizon=2, priority=priority))
-    _, dp = backward_induce(tables)
+def test_game_exhaustive_matches_induction_two_stage(induced, priority):
+    _, dp = induced(2, priority)
     grid = game_exhaustive_small(2, priority)
     assert grid.val1 == pytest.approx(dp.val1, abs=1e-4)
     assert grid.val2 == pytest.approx(dp.val2, abs=1e-4)
 
 
-def test_game_exhaustive_matches_induction_three_stage():
-    tables = build_game_tables(ProblemConfig(horizon=3, priority=0.25))
-    _, dp = backward_induce(tables)
+def test_game_exhaustive_matches_induction_three_stage(induced):
+    _, dp = induced(3, 0.25)
     grid = game_exhaustive_small(3, 0.25)
     assert grid.val1 == pytest.approx(dp.val1, abs=1e-3)
     assert grid.val2 == pytest.approx(dp.val2, abs=1e-3)
@@ -544,143 +543,157 @@ def test_seeds_outside_the_stream_keys_are_refused_before_computing(monkeypatch)
         assert str(caught.value) == f"seed must be in [0, 2**64), got {seed}"
 
 
-def _tables10():
-    return build_game_tables(ProblemConfig(horizon=10, priority=0.25))
-
-
-def _induced10():
-    return backward_induce(_tables10())[0]
-
-
-def _bimatrix10():
-    return bimatrix(2, 0.5, _tables10(), (0.0, 0.0))
-
-
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: ProblemConfig(horizon=1), "horizon must be >= 2, got 1"),
-        (lambda: ProblemConfig(horizon=5, priority=1.5), "priority must be in [0, 1], got 1.5"),
-        (lambda: RecordState(index=0, value=0.5), "index must be >= 1, got 0"),
-        (lambda: RecordState(index=1, value=-0.1), "value must be in [0, 1], got -0.1"),
-        (lambda: secretary_exhaustive(1, 1), "horizon must be >= 2, got 1"),
-        (lambda: secretary_exhaustive(5, 6), "cutoff 6 outside 1..5"),
-        (lambda: game_exhaustive_small(1, 0.25), "horizon must be >= 2, got 1"),
+        (lambda game: ProblemConfig(horizon=1), "horizon must be >= 2, got 1"),
         (
-            lambda: fullinfo_mc_check(0),
+            lambda game: ProblemConfig(horizon=5, priority=1.5),
+            "priority must be in [0, 1], got 1.5",
+        ),
+        (lambda game: RecordState(index=0, value=0.5), "index must be >= 1, got 0"),
+        (
+            lambda game: RecordState(index=1, value=-0.1),
+            "value must be in [0, 1], got -0.1",
+        ),
+        (lambda game: secretary_exhaustive(1, 1), "horizon must be >= 2, got 1"),
+        (lambda game: secretary_exhaustive(5, 6), "cutoff 6 outside 1..5"),
+        (lambda game: game_exhaustive_small(1, 0.25), "horizon must be >= 2, got 1"),
+        (
+            lambda game: fullinfo_mc_check(0),
             "thresholds must be a non-empty ThresholdVector, got 0",
         ),
-        (lambda: run_verification_suite(samples=0), "samples must be >= 1, got 0"),
+        (lambda game: run_verification_suite(samples=0), "samples must be >= 1, got 0"),
         (
-            lambda: ProblemConfig(horizon=10, priority="0.25"),
+            lambda game: ProblemConfig(horizon=10, priority="0.25"),
             "priority must be in [0, 1], got '0.25'",
         ),
-        (lambda: RecordState(1, "0.5"), "value must be in [0, 1], got '0.5'"),
+        (lambda game: RecordState(1, "0.5"), "value must be in [0, 1], got '0.5'"),
         (
-            lambda: classify_state(1, None, _tables10()),
+            lambda game: classify_state(1, None, game.tables),
             "value must be in [0, 1], got None",
         ),
         (
-            lambda: continuation(1, None, _induced10(), 1),
+            lambda game: continuation(1, None, game.vf, 1),
             "value must be in [0, 1], got None",
         ),
         (
-            lambda: region_map(_tables10(), "0.1"),
+            lambda game: region_map(game.tables, "0.1"),
             "xstep must lie in (0, 0.1], got '0.1'",
         ),
         (
-            lambda: fs_condition(1, "0.5", ProblemConfig(horizon=10, priority=0.25)),
+            lambda game: fs_condition(
+                1, "0.5", ProblemConfig(horizon=10, priority=0.25)
+            ),
             "x must lie in (0, 1), got '0.5'",
         ),
-        (lambda: ThresholdVector(0.5), "thresholds must be a row in [0, 1], got 0.5"),
-        (lambda: ThresholdVector("ab"), "thresholds must be a row in [0, 1], got 'ab'"),
         (
-            lambda: ThresholdVector(np.zeros((2, 2))),
+            lambda game: ThresholdVector(0.5),
+            "thresholds must be a row in [0, 1], got 0.5",
+        ),
+        (
+            lambda game: ThresholdVector("ab"),
+            "thresholds must be a row in [0, 1], got 'ab'",
+        ),
+        (
+            lambda game: ThresholdVector(np.zeros((2, 2))),
             "thresholds must be a row in [0, 1], got " + repr(np.zeros((2, 2))),
         ),
         (
-            lambda: ThresholdVector([1.5, 0.2]),
+            lambda game: ThresholdVector([1.5, 0.2]),
             "thresholds must be a row in [0, 1], got [1.5, 0.2]",
         ),
         (
-            lambda: ThresholdVector([0.7, -0.1]),
+            lambda game: ThresholdVector([0.7, -0.1]),
             "thresholds must be a row in [0, 1], got [0.7, -0.1]",
         ),
         (
-            lambda: ThresholdVector([0.5, math.nan]),
+            lambda game: ThresholdVector([0.5, math.nan]),
             "thresholds must be a row in [0, 1], got [0.5, nan]",
         ),
         (
-            lambda: continuation(2.0, 0.5, _induced10(), 1),
+            lambda game: continuation(2.0, 0.5, game.vf, 1),
             "index must be an integer, got 2.0",
         ),
         (
-            lambda: classify_state(2.0, 0.5, _tables10()),
+            lambda game: classify_state(2.0, 0.5, game.tables),
             "index must be an integer, got 2.0",
         ),
         (
-            lambda: _induced10().value_at(2.0, 0.5, 1),
+            lambda game: game.vf.value_at(2.0, 0.5, 1),
             "index must be an integer, got 2.0",
         ),
-        (lambda: tv1(2.0, _tables10()), "index must be an integer, got 2.0"),
+        (lambda game: tv1(2.0, game.tables), "index must be an integer, got 2.0"),
         (
-            lambda: _tables10().xthresholds.x(2.0),
-            "index must be an integer, got 2.0",
-        ),
-        (
-            lambda: _induced10().stage_average(2.0, 1),
+            lambda game: game.tables.xthresholds.x(2.0),
             "index must be an integer, got 2.0",
         ),
         (
-            lambda: bimatrix(2.5, 0.5, _tables10(), (0.0, 0.0)),
+            lambda game: game.vf.stage_average(2.0, 1),
+            "index must be an integer, got 2.0",
+        ),
+        (
+            lambda game: bimatrix(2.5, 0.5, game.tables, (0.0, 0.0)),
             "index must be an integer, got 2.5",
         ),
-        (lambda: w1(2.5, ProblemConfig(horizon=10)), "index must be an integer, got 2.5"),
         (
-            lambda: secretary_stop_reward(2.5, ProblemConfig(horizon=10)),
+            lambda game: w1(2.5, ProblemConfig(horizon=10)),
             "index must be an integer, got 2.5",
         ),
-        (lambda: rank_transition(2.5, 4), "candidate index must be an integer, got 2.5"),
         (
-            lambda: record_transition_density(RecordState(2, 0.5), 4.5),
+            lambda game: secretary_stop_reward(2.5, ProblemConfig(horizon=10)),
+            "index must be an integer, got 2.5",
+        ),
+        (
+            lambda game: rank_transition(2.5, 4),
+            "candidate index must be an integer, got 2.5",
+        ),
+        (
+            lambda game: record_transition_density(RecordState(2, 0.5), 4.5),
             "index must be an integer, got 4.5",
         ),
         (
-            lambda: continuation(2, 0.5, _induced10(), 1.0),
+            lambda game: continuation(2, 0.5, game.vf, 1.0),
             "player must be an integer, got 1.0",
         ),
         (
-            lambda: _induced10().value_at(2, 0.5, 2.0),
+            lambda game: game.vf.value_at(2, 0.5, 2.0),
             "player must be an integer, got 2.0",
         ),
         (
-            lambda: _induced10().stage_average(1, 1.0),
+            lambda game: game.vf.stage_average(1, 1.0),
             "player must be an integer, got 1.0",
         ),
-        (lambda: secretary_exhaustive(5.0, 3), "horizon must be an integer, got 5.0"),
-        (lambda: secretary_exhaustive(5, 3.0), "cutoff must be an integer, got 3.0"),
         (
-            lambda: _bimatrix10().cell("X", "F"),
+            lambda game: secretary_exhaustive(5.0, 3),
+            "horizon must be an integer, got 5.0",
+        ),
+        (
+            lambda game: secretary_exhaustive(5, 3.0),
+            "cutoff must be an integer, got 3.0",
+        ),
+        (
+            lambda game: game.bimatrix.cell("X", "F"),
             """actions must be "S" or "F", got ('X', 'F')""",
         ),
         (
-            lambda: _bimatrix10().cell("s", "f"),
+            lambda game: game.bimatrix.cell("s", "f"),
             """actions must be "S" or "F", got ('s', 'f')""",
         ),
         (
-            lambda: _bimatrix10().is_pure_nash("SS"),
+            lambda game: game.bimatrix.is_pure_nash("SS"),
             "kind must be an EquilibriumKind, got 'SS'",
         ),
         (
-            lambda: _bimatrix10().is_pure_nash(None),
+            lambda game: game.bimatrix.is_pure_nash(None),
             "kind must be an EquilibriumKind, got None",
         ),
         (
-            lambda: classify_state(3, np.array([0.5]), _tables10()),
+            lambda game: classify_state(3, np.array([0.5]), game.tables),
             "value must be in [0, 1], got array([0.5])",
         ),
         (
-            lambda: classify_state(3, np.array([0.5, 0.6]), _tables10()),
+            lambda game: classify_state(3, np.array([0.5, 0.6]), game.tables),
             "value must be in [0, 1], got array([0.5, 0.6])",
         ),
     ],
@@ -702,10 +715,14 @@ def _bimatrix10():
         "classify-value-two-element-array",
     ],
 )
-def test_out_of_domain_input_is_a_domain_error(call, message):
-    # a BcgameError, and a ValueError too, so callers catching that still do
+def test_out_of_domain_input_is_a_domain_error(induced, call, message):
+    # a BcgameError, and a ValueError too, so callers catching that still
+    # do; ``call`` reads the game at (10, 0.25) from ``game``
+    vf, _ = induced(10, 0.25)
+    bm = bimatrix(2, 0.5, vf.tables, (0.0, 0.0))
+    game = SimpleNamespace(tables=vf.tables, vf=vf, bimatrix=bm)
     with pytest.raises(DomainError) as caught:
-        call()
+        call(game)
     assert str(caught.value) == message
 
 

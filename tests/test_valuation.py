@@ -69,9 +69,9 @@ def test_sim_config_validation():
     assert sim.seed == 2**64 - 1
 
 
-def test_numpy_integer_horizon_builds_the_int_game():
+def test_numpy_integer_horizon_builds_the_int_game(game_tables):
     # the rank suffixes call int.bit_length, which numpy integers lack
-    want = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+    want = game_tables(10, 0.25)
     got = build_game_tables(ProblemConfig(horizon=np.int64(10), priority=0.25))
     assert (got.nstar, got.ntilde) == (want.nstar, want.ntilde) == (4, 5)
     assert got.w1.tobytes() == want.w1.tobytes()
@@ -107,38 +107,24 @@ def test_continuation_mass_probe(game10):
             assert continuation(n, x, vf, 1) == pytest.approx(want, abs=1e-12)
 
 
-def test_backward_induce_two_stage_closed_form():
+def test_backward_induce_two_stage_closed_form(induced):
     # N=2: player 1's margin at index 1 is 0; player 2 collects |2x-1|-shaped
     # margins, scaled on the stop side by the simultaneous-claim weight:
     # val2 = 1/4 + (1-2p)/4
     for p in (0.0, 0.25, 0.5):
-        tables = build_game_tables(ProblemConfig(horizon=2, priority=p))
-        _, pair = backward_induce(tables)
+        _, pair = induced(2, p)
         assert pair.val1 == pytest.approx(0.0, abs=1e-12)
         assert pair.val2 == pytest.approx(0.25 + (1 - 2 * p) / 4, abs=1e-12)
 
 
-def test_backward_induce_rejects_high_priority():
-    tables = build_game_tables(ProblemConfig(horizon=5, priority=0.7))
+def test_backward_induce_rejects_high_priority(game_tables):
+    tables = game_tables(5, 0.7)
     with pytest.raises(UnsupportedPriority):
         backward_induce(tables)
 
 
 #: The seven priorities of the first-stop parity grid: Table 1's six and 0.
 FIRST_STOP_PRIORITIES = (0.0, 0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.5)
-
-
-@pytest.mark.parametrize("horizon", [*range(2, 61), 100, 150])
-def test_game_value_matches_induction(horizon):
-    # the closed form the CLI prints, against the induction that certifies
-    # it; each of these 427 games is read once, so none is kept in the
-    # session's ``induced``, where they would hold about 450 MB
-    for priority in FIRST_STOP_PRIORITIES:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
-        _, want = backward_induce(tables)
-        got = game_value(tables)
-        assert abs(got.val1 - want.val1) <= 1e-12, (horizon, priority)
-        assert abs(got.val2 - want.val2) <= 1e-12, (horizon, priority)
 
 
 def _backward_induce_before(tables):
@@ -175,9 +161,10 @@ INDUCTION_HORIZONS = (2, 3, 4, 10, 37, 50, 150)
 
 
 @pytest.mark.parametrize("horizon", INDUCTION_HORIZONS)
-def test_backward_induce_matches_every_segment_carry(horizon):
+def test_backward_induce_matches_every_segment_carry(game_tables, horizon):
+    # its own inductions: the session holds no N = 150 tables for it
     for priority in FIRST_STOP_PRIORITIES:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        tables = game_tables(horizon, priority)
         vf, pair = backward_induce(tables)
         ref, ref_pair = _backward_induce_before(tables)
         assert vf._buffer.tobytes() == ref._buffer.tobytes(), priority
@@ -186,11 +173,11 @@ def test_backward_induce_matches_every_segment_carry(horizon):
 
 
 @pytest.mark.parametrize("horizon", INDUCTION_HORIZONS)
-def test_stopped_segments_are_a_suffix_that_shrinks(horizon):
+def test_stopped_segments_are_a_suffix_that_shrinks(game_tables, horizon):
     # the induction carries w2 on the last segments alone, and slices the
     # carry as n falls
     for priority in FIRST_STOP_PRIORITIES:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        tables = game_tables(horizon, priority)
         lefts = ValueFunction(tables).breaks[:-1]
         before = 0  # the first stopped segment of stage n + 1
         for n in range(horizon, 0, -1):
@@ -202,8 +189,8 @@ def test_stopped_segments_are_a_suffix_that_shrinks(horizon):
             before = first
 
 
-def test_game_value_rejects_high_priority():
-    tables = build_game_tables(ProblemConfig(horizon=5, priority=0.7))
+def test_game_value_rejects_high_priority(game_tables):
+    tables = game_tables(5, 0.7)
     with pytest.raises(UnsupportedPriority):
         game_value(tables)
 
@@ -318,10 +305,10 @@ def test_value_at_and_stage_average_validate_player_and_index(game10):
 
 
 @pytest.mark.parametrize("horizon", [2, 10, 150])
-def test_breakpoints_match_np_unique(horizon):
+def test_breakpoints_match_np_unique(game_tables, horizon):
     # the solver's segments, read off the thresholds, give np.unique's
     # array, bit for bit
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+    tables = game_tables(horizon, 0.25)
     breaks = valuation.ValueFunction(tables).breaks
     want = np.unique(np.concatenate(([0.0, 1.0], tables.xthresholds.values)))
     assert breaks.dtype == want.dtype
@@ -342,11 +329,10 @@ def test_table_cost_model_matches_allocation(game10):
 
 
 @pytest.mark.parametrize("horizon", (2, 10, 60))
-def test_value_tables_are_stage_views_of_one_unpadded_buffer(horizon):
+def test_value_tables_are_stage_views_of_one_unpadded_buffer(induced, horizon):
     # stage n holds its N - n + 1 coefficients a segment and nothing more,
     # and the stages tile one buffer, which is all the table allocates
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-    vf, _ = backward_induce(tables)
+    vf, _ = induced(horizon, 0.25)
     assert len(vf.cont) == horizon + 1
     buffer = vf.cont[0].base
     for n, stage in enumerate(vf.cont):
@@ -542,119 +528,6 @@ def test_pair_read_matches_one_loop_per_player(induced, horizon):
                     assert got == _value_reference(vf, n, x, player), (n, x, player)
 
 
-def _legendre_integral_to_one(a):
-    """Legendre coefficients (last axis) of int_t^1 f(u) du, one degree up:
-    int_t^1 P_k = (P_{k-1} - P_{k+1}) / (2k+1), and 1 - t for k = 0."""
-    q = a / (2 * np.arange(a.shape[-1]) + 1)
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-    out[..., :-2] = q[..., 1:]
-    out[..., 0] += q[..., 0]
-    out[..., 1:] -= q
-    return out
-
-
-def _legendre_times_x(a, breaks):
-    """Legendre coefficients (last axis) of x f on every segment between
-    consecutive ``breaks``, one degree up: x f = c f + h t f, with
-    t P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1)."""
-    k = np.arange(a.shape[-1])
-    lo, hi = breaks[:-1, None], breaks[1:, None]
-    out = np.zeros(a.shape[:-1] + (len(k) + 1,))
-    out[..., 1:] = a * ((k + 1) / (2 * k + 1))
-    out[..., :-2] += a[..., 1:] * (k[1:] / (2 * k[1:] + 1))
-    out *= 0.5 * (hi - lo)
-    out[..., :-1] += 0.5 * (hi + lo) * a
-    return out
-
-
-def _legendre_induce(tables, breaks):
-    """Reference: the induction with the value tables in Legendre
-    coefficients in t, as they were held before the monomial basis, on the
-    segments between ``breaks``.  Returns C(0..N), each (2, S, N - n + 1),
-    and the averages int_0^1 V_i(n, x) dx, (2, N + 1)."""
-    big_n = tables.config.horizon
-    segments = len(breaks) - 1
-    half = 0.5 * np.diff(breaks)
-    cont = [np.zeros((2, segments, big_n - n + 1)) for n in range(big_n + 1)]
-    averages = np.zeros((2, big_n + 1))
-    carry = np.zeros((2, segments, 1))  # x**d and S_d on the stopped segments
-    carry[0] = 1.0
-    for n in range(big_n, 0, -1):
-        d = big_n - n
-        stop1, stop2 = stage_actions(n, breaks[:-1], tables)
-        stopped = np.count_nonzero(stop1 | stop2)
-        first = segments - stopped
-        carry = carry[:, carry.shape[1] - stopped :]
-        if d:
-            carry = _legendre_times_x(carry, breaks[first:])
-            carry[1, :, 0] += tables.inverses[d]
-        w2s = carry[0] * (1.0 + tables.harmonics[d]) - carry[1]
-        cells = stage_cells(n, stop1[first:, None], stop2[first:, None], w2s, tables)
-        cells[0, :, 1:] = 0.0
-        values = np.concatenate((cont[n][:, :first], cells), axis=1)
-        tail = np.zeros((2, segments + 1))  # int_{b_s}^1 V(n, x) dx
-        seg_int = 2.0 * half * values[..., 0]
-        tail[:, :-1] = np.cumsum(seg_int[:, ::-1], axis=1)[:, ::-1]
-        averages[:, n] = tail[:, 0]
-        upper = half[:, None] * _legendre_integral_to_one(values)
-        upper[..., 0] += tail[:, 1:]
-        cont[n - 1] = upper + _legendre_times_x(cont[n], breaks)
-    return cont, averages
-
-
-def _clenshaw_read(stage, breaks, xs):
-    """(C_1, C_2) at every x of ``xs`` from a Legendre stage table by
-    Clenshaw's recurrence, b_k = a_k + (2k+1)/(k+1) t b_{k+1}
-    - (k+1)/(k+2) b_{k+2}, the read path before the monomial basis;
-    0 at x = 1."""
-    s = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, len(breaks) - 2)
-    lo, hi = breaks[s], breaks[s + 1]
-    t = (xs - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    coef = stage[:, s]
-    b1 = b2 = np.zeros(coef.shape[:-1])
-    for k in range(coef.shape[-1] - 1, -1, -1):
-        rise, fall = (2 * k + 1) / (k + 1), (k + 1) / (k + 2)
-        b1, b2 = coef[..., k] + rise * t * b1 - fall * b2, b1
-    return np.where(xs >= 1.0, 0.0, b1)
-
-
-@pytest.mark.parametrize("horizon", [*range(2, 61), 150])
-def test_value_tables_match_legendre_induction(horizon):
-    # continuation, value_at, stage_average and the induction pair within
-    # 1e-13 of the induction in the Legendre basis, at stage 0, 1, N/2,
-    # N - 1 and N, over the first-stop priorities
-    stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
-    for priority in FIRST_STOP_PRIORITIES:
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
-        vf, pair = backward_induce(tables)
-        cont, averages = _legendre_induce(tables, vf.breaks)
-        for n in range(1, horizon + 1):
-            for player in (1, 2):
-                got = vf.stage_average(n, player)
-                assert abs(got - averages[player - 1, n]) <= 1e-13, (priority, n)
-        assert abs(pair.val1 - averages[0, 1]) <= 1e-13, priority
-        assert abs(pair.val2 - averages[1, 1]) <= 1e-13, priority
-        xs = _parity_values(vf, seed=horizon)
-        for n in stages:
-            want = _clenshaw_read(cont[n], vf.breaks, np.array(xs)).T.tolist()
-            for x, pair_want in zip(xs, want):
-                for player in (1, 2):
-                    got = continuation(n, x, vf, player)
-                    assert abs(got - pair_want[player - 1]) <= 1e-13, (priority, n, x)
-                if n == 0:
-                    continue
-                kind = classify_state(n, x, tables)
-                if kind is EquilibriumKind.FF:
-                    values = pair_want
-                else:
-                    w1n = tables.w1.item(n - 1)
-                    w2n = _w2_scalar(horizon - n, x, tables.inverses, tables.harmonics)
-                    values = _cell(kind.stop1, kind.stop2, tables.joint, w1n, w2n)
-                for player in (1, 2):
-                    got = vf.value_at(n, x, player)
-                    assert abs(got - values[player - 1]) <= 1e-13, (priority, n, x)
-
-
 AUDIT_HORIZONS = (2, 5, 10, 30, 40, 50, 60, 150)
 
 
@@ -749,14 +622,14 @@ def _w2_before(n, x, horizon):
 
 
 @pytest.mark.parametrize("horizon", [2, 10, 60, 400])
-def test_game_constants_on_the_tables_change_no_bit(horizon):
+def test_game_constants_on_the_tables_change_no_bit(game_tables, horizon):
     # w2, bimatrix, value_at and stage_cells against 2p - 1 and the w2
     # lists computed per call, as before the tables carried them.  value_at
     # at a forgo-forgo state is the continuation, which reads the value
     # table and no game constant, so an unfilled table serves
     rng = np.random.default_rng(horizon)
     for priority in (0.0, 0.25, 1 / 3, 0.5):
-        tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+        tables = game_tables(horizon, priority)
         vf = ValueFunction(tables)
         joint = 2.0 * priority - 1.0
         ns = rng.integers(1, horizon + 1, 300)
@@ -786,10 +659,10 @@ def test_game_constants_on_the_tables_change_no_bit(horizon):
         assert stage_cells(n, s1, s2, w2s, tables).tobytes() == want.tobytes()
 
 
-def test_pair_memo_interleavings():
-    # each answer is the state's own, whatever the last state asked was
-    tables = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
-    vf, _ = backward_induce(tables)
+def test_pair_memo_interleavings(game_tables):
+    # each answer is the state's own, whatever the last state asked was,
+    # from a value function of its own, which no other test has read
+    vf, _ = backward_induce(game_tables(10, 0.25))
     queries = [
         (4, 0.3, 2), (4, 0.3, 1),  # player 2 before player 1
         (4, 0.6, 1), (4, 0.6, 2),  # the same n with a new x
@@ -819,13 +692,13 @@ class _YieldingTable:
         return self.table[key]
 
 
-def test_pair_memo_shared_by_two_threads():
+def test_pair_memo_shared_by_two_threads(game_tables):
     # two threads query their own states on one value function, each state
     # for both players in turn, and get exactly the single-threaded
     # answers; the table read inside every pair read yields to the other
-    # thread, so the threads switch there thousands of times
-    tables = build_game_tables(ProblemConfig(horizon=30, priority=0.25))
-    vf, _ = backward_induce(tables)
+    # thread, so the threads switch there thousands of times; the value
+    # function is its own, as its table is replaced
+    vf, _ = backward_induce(game_tables(30, 0.25))
     rng = np.random.default_rng(13)
     plans = []
     for _ in range(2):
@@ -861,9 +734,8 @@ def test_pair_memo_shared_by_two_threads():
     data=st.data(),
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_point_queries_match_polyval_property(horizon, priority, data):
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
-    vf, _ = backward_induce(tables)
+def test_point_queries_match_polyval_property(induced, horizon, priority, data):
+    vf, _ = induced(horizon, priority)
     states = st.tuples(st.integers(0, horizon), st.floats(0.0, 1.0))
     for n, x in data.draw(st.lists(states, min_size=1, max_size=20)):
         _check_point_queries(vf, n, x)
@@ -906,8 +778,8 @@ def test_simulate_agrees_across_grid(induced, horizon, priority):
     assert abs(mc.val2 - pair.val2) <= 3 * max(se[1], 1e-12)
 
 
-def test_simulate_two_stage_matches_hand_value():
-    tables = build_game_tables(ProblemConfig(horizon=2, priority=0.5))
+def test_simulate_two_stage_matches_hand_value(game_tables):
+    tables = game_tables(2, 0.5)
     cfg = tables.config
     mc, se = simulate(cfg, tables, SimConfig(samples=200_000, seed=13))
     assert abs(mc.val1 - 0.0) <= max(3 * se[0], 1e-12)
@@ -928,19 +800,19 @@ def test_sim_config_takes_the_ends_of_the_seed_range():
     assert SimConfig(samples=1, seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
 
-def test_simulate_rejects_high_priority():
-    tables = build_game_tables(ProblemConfig(horizon=5, priority=0.8))
+def test_simulate_rejects_high_priority(game_tables):
+    tables = game_tables(5, 0.8)
     with pytest.raises(UnsupportedPriority):
         simulate(tables.config, tables, SimConfig(samples=10, seed=1))
 
 
 @pytest.mark.parametrize("horizon,priority", [(8, 0.25), (12, 0.25), (10, 0.5)])
 def test_simulate_refuses_a_config_other_than_the_tables_game(
-    monkeypatch, horizon, priority
+    monkeypatch, game_tables, horizon, priority
 ):
     # the tables are the game played: a shorter horizon used to play part
     # of it, a longer one ran off the tables, another priority was ignored
-    tables = build_game_tables(ProblemConfig(horizon=10, priority=0.25))
+    tables = game_tables(10, 0.25)
     sim = SimConfig(samples=100)
     # an equal config that is another object plays the game
     equal = ProblemConfig(horizon=10, priority=0.25)
@@ -1006,14 +878,14 @@ def _use_cpus(monkeypatch, count):
     "horizon,priority",
     [(h, p) for p in (0.0, 0.25, 0.5) for h in (2, 10, 60)] + [(150, 0.25)],
 )
-def test_simulate_matches_serial_reference(monkeypatch, horizon, priority):
+def test_simulate_matches_serial_reference(monkeypatch, game_tables, horizon, priority):
     # threads, row chunks and tiles change no bit: three threads with
     # 700-row chunks (a partial last chunk in every batch) and with 701-row
     # chunks (tiles of 176 rows, the last of a chunk 173), and one thread
     # with the default budget (at 150000 samples, three batches, the last
     # partial, refill its window of two); on the short runs also one row
     # per chunk, and 3-row chunks drawn in one-row tiles
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+    tables = game_tables(horizon, priority)
     cfg = tables.config
     default, split = valuation._DRAW_BUDGET, 3 * (horizon + 1) * 700
     for samples in (1, 3, 150_000):
@@ -1031,11 +903,11 @@ def test_simulate_matches_serial_reference(monkeypatch, horizon, priority):
 
 
 @pytest.mark.parametrize("priority", [0.0, 0.25, 0.5])
-def test_batch_sums_carry_no_negative_zero(priority):
+def test_batch_sums_carry_no_negative_zero(game_tables, priority):
     # at N = 2, w1_1 = 0, so a sequence the value player takes alone scores
     # -0.0 for the rank player (seed 9); the batch of that one stop sums to
     # +0.0, as a sum from 0 does
-    tables = build_game_tables(ProblemConfig(horizon=2, priority=priority))
+    tables = game_tables(2, priority)
     for seed in range(10):
         for total in valuation._play_batch(tables, seed, 0, 1, 1):
             assert not np.signbit(total[total == 0.0]).any(), seed
@@ -1083,30 +955,13 @@ def test_simulate_memory_is_the_budget_and_a_block(horizon):
 
 
 @pytest.mark.parametrize("horizon", [2, 10, 60, 400])
-def test_simulate_memory_is_one_stage_major_buffer(monkeypatch, horizon):
-    # one thread holds 2 MB of stage-major uniforms, a tile of a quarter
-    # of that and a block of stops, about as much again (3.9-4.9 MB); with
-    # the draws kept row-major beside their stage-major copy it took
-    # 5.3 MB at N = 2 and 6.1-6.4 MB at the others
-    _use_cpus(monkeypatch, 1)
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
-    sim = SimConfig(samples=1 << 17, seed=3)
-    simulate(tables.config, tables, SimConfig(samples=1))  # loads the pool's modules
-    tracemalloc.start()
-    try:
-        simulate(tables.config, tables, sim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.5 * 2**20
-
-
-@pytest.mark.parametrize("horizon", [2, 10, 60, 400])
 def test_simulate_scores_stops_in_the_tile(monkeypatch, horizon):
     # after a warm-up call, one thread holds its share of the draw budget
     # and the scratch buffer, stop marks and block of ``_play_batch``
-    # (3.1-3.6 MiB), below the 5.5 MiB of one stage-major buffer, a tile
-    # and a block
+    # (2.8-3.7 MiB); one stage-major buffer, a tile of a quarter of it and
+    # a block of stops took 3.9-4.9 MB, and with the draws kept row-major
+    # beside their stage-major copy it took 5.3 MB at N = 2 and 6.1-6.4 MB
+    # at the others
     _use_cpus(monkeypatch, 1)
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
     simulate(tables.config, tables, SimConfig(samples=1))  # loads the pool's modules
@@ -1133,7 +988,7 @@ def test_simulate_scores_stops_in_the_tile(monkeypatch, horizon):
     ],
 )
 def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
-    monkeypatch, horizon, priority, budget, samples
+    monkeypatch, game_tables, horizon, priority, budget, samples
 ):
     # one thread; at N = 2 one chunk holds the whole batch and its stops
     # fill several blocks, and a budget of 3200 doubles makes blocks of
@@ -1144,7 +999,7 @@ def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
     # of 3 at N = 2 gives one-row chunks whose tile of 3 doubles is no
     # larger than a one-stop block's scratch, and 4000-row chunks at N = 3
     # fill blocks of 1000 stops three or four times while they are gathered
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=priority))
+    tables = game_tables(horizon, priority)
     cfg = tables.config
     sim = SimConfig(samples=samples, seed=23)
     want = _serial_simulate(cfg, tables, sim)
@@ -1179,12 +1034,12 @@ class _FixedDraws:
 
 
 @pytest.mark.parametrize("horizon", [5, 300])
-def test_play_batch_first_stop_edge_rows(monkeypatch, horizon):
+def test_play_batch_first_stop_edge_rows(monkeypatch, game_tables, horizon):
     # chunks of two rows: the first chunk has no stop (each row's first
     # value is below its bar and no later value is a record); in the
     # second, one row's only stop is its last stage (weight 1, at N = 300
     # in the 16-bit weights) and one row stops at once
-    tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
+    tables = game_tables(horizon, 0.25)
     assert tables.ntilde > 1
 
     def row(head, last, coin):
@@ -1210,10 +1065,10 @@ def test_play_batch_first_stop_edge_rows(monkeypatch, horizon):
     assert not np.signbit(sums).any()
 
 
-def test_simulate_error_cancels_remaining_batches(monkeypatch):
+def test_simulate_error_cancels_remaining_batches(monkeypatch, game_tables):
     # batch 0 fails at once while the other threads hold slow batches, so
     # at most one more batch per thread starts before the rest is cancelled
-    tables = build_game_tables(ProblemConfig(horizon=5, priority=0.25))
+    tables = game_tables(5, 0.25)
     started = []
     failure = RuntimeError("batch 0 failed")
 
@@ -1231,3 +1086,135 @@ def test_simulate_error_cancels_remaining_batches(monkeypatch):
     assert caught.value is failure
     assert 0 in started
     assert len(started) <= 3 + 1
+
+
+# The first-stop grid, N = 2..60, 100 and 150 at the seven first-stop
+# priorities, 427 games, last in the run: each game is induced once, by
+# the session's held induction where an earlier test holds one, and its
+# value tables are not held, where they would take about 450 MB.
+
+
+def _legendre_integral_to_one(a):
+    """Legendre coefficients (last axis) of int_t^1 f(u) du, one degree up:
+    int_t^1 P_k = (P_{k-1} - P_{k+1}) / (2k+1), and 1 - t for k = 0."""
+    q = a / (2 * np.arange(a.shape[-1]) + 1)
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    out[..., :-2] = q[..., 1:]
+    out[..., 0] += q[..., 0]
+    out[..., 1:] -= q
+    return out
+
+
+def _legendre_times_x(a, breaks):
+    """Legendre coefficients (last axis) of x f on every segment between
+    consecutive ``breaks``, one degree up: x f = c f + h t f, with
+    t P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1)."""
+    k = np.arange(a.shape[-1])
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    out = np.zeros(a.shape[:-1] + (len(k) + 1,))
+    out[..., 1:] = a * ((k + 1) / (2 * k + 1))
+    out[..., :-2] += a[..., 1:] * (k[1:] / (2 * k[1:] + 1))
+    out *= 0.5 * (hi - lo)
+    out[..., :-1] += 0.5 * (hi + lo) * a
+    return out
+
+
+def _legendre_induce(tables, breaks):
+    """Reference: the induction with the value tables in Legendre
+    coefficients in t, as they were held before the monomial basis, on the
+    segments between ``breaks``.  Returns C(0..N), each (2, S, N - n + 1),
+    and the averages int_0^1 V_i(n, x) dx, (2, N + 1)."""
+    big_n = tables.config.horizon
+    segments = len(breaks) - 1
+    half = 0.5 * np.diff(breaks)
+    cont = [np.zeros((2, segments, big_n - n + 1)) for n in range(big_n + 1)]
+    averages = np.zeros((2, big_n + 1))
+    carry = np.zeros((2, segments, 1))  # x**d and S_d on the stopped segments
+    carry[0] = 1.0
+    for n in range(big_n, 0, -1):
+        d = big_n - n
+        stop1, stop2 = stage_actions(n, breaks[:-1], tables)
+        stopped = np.count_nonzero(stop1 | stop2)
+        first = segments - stopped
+        carry = carry[:, carry.shape[1] - stopped :]
+        if d:
+            carry = _legendre_times_x(carry, breaks[first:])
+            carry[1, :, 0] += tables.inverses[d]
+        w2s = carry[0] * (1.0 + tables.harmonics[d]) - carry[1]
+        cells = stage_cells(n, stop1[first:, None], stop2[first:, None], w2s, tables)
+        cells[0, :, 1:] = 0.0
+        values = np.concatenate((cont[n][:, :first], cells), axis=1)
+        tail = np.zeros((2, segments + 1))  # int_{b_s}^1 V(n, x) dx
+        seg_int = 2.0 * half * values[..., 0]
+        tail[:, :-1] = np.cumsum(seg_int[:, ::-1], axis=1)[:, ::-1]
+        averages[:, n] = tail[:, 0]
+        upper = half[:, None] * _legendre_integral_to_one(values)
+        upper[..., 0] += tail[:, 1:]
+        cont[n - 1] = upper + _legendre_times_x(cont[n], breaks)
+    return cont, averages
+
+
+def _clenshaw_read(stage, breaks, xs):
+    """(C_1, C_2) at every x of ``xs`` from a Legendre stage table by
+    Clenshaw's recurrence, b_k = a_k + (2k+1)/(k+1) t b_{k+1}
+    - (k+1)/(k+2) b_{k+2}, the read path before the monomial basis;
+    0 at x = 1."""
+    s = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, len(breaks) - 2)
+    lo, hi = breaks[s], breaks[s + 1]
+    t = (xs - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+    coef = stage[:, s]
+    b1 = b2 = np.zeros(coef.shape[:-1])
+    for k in range(coef.shape[-1] - 1, -1, -1):
+        rise, fall = (2 * k + 1) / (k + 1), (k + 1) / (k + 2)
+        b1, b2 = coef[..., k] + rise * t * b1 - fall * b2, b1
+    return np.where(xs >= 1.0, 0.0, b1)
+
+
+@pytest.mark.parametrize("horizon", [*range(2, 61), 150])
+def test_value_tables_match_legendre_induction(induced, horizon):
+    # continuation, value_at, stage_average and the induction pair within
+    # 1e-13 of the induction in the Legendre basis, at stage 0, 1, N/2,
+    # N - 1 and N, over the first-stop priorities; one induction a game,
+    # whose pair test_game_value_matches_induction reads next
+    stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
+    for priority in FIRST_STOP_PRIORITIES:
+        vf, pair = induced.unheld(horizon, priority)
+        tables = vf.tables
+        cont, averages = _legendre_induce(tables, vf.breaks)
+        for n in range(1, horizon + 1):
+            for player in (1, 2):
+                got = vf.stage_average(n, player)
+                assert abs(got - averages[player - 1, n]) <= 1e-13, (priority, n)
+        assert abs(pair.val1 - averages[0, 1]) <= 1e-13, priority
+        assert abs(pair.val2 - averages[1, 1]) <= 1e-13, priority
+        xs = _parity_values(vf, seed=horizon)
+        for n in stages:
+            want = _clenshaw_read(cont[n], vf.breaks, np.array(xs)).T.tolist()
+            for x, pair_want in zip(xs, want):
+                for player in (1, 2):
+                    got = continuation(n, x, vf, player)
+                    assert abs(got - pair_want[player - 1]) <= 1e-13, (priority, n, x)
+                if n == 0:
+                    continue
+                kind = classify_state(n, x, tables)
+                if kind is EquilibriumKind.FF:
+                    values = pair_want
+                else:
+                    w1n = tables.w1.item(n - 1)
+                    w2n = _w2_scalar(horizon - n, x, tables.inverses, tables.harmonics)
+                    values = _cell(kind.stop1, kind.stop2, tables.joint, w1n, w2n)
+                for player in (1, 2):
+                    got = vf.value_at(n, x, player)
+                    assert abs(got - values[player - 1]) <= 1e-13, (priority, n, x)
+
+
+@pytest.mark.parametrize("horizon", [*range(2, 61), 100, 150])
+def test_game_value_matches_induction(game_tables, induced, horizon):
+    # the closed form the CLI prints, against the induction that certifies
+    # it: the pair of the induction test_value_tables_match_legendre_induction
+    # read, or at N = 100 of one of its own, not held
+    for priority in FIRST_STOP_PRIORITIES:
+        want = induced.pair(horizon, priority)
+        got = game_value(game_tables(horizon, priority))
+        assert abs(got.val1 - want.val1) <= 1e-12, (horizon, priority)
+        assert abs(got.val2 - want.val2) <= 1e-12, (horizon, priority)
