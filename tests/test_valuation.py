@@ -1088,10 +1088,10 @@ def test_simulate_error_cancels_remaining_batches(monkeypatch, game_tables):
     assert len(started) <= 3 + 1
 
 
-# The first-stop grid, N = 2..60, 100 and 150 at the seven first-stop
-# priorities, 427 games, last in the run: each game is induced once, by
-# the session's held induction where an earlier test holds one, and its
-# value tables are not held, where they would take about 450 MB.
+# The first-stop grid: N = 2..60, 100 and 150 at the seven first-stop
+# priorities, 427 games. It comes last, after every test that holds one
+# of its games in ``induced``, and induces each other game once without
+# holding it: its value tables would take about 450 MB.
 
 
 def _legendre_integral_to_one(a):
