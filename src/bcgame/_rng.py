@@ -10,8 +10,10 @@ with g the 64-bit golden-ratio increment and the sums taken modulo
 2**64.  Within one seed the batches have distinct keys, and for one batch
 index distinct seeds in [0, 2**64) have distinct keys, since g is odd and
 SplitMix64 finalization is a bijection.  Across seeds keys do repeat:
-batch i of seed s has the key of batch i - 1 of seed s + 2 g.  Uniforms
-come out as 53-bit-mantissa doubles in [0, 1).
+batch i of seed s has the key of batch i - 1 of seed s + 2 g.  The
+oracle draws 53-bit-mantissa doubles in [0, 1) from a stream; ``simulate``
+reads its raw 64-bit words, each as two 32-bit uniforms
+(``valuation._play_batch``).
 
 The CLI keeps the OpenSSL library that importing ``numpy.random`` would
 map out of its process (``cli._keep_openssl_out``).

@@ -90,13 +90,14 @@ from .models import ProblemConfig, _check_index, _check_value, _integer
 
 _PLAYERS = (1, 2)
 
-#: Doubles of stage-major uniforms that one ``simulate`` call holds at a
-#: time, N + 1 a sequence, shared evenly by its threads: 2 MB, whatever N
+#: Stage-major 32-bit uniforms that one ``simulate`` call holds at a
+#: time, N + 1 a sequence, shared evenly by its threads: 1 MB, whatever N
 #: and the core count.  ``_play_batch`` lays a thread's share out.
 _DRAW_BUDGET = 1 << 18
 
 #: Sequences per Monte Carlo batch.  Each batch draws its own Philox
-#: stream, so this size fixes the bytes of every (samples, seed) estimate.
+#: stream, two uniforms a word, so this size fixes the bytes of every
+#: (samples, seed) estimate.
 _BATCH = 1 << 16
 
 
@@ -446,66 +447,89 @@ def _score_stops(
             totals[row, player] = terms[-1]
 
 
+def _uniform_bars(bars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bars b on the grid of the 32-bit uniforms, as (bar, reachable):
+    u 2**-32 >= b exactly when u >= ceil(b 2**32), a ceiling exact in
+    doubles, clipped to the uint32 range.  Where it is 2**32 or more,
+    within 2**-32 of 1 or above, no uniform reaches the bar: there
+    ``reachable`` is false."""
+    ceiling = np.ceil(np.ldexp(bars, 32))
+    reachable = ceiling < 2.0**32
+    return np.clip(ceiling, 0, 2**32 - 1).astype(np.uint32), reachable
+
+
 def _play_batch(
     tables: GameTables, seed: int, batch_index: int, size: int, chunk_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Payoff sum and sum of squares over the ``size`` sequences of one
     batch, each player on its own entry: the Monte Carlo batch layout.
 
-    A sequence stops at its first record x_n >= b_n, the bar of
+    The batch stream is a run of Philox words, each two 32-bit uniforms
+    u, its low half first, on any byte order; a sequence takes N + 1
+    consecutive uniforms, row-major: its N values x = u 2**-32, then the
+    coin.  A sequence stops at its first record x_n >= b_n, the bar of
     ``stop_bars``, and scores the stage cell there; a sequence that never
     stops pays (0, 0) and adds nothing to the sums.  The uniforms come in
-    chunks of at most ``chunk_rows`` rows, and each chunk in row-major
-    tiles of a quarter of its rows, each transposed into the stage-major
-    buffer x[n, row], N + 1 doubles a row (a stage is one contiguous
-    vector; row N holds the coins); the tiles and chunks continue one
-    Philox stream, so together they are the one draw of the whole batch.
+    chunks of at most ``chunk_rows`` rows, rounded up to an even count,
+    and each chunk in row-major tiles of about a quarter of its rows, an
+    even count too, so that every tile but the batch's last starts and
+    ends on a word; each tile is transposed into the stage-major buffer
+    x[n, row], N + 1 uint32 a row (a stage is one contiguous vector; row
+    N holds the coins).  The tiles and chunks continue one stream, so
+    together they are the one draw of the whole batch, and the last word
+    of a batch with an odd number of uniforms gives its low half only.
 
     The batch allocates its buffers once: the stage-major buffer, one
-    scratch buffer, the stop marks, an eighth of the stage-major buffer,
-    and a block of B stops.  The scratch buffer is the tile while a chunk
-    is drawn; once the chunk is drawn in full, it holds in turn the rises
-    of its running maximum, its weighted marks, the places of the stops
-    being gathered into the block, and a full block's margins, cells and
-    squares, 3 B doubles, while ``_score_stops`` scores it.  It takes the
-    largest of the tile, the weighted marks and 3 B doubles, so tiny
-    budgets work too.
+    scratch buffer, the stop marks, a quarter of the stage-major buffer,
+    and a block of B stops; a tile is the words that Philox hands out.
+    Once a chunk is drawn in full, the scratch buffer holds in turn the
+    rises of its running maximum, its weighted marks, the places and
+    uniforms of the stops being gathered into the block, and a full
+    block's margins, cells and squares, 3 B doubles, while
+    ``_score_stops`` scores it.  It takes the larger of the weighted
+    marks and 3 B doubles, so tiny budgets work too.
 
-    Over the stages before ntilde a chunk turns x into its running
-    maximum M in place, one vector operation per stage.
-    Stage n is a record exactly where M rises, M_n > M_{n-1}, and there
-    M_n = x_n, so the marks are the rises with M_n >= b_n.  From ntilde on
-    every bar is 0, and the first record is the first value above the
-    maximum of the stages before ntilde, so there the marks are the values
-    above it.  Stage n's marks, weighted N - n + 1, take one maximum down
-    the stages: it is 0 where a row never stops, else N - n + 1 at its
-    first stop n, where x is its value.
+    The uniforms stay integers until a row stops: over the stages before
+    ntilde a chunk turns x into its running maximum M in place, one
+    vector operation per stage.  Stage n is a record exactly where M
+    rises, M_n > M_{n-1}, and there M_n = x_n, so the marks are the rises
+    with M_n >= b_n, each bar by the exact integer rule of
+    ``_uniform_bars``.  From ntilde on every bar is 0, and the first
+    record is the first value above the maximum of the stages before
+    ntilde, so there the marks are the values above it.  Stage n's marks,
+    weighted N - n + 1, or 0 where no uniform reaches the bar, take one
+    maximum down the stages: it is 0 where a row never stops, else
+    N - n + 1 at its first stop n, where x is its value.
 
-    Only the rows that stop are scored.  A chunk's stops are found in
-    windows of at most B rows, so their row indices take at most B
+    Only the rows that stop are scored, and only their value and coin
+    become doubles, u 2**-32, which is exact.  A chunk's stops are found
+    in windows of at most B rows, so their row indices take at most B
     entries; they fill the block in row order across windows and chunks,
     and each full block, and the last, is scored by ``_score_stops``, with
     the running sums carried from block to block, so the sums are the
     same bit for bit at any chunk, tile and block size.  B is a sixteenth
-    of the stage-major buffer, at most chunk_rows (N + 1) doubles: the
-    block holds three doubles a stop, and its scoring, beside the scratch
-    buffer, about two more.  So a batch holds its share of the draw
-    budget, a quarter of it for the scratch buffer, an eighth for the stop
-    marks and about five doubles a stop of a block, whatever N and the
-    batch size.
+    of the stage-major buffer's entries: the block holds three doubles a
+    stop, and its scoring, beside the scratch buffer, about two more.  So
+    a batch holds its share of the draw budget and, in bytes of it, about
+    a quarter for a tile, three eighths for the scratch buffer, a quarter
+    for the stop marks and five eighths for a block as it is scored,
+    whatever N and the batch size.
     """
     big_n = tables.config.horizon
-    bars = stop_bars(tables)[:, None]
+    bars, reachable = _uniform_bars(stop_bars(tables))
+    bars = bars[:, None]
     scanned = max(tables.ntilde - 1, 1)  # stages before ntilde, and stage 1
-    rng = batch_generator(seed, batch_index)
+    draw = batch_generator(seed, batch_index).bit_generator.random_raw
+    chunk_rows += chunk_rows % 2  # whole words a chunk
     width = min(chunk_rows, size)
     block = max(1, width * (big_n + 1) // 16)
-    xt = np.empty((big_n + 1, width))  # the stages, then the coin
+    # the stages, then the coin
+    xt = np.empty((big_n + 1, width), dtype=np.uint32)
     weights = np.arange(big_n, 0, -1, dtype=np.min_scalar_type(big_n))[:, None]
-    tile_rows = -(-width // 4)
+    weights[~reachable] = 0
+    tile_rows = 2 * -(-width // 8)
     weighted_size = -(-big_n * width * weights.itemsize // 8)  # in doubles
-    scratch = np.empty(max(tile_rows * (big_n + 1), weighted_size, 3 * block))
-    tile = scratch[: tile_rows * (big_n + 1)].reshape(tile_rows, big_n + 1)
+    scratch = np.empty(max(weighted_size, 3 * block))
     marks = np.empty((big_n, width), dtype=bool)
     # a block of stops: index, value and coin
     stage = np.empty(block, dtype=np.intp)
@@ -519,10 +543,12 @@ def _play_batch(
         rows = min(chunk_rows, size - lo)
         for a in range(0, rows, tile_rows):
             t = min(tile_rows, rows - a)
-            rng.random(out=tile[:t])
-            xt[:, a : a + t] = tile[:t].T
+            uniforms = t * (big_n + 1)
+            words = draw(-(-uniforms // 2)).astype("<u8", copy=False)
+            xt[:, a : a + t] = words.view("<u4")[:uniforms].reshape(t, big_n + 1).T
+            del words  # one tile at a time
         x, mark = xt[:big_n, :rows], marks[:, :rows]
-        # the rises, then the weighted marks, in the drawn chunk's tile
+        # the rises, then the weighted marks, in the scratch buffer
         rise = scratch.view(bool)[: (scanned - 1) * rows].reshape(scanned - 1, rows)
         weighted = scratch.view(weights.dtype)[: big_n * rows].reshape(big_n, rows)
         head = x[:scanned]
@@ -544,15 +570,18 @@ def _play_batch(
                 take = min(block - count, len(hit) - done)
                 r = hit[done : done + take]  # rows w + r of the chunk
                 at = slice(count, count + take)
-                # the first stops' places in xt from column w on, held in
-                # the drawn chunk's tile
+                # the first stops' places in xt from column w on, and their
+                # uniforms, held in the scratch buffer
                 place = scratch[:take].view(np.intp)
+                gathered = scratch[block : 2 * block].view(np.uint32)[:take]
                 np.subtract(big_n, window[r], out=place, dtype=np.intp)  # x rows
                 np.add(place, 1, out=stage[at])
                 place *= width
                 place += r
-                xt.ravel()[w:].take(place, out=value[at])
-                xt[big_n, w:].take(r, out=coin[at])
+                xt.ravel()[w:].take(place, out=gathered)
+                np.multiply(gathered, 2.0**-32, out=value[at])
+                xt[big_n, w:].take(r, out=gathered)
+                np.multiply(gathered, 2.0**-32, out=coin[at])
                 count += take
                 done += take
                 if count == block:
@@ -578,15 +607,24 @@ def simulate(
     scores the stage cell at the first stop, and scores (0, 0) when no
     stop occurs before the horizon.
 
+    The uniforms are 32-bit integers u, two a Philox word, read as
+    u 2**-32 (``_play_batch``), and each bar is compared exactly.  Read as
+    the grid cells of continuous uniforms, they play as those do except
+    where a value and the running maximum, a bar or the priority fall in
+    one cell of width 2**-32: at most 2N such comparisons a sequence (the
+    bars, the records and the coin), so with probability at most
+    2N 2**-32 a sequence.  A value that is scored is its cell's lower
+    end, below the continuous value by less than 2**-32.
+
     The sequences are played in batches of ``_BATCH``, the last one
     partial, laid out as ``_play_batch`` describes.  Batches run on a pool
     of one thread per CPU in the process's affinity mask, at most one per
     batch (numpy releases the interpreter lock while it draws and
     computes), and their sums are added in batch-index order.  The threads
-    share ``_DRAW_BUDGET`` evenly, so a chunk has at most
-    budget / (threads (N + 1)) rows, and memory does not grow with N or
-    the sample count.  Neither the thread count nor the chunk size changes
-    a bit of the result.  The first error, an interrupt included, cancels
+    share ``_DRAW_BUDGET`` evenly, so a chunk has budget / (threads
+    (N + 1)) rows, rounded up to an even count, and memory does not grow
+    with N or the sample count.  Neither the thread count nor the chunk
+    size changes a bit of the result.  The first error, an interrupt included, cancels
     the batches not yet started and propagates.
     """
     if cfg != tables.config:

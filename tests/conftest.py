@@ -19,9 +19,8 @@ def game_tables():
 
     - tests that patch a layer the build or the induction runs through:
       test_suite_catches_tampered_thresholds and the ``_never_called`` CLI
-      tests; test_tables_evaluate_tv1_only_up_to_the_crossing and
-      test_ntilde_matches_the_split_tv1_scan (``tv1``); and, setting the
-      memory figure,
+      tests; test_tables_evaluate_tv1_only_up_to_the_crossing (``tv1``);
+      and, setting the memory figure,
       test_packed_tables_fit_where_padded_ones_did_not,
       test_value_function_refuses_tables_beyond_physical_memory,
       test_one_memory_figure_gates_every_allocation and
@@ -55,8 +54,9 @@ def game_tables():
 class _Inductions:
     """``backward_induce`` of the session's games, keyed by (horizon,
     priority): calling it gives the induction of ``game_tables``' game,
-    run once and held for the session.  A value function is safe to share
-    for reads: its pair memo is replaced whole on each read."""
+    run once and held until its last reader takes it with ``unheld``.  A
+    value function is safe to share for reads: its pair memo is replaced
+    whole on each read."""
 
     def __init__(self, tables):
         self._tables = tables
@@ -70,12 +70,15 @@ class _Inductions:
         return self._held[key]
 
     def unheld(self, horizon, priority):
-        """The held induction if there is one, else a new one that is not
-        held, for grids whose value tables the session cannot hold (the
-        427 games of test_valuation's first-stop grid would take about
+        """The held induction if there is one, which is held no longer,
+        else a new one that is not held, for the last reader of a game and
+        for grids whose value tables the session cannot hold (the 427
+        games of test_valuation's first-stop grid would take about
         450 MB); its pair is kept either way."""
         key = horizon, priority
-        got = self._held.get(key) or backward_induce(self._tables(horizon, priority))
+        got = self._held.pop(key, None) or backward_induce(
+            self._tables(horizon, priority)
+        )
         self._pairs[key] = got[1]
         return got
 

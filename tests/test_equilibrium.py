@@ -413,24 +413,19 @@ def _tv1_split(n, tables):
 SCAN_PRIORITIES = (0.0, 0.1, 0.2, 0.25, 1 / 3, math.exp(-1), 0.45, 0.5, 0.75, 1.0)
 
 
-def test_ntilde_matches_the_split_tv1_scan(monkeypatch):
-    # the tables evaluate tv1 at nstar..min(ntilde, N - 1), each checked
-    # against the split form here; the split scan must cross at ntilde
-    splits = {}
-
-    def checked_tv1(n, tables):
-        got, splits[n] = tv1(n, tables), _tv1_split(n, tables)
-        assert abs(got - splits[n]) <= 4e-15 * abs(splits[n]), (tables.config, n)
-        return got
-
-    monkeypatch.setattr(equilibrium, "tv1", checked_tv1)
-    # the longest horizon first, so one threshold solve serves every game
+def test_ntilde_matches_the_split_tv1_scan(game_tables):
+    # tv1 at nstar..min(ntilde, N - 1), the indices the tables evaluate it
+    # at (test_tables_evaluate_tv1_only_up_to_the_crossing), against the
+    # split form; the split scan must cross at ntilde
     games = [(big_n, p) for big_n in (1000, 400) for p in (0.25, 0.5)]
     games += [(big_n, p) for p in SCAN_PRIORITIES for big_n in range(2, 151)]
     for big_n, p in games:
-        splits.clear()
-        tables = build_game_tables(ProblemConfig(horizon=big_n, priority=p))
-        crossed = [splits[n] <= tables.w1[n - 1] for n in sorted(splits)]
+        tables = game_tables(big_n, p)
+        crossed = []
+        for n in range(tables.nstar, min(tables.ntilde, big_n - 1) + 1):
+            got, split = tv1(n, tables), _tv1_split(n, tables)
+            assert abs(got - split) <= 4e-15 * abs(split), (tables.config, n)
+            crossed.append(split <= tables.w1[n - 1])
         assert crossed == [False] * (tables.ntilde - tables.nstar) + [True] * (
             tables.ntilde < big_n
         ), (big_n, p)

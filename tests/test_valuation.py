@@ -394,220 +394,6 @@ def test_value_function_unchecked_without_memory_figure(monkeypatch):
     assert math.isfinite(pair.val1)
 
 
-PARITY_PRIORITIES = (0.0, 0.1, 0.25, 1 / 3, math.exp(-1), 0.5)
-PARITY_HORIZONS = (2, 5, 10, 30, 60, 150)
-
-
-def _polyval_reference(vf, n, x, player):
-    """C_player(n, x) by numpy's ``polyval`` on the stored coefficients of
-    the segment that ``searchsorted(side="right")`` finds."""
-    if x >= 1.0:
-        return 0.0
-    s = int(np.searchsorted(vf.breaks, x, side="right")) - 1
-    s = min(max(s, 0), vf.n_segments - 1)
-    lo, hi = vf.breaks[s], vf.breaks[s + 1]
-    t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    return float(polyval(t, vf.cont[n][player - 1, s]))
-
-
-def _check_point_queries(vf, n, x):
-    """``continuation`` is a Python float within 1e-15 of ``polyval`` on the
-    stored coefficients; from n = 1 on, ``value_at`` is that continuation
-    at forgo-forgo states and the array stage cell elsewhere.  Returns the
-    state's kind, or None at n = 0."""
-    tables = vf.tables
-    for player in (1, 2):
-        got = continuation(n, x, vf, player)
-        assert type(got) is float
-        want = _polyval_reference(vf, n, x, player)
-        assert abs(got - want) <= 1e-15, (tables.config, n, x, player)
-    if n == 0:
-        return None
-    kind = classify_state(n, x, tables)
-    stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
-    w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
-    for player in (1, 2):
-        got = vf.value_at(n, x, player)
-        assert type(got) is float
-        if kind is EquilibriumKind.FF:
-            want = continuation(n, x, vf, player)
-        else:
-            want = float(stage_cells(n, stop1, stop2, w2n, tables)[player - 1])
-        assert got == want, (tables.config, n, x, player)
-    return kind
-
-
-def _parity_values(vf, seed, interior=0):
-    """Every breakpoint, 0, 1, 1e-300, 50 uniform values and ``interior``
-    evenly spaced interior points of every segment."""
-    rng = np.random.default_rng(seed)
-    xs = vf.breaks.tolist() + [0.0, 1.0, 1e-300] + rng.random(50).tolist()
-    lo, hi = vf.breaks[:-1], vf.breaks[1:]
-    for j in range(1, interior + 1):
-        xs += (lo + (hi - lo) * (j / (interior + 1))).tolist()
-    return xs
-
-
-# the longer horizons run at fewer priorities; segments do not depend on p
-@pytest.mark.parametrize(
-    "horizon,priorities,interior",
-    [
-        (2, PARITY_PRIORITIES, 3),
-        (5, PARITY_PRIORITIES, 3),
-        (10, PARITY_PRIORITIES, 3),
-        (30, (0.0, 1 / 3, 0.5), 3),
-        (60, (0.1, 0.25), 3),
-        (150, (math.exp(-1),), 9),
-    ],
-)
-def test_scalar_read_path_matches_array_path(induced, horizon, priorities, interior):
-    # continuation's Horner loop in Python floats against numpy's polyval,
-    # and value_at against the array stage cells, at stage 0, 1, N/2, N - 1
-    # and N
-    stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
-    for priority in priorities:
-        vf, _ = induced(horizon, priority)
-        kinds = set()
-        for x in _parity_values(vf, seed=horizon, interior=interior):
-            for n in stages:
-                kinds.add(_check_point_queries(vf, n, x))
-        # stopped cells ran, and forgo-forgo ones wherever the game has them
-        assert kinds - {EquilibriumKind.FF, None}
-        assert EquilibriumKind.FF in kinds or horizon < 5
-
-
-def _horner_reference(vf, n, x, player):
-    """C_player(n, x) by a Horner loop of its own for one player, without
-    the pair read's shared loop: the same segment, t and operations in the
-    same order."""
-    if x >= 1.0:
-        return 0.0
-    s = int(np.searchsorted(vf.breaks, x, side="right")) - 1
-    s = min(max(s, 0), vf.n_segments - 1)
-    lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
-    t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    return _horner(vf.cont[n][player - 1, s].tolist(), t)
-
-
-def _horner(coef, t):
-    """sum_k coef[k] t**k by Horner's rule from the highest k."""
-    value = 0.0
-    for k in range(len(coef) - 1, -1, -1):
-        value = value * t + coef[k]
-    return value
-
-
-def _value_reference(vf, n, x, player):
-    """V_player(n, x) from ``_horner_reference`` and the array stage cells."""
-    tables = vf.tables
-    kind = classify_state(n, x, tables)
-    if kind is EquilibriumKind.FF:
-        return _horner_reference(vf, n, x, player)
-    w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
-    stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
-    return float(stage_cells(n, stop1, stop2, w2n, tables)[player - 1])
-
-
-@pytest.mark.parametrize("horizon", PARITY_HORIZONS)
-def test_pair_read_matches_one_loop_per_player(induced, horizon):
-    # both players from one Horner loop, then the other player from the
-    # memo, bit for bit the loop of each player on its own, at stage 0, 1,
-    # N/2, N - 1 and N
-    stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
-    for priority in PARITY_PRIORITIES:
-        vf, _ = induced(horizon, priority)
-        for x in _parity_values(vf, seed=horizon):
-            for n in stages:
-                for player in (1, 2):
-                    got = continuation(n, x, vf, player)
-                    assert got == _horner_reference(vf, n, x, player), (n, x, player)
-                if n == 0:
-                    continue
-                for player in (2, 1):
-                    got = vf.value_at(n, x, player)
-                    assert got == _value_reference(vf, n, x, player), (n, x, player)
-
-
-AUDIT_HORIZONS = (2, 5, 10, 30, 40, 50, 60, 150)
-
-
-def _pair_before(vf, n, x):
-    """(C_1(n, x), C_2(n, x)) by the pair read as it was before the cached
-    horizon: the segment clamped into range both ways, each player by a
-    Horner loop of its own."""
-    if x >= 1.0:
-        return 0.0, 0.0
-    s = bisect_right(vf.breaks.tolist(), x) - 1
-    s = min(max(s, 0), vf.n_segments - 1)
-    lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
-    t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    coef1, coef2 = vf.cont[n][:, s].tolist()
-    return _horner(coef1, t), _horner(coef2, t)
-
-
-def _is_pure_nash_before(cells, kind):
-    """The Nash check as it was: cells on a grid [player 1 stops][player 2
-    stops], indexed through the kind's action letters."""
-    ss, sf, fs, ff = cells
-    grid = ((ff, fs), (sf, ss))
-    i, j = ("FS".index(a) for a in kind.value)
-    here = grid[i][j]
-    return grid[1 - i][j][0] <= here[0] and grid[i][1 - j][1] <= here[1]
-
-
-def _audit_before(vf, n, x):
-    """The audit row of a record state by the code before the tuple
-    ``Bimatrix`` and the kind flags: kind, both continuations, the four
-    cells, the Nash verdict and both players' values."""
-    tables = vf.tables
-    kind = classify_state(n, x, tables)
-    c1, c2 = _pair_before(vf, n, x)
-    w1n = tables.w1.item(n - 1)
-    w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
-    joint = 2.0 * tables.config.priority - 1.0
-    cells = (
-        _cell(True, True, joint, w1n, w2n),
-        _cell(True, False, joint, w1n, w2n),
-        _cell(False, True, joint, w1n, w2n),
-        (c1, c2),
-    )
-    stop1, stop2 = kind.value[0] == "S", kind.value[1] == "S"
-    if kind is EquilibriumKind.FF:
-        values = (c1, c2)
-    else:
-        values = _cell(stop1, stop2, joint, w1n, w2n)
-    return kind, c1, c2, cells, _is_pure_nash_before(cells, kind), values
-
-
-@pytest.mark.parametrize("horizon", AUDIT_HORIZONS)
-def test_audit_rows_match_code_before_tuple_bimatrix(induced, horizon):
-    # classify_state, continuation for both players, bimatrix, is_pure_nash
-    # and value_at equal the code before, value and type, at stage 1, 2,
-    # N/2, N - 1 and N, over every priority
-    stages = sorted({1, 2, horizon // 2, horizon - 1, horizon})
-    for priority in PARITY_PRIORITIES:
-        vf, _ = induced(horizon, priority)
-        tables = vf.tables
-        for x in _parity_values(vf, seed=horizon):
-            for n in stages:
-                if x == 0.0 and n < horizon:
-                    continue  # bimatrix refuses it, as before
-                kind = classify_state(n, x, tables)
-                c1, c2 = continuation(n, x, vf, 1), continuation(n, x, vf, 2)
-                bm = bimatrix(n, x, tables, (c1, c2))
-                values = (vf.value_at(n, x, 1), vf.value_at(n, x, 2))
-                row = (kind, c1, c2, tuple(bm), bm.is_pure_nash(kind), values)
-                want = _audit_before(vf, n, x)
-                assert row == want, (priority, n, x)
-                assert type(bm) is Bimatrix and type(row[4]) is bool
-                leaves = (c1, c2, *values, *(v for cell in bm for v in cell))
-                assert all(type(v) is float for v in leaves)
-        # the continuation at n = 0 reads the same segment too
-        for x in _parity_values(vf, seed=horizon):
-            got = (continuation(0, x, vf, 1), continuation(0, x, vf, 2))
-            assert got == _pair_before(vf, 0, x)
-
-
 def _w2_before(n, x, horizon):
     """w2 as computed before the game tables carried its lists: 1/m and
     H_m built to degree d = N - n by the same operations, then one Horner
@@ -825,37 +611,54 @@ def test_simulate_refuses_a_config_other_than_the_tables_game(
     assert drawn == []
 
 
-def _serial_simulate(cfg, tables, sim):
-    """Reference: the one-thread loop that draws each batch in one piece."""
-    big_n = cfg.horizon
-    p = cfg.priority
+def _word_uniforms(words, count):
+    """The first ``count`` 32-bit uniforms u of Philox words, each word's
+    low half first, as the doubles u 2**-32."""
+    halves = np.empty((len(words), 2))
+    halves[:, 0] = words & 0xFFFFFFFF
+    halves[:, 1] = words >> 32
+    halves *= 2.0**-32
+    return halves.ravel()[:count]
+
+
+def _serial_batch(tables, seed, batch_index, nb):
+    """Payoff sum and sum of squares, a pair each, of one batch whose
+    words are drawn in one piece and whose uniforms play as doubles."""
+    big_n = tables.config.horizon
+    count = nb * (big_n + 1)
+    words = batch_generator(seed, batch_index).bit_generator.random_raw
+    u = _word_uniforms(words(-(-count // 2)), count).reshape(nb, big_n + 1)
+    x = u[:, :big_n]
+    coin = u[:, big_n]
+    running_max = np.maximum.accumulate(x, axis=1)
+    is_record = np.empty((nb, big_n), dtype=bool)
+    is_record[:, 0] = True
+    is_record[:, 1:] = x[:, 1:] > running_max[:, :-1]
+    stop1, stop2 = stage_actions(np.arange(1, big_n + 1), x, tables)
+    stops = (stop1 | stop2) & is_record
+    rows = np.flatnonzero(stops.any(axis=1))
+    j = np.argmax(stops[rows], axis=1)
+    s1, s2 = stop1[rows, j], stop2[rows, j]
+    both = s1 & s2
+    wins = coin[rows][both] < tables.config.priority
+    s1[both], s2[both] = wins, ~wins
+    pay = np.zeros((nb, 2))
+    w2s = _w2_array(j + 1, x[rows, j], tables)
+    pay[rows] = stage_cells(j + 1, s1, s2, w2s, tables).T
+    return pay.sum(axis=0), (pay**2).sum(axis=0)
+
+
+def _serial_simulate(tables, sim):
+    """Reference: the one-thread loop over ``_serial_batch``."""
     sums = np.zeros(2)
     sq_sums = np.zeros(2)
     remaining = sim.samples
     batch_index = 0
     while remaining > 0:
         nb = min(valuation._BATCH, remaining)
-        rng = batch_generator(sim.seed, batch_index)
-        u = rng.random((nb, big_n + 1))
-        x = u[:, :big_n]
-        coin = u[:, big_n]
-        running_max = np.maximum.accumulate(x, axis=1)
-        is_record = np.empty((nb, big_n), dtype=bool)
-        is_record[:, 0] = True
-        is_record[:, 1:] = x[:, 1:] > running_max[:, :-1]
-        stop1, stop2 = stage_actions(np.arange(1, big_n + 1), x, tables)
-        stops = (stop1 | stop2) & is_record
-        rows = np.flatnonzero(stops.any(axis=1))
-        j = np.argmax(stops[rows], axis=1)
-        s1, s2 = stop1[rows, j], stop2[rows, j]
-        both = s1 & s2
-        wins = coin[rows][both] < p
-        s1[both], s2[both] = wins, ~wins
-        pay = np.zeros((nb, 2))
-        w2s = _w2_array(j + 1, x[rows, j], tables)
-        pay[rows] = stage_cells(j + 1, s1, s2, w2s, tables).T
-        sums += pay.sum(axis=0)
-        sq_sums += (pay**2).sum(axis=0)
+        batch_sum, batch_sq = _serial_batch(tables, sim.seed, batch_index, nb)
+        sums += batch_sum
+        sq_sums += batch_sq
         remaining -= nb
         batch_index += 1
     count = sim.samples
@@ -880,17 +683,19 @@ def _use_cpus(monkeypatch, count):
 )
 def test_simulate_matches_serial_reference(monkeypatch, game_tables, horizon, priority):
     # threads, row chunks and tiles change no bit: three threads with
-    # 700-row chunks (a partial last chunk in every batch) and with 701-row
-    # chunks (tiles of 176 rows, the last of a chunk 173), and one thread
-    # with the default budget (at 150000 samples, three batches, the last
-    # partial, refill its window of two); on the short runs also one row
-    # per chunk, and 3-row chunks drawn in one-row tiles
+    # 700-row chunks (a partial last chunk in every batch) and with a
+    # budget of 701 rows (chunks rounded up to 702 rows, tiles of 176, the
+    # last of a chunk 174), and one thread with the default budget (at
+    # 150000 samples, three batches, the last partial, refill its window of
+    # two); on the short runs also a budget of one row (two-row chunks)
+    # and of 3 rows, whose 3-sample batch is one chunk in a two-row and a
+    # one-row tile
     tables = game_tables(horizon, priority)
     cfg = tables.config
     default, split = valuation._DRAW_BUDGET, 3 * (horizon + 1) * 700
     for samples in (1, 3, 150_000):
         sim = SimConfig(samples=samples, seed=17)
-        want = _serial_simulate(cfg, tables, sim)
+        want = _serial_simulate(tables, sim)
         runs = [(3, split), (3, 3 * (horizon + 1) * 701), (1, default)]
         if samples <= 3:
             runs += [(3, 1), (1, 3 * (horizon + 1))]
@@ -956,12 +761,13 @@ def test_simulate_memory_is_the_budget_and_a_block(horizon):
 
 @pytest.mark.parametrize("horizon", [2, 10, 60, 400])
 def test_simulate_scores_stops_in_the_tile(monkeypatch, horizon):
-    # after a warm-up call, one thread holds its share of the draw budget
-    # and the scratch buffer, stop marks and block of ``_play_batch``
-    # (2.8-3.7 MiB); one stage-major buffer, a tile of a quarter of it and
-    # a block of stops took 3.9-4.9 MB, and with the draws kept row-major
-    # beside their stage-major copy it took 5.3 MB at N = 2 and 6.1-6.4 MB
-    # at the others
+    # after a warm-up call, one thread holds its share of the draw budget,
+    # a tile of words and the scratch buffer, stop marks and block of
+    # ``_play_batch`` (1.9-2.6 MiB; 2.8-3.7 MiB with the uniforms as
+    # doubles, the scratch buffer holding the tile); one stage-major
+    # buffer, a tile of a quarter of it and a block of stops took 3.9-4.9
+    # MB, and with the draws kept row-major beside their stage-major copy
+    # it took 5.3 MB at N = 2 and 6.1-6.4 MB at the others
     _use_cpus(monkeypatch, 1)
     tables = build_game_tables(ProblemConfig(horizon=horizon, priority=0.25))
     simulate(tables.config, tables, SimConfig(samples=1))  # loads the pool's modules
@@ -991,18 +797,18 @@ def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
     monkeypatch, game_tables, horizon, priority, budget, samples
 ):
     # one thread; at N = 2 one chunk holds the whole batch and its stops
-    # fill several blocks, and a budget of 3200 doubles makes blocks of
-    # about 200 stops, so every batch is scored in many blocks; 701-row
-    # chunks are drawn in tiles of 176 rows, the last of a chunk 173, and
-    # 3-row chunks in one-row tiles, one stop a block.  The scratch
-    # buffer is the tile and a block's scoring scratch in turn: a budget
-    # of 3 at N = 2 gives one-row chunks whose tile of 3 doubles is no
-    # larger than a one-stop block's scratch, and 4000-row chunks at N = 3
-    # fill blocks of 1000 stops three or four times while they are gathered
+    # fill several blocks, and a budget of 3200 uniforms makes blocks of
+    # about 200 stops, so every batch is scored in many blocks; a budget
+    # of 701 rows gives 702-row chunks drawn in tiles of 176 rows, the last
+    # of a chunk 174, and budgets of 3 rows 4-row chunks in two-row tiles,
+    # one stop a block.  A budget of 3 at N = 2 gives two-row chunks whose
+    # weighted marks take less than a one-stop block's scoring scratch,
+    # and 4000-row chunks at N = 3 fill blocks of 1000 stops three or four
+    # times while they are gathered
     tables = game_tables(horizon, priority)
     cfg = tables.config
     sim = SimConfig(samples=samples, seed=23)
-    want = _serial_simulate(cfg, tables, sim)
+    want = _serial_simulate(tables, sim)
     blocks = []
     score = valuation._score_stops
 
@@ -1022,15 +828,21 @@ def test_simulate_blocks_flushed_inside_a_batch_match_serial_reference(
 
 
 class _FixedDraws:
-    """A batch stream that hands out the given rows, chunk after chunk."""
+    """A batch stream that hands out the given rows, each value x in
+    [0, 1) as the uniform floor(x 2**32), two a word, low half first."""
 
     def __init__(self, rows):
-        self.rows = np.array(rows, dtype=float)
-        self.at = 0
+        values = np.array(rows, dtype=float).ravel()
+        uniforms = np.floor(np.ldexp(values, 32)).astype(np.uint64)
+        # padded to whole words
+        self.uniforms = np.append(uniforms, np.zeros(len(uniforms) % 2, np.uint64))
+        self.at = 0  # words handed out
+        self.bit_generator = self
 
-    def random(self, out):
-        out[...] = self.rows[self.at : self.at + len(out)]
-        self.at += len(out)
+    def random_raw(self, size):
+        pairs = self.uniforms[2 * self.at : 2 * (self.at + size)]
+        self.at += size
+        return pairs[0::2] | pairs[1::2] << np.uint64(32)
 
 
 @pytest.mark.parametrize("horizon", [5, 300])
@@ -1045,7 +857,7 @@ def test_play_batch_first_stop_edge_rows(monkeypatch, game_tables, horizon):
     def row(head, last, coin):
         return [head] + [0.0] * (horizon - 2) + [last, coin]
 
-    x1 = 0.9999
+    x1 = math.floor(math.ldexp(0.9999, 32)) * 2.0**-32  # a uniform on the grid
     assert x1 >= tables.xthresholds.x(1) > 0.3
     rows = [row(0.3, 0.0, 0.5), row(0.2, 0.1, 0.5), row(0.1, 0.5, 0.1), row(x1, 0.0, 0.5)]
     monkeypatch.setattr(valuation, "batch_generator", lambda s, i: _FixedDraws(rows))
@@ -1063,6 +875,75 @@ def test_play_batch_first_stop_edge_rows(monkeypatch, game_tables, horizon):
     sums, squares = valuation._play_batch(tables, 0, 0, len(rows), 2)
     assert sums.tolist() == squares.tolist() == [0.0, 0.0]
     assert not np.signbit(sums).any()
+
+
+def test_play_batch_reads_each_word_low_half_first(monkeypatch, game_tables):
+    # at N = 2 every row stops at stage 1 (ntilde = 1), so the blocks
+    # scored hold each row's first value and its coin, uniforms 3r and
+    # 3r + 2 of the batch's words: 1001 rows in 8-row chunks, an odd count
+    # of uniforms, so the last word's high half is drawn and never read
+    tables = game_tables(2, 0.25)
+    assert tables.ntilde == 1
+    size = 1001
+    made, seen = [], []
+    score = valuation._score_stops
+
+    def recorded(tables, stage, value, coin, *rest):
+        seen.append((stage.copy(), value.copy(), coin.copy()))
+        score(tables, stage, value, coin, *rest)
+
+    def kept(seed, batch_index):
+        made.append(batch_generator(seed, batch_index))
+        return made[-1]
+
+    monkeypatch.setattr(valuation, "_score_stops", recorded)
+    monkeypatch.setattr(valuation, "batch_generator", kept)
+    valuation._play_batch(tables, 5, 3, size, 7)
+    fresh = batch_generator(5, 3).bit_generator
+    words = fresh.random_raw(-(-3 * size // 2))
+    want = _word_uniforms(words, 3 * size).reshape(size, 3)
+    stage, value, coin = (np.concatenate(parts) for parts in zip(*seen))
+    assert (stage == 1).all()
+    assert value.tolist() == want[:, 0].tolist()
+    assert coin.tolist() == want[:, 2].tolist()
+    # and no word more: both streams hand out the same next word
+    assert made[0].bit_generator.random_raw() == fresh.random_raw()
+
+
+def test_uniform_bars_are_the_double_rule_on_the_grid():
+    # u >= bar where reachable, against u 2**-32 >= b in doubles, at the
+    # grid neighbours of random bars, at bars within 2**-32 of 0 and of 1
+    # and beyond them, and at the ends of the grid
+    grid, top = 2.0**-32, 2**32 - 1
+    near = [0.0, 2.0**-60, grid / 2, grid, 2 * grid, 1.0 - 2 * grid, 1.0 - grid]
+    near += [1.0 - grid / 2, 1.0]
+    bars = np.concatenate((near, np.nextafter(near, -1), np.nextafter(near, 2)))
+    bars = np.concatenate((bars, np.random.default_rng(47).random(1000)))
+    bar, reachable = valuation._uniform_bars(bars)
+    assert bar.dtype == np.uint32
+    for b, c, ok in zip(bars.tolist(), bar.tolist(), reachable.tolist()):
+        centre = math.ceil(math.ldexp(b, 32))
+        neighbours = {min(max(centre + d, 0), top) for d in (-2, -1, 0, 1)}
+        for u in neighbours | {0, 1, top - 1, top}:
+            assert (ok and u >= c) == (u * grid >= b), (b, u)
+
+
+def test_play_batch_never_stops_at_a_bar_no_uniform_reaches(monkeypatch, game_tables):
+    # a bar within 2**-32 of 1 stops no row, not even at the top uniform;
+    # at the game's own bars that row stops at once
+    tables = game_tables(5, 0.25)
+    top = 1.0 - 2.0**-32
+    rows = [[top, 0.0, 0.0, 0.0, 0.0, 0.5]] * 2
+    monkeypatch.setattr(valuation, "batch_generator", lambda s, i: _FixedDraws(rows))
+    sums, _ = valuation._play_batch(tables, 0, 0, 2, 2)
+    w2 = _w2_array(np.array([1]), np.array([top]), tables)[0]
+    first = _cell(False, True, -0.5, tables.w1[0], w2)
+    assert sums.tolist() == [2 * first[0], 2 * first[1]]
+    bars = valuation.stop_bars(tables)
+    bars[:2] = 1.0 - 2.0**-33
+    monkeypatch.setattr(valuation, "stop_bars", lambda tables: bars)
+    sums, _ = valuation._play_batch(tables, 0, 0, 2, 2)
+    assert sums.tolist() == [0.0, 0.0]
 
 
 def test_simulate_error_cancels_remaining_batches(monkeypatch, game_tables):
@@ -1088,10 +969,230 @@ def test_simulate_error_cancels_remaining_batches(monkeypatch, game_tables):
     assert len(started) <= 3 + 1
 
 
+# The read paths against their references.  These tests hold the N = 150
+# inductions at six priorities in ``induced``, about 170 MB, so they run
+# after the Monte Carlo tests, whose serial reference takes about 200 MB
+# at N = 150, and the first-stop grid, their last reader, releases them.
+
+PARITY_PRIORITIES = (0.0, 0.1, 0.25, 1 / 3, math.exp(-1), 0.5)
+PARITY_HORIZONS = (2, 5, 10, 30, 60, 150)
+
+
+def _polyval_reference(vf, n, x, player):
+    """C_player(n, x) by numpy's ``polyval`` on the stored coefficients of
+    the segment that ``searchsorted(side="right")`` finds."""
+    if x >= 1.0:
+        return 0.0
+    s = int(np.searchsorted(vf.breaks, x, side="right")) - 1
+    s = min(max(s, 0), vf.n_segments - 1)
+    lo, hi = vf.breaks[s], vf.breaks[s + 1]
+    t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+    return float(polyval(t, vf.cont[n][player - 1, s]))
+
+
+def _check_point_queries(vf, n, x):
+    """``continuation`` is a Python float within 1e-15 of ``polyval`` on the
+    stored coefficients; from n = 1 on, ``value_at`` is that continuation
+    at forgo-forgo states and the array stage cell elsewhere.  Returns the
+    state's kind, or None at n = 0."""
+    tables = vf.tables
+    for player in (1, 2):
+        got = continuation(n, x, vf, player)
+        assert type(got) is float
+        want = _polyval_reference(vf, n, x, player)
+        assert abs(got - want) <= 1e-15, (tables.config, n, x, player)
+    if n == 0:
+        return None
+    kind = classify_state(n, x, tables)
+    stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
+    w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
+    for player in (1, 2):
+        got = vf.value_at(n, x, player)
+        assert type(got) is float
+        if kind is EquilibriumKind.FF:
+            want = continuation(n, x, vf, player)
+        else:
+            want = float(stage_cells(n, stop1, stop2, w2n, tables)[player - 1])
+        assert got == want, (tables.config, n, x, player)
+    return kind
+
+
+def _parity_values(vf, seed, interior=0):
+    """Every breakpoint, 0, 1, 1e-300, 50 uniform values and ``interior``
+    evenly spaced interior points of every segment."""
+    rng = np.random.default_rng(seed)
+    xs = vf.breaks.tolist() + [0.0, 1.0, 1e-300] + rng.random(50).tolist()
+    lo, hi = vf.breaks[:-1], vf.breaks[1:]
+    for j in range(1, interior + 1):
+        xs += (lo + (hi - lo) * (j / (interior + 1))).tolist()
+    return xs
+
+
+# the longer horizons run at fewer priorities; segments do not depend on p
+@pytest.mark.parametrize(
+    "horizon,priorities,interior",
+    [
+        (2, PARITY_PRIORITIES, 3),
+        (5, PARITY_PRIORITIES, 3),
+        (10, PARITY_PRIORITIES, 3),
+        (30, (0.0, 1 / 3, 0.5), 3),
+        (60, (0.1, 0.25), 3),
+        (150, (math.exp(-1),), 9),
+    ],
+)
+def test_scalar_read_path_matches_array_path(induced, horizon, priorities, interior):
+    # continuation's Horner loop in Python floats against numpy's polyval,
+    # and value_at against the array stage cells, at stage 0, 1, N/2, N - 1
+    # and N
+    stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
+    for priority in priorities:
+        vf, _ = induced(horizon, priority)
+        kinds = set()
+        for x in _parity_values(vf, seed=horizon, interior=interior):
+            for n in stages:
+                kinds.add(_check_point_queries(vf, n, x))
+        # stopped cells ran, and forgo-forgo ones wherever the game has them
+        assert kinds - {EquilibriumKind.FF, None}
+        assert EquilibriumKind.FF in kinds or horizon < 5
+
+
+def _horner_reference(vf, n, x, player):
+    """C_player(n, x) by a Horner loop of its own for one player, without
+    the pair read's shared loop: the same segment, t and operations in the
+    same order."""
+    if x >= 1.0:
+        return 0.0
+    s = int(np.searchsorted(vf.breaks, x, side="right")) - 1
+    s = min(max(s, 0), vf.n_segments - 1)
+    lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
+    t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+    return _horner(vf.cont[n][player - 1, s].tolist(), t)
+
+
+def _horner(coef, t):
+    """sum_k coef[k] t**k by Horner's rule from the highest k."""
+    value = 0.0
+    for k in range(len(coef) - 1, -1, -1):
+        value = value * t + coef[k]
+    return value
+
+
+def _value_reference(vf, n, x, player):
+    """V_player(n, x) from ``_horner_reference`` and the array stage cells."""
+    tables = vf.tables
+    kind = classify_state(n, x, tables)
+    if kind is EquilibriumKind.FF:
+        return _horner_reference(vf, n, x, player)
+    w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
+    stop1, stop2 = kind.action1 == "S", kind.action2 == "S"
+    return float(stage_cells(n, stop1, stop2, w2n, tables)[player - 1])
+
+
+@pytest.mark.parametrize("horizon", PARITY_HORIZONS)
+def test_pair_read_matches_one_loop_per_player(induced, horizon):
+    # both players from one Horner loop, then the other player from the
+    # memo, bit for bit the loop of each player on its own, at stage 0, 1,
+    # N/2, N - 1 and N
+    stages = sorted({0, 1, horizon // 2, horizon - 1, horizon})
+    for priority in PARITY_PRIORITIES:
+        vf, _ = induced(horizon, priority)
+        for x in _parity_values(vf, seed=horizon):
+            for n in stages:
+                for player in (1, 2):
+                    got = continuation(n, x, vf, player)
+                    assert got == _horner_reference(vf, n, x, player), (n, x, player)
+                if n == 0:
+                    continue
+                for player in (2, 1):
+                    got = vf.value_at(n, x, player)
+                    assert got == _value_reference(vf, n, x, player), (n, x, player)
+
+
+AUDIT_HORIZONS = (2, 5, 10, 30, 40, 50, 60, 150)
+
+
+def _pair_before(vf, n, x):
+    """(C_1(n, x), C_2(n, x)) by the pair read as it was before the cached
+    horizon: the segment clamped into range both ways, each player by a
+    Horner loop of its own."""
+    if x >= 1.0:
+        return 0.0, 0.0
+    s = bisect_right(vf.breaks.tolist(), x) - 1
+    s = min(max(s, 0), vf.n_segments - 1)
+    lo, hi = float(vf.breaks[s]), float(vf.breaks[s + 1])
+    t = (x - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+    coef1, coef2 = vf.cont[n][:, s].tolist()
+    return _horner(coef1, t), _horner(coef2, t)
+
+
+def _is_pure_nash_before(cells, kind):
+    """The Nash check as it was: cells on a grid [player 1 stops][player 2
+    stops], indexed through the kind's action letters."""
+    ss, sf, fs, ff = cells
+    grid = ((ff, fs), (sf, ss))
+    i, j = ("FS".index(a) for a in kind.value)
+    here = grid[i][j]
+    return grid[1 - i][j][0] <= here[0] and grid[i][1 - j][1] <= here[1]
+
+
+def _audit_before(vf, n, x):
+    """The audit row of a record state by the code before the tuple
+    ``Bimatrix`` and the kind flags: kind, both continuations, the four
+    cells, the Nash verdict and both players' values."""
+    tables = vf.tables
+    kind = classify_state(n, x, tables)
+    c1, c2 = _pair_before(vf, n, x)
+    w1n = tables.w1.item(n - 1)
+    w2n = _w2_scalar(tables.config.horizon - n, x, tables.inverses, tables.harmonics)
+    joint = 2.0 * tables.config.priority - 1.0
+    cells = (
+        _cell(True, True, joint, w1n, w2n),
+        _cell(True, False, joint, w1n, w2n),
+        _cell(False, True, joint, w1n, w2n),
+        (c1, c2),
+    )
+    stop1, stop2 = kind.value[0] == "S", kind.value[1] == "S"
+    if kind is EquilibriumKind.FF:
+        values = (c1, c2)
+    else:
+        values = _cell(stop1, stop2, joint, w1n, w2n)
+    return kind, c1, c2, cells, _is_pure_nash_before(cells, kind), values
+
+
+@pytest.mark.parametrize("horizon", AUDIT_HORIZONS)
+def test_audit_rows_match_code_before_tuple_bimatrix(induced, horizon):
+    # classify_state, continuation for both players, bimatrix, is_pure_nash
+    # and value_at equal the code before, value and type, at stage 1, 2,
+    # N/2, N - 1 and N, over every priority
+    stages = sorted({1, 2, horizon // 2, horizon - 1, horizon})
+    for priority in PARITY_PRIORITIES:
+        vf, _ = induced(horizon, priority)
+        tables = vf.tables
+        for x in _parity_values(vf, seed=horizon):
+            for n in stages:
+                if x == 0.0 and n < horizon:
+                    continue  # bimatrix refuses it, as before
+                kind = classify_state(n, x, tables)
+                c1, c2 = continuation(n, x, vf, 1), continuation(n, x, vf, 2)
+                bm = bimatrix(n, x, tables, (c1, c2))
+                values = (vf.value_at(n, x, 1), vf.value_at(n, x, 2))
+                row = (kind, c1, c2, tuple(bm), bm.is_pure_nash(kind), values)
+                want = _audit_before(vf, n, x)
+                assert row == want, (priority, n, x)
+                assert type(bm) is Bimatrix and type(row[4]) is bool
+                leaves = (c1, c2, *values, *(v for cell in bm for v in cell))
+                assert all(type(v) is float for v in leaves)
+        # the continuation at n = 0 reads the same segment too
+        for x in _parity_values(vf, seed=horizon):
+            got = (continuation(0, x, vf, 1), continuation(0, x, vf, 2))
+            assert got == _pair_before(vf, 0, x)
+
+
 # The first-stop grid: N = 2..60, 100 and 150 at the seven first-stop
 # priorities, 427 games. It comes last, after every test that holds one
-# of its games in ``induced``, and induces each other game once without
-# holding it: its value tables would take about 450 MB.
+# of its games in ``induced``, takes each held game out of ``induced``
+# as it reads it, and induces each other game once without holding it:
+# its value tables would take about 450 MB.
 
 
 def _legendre_integral_to_one(a):
